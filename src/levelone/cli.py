@@ -5,7 +5,8 @@ canonical.  Exit codes are a stable contract:
 
     0  pass / success
     1  verification failed, no limit, or input not recognized
-    2  usage error, unreadable or malformed input
+    2  usage error, unreadable or malformed input, or input whose exponents
+       pass the degree bound
     3  domain precondition violated (abelian classify input, pole at the
        evaluation point)
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .algebra import invariant_vector, random_algebra
 from .canonical import CanonicalForm, Tag, construct
 from .classify import ClassifierConfig, classify
-from .errors import AbelianInput, NoLimit, ParseError, PoleAtPoint
+from .errors import AbelianInput, DegreeOverflow, NoLimit, ParseError, PoleAtPoint
 from .jsonio import (
     algebra_from_dict,
     algebra_to_dict,
@@ -151,11 +152,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     a = algebra_from_dict(load_path(args.algebra))
-    witness = classify(a, ClassifierConfig(seed=args.seed))
-    report = verify_degeneration(a, witness)
-    if not report.passed:  # classify() re-verifies, so this is unreachable
-        print(report.summary(), file=sys.stderr)
-        return 1
+    witness = classify(a, ClassifierConfig(seed=args.seed))  # verified inside
     _emit(witness_to_dict(witness), args.out)
     print(
         f"classified onto {witness.target.describe()}; witness verified",
@@ -245,7 +242,7 @@ def main(argv=None) -> int:
     except PoleAtPoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, OSError, json.JSONDecodeError, DegreeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,7 +62,7 @@ def algebra_from_dict(d: dict) -> Algebra:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("algebra JSON needs a 'dim' field")
     n = d["dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is not a dimension
         raise ValueError(f"bad dimension: {n!r}")
     entries: dict = {}
     seen = set()
@@ -72,7 +72,7 @@ def algebra_from_dict(d: dict) -> Algebra:
         except (TypeError, KeyError) as exc:
             raise ValueError(f"product entry missing a field: {item!r}") from exc
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 1 <= idx <= n:
+            if type(idx) is not int or not 1 <= idx <= n:
                 raise ValueError(f"index {idx!r} out of range 1..{n}")
         if (i, j, k) in seen:
             raise ValueError(f"duplicate product triple (left={i}, right={j}, result={k})")
@@ -102,7 +102,7 @@ def family_from_dict(d: dict) -> ParamMatrix:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("family JSON needs a 'dim' field")
     n = d["dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is not a dimension
         raise ValueError(f"bad dimension: {n!r}")
     grid = [[None] * n for _ in range(n)]
     for item in d.get("entries", []):
@@ -111,7 +111,7 @@ def family_from_dict(d: dict) -> ParamMatrix:
         except (TypeError, KeyError) as exc:
             raise ValueError(f"family entry missing a field: {item!r}") from exc
         for idx in (i, j):
-            if not isinstance(idx, int) or not 1 <= idx <= n:
+            if type(idx) is not int or not 1 <= idx <= n:
                 raise ValueError(f"index {idx!r} out of range 1..{n}")
         if grid[i - 1][j - 1] is not None:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
@@ -142,7 +142,7 @@ def canonical_form_from_dict(d: dict) -> CanonicalForm:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad canonical tag in {d!r}") from exc
     dim = d.get("dim")
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise ValueError("canonical form needs an integer 'dim'")
     alpha = parse_rational(d["alpha"]) if "alpha" in d else None
     return CanonicalForm(tag, dim, alpha)

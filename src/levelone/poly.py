@@ -44,10 +44,6 @@ def poly_ord(p: Poly):
     return min(p) if p else math.inf
 
 
-def poly_lc(p: Poly) -> Fraction:
-    return p[max(p)]
-
-
 def poly_add(a: Poly, b: Poly) -> Poly:
     if not a:
         return dict(b)
@@ -281,14 +277,6 @@ class FieldElement:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_constant(self) -> bool:
-        return poly_degree(self.num) <= 0 and self.den == POLY_ONE
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self!r}")
-        return self.num.get(0, ZERO)
-
     def to_laurent(self) -> Poly:
         """Return the Laurent dict; fails unless den is a pure power of t."""
         if len(self.den) != 1:
@@ -297,11 +285,6 @@ class FieldElement:
         if c != 1:
             raise ValueError(f"not a Laurent polynomial: {self!r}")
         return poly_shift(self.num, -e)
-
-    def degree_weight(self) -> int:
-        """num degree + den degree; pivot-selection heuristic."""
-        dn = max(self.num) if self.num else 0
-        return dn + max(self.den)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "FieldElement") -> "FieldElement":

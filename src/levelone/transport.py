@@ -6,10 +6,21 @@ Transporting an algebra by g gives structure constants in Q(t); when every
 entry has non-negative valuation the entrywise limit at t = 0 exists and is
 again an algebra.  A Witness packages a family with a claimed limit, and
 ``verify_degeneration`` checks the claim bit-exactly.
+
+One fraction-free kernel does the arithmetic: g = P / (L*D) with P over
+Z[t] (D the lcm of the entry denominators, a power of t for a Laurent
+family), one Bareiss Gauss-Jordan gives d = +-det P and R = d * P^-1 with no
+gcds, and the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with
+C = cden * c the algebra scaled to integers.
+Limits are read off that integer numerator truncated at exponent
+2*val(d) - val(D); ``transport``, ``invert`` and ``ParamMatrix.det`` still
+reduce each entry in Q(t).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -17,22 +28,30 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .canonical import CanonicalForm, construct
-from .errors import DimensionMismatch, NoLimit, PoleAtZero, SingularFamily
+from .errors import DegreeOverflow, DimensionMismatch, NoLimit, PoleAtZero, SingularFamily
 from .poly import (
     FE_ONE,
     FE_ZERO,
+    MAX_DEGREE,
     FieldElement,
     POLY_ONE,
-    poly_add,
     poly_exact_div,
     poly_lcm,
     poly_mul,
     poly_ord,
+    poly_pow,
     poly_scale,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _nested(f, grid, depth: int) -> tuple:
+    """Nested tuples of f(x) over the entries x of a depth-deep grid."""
+    if depth == 1:
+        return tuple(f(x) for x in grid)
+    return tuple(_nested(f, g, depth - 1) for g in grid)
 
 
 @dataclass(frozen=True)
@@ -76,10 +95,7 @@ class ParamMatrix:
 
     @classmethod
     def from_rational(cls, m: list) -> "ParamMatrix":
-        n = len(m)
-        return cls(
-            n, tuple(tuple(FieldElement.constant(v) for v in row) for row in m)
-        )
+        return cls(len(m), _nested(FieldElement.constant, m, 2))
 
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
         if self.dim != other.dim:
@@ -100,67 +116,157 @@ class ParamMatrix:
         return ParamMatrix(n, tuple(rows))
 
     def det(self) -> FieldElement:
-        """Determinant in Q(t) by fraction-field elimination."""
-        n = self.dim
-        work = [list(row) for row in self.entries]
-        det = FE_ONE
-        for col in range(n):
-            pivot = _pick_pivot(work, col)
-            if pivot is None:
-                return FE_ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            lead = work[col][col]
-            det = det * lead
-            inv = lead.inverse()
-            for r in range(col + 1, n):
-                f = work[r][col]
-                if f:
-                    f = f * inv
-                    work[r] = [
-                        x - f * y if y else x for x, y in zip(work[r], work[col])
-                    ]
-        return det
+        """Determinant in Q(t): sign * d / (L*D)^n from the fraction-free kernel."""
+        try:
+            ff = _FractionFree(self)
+        except SingularFamily:
+            return FE_ZERO
+        num = {e: Fraction(ff.sign * c) for e, c in ff.d.items()}
+        return FieldElement(num, poly_pow(poly_scale(ff.D, ff.L), self.dim))
 
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
         return [[e.eval_at(t0) for e in row] for row in self.entries]
 
 
-def _pick_pivot(work: list, col: int):
-    """Nonzero entry of minimal combined num+den degree, ties row-major."""
-    best = None
-    best_weight = None
-    for r in range(col, len(work)):
-        e = work[r][col]
-        if e:
-            w = e.degree_weight()
-            if best_weight is None or w < best_weight:
-                best, best_weight = r, w
-    return best
+# -- the fraction-free kernel over Z[t] ---------------------------------------
+# Integer polynomials are sparse dicts {exponent >= 0: int}; accumulators may
+# hold zero coefficients until a caller drops them.
+
+
+def _addmul(acc: dict, a: dict, b: dict, top=math.inf) -> None:
+    """acc += a*b with exponents above ``top`` dropped; DegreeOverflow if a
+    kept exponent could pass MAX_DEGREE."""
+    if top > MAX_DEGREE and max(a) + max(b) > MAX_DEGREE:
+        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e <= top:
+                acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _exact_div(a: dict, b: dict) -> dict:
+    """a / b over Z[t], for a quotient known to exist."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {e - eb: c // cb for e, c in a.items() if c}
+    r = {e: c for e, c in a.items() if c}
+    q = {}
+    db = max(b)
+    while r:
+        e = max(r) - db
+        c, rem = divmod(r[e + db], b[db])
+        if rem or e < 0:
+            raise ArithmeticError("inexact division over Z[t]")
+        q[e] = c
+        for eb, cb in b.items():
+            r[e + eb] = r.get(e + eb, 0) - c * cb
+        r = {k: v for k, v in r.items() if v}
+    return q
+
+
+def _cleared(e: FieldElement, D: dict) -> dict:
+    """e * D over Q[t], for D a multiple of e's denominator."""
+    if len(D) == 1:  # e.den is a power of t as well
+        shift = max(D) - max(e.den)
+        return {k + shift: c for k, c in e.num.items()}
+    return poly_mul(e.num, poly_exact_div(D, e.den))
+
+
+class _FractionFree:
+    """A family cleared to Z[t] and its fraction-free Gauss-Jordan.
+
+    g = P / (L*D) with P an integer polynomial matrix.  Elimination on
+    [P | I] (Bareiss, Math. Comp. 22, 1968) keeps every entry a minor of the
+    augmented matrix, so each division is exact.  It leaves d = sign * det P
+    and R = d * P^-1, and raises SingularFamily when det P = 0.
+    """
+
+    def __init__(self, g: ParamMatrix):
+        n = self.dim = g.dim
+        D = POLY_ONE
+        for row in g.entries:
+            for e in row:
+                if e.num and e.den != D:  # two powers of t need no gcd
+                    D = (poly_lcm(D, e.den) if len(D) + len(e.den) > 2
+                         else {max(max(D), max(e.den)): ONE})
+        cleared = [[_cleared(e, D) for e in row] for row in g.entries]
+        L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
+        self.D, self.L = D, L
+        self.P = [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
+                  for row in cleared]
+        rows = [row + [{0: 1} if j == i else {} for j in range(n)]
+                for i, row in enumerate(self.P)]
+        self.sign, prev = 1, {0: 1}
+        for k in range(n):
+            live = [r for r in range(k, n) if rows[r][k]]
+            if not live:
+                raise SingularFamily("family matrix is singular over Q(t)")
+            p = min(live, key=lambda r: len(rows[r][k]))
+            if p != k:
+                rows[k], rows[p], self.sign = rows[p], rows[k], -self.sign
+            pivot_row, pk = rows[k], rows[k][k]
+            for row in rows[:k] + rows[k + 1:]:
+                f = {e: -c for e, c in row[k].items()}
+                for j in range(k + 1, len(row)):
+                    acc = {}
+                    if row[j]:
+                        _addmul(acc, pk, row[j])
+                    if f and pivot_row[j]:
+                        _addmul(acc, f, pivot_row[j])
+                    row[j] = _exact_div(acc, prev) if acc else {}
+            prev = pk
+        self.d = prev
+        self.R = [row[n:] for row in rows]
+
+    def contract(self, a: Algebra, top=math.inf) -> tuple[list, int]:
+        """(N, cden): N = P.C.(R x R) with exponents above ``top`` dropped,
+        where C = cden * c is the algebra scaled to integers."""
+        n = self.dim
+        cden = math.lcm(*(v.denominator for *_, v in a._nnz))
+        P, R = self.P, self.R
+        if top < math.inf:
+            P, R = ([[{e: c for e, c in p.items() if e <= top} for p in row] for row in m]
+                    for m in (P, R))
+        by_st = defaultdict(list)
+        for r, s, t, v in a._nnz:
+            by_st[(s, t)].append((r, int(v * cden)))
+        mid = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for (s, t), hits in by_st.items():
+            for i, x in enumerate(R[s]):
+                for j, y in enumerate(R[t]):
+                    if x and y:
+                        xy = {}
+                        _addmul(xy, x, y, top)
+                        for r, v in hits:
+                            acc = mid[r][i][j]
+                            for e, c in xy.items():
+                                acc[e] = acc.get(e, 0) + v * c
+        num = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for r, plane in enumerate(mid):
+            for i, j in itertools.product(range(n), repeat=2):
+                m = {e: c for e, c in plane[i][j].items() if c}
+                if not m:
+                    continue
+                for k in range(n):
+                    if P[k][r]:
+                        _addmul(num[k][i][j], P[k][r], m, top)
+        return [[[{e: c for e, c in m.items() if c} for m in row] for row in plane]
+                for plane in num], cden
+
+
+def _over(ff: _FractionFree, den: dict):
+    """m -> the reduced FieldElement L*D*m / den, for m over Z[t]."""
+    factor = poly_scale(ff.D, ff.L)
+    den = {e: Fraction(c) for e, c in den.items()}
+    return lambda m: FieldElement(poly_mul(m, factor), dict(den))
 
 
 def invert(g: ParamMatrix) -> ParamMatrix:
-    """Exact inverse over Q(t); raises SingularFamily when det = 0."""
-    n = g.dim
-    work = [
-        list(row) + [FE_ONE if i == j else FE_ZERO for j in range(n)]
-        for i, row in enumerate(g.entries)
-    ]
-    for col in range(n):
-        pivot = _pick_pivot(work, col)
-        if pivot is None:
-            raise SingularFamily("family matrix is singular over Q(t)")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [x * inv if x else x for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y if y else x for x, y in zip(work[r], work[col])]
-    return ParamMatrix(n, tuple(tuple(row[n:]) for row in work))
+    """Exact inverse over Q(t), L*D*R/d; raises SingularFamily when det = 0."""
+    ff = _FractionFree(g)
+    return ParamMatrix(g.dim, _nested(_over(ff, ff.d), ff.R, 2))
 
 
 @dataclass(frozen=True)
@@ -171,161 +277,67 @@ class ParamAlgebra:
     constants: tuple  # constants[k][i][j], FieldElement
 
     def eval_at(self, t0: Fraction) -> Algebra:
-        n = self.dim
-        return Algebra(
-            n,
-            tuple(
-                tuple(
-                    tuple(self.constants[k][i][j].eval_at(t0) for j in range(n))
-                    for i in range(n)
-                )
-                for k in range(n)
-            ),
-        )
+        return Algebra(self.dim, _nested(lambda e: e.eval_at(t0), self.constants, 3))
 
 
 def embed_algebra(a: Algebra) -> ParamAlgebra:
     """View a rational tensor as a constant parametric tensor."""
-    n = a.dim
-    return ParamAlgebra(
-        n,
-        tuple(
-            tuple(
-                tuple(FieldElement.constant(a.constants[k][i][j]) for j in range(n))
-                for i in range(n)
-            )
-            for k in range(n)
-        ),
-    )
-
-
-def _clear_denominators(entries) -> tuple[list, dict]:
-    """Write a FieldElement grid as (polynomial grid, common denominator)."""
-    common = dict(POLY_ONE)
-    for row in entries:
-        for e in row:
-            if e.num and e.den != POLY_ONE and e.den != common:
-                common = poly_lcm(common, e.den)
-    cleared = []
-    for row in entries:
-        out = []
-        for e in row:
-            if not e.num:
-                out.append({})
-            elif e.den == common:
-                out.append(dict(e.num))
-            else:
-                out.append(poly_mul(e.num, poly_exact_div(common, e.den)))
-        cleared.append(out)
-    return cleared, common
-
-
-def _transport_raw(a: Algebra, g: ParamMatrix) -> tuple[list, dict]:
-    """Transported tensor as (numerator polynomials, shared denominator).
-
-    c'[k][i][j] = sum g[k][r] c[r][s][t] ginv[s][i] ginv[t][j]; all the
-    entries share the denominator dg * dinv^2, and no gcd is taken here so
-    limits can be read off cheaply.
-    """
-    if a.dim != g.dim:
-        raise DimensionMismatch("algebra and family dimensions differ")
-    n = a.dim
-    ginv = invert(g)
-    p, dg = _clear_denominators(g.entries)
-    q, dq = _clear_denominators(ginv.entries)
-    by_st = defaultdict(list)
-    for r, s, t, v in a._nnz:
-        by_st[(s, t)].append((r, v))
-    mid = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (s, t), hits in by_st.items():
-        outer = [
-            [poly_mul(q[s][i], q[t][j]) if q[s][i] and q[t][j] else {} for j in range(n)]
-            for i in range(n)
-        ]
-        for r, v in hits:
-            plane = mid[r]
-            for i in range(n):
-                row = outer[i]
-                plane_i = plane[i]
-                for j in range(n):
-                    if row[j]:
-                        plane_i[j] = poly_add(plane_i[j], poly_scale(row[j], v))
-    num = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for r in range(n):
-            pk = p[k][r]
-            if not pk:
-                continue
-            plane = mid[r]
-            out_k = num[k]
-            for i in range(n):
-                plane_i = plane[i]
-                out_ki = out_k[i]
-                for j in range(n):
-                    if plane_i[j]:
-                        out_ki[j] = poly_add(out_ki[j], poly_mul(pk, plane_i[j]))
-    den = poly_mul(dg, poly_mul(dq, dq))
-    return num, den
+    return ParamAlgebra(a.dim, _nested(FieldElement.constant, a.constants, 3))
 
 
 def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
     """The transported tensor over Q(t), every entry fully reduced."""
-    num, den = _transport_raw(a, g)
-    n = a.dim
-    return ParamAlgebra(
-        n,
-        tuple(
-            tuple(
-                tuple(FieldElement(num[k][i][j], dict(den)) for j in range(n))
-                for i in range(n)
-            )
-            for k in range(n)
-        ),
-    )
+    if a.dim != g.dim:
+        raise DimensionMismatch("algebra and family dimensions differ")
+    ff = _FractionFree(g)
+    num, cden = ff.contract(a)
+    den = poly_scale(poly_mul(ff.d, ff.d), cden)
+    return ParamAlgebra(a.dim, _nested(_over(ff, den), num, 3))
+
+
+def _limit(n: int, value) -> Algebra:
+    """The algebra of value(k, i, j); NoLimit lists (1-based) the entries
+    where value raises PoleAtZero."""
+    bad = []
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        try:
+            table[k][i][j] = value(k, i, j)
+        except PoleAtZero:
+            bad.append((k + 1, i + 1, j + 1))
+    if bad:
+        raise NoLimit(bad)
+    return Algebra(n, table)
 
 
 def limit_at_zero(pa: ParamAlgebra) -> Algebra:
     """Entrywise limit at t = 0; raises NoLimit listing poles (1-based)."""
-    n = pa.dim
-    bad = []
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                try:
-                    table[k][i][j] = pa.constants[k][i][j].eval_at_zero()
-                except PoleAtZero:
-                    bad.append((k + 1, i + 1, j + 1))
-    if bad:
-        raise NoLimit(bad)
-    return Algebra(n, tuple(tuple(tuple(r) for r in p) for p in table))
+    return _limit(pa.dim, lambda k, i, j: pa.constants[k][i][j].eval_at_zero())
 
 
 def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
-    """limit_at_zero(transport(a, g)) computed without per-entry reduction.
+    """limit_at_zero(transport(a, g)) read off the fraction-free numerator.
 
-    Valuations are representation independent, so the limit can be read off
-    the un-reduced numerator/denominator pair directly.
+    Entry (k, i, j) is L*D*N/(cden*d^2) with N over Z[t], of valuation
+    val(N) + val(D) - 2*val(d).  So a term of N below top = 2*val(d) - val(D)
+    is a pole and the term at top gives the limit.  No term above top is
+    formed, so for top < 0 every entry is 0.
     """
-    num, den = _transport_raw(a, g)
-    vd = poly_ord(den)
-    n = a.dim
-    bad = []
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                nm = num[k][i][j]
-                if not nm:
-                    continue
-                vn = poly_ord(nm)
-                if vn < vd:
-                    bad.append((k + 1, i + 1, j + 1))
-                elif vn == vd:
-                    table[k][i][j] = nm[vn] / den[vd]
-    if bad:
-        raise NoLimit(bad)
-    return Algebra(n, tuple(tuple(tuple(r) for r in p) for p in table))
+    if a.dim != g.dim:
+        raise DimensionMismatch("algebra and family dimensions differ")
+    ff = _FractionFree(g)
+    vd, v_den = poly_ord(ff.d), poly_ord(ff.D)
+    top = 2 * vd - v_den
+    num, cden = ff.contract(a, top)
+    scale = ff.L * ff.D[v_den] / (cden * ff.d[vd] ** 2)
+
+    def value(k, i, j):
+        nm = num[k][i][j]
+        if nm and min(nm) < top:
+            raise PoleAtZero(f"valuation {min(nm) - top} < 0")
+        return nm[top] * scale if nm else ZERO
+
+    return _limit(a.dim, value)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,20 @@ class TestTransportCommand:
         assert code == 3
 
 
+    def test_at_zero_on_a_fixed_point_family_returns_the_algebra(self, capsys):
+        # g = diag(1, t^-1, ...) has a pole at 0, but each reduced entry of
+        # the transported tensor is constant, so --at 0 evaluates cleanly
+        code, out = run(
+            capsys, "transport",
+            "--algebra", canonical_path("pminus_n4"),
+            "--family", family_path("fix_pminus_n4"),
+            "--at", "0",
+        )
+        assert code == 0
+        got = algebra_from_dict(json.loads(out))
+        assert got == construct(CanonicalForm(Tag.P_MINUS, 4))
+
+
 class TestRandomCommand:
     def test_seed_determinism(self, capsys):
         _, out1 = run(capsys, "random", "--dim", "3", "--seed", "4")
@@ -300,3 +314,39 @@ class TestMalformedInputs:
             "--family", str(bad), "--limit",
         )
         assert code == 2
+
+    def test_boolean_algebra_dimension(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": True, "products": []}))
+        code, _ = run(capsys, "recognize", "--algebra", str(bad))
+        assert code == 2
+
+    def test_boolean_family_dimension(self, capsys, tmp_path):
+        bad = tmp_path / "f.json"
+        bad.write_text(json.dumps({
+            "dim": True,
+            "entries": [{"row": 1, "col": 1, "poly": "t"}],
+        }))
+        code, _ = run(
+            capsys, "transport",
+            "--algebra", canonical_path("abelian_n1"),
+            "--family", str(bad), "--limit",
+        )
+        assert code == 2
+
+    def test_degree_overflow_is_usage_error(self, capsys, tmp_path):
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({
+            "dim": 2,
+            "entries": [
+                {"row": 1, "col": 1, "poly": "t^6000"},
+                {"row": 2, "col": 2, "poly": "t^6000"},
+            ],
+        }))
+        code = main([
+            "transport", "--algebra", canonical_path("lambda2_n2"),
+            "--family", str(family), "--limit",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err

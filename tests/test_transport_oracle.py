@@ -1,0 +1,147 @@
+"""The fraction-free transport kernel against sympy as an independent oracle.
+
+sympy (a test-only dependency) does the same computations over QQ(t) with
+its own field arithmetic: determinant, inverse, and the transported tensor
+g.c(g^-1 x, g^-1 y), whose t -> 0 limit is read off each reduced entry's
+valuation.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ, symbols  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from levelone import (  # noqa: E402
+    CanonicalForm,
+    NoLimit,
+    ParamMatrix,
+    SingularFamily,
+    Tag,
+    construct,
+    invert,
+    random_algebra,
+    random_family,
+    transport_limit,
+)
+from levelone.families import scaling_family  # noqa: E402
+from levelone.poly import FieldElement  # noqa: E402
+
+T = symbols("t")
+K = QQ.frac_field(T)
+
+
+def to_k(e: FieldElement):
+    def poly(p):
+        return sum((QQ(c.numerator, c.denominator) * K(T) ** k for k, c in p.items()), K.zero)
+
+    return poly(e.num) / poly(e.den)
+
+
+def to_dm(g: ParamMatrix) -> DomainMatrix:
+    return DomainMatrix([[to_k(e) for e in row] for row in g.entries], (g.dim, g.dim), K)
+
+
+def order(p) -> int:
+    return min(m[0] for m, _ in p.terms())
+
+
+def coeff(p, k):
+    return dict((m[0], c) for m, c in p.terms()).get(k, QQ(0))
+
+
+def oracle_limit(a, g: ParamMatrix):
+    """(limit entries as Fractions, None), or (None, sorted 1-based poles)."""
+    n = a.dim
+    gk = to_dm(g).to_list()
+    gik = to_dm(g).inv().to_list()
+    table, poles = {}, []
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                acc = K.zero
+                for r, s, u, v in a._nnz:
+                    acc += QQ(v.numerator, v.denominator) * gk[k][r] * gik[s][i] * gik[u][j]
+                if not acc:
+                    continue
+                num, den = acc.numer, acc.denom
+                val = order(num) - order(den)
+                if val < 0:
+                    poles.append((k + 1, i + 1, j + 1))
+                elif val == 0:
+                    q = coeff(num, order(num)) / coeff(den, order(den))
+                    table[(k, i, j)] = F(int(q.numerator), int(q.denominator))
+    return (None, poles) if poles else (table, None)
+
+
+def ours_limit(a, g):
+    try:
+        lim = transport_limit(a, g)
+    except NoLimit as exc:
+        return None, exc.entries
+    n = a.dim
+    return {(k, i, j): lim.constants[k][i][j] for k in range(n) for i in range(n)
+            for j in range(n) if lim.constants[k][i][j]}, None
+
+
+def cases():
+    """(algebra, family) pairs: random Laurent families at n = 2..3, and the
+    inverse of one, whose denominators are not powers of t."""
+    rng = random.Random(20240611)
+    out = []
+    for idx in range(24):
+        n = 2 + idx % 2
+        g = random_family(n, idx % 3, rng.randrange(10**6))
+        if idx % 4 == 3:
+            g = invert(g)
+        pool = [construct(CanonicalForm(Tag.P_MINUS, n)),
+                construct(CanonicalForm(Tag.NU, n, F(2, 3))),
+                random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)]
+        out.append((pool[idx % 3], g))
+    return out
+
+
+CASES = cases()
+
+
+def test_some_cases_have_non_monomial_denominators():
+    assert any(len(e.den) > 1 for _, g in CASES for row in g.entries for e in row)
+
+
+@pytest.mark.parametrize("a,g", CASES)
+def test_det_and_inverse_agree_with_sympy(a, g):
+    dm = to_dm(g)
+    assert to_k(g.det()) == dm.det()
+    assert to_dm(invert(g)) == dm.inv()
+
+
+@pytest.mark.parametrize("a,g", CASES)
+def test_limit_or_poles_agree_with_sympy(a, g):
+    assert ours_limit(a, g) == oracle_limit(a, g)
+
+
+def test_the_cases_reach_both_outcomes():
+    outcomes = [ours_limit(a, g)[0] is None for a, g in CASES]
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_uniform_scaling_limit_is_abelian(n):
+    # P = t * diag(t^-1) = I, so 2*val(det P) - val(D) = -1 < 0
+    for a in (construct(CanonicalForm(Tag.P_MINUS, n)),
+              construct(CanonicalForm(Tag.NU, n, F(2, 3)))):
+        g = scaling_family([1] * n)
+        assert transport_limit(a, g).is_abelian()
+        assert ours_limit(a, g) == oracle_limit(a, g)
+
+
+def test_singular_family_raises_from_transport_limit():
+    t = FieldElement.t_power(1)
+    one = FieldElement.constant(1)
+    g = ParamMatrix(2, ((t, one), (t * t, t)))
+    assert not g.det()
+    with pytest.raises(SingularFamily):
+        transport_limit(construct(CanonicalForm(Tag.P_MINUS, 2)), g)
