@@ -4,10 +4,20 @@ An algebra of dimension n is the dense tensor c[k][i][j]: the coefficient of
 basis vector k in the product of basis vectors i and j (0-based internally;
 interchange formats are 1-based).  Any tensor is a valid algebra, products
 are bilinear by construction.  Vectors are tuples of Fractions.
+
+The tensor kernels read the tensor directly rather than through
+``Algebra.product``: e_i * e_j is the column c[:, i, j], so the
+multiplication matrices, ``product_form`` and ``derived_subspace`` are
+slices of it.  ``apply_basis_change``, ``rebase``, ``subspace_product`` and
+the multiplication matrices accumulate in Python ints over the nonzero
+(i, j) slices of C = cden * c (cden the lcm of the entry denominators), with
+matrices and vectors scaled to integers the same way, and build one
+Fraction per nonzero output entry.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,7 +73,10 @@ class Algebra:
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
         table = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in plane)
+            tuple(
+                tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                for row in plane
+            )
             for plane in self.constants
         )
         if len(table) != n or any(
@@ -107,15 +120,17 @@ class Algebra:
                     out[k] += v * xi * yj
         return tuple(out)
 
+    def basis_product(self, i: int, j: int) -> Vector:
+        """e_i * e_j: the column c[:, i, j] of the tensor."""
+        return tuple(plane[i][j] for plane in self.constants)
+
     def left_mult_matrix(self, x: Vector) -> list:
-        """Matrix of v -> x * v."""
-        cols = [self.product(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of v -> x * v: entry (k, j) is sum_i x_i c[k][i][j]."""
+        return _mult_matrix(self, x, left=True)
 
     def right_mult_matrix(self, x: Vector) -> list:
-        """Matrix of v -> v * x."""
-        cols = [self.product(unit_vector(self.dim, j), x) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of v -> v * x: entry (k, i) is sum_j c[k][i][j] x_j."""
+        return _mult_matrix(self, x, left=False)
 
     # -- predicates -----------------------------------------------------
     def is_abelian(self) -> bool:
@@ -145,6 +160,58 @@ class Algebra:
     def is_nilpotent(self) -> bool:
         powers = ideal_powers(self)
         return powers[-1].dim == 0
+
+
+# -- integer views, built per call ------------------------------------------
+
+
+def _int_slices(a: Algebra) -> tuple[int, dict]:
+    """(cden, {(i, j): [(k, C[k][i][j]), ...]}) for C = cden * c over Z: the
+    nonzero (i, j) slices of the tensor, from one pass over its entries."""
+    cden = math.lcm(*(v.denominator for *_, v in a._nnz))
+    slices: dict = {}
+    for k, i, j, v in a._nnz:
+        slices.setdefault((i, j), []).append((k, v.numerator * (cden // v.denominator)))
+    return cden, slices
+
+
+def _int_vector(v) -> tuple[int, list]:
+    """(den, den * v) over Z, den the lcm of the entry denominators."""
+    den = math.lcm(*(x.denominator for x in v))
+    return den, [x.numerator * (den // x.denominator) for x in v]
+
+
+def _int_matrix(m: list) -> tuple[int, list]:
+    """(den, den * m) over Z, den the lcm of all entry denominators."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
+def _primitive(v: Vector) -> list:
+    """The primitive integer vector on the line of a nonzero rational vector."""
+    ints = _int_vector(v)[1]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else ZERO
+
+
+def _mult_matrix(a: Algebra, x: Vector, left: bool) -> list:
+    n = a.dim
+    if len(x) != n:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    cden, slices = _int_slices(a)
+    dx, xs = _int_vector(x)
+    acc = [[0] * n for _ in range(n)]
+    for (i, j), hits in slices.items():
+        xi, col = (xs[i], j) if left else (xs[j], i)
+        if xi:
+            for k, c in hits:
+                acc[k][col] += c * xi
+    den = dx * cden
+    return [[_fraction(v, den) for v in row] for row in acc]
 
 
 @dataclass(frozen=True)
@@ -186,11 +253,28 @@ class Subspace:
 
 
 def subspace_product(a: Algebra, u: Subspace, w: Subspace) -> Subspace:
-    """span{ x*y : x in basis(u), y in basis(w) }; exact since products are bilinear."""
-    if u.ambient != a.dim or w.ambient != a.dim:
+    """span{ x*y : x in basis(u), y in basis(w) }; exact since products are bilinear.
+
+    Each basis vector is scaled to a primitive integer vector on its line and
+    each product accumulated in ints; scaling changes no span.
+    """
+    n = a.dim
+    if u.ambient != n or w.ambient != n:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
-    vectors = [a.product(x, y) for x in u.basis for y in w.basis]
-    return Subspace.span(a.dim, vectors)
+    _, slices = _int_slices(a)
+    xs = [_primitive(x) for x in u.basis]
+    ys = [_primitive(y) for y in w.basis]
+    vectors = []
+    for x in xs:
+        for y in ys:
+            p = [0] * n
+            for (i, j), hits in slices.items():
+                xy = x[i] * y[j]
+                if xy:
+                    for k, c in hits:
+                        p[k] += c * xy
+            vectors.append(p)
+    return Subspace.span(n, vectors)
 
 
 def ideal_powers(a: Algebra) -> list:
@@ -214,9 +298,15 @@ def ideal_powers(a: Algebra) -> list:
 
 
 def derived_subspace(a: Algebra) -> Subspace:
-    """A^2: the span of all products."""
-    full = Subspace.full(a.dim)
-    return subspace_product(a, full, full)
+    """A^2: the span of the columns c[:, i, j], read as integer slices."""
+    n = a.dim
+    vectors = []
+    for hits in _int_slices(a)[1].values():
+        v = [0] * n
+        for k, c in hits:
+            v[k] = c
+        vectors.append(v)
+    return Subspace.span(n, vectors)
 
 
 @dataclass(frozen=True)
@@ -233,16 +323,14 @@ class InvariantVector:
 
 
 def product_form(a: Algebra, square: Subspace) -> list:
-    """When dim A^2 = 1 write e_i * e_j = B[i][j] * z for the spanning z."""
+    """When dim A^2 = 1 write e_i * e_j = B[i][j] * z for the spanning z.
+
+    B[i][j] is c[pivot][i][j] / z[pivot], pivot the first nonzero entry of z.
+    """
     z = square.basis[0]
     pivot = next(i for i, v in enumerate(z) if v)
-    n = a.dim
-    b = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            p = a.product(unit_vector(n, i), unit_vector(n, j))
-            b[i][j] = p[pivot] / z[pivot]
-    return b
+    zp = z[pivot]
+    return [[v / zp for v in row] for row in a.constants[pivot]]
 
 
 def invariant_vector(a: Algebra) -> InvariantVector:
@@ -282,43 +370,50 @@ def apply_basis_change(a: Algebra, g: list) -> Algebra:
     n = a.dim
     if len(g) != n or any(len(row) != n for row in g):
         raise DimensionMismatch("matrix size does not match algebra dimension")
-    ginv = linalg.mat_inverse(g)  # raises SingularMatrix
-    mid = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for r, s, t, v in a._nnz:
-        row_s = ginv[s]
-        row_t = ginv[t]
-        plane = mid[r]
-        for i in range(n):
-            gs = row_s[i]
-            if gs:
-                vg = v * gs
-                plane_i = plane[i]
-                for j in range(n):
-                    gt = row_t[j]
-                    if gt:
-                        plane_i[j] += vg * gt
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        grow = g[k]
-        out_k = out[k]
-        for r in range(n):
-            c = grow[r]
-            if c:
-                plane = mid[r]
-                for i in range(n):
-                    plane_i = plane[i]
-                    out_ki = out_k[i]
-                    for j in range(n):
-                        if plane_i[j]:
-                            out_ki[j] += c * plane_i[j]
-    return Algebra(n, tuple(tuple(tuple(r) for r in p) for p in out))
+    return _contract(a, g, linalg.mat_inverse(g))  # raises SingularMatrix
+
+
+def _contract(a: Algebra, g: list, h: list) -> Algebra:
+    """The tensor c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j].
+
+    With G = dg * g, H = dh * h and C = cden * c over Z, the sum G.C.(H x H)
+    runs in ints over the nonzero (s, t) slices of C and each entry is
+    divided once by dg * dh^2 * cden.
+    """
+    n = a.dim
+    cden, slices = _int_slices(a)
+    dg, G = _int_matrix(g)
+    dh, H = _int_matrix(h)
+    mid = [[0] * (n * n) for _ in range(n)]  # mid[r][i*n + j] = (C.(H x H))[r][i][j]
+    for (s, t), hits in slices.items():
+        row_t = [(j, y) for j, y in enumerate(H[t]) if y]
+        for i, x in enumerate(H[s]):
+            if x:
+                base = i * n
+                for j, y in row_t:
+                    xy = x * y
+                    for r, c in hits:
+                        mid[r][base + j] += c * xy
+    live = [(r, plane) for r, plane in enumerate(mid) if any(plane)]
+    den = dg * dh * dh * cden
+    out = []
+    for grow in G:
+        acc = [0] * (n * n)
+        for r, plane in live:
+            f = grow[r]
+            if f:
+                acc = [u + f * v for u, v in zip(acc, plane)]
+        flat = [_fraction(v, den) for v in acc]
+        out.append(tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+    return Algebra(n, tuple(out))
 
 
 def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:
     """Express the algebra in the given basis (columns of the new frame).
 
     Returns (algebra in the new coordinates, the matrix that realizes it),
-    i.e. apply_basis_change(a, m) with m the inverse of the frame matrix.
+    i.e. apply_basis_change(a, m) with m the inverse of the frame matrix;
+    the frame itself is m^-1, so it is inverted once.
     """
     n = a.dim
     frame = [[basis[j][i] for j in range(n)] for i in range(n)]
@@ -326,7 +421,7 @@ def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:
         m = linalg.mat_inverse(frame)
     except SingularMatrix:
         raise SingularMatrix("proposed basis is linearly dependent")
-    return apply_basis_change(a, m), m
+    return _contract(a, m, frame), m
 
 
 def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:

@@ -214,7 +214,7 @@ def _pminus_branch(a: Algebra, trace: list):
     for i in range(n):
         for j in range(n):
             if i != j:
-                p = a.product(unit_vector(n, i), unit_vector(n, j))
+                p = a.basis_product(i, j)
                 if not vec_is_zero(p):
                     found = (i, j, p)
                     break
@@ -233,7 +233,7 @@ def _pminus_branch(a: Algebra, trace: list):
         q = p
     else:
         first, second = j, i
-        q = a.product(unit_vector(n, j), unit_vector(n, i))
+        q = a.basis_product(j, i)
     g2, g1 = q[second], q[first]
     b1 = vec_scale(unit_vector(n, first), 1 / g2)
     b2 = vec_add(unit_vector(n, second), vec_scale(b1, g1))

@@ -4,9 +4,10 @@ Subcommands: verify, classify, recognize, invariants, transport, random,
 canonical.  Exit codes are a stable contract:
 
     0  pass / success
-    1  verification failed, no limit, or input not recognized
+    1  verification failed, no limit, input not recognized, or the
+       classifier found no witness
     2  usage error, unreadable or malformed input, or input whose exponents
-       pass the degree bound
+       pass the degree bound or whose dimension passes MAX_DIM
     3  domain precondition violated (abelian classify input, pole at the
        evaluation point)
 
@@ -24,11 +25,19 @@ from fractions import Fraction
 from .algebra import invariant_vector, random_algebra
 from .canonical import CanonicalForm, Tag, construct
 from .classify import ClassifierConfig, classify
-from .errors import AbelianInput, DegreeOverflow, NoLimit, ParseError, PoleAtPoint
+from .errors import (
+    AbelianInput,
+    DegreeOverflow,
+    NoLimit,
+    ParseError,
+    PoleAtPoint,
+    SearchExhausted,
+)
 from .jsonio import (
     algebra_from_dict,
     algebra_to_dict,
     canonical_form_from_dict,
+    check_dimension,
     dumps,
     family_from_dict,
     family_to_dict,
@@ -210,8 +219,7 @@ def cmd_transport(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.dim < 1:
-        raise ValueError("--dim must be positive")
+    check_dimension(args.dim)
     if args.kind == "algebra":
         a = random_algebra(args.dim, args.density, args.seed, args.non_abelian)
         _emit(algebra_to_dict(a), args.out)
@@ -223,7 +231,7 @@ def cmd_random(args) -> int:
 
 def cmd_canonical(args) -> int:
     alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    form = CanonicalForm(Tag(args.name), args.dim, alpha)
+    form = CanonicalForm(Tag(args.name), check_dimension(args.dim), alpha)
     _emit(algebra_to_dict(construct(form)), args.out)
     return 0
 
@@ -242,6 +250,9 @@ def main(argv=None) -> int:
     except PoleAtPoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SearchExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, ValueError, OSError, json.JSONDecodeError, DegreeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from .algebra import Algebra, InvariantVector
 from .canonical import CanonicalForm, Tag
 from .errors import ParseError
 from .parser import parse_laurent, print_laurent
-from .poly import FieldElement
+from .poly import MAX_DIM, FieldElement
 from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness
 
@@ -38,6 +38,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
+
+
+def check_dimension(n) -> int:
+    """n itself when it is an int in 1..MAX_DIM; ValueError otherwise."""
+    if type(n) is not int or n < 1:  # bool is not a dimension
+        raise ValueError(f"bad dimension: {n!r}")
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the cap of {MAX_DIM}")
+    return n
 
 
 # -- algebra ---------------------------------------------------------------
@@ -61,9 +70,7 @@ def algebra_to_dict(a: Algebra) -> dict:
 def algebra_from_dict(d: dict) -> Algebra:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("algebra JSON needs a 'dim' field")
-    n = d["dim"]
-    if type(n) is not int or n < 1:  # bool is not a dimension
-        raise ValueError(f"bad dimension: {n!r}")
+    n = check_dimension(d["dim"])
     entries: dict = {}
     seen = set()
     for item in d.get("products", []):
@@ -101,9 +108,7 @@ def family_to_dict(pm: ParamMatrix) -> dict:
 def family_from_dict(d: dict) -> ParamMatrix:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("family JSON needs a 'dim' field")
-    n = d["dim"]
-    if type(n) is not int or n < 1:  # bool is not a dimension
-        raise ValueError(f"bad dimension: {n!r}")
+    n = check_dimension(d["dim"])
     grid = [[None] * n for _ in range(n)]
     for item in d.get("entries", []):
         try:

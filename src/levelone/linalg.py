@@ -2,11 +2,14 @@
 
 Matrices are lists of row lists; functions never mutate their arguments.
 Reduced row echelon form is the canonical representative used for subspace
-equality throughout the package.
+equality throughout the package.  ``rref`` eliminates fraction-free: rows are
+scaled to integers and kept primitive, and only the output entries are built
+as Fractions; ``mat_inverse`` is the rref of [a | I].
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SingularMatrix
@@ -52,36 +55,40 @@ def rref(rows: list) -> tuple[list, list]:
 
     Returns (nonzero rows, pivot column indices); rows come out with leading
     coefficient 1 and cleared pivot columns, so equal row spaces give equal
-    outputs.
+    outputs.  Entries may be ints or Fractions: each row is scaled to
+    integers, and Gauss-Jordan runs over Z with every changed row divided by
+    the gcd of its entries, which keeps the row space and bounds the growth.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    work = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        if any(ints):
+            work.append(ints)
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
+    if not work:
+        return [], pivots
+    for col in range(len(work[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][col]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        p = prow[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*new)
+                work[i] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
-        r += 1
-        if r == len(work):
+        if len(pivots) == len(work):
             break
-    work = [row for row in work if any(row)]
-    return work, pivots
+    return [
+        [Fraction(x, row[col]) if x else ZERO for x in row]
+        for row, col in zip(work, pivots)
+    ], pivots
 
 
 def rank(rows: list) -> int:
@@ -102,24 +109,12 @@ def reduce_against(basis_rows: list, pivots: list, v) -> tuple:
 
 def mat_inverse(a: list) -> list:
     n = len(a)
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular over Q")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        lead = work[col][col]
-        if lead != 1:
-            work[col] = [x / lead for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
+    rows, pivots = rref(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    )
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular over Q")
+    return [row[n:] for row in rows]
 
 
 def mat_det(a: list) -> Fraction:

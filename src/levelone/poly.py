@@ -22,6 +22,11 @@ Poly = dict  # {int exponent: nonzero Fraction}
 #: it raises DegreeOverflow instead of thrashing on adversarial input.
 MAX_DEGREE = 10_000
 
+#: Hard cap on the dimension of any algebra or family read from input; a
+#: structure tensor is dense, dim^3 entries, so larger inputs are refused
+#: before anything is allocated.
+MAX_DIM = 64
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

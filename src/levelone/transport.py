@@ -45,6 +45,7 @@ from .poly import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_DIAGNOSTICS = 6  # entrywise mismatches listed by a failing report
 
 
 def _nested(f, grid, depth: int) -> tuple:
@@ -395,15 +396,13 @@ def verify_degeneration(a: Algebra, w: Witness, up_to_iso: bool = False) -> Repo
     if limit == target:
         return Report(True, limit, [])
     diffs = []
-    for k in range(a.dim):
-        for i in range(a.dim):
-            for j in range(a.dim):
-                got = limit.constants[k][i][j]
-                want = target.constants[k][i][j]
-                if got != want:
-                    diffs.append(f"entry ({k + 1},{i + 1},{j + 1}): {got} != {want}")
-                if len(diffs) >= 6:
-                    break
+    for k, i, j in itertools.product(range(a.dim), repeat=3):
+        got = limit.constants[k][i][j]
+        want = target.constants[k][i][j]
+        if got != want:
+            diffs.append(f"entry ({k + 1},{i + 1},{j + 1}): {got} != {want}")
+            if len(diffs) == MAX_DIAGNOSTICS:
+                break
     return Report(False, limit, diffs)
 
 

@@ -1,0 +1,180 @@
+"""The integer-accumulating tensor kernels against independent oracles.
+
+sympy (a test-only dependency) redoes the rational arithmetic with its own
+matrices: the basis-change contraction g.c.(g^-1 x g^-1), reduced row
+echelon form, and the spans behind ``subspace_product``.  The slice reads
+(multiplication matrices, ``product_form``) are checked against the
+per-pair definition ``Algebra.product``.  Inputs carry denominators up to 6
+and sparse tensors, so many (i, j) slices are zero.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from levelone import (  # noqa: E402
+    Algebra,
+    Subspace,
+    apply_basis_change,
+    derived_subspace,
+    random_algebra,
+    rebase,
+    subspace_product,
+    unit_vector,
+)
+from levelone.algebra import product_form  # noqa: E402
+from levelone.linalg import rref  # noqa: E402
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def from_sympy(m):
+    return [[F(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+def rational(rng, bound=5, den=6):
+    return F(rng.randint(-bound, bound), rng.randint(1, den))
+
+
+def invertible(rng, n):
+    """A random rational matrix with non-trivial denominators and det != 0."""
+    while True:
+        g = [[rational(rng) for _ in range(n)] for _ in range(n)]
+        if to_sympy(g).det() != 0:
+            return g
+
+
+def sparse_algebra(rng, n):
+    """Tensor with small rational entries and mostly zero (i, j) slices."""
+    density = rng.choice((0.1, 0.3, 0.6))
+    return random_algebra(n, density, rng.randrange(2**31))
+
+
+def sympy_contraction(a, g, h):
+    """c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j], entry by entry."""
+    n = a.dim
+    c = [to_sympy(a.constants[r]) for r in range(n)]
+    planes = [h.T * c[r] * h for r in range(n)]  # (h^T c_r h)[i][j]
+    out = []
+    for k in range(n):
+        plane = sympy.zeros(n, n)
+        for r in range(n):
+            plane += g[k, r] * planes[r]
+        out.append(from_sympy(plane))
+    return Algebra(n, out)
+
+
+CASES = [(n, seed) for n in (2, 3, 4) for seed in range(8)]
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_apply_basis_change_matches_sympy(n, seed):
+    rng = random.Random(f"abc:{n}:{seed}")
+    a = sparse_algebra(rng, n)
+    g = invertible(rng, n)
+    gs = to_sympy(g)
+    assert apply_basis_change(a, g) == sympy_contraction(a, gs, gs.inv())
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_rebase_is_the_change_by_the_inverse_frame(n, seed):
+    rng = random.Random(f"rebase:{n}:{seed}")
+    a = sparse_algebra(rng, n)
+    basis = [tuple(col) for col in zip(*invertible(rng, n))]
+    frame = to_sympy([[basis[j][i] for j in range(n)] for i in range(n)])
+    got, m = rebase(a, basis)
+    assert m == from_sympy(frame.inv())
+    assert got == apply_basis_change(a, from_sympy(frame.inv()))
+    assert got == sympy_contraction(a, frame.inv(), frame)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_matches_sympy(seed):
+    rng = random.Random(f"rref:{seed}")
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rational(rng) if rng.random() < 0.6 else F(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:  # a dependent row
+        c = rational(rng)
+        rows.append([c * x for x in rows[0]])
+    got, pivots = rref(rows)
+    want, want_pivots = to_sympy(rows).rref()
+    rank = len(want_pivots)
+    assert got == from_sympy(want[:rank, :])
+    assert pivots == list(want_pivots)
+
+
+def test_rref_of_zero_and_integer_rows():
+    assert rref([[F(0), F(0)], [0, 0]]) == ([], [])
+    assert rref([[2, 4, 0], [1, 2, 1]]) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+
+
+def sympy_span(ambient, vectors):
+    """The rref basis of span(vectors), computed by sympy."""
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return ()
+    m, pivots = to_sympy(vectors).rref()
+    return tuple(tuple(row) for row in from_sympy(m[: len(pivots), :]))
+
+
+def random_subspace(rng, n):
+    k = rng.randint(0, n)
+    return Subspace.span(n, [[rational(rng) for _ in range(n)] for _ in range(k)])
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_subspace_product_is_the_span_of_pair_products(n, seed):
+    rng = random.Random(f"sp:{n}:{seed}")
+    a = sparse_algebra(rng, n)
+    for u, w in [
+        (random_subspace(rng, n), random_subspace(rng, n)),
+        (Subspace.full(n), Subspace.full(n)),
+        (derived_subspace(a), Subspace.full(n)),
+        (Subspace.zero(n), Subspace.full(n)),
+    ]:
+        products = [a.product(x, y) for x in u.basis for y in w.basis]
+        assert subspace_product(a, u, w).basis == sympy_span(n, products)
+    every = [a.product(unit_vector(n, i), unit_vector(n, j))
+             for i in range(n) for j in range(n)]
+    assert derived_subspace(a).basis == sympy_span(n, every)
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_mult_matrices_are_product_columns(n, seed):
+    rng = random.Random(f"mult:{n}:{seed}")
+    a = sparse_algebra(rng, n)
+    x = tuple(rational(rng) if rng.random() < 0.7 else F(0) for _ in range(n))
+    left, right = a.left_mult_matrix(x), a.right_mult_matrix(x)
+    for j in range(n):
+        e = unit_vector(n, j)
+        assert [row[j] for row in left] == list(a.product(x, e))
+        assert [row[j] for row in right] == list(a.product(e, x))
+        for i in range(n):
+            assert a.basis_product(i, j) == a.product(unit_vector(n, i), e)
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_product_form_rebuilds_every_product(n, seed):
+    """A rank-one tensor c[k][i][j] = z_k * B_ij has A^2 = span(z)."""
+    rng = random.Random(f"form:{n}:{seed}")
+    z = [rational(rng) for _ in range(n)]
+    if not any(z):
+        z[0] = F(1, 3)
+    b = [[rational(rng) if rng.random() < 0.5 else F(0) for _ in range(n)] for _ in range(n)]
+    if not any(map(any, b)):
+        b[0][0] = F(-2, 5)
+    a = Algebra(n, [[[z[k] * b[i][j] for j in range(n)] for i in range(n)] for k in range(n)])
+    square = derived_subspace(a)
+    assert square.dim == 1
+    form = product_form(a, square)
+    zs = square.basis[0]
+    for i in range(n):
+        for j in range(n):
+            want = a.product(unit_vector(n, i), unit_vector(n, j))
+            assert tuple(form[i][j] * c for c in zs) == want

@@ -7,6 +7,7 @@ import pytest
 from levelone import CanonicalForm, Tag, construct
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
+from levelone.poly import MAX_DIM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -121,6 +122,20 @@ class TestClassify:
         doc = json.loads(out_file.read_text())
         assert doc["target"]["tag"] == "lambda2"
         assert doc["trace"]
+
+    def test_search_exhausted_is_a_failure_line(self, capsys, monkeypatch):
+        import levelone.cli
+        from levelone.errors import SearchExhausted
+
+        def exhausted(a, cfg=None):
+            raise SearchExhausted("round 0: no witness")
+
+        monkeypatch.setattr(levelone.cli, "classify", exhausted)
+        code = main(["classify", "--algebra", canonical_path("pplus_n4")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: round 0: no witness\n"
 
     def test_abelian_input_is_domain_error(self, capsys):
         code, _ = run(capsys, "classify", "--algebra", canonical_path("abelian_n4"))
@@ -350,3 +365,24 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["algebra", "family"])
+    def test_dimension_past_the_cap(self, capsys, tmp_path, kind):
+        # no products or entries: nothing of size MAX_DIM + 1 is ever built
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({"dim": MAX_DIM + 1}))
+        if kind == "algebra":
+            argv = ["recognize", "--algebra", str(bad)]
+        else:
+            argv = ["transport", "--algebra", canonical_path("abelian_n1"),
+                    "--family", str(bad), "--limit"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: dimension {MAX_DIM + 1} exceeds the cap of {MAX_DIM}\n"
+
+    @pytest.mark.parametrize("command", ["canonical --name abelian", "random --seed 0"])
+    def test_dimension_flag_past_the_cap(self, capsys, command):
+        code = main(command.split() + ["--dim", str(MAX_DIM + 1)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: dimension")

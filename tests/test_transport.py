@@ -176,6 +176,15 @@ class TestVerify:
         assert report.limit == canon(Tag.P_MINUS, 3)
         assert report.diagnostics
 
+    def test_diagnostics_stop_at_six(self):
+        # 57 entries differ from the abelian target; the report lists six
+        a = random_algebra(4, 0.9, 3, nonabelian=True)
+        w = Witness(ParamMatrix.identity(4), CanonicalForm(Tag.ABELIAN, 4))
+        report = verify_degeneration(a, w)
+        assert not report.passed
+        assert len(report.diagnostics) == 6
+        assert report.diagnostics[0].startswith("entry (1,")
+
     def test_no_limit_is_a_failing_report(self):
         # scaling e2 down blows the square e1*e1 = e2 up: entry t^-1
         w = Witness(scaling_family([0, 1]), CanonicalForm(Tag.ABELIAN, 2))
