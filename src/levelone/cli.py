@@ -18,9 +18,9 @@ through an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import invariant_vector, random_algebra
 from .canonical import CanonicalForm, Tag, construct
@@ -53,12 +53,13 @@ from .recognize import recognize
 from .transport import (
     Witness,
     random_family,
-    transport,
+    transport_at,
     transport_limit,
     verify_degeneration,
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelone",
@@ -80,23 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-iso", action="store_true",
                    help="compare via recognition instead of entrywise")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="produce a verified degeneration witness")
     p.add_argument("--algebra", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the witness JSON here instead of stdout")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("recognize", help="match an algebra against the canonical forms")
     p.add_argument("--algebra", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("invariants", help="basis-change invariants of an algebra")
     p.add_argument("--algebra", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("transport", help="apply a parametric family to an algebra")
     p.add_argument("--algebra", required=True)
@@ -105,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--limit", action="store_true", help="entrywise limit at t = 0")
     group.add_argument("--at", metavar="T0", help="specialize at a rational point")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("random", help="seed-deterministic random inputs")
     p.add_argument("--kind", choices=("algebra", "family"), default="algebra")
@@ -115,14 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--non-abelian", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("canonical", help="emit a canonical algebra")
     p.add_argument("--name", required=True, choices=[t.value for t in Tag])
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", help="rational scalar, nu only")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_canonical)
 
     return parser
 
@@ -201,9 +195,7 @@ def cmd_transport(args) -> int:
     a = algebra_from_dict(load_path(args.algebra))
     family = family_from_dict(load_path(args.family))
     if args.at is not None:
-        t0 = parse_rational(args.at)
-        specialized = transport(a, family).eval_at(t0)
-        _emit(algebra_to_dict(specialized), None)
+        _emit(algebra_to_dict(transport_at(a, family, parse_rational(args.at))), None)
         return 0
     try:
         limit = transport_limit(a, family)
@@ -237,13 +229,14 @@ def cmd_canonical(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # the handler is looked up per call, so a rebound cmd_* is honoured
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except AbelianInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -49,6 +49,19 @@ def check_dimension(n) -> int:
     return n
 
 
+def _require_object(d, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(d).__name__}")
+
+
+def _entry_list(d: dict, key: str) -> list:
+    """d[key] (default []) when it is a list of objects; ValueError otherwise."""
+    items = d.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+        raise ValueError(f"'{key}' must be a list of objects")
+    return items
+
+
 # -- algebra ---------------------------------------------------------------
 
 
@@ -73,10 +86,10 @@ def algebra_from_dict(d: dict) -> Algebra:
     n = check_dimension(d["dim"])
     entries: dict = {}
     seen = set()
-    for item in d.get("products", []):
+    for item in _entry_list(d, "products"):
         try:
-            i, j, k = item["left"], item["right"], item["result"]
-        except (TypeError, KeyError) as exc:
+            i, j, k, text = item["left"], item["right"], item["result"], item["coeff"]
+        except KeyError as exc:
             raise ValueError(f"product entry missing a field: {item!r}") from exc
         for idx in (i, j, k):
             if type(idx) is not int or not 1 <= idx <= n:
@@ -84,7 +97,7 @@ def algebra_from_dict(d: dict) -> Algebra:
         if (i, j, k) in seen:
             raise ValueError(f"duplicate product triple (left={i}, right={j}, result={k})")
         seen.add((i, j, k))
-        coeff = parse_rational(item["coeff"])
+        coeff = parse_rational(text)
         if coeff:
             entries[(k - 1, i - 1, j - 1)] = coeff
     return Algebra.from_entries(n, entries)
@@ -110,11 +123,13 @@ def family_from_dict(d: dict) -> ParamMatrix:
         raise ValueError("family JSON needs a 'dim' field")
     n = check_dimension(d["dim"])
     grid = [[None] * n for _ in range(n)]
-    for item in d.get("entries", []):
+    for item in _entry_list(d, "entries"):
         try:
             i, j, text = item["row"], item["col"], item["poly"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise ValueError(f"family entry missing a field: {item!r}") from exc
+        if not isinstance(text, str):
+            raise ValueError(f"family entry poly must be a string: {text!r}")
         for idx in (i, j):
             if type(idx) is not int or not 1 <= idx <= n:
                 raise ValueError(f"index {idx!r} out of range 1..{n}")
@@ -142,6 +157,7 @@ def canonical_form_to_dict(form: CanonicalForm) -> dict:
 
 
 def canonical_form_from_dict(d: dict) -> CanonicalForm:
+    _require_object(d, "canonical form")
     try:
         tag = Tag(d["tag"])
     except (KeyError, ValueError) as exc:
@@ -162,13 +178,16 @@ def witness_to_dict(w: Witness) -> dict:
 
 
 def witness_from_dict(d: dict) -> Witness:
+    _require_object(d, "witness")
     try:
         family = family_from_dict(d["family"])
         target = canonical_form_from_dict(d["target"])
     except KeyError as exc:
         raise ValueError(f"witness JSON missing field {exc}") from exc
-    trace = tuple(d.get("trace", []))
-    return Witness(family, target, trace)
+    trace = d.get("trace", [])
+    if not isinstance(trace, list):
+        raise ValueError("witness trace must be a list")
+    return Witness(family, target, tuple(trace))
 
 
 def report_to_dict(r: Report) -> dict:

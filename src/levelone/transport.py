@@ -15,6 +15,11 @@ C = cden * c the algebra scaled to integers.
 Limits are read off that integer numerator truncated at exponent
 2*val(d) - val(D); ``transport``, ``invert`` and ``ParamMatrix.det`` still
 reduce each entry in Q(t).
+
+At a point t0 where g is regular and det g(t0) != 0, the family is just the
+rational basis change g(t0), so ``transport_at`` evaluates g first and
+transports over Q; only at a pole of g or a root of det g does it need the
+reduced Q(t) tensor.
 """
 
 from __future__ import annotations
@@ -26,9 +31,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, apply_basis_change
 from .canonical import CanonicalForm, construct
-from .errors import DegreeOverflow, DimensionMismatch, NoLimit, PoleAtZero, SingularFamily
+from .errors import (
+    DegreeOverflow,
+    DimensionMismatch,
+    NoLimit,
+    PoleAtPoint,
+    PoleAtZero,
+    SingularFamily,
+    SingularMatrix,
+)
 from .poly import (
     FE_ONE,
     FE_ZERO,
@@ -339,6 +352,24 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
         return nm[top] * scale if nm else ZERO
 
     return _limit(a.dim, value)
+
+
+def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
+    """transport(a, g).eval_at(t0), through g(t0) where that is invertible.
+
+    Each reduced entry p/q of transport(a, g) equals a quotient whose
+    denominator is a product of the entry denominators of g and det g.  Where
+    all of these are nonzero at t0, q(t0) != 0 and evaluation commutes with
+    the contraction, so the value is apply_basis_change(a, g(t0)).  At a pole
+    of g or a root of det g the reduced tensor may still be regular, so there
+    it is built and evaluated; PoleAtPoint means it is not.
+    """
+    if a.dim != g.dim:
+        raise DimensionMismatch("algebra and family dimensions differ")
+    try:
+        return apply_basis_change(a, g.eval_at(t0))
+    except (PoleAtPoint, SingularMatrix):
+        return transport(a, g).eval_at(t0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from levelone import CanonicalForm, Tag, construct
 from levelone.cli import main
@@ -366,6 +370,37 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("recognize", {"dim": 2, "products": 5}),
+        ("recognize", {"dim": 2, "products": [{"left": 1, "right": 1, "result": 2}]}),
+        ("verify --target", []),
+        ("transport", {"dim": 2, "entries": [{"row": 1, "col": 1, "poly": 5}]}),
+    ])
+    def test_wrong_json_shape_is_usage_error(self, capsys, tmp_path, command, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "recognize": ["recognize", "--algebra", str(bad)],
+            "verify --target": ["verify", "--algebra", canonical_path("pplus_n3"),
+                                "--family", family_path("pplus_to_lambda2_n3"),
+                                "--target", str(bad)],
+            "transport": ["transport", "--algebra", canonical_path("lambda2_n2"),
+                          "--family", str(bad), "--at", "1"],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [[], {
+        "family": {"dim": 1, "entries": [{"row": 1, "col": 1, "poly": "t"}]},
+        "target": {"tag": "nu", "dim": 1}, "trace": 5}])
+    def test_witness_of_the_wrong_shape(self, doc):
+        from levelone.jsonio import witness_from_dict
+
+        with pytest.raises(ValueError):
+            witness_from_dict(doc)
+
     @pytest.mark.parametrize("kind", ["algebra", "family"])
     def test_dimension_past_the_cap(self, capsys, tmp_path, kind):
         # no products or entries: nothing of size MAX_DIM + 1 is ever built
@@ -386,3 +421,112 @@ class TestMalformedInputs:
         code = main(command.split() + ["--dim", str(MAX_DIM + 1)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: dimension")
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ["canonical", "--name", "nu", "--dim", "3", "--alpha", "1/2"],
+        ["recognize", "--algebra", canonical_path("n3minus_n4"), "--json"],
+        ["transport", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3"), "--at", "1/2"],
+        ["transport", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3"), "--limit", "--json"],
+        ["verify", "--algebra", canonical_path("pminus_n3"),
+         "--family", family_path("fix_pminus_n3"), "--target-canonical", "abelian:3"],
+        ["invariants", "--algebra", canonical_path("lambda2_n4")],
+        ["transport", "--limit"],  # usage error: the parse fails part-way
+        ["random", "--kind", "family", "--dim", "3", "--seed", "2"],
+    ]
+
+    def test_one_parser_serves_every_command(self, capsys):
+        import levelone.cli
+
+        fresh = []  # each command on a newly built parser
+        for argv in self.COMMANDS:
+            levelone.cli.build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr().out))
+        parser = levelone.cli.build_parser()
+        for _ in range(2):
+            reused = [(main(argv), capsys.readouterr().out) for argv in self.COMMANDS]
+            assert reused == fresh
+        assert levelone.cli.build_parser() is parser
+        assert [code for code, _ in fresh] == [0, 0, 0, 0, 1, 0, 2, 0]
+
+    def test_a_handler_rebound_after_the_first_call_is_used(self, capsys, monkeypatch):
+        import levelone.cli
+
+        argv = ["recognize", "--algebra", canonical_path("lambda2_n3")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(levelone.cli, "cmd_recognize", lambda args: seen.append(args) or 3)
+        assert main(argv) == 3
+        assert [args.algebra for args in seen] == [argv[2]]
+
+
+# -- hostile JSON ---------------------------------------------------------------
+
+junk_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-4, 4), st.text(max_size=5)
+)
+junk = st.recursive(
+    junk_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+dims = st.integers(1, 4) | st.sampled_from([0, -1, 65, True, "2", 2.0, None])  # never past 4
+indices = st.integers(1, 4) | st.sampled_from([0, 5, -1, True, False, "1", 1.0, None, [1]])
+rationals = st.sampled_from(["1", "-2", "1/2", "-3/4", "0", "1/0", "1.5", "", "x"]) | junk
+laurents = st.sampled_from(
+    ["1", "t", "-t^-1", "2*t^2 - 1/3", "t + t^-2", "t^6000", "t^-6000", "t^^2", "", "1/0*t"]
+) | junk
+
+
+def documents(key: str, fields: dict):
+    """{"dim", key: [entries]} with hostile values anywhere, or plain junk."""
+    entry = st.fixed_dictionaries(fields) | st.fixed_dictionaries({}, optional=fields) | junk
+    return st.fixed_dictionaries({"dim": dims, key: st.lists(entry, max_size=6) | junk}) | junk
+
+
+algebra_docs = documents(
+    "products", {"left": indices, "right": indices, "result": indices, "coeff": rationals})
+family_docs = documents("entries", {"row": indices, "col": indices, "poly": laurents})
+target_docs = st.fixed_dictionaries(
+    {"tag": st.sampled_from([t.value for t in Tag]) | junk, "dim": dims},
+    optional={"alpha": rationals},
+) | junk
+
+# argv templates: "A", "G" and "T" stand for files holding a hostile algebra,
+# family and target, "P" for an evaluation point
+FUZZED = {
+    "recognize": ["recognize", "--algebra", "A"],
+    "classify": ["classify", "--algebra", "A"],
+    "verify --target": ["verify", "--algebra", canonical_path("pplus_n3"),
+                        "--family", family_path("pplus_to_lambda2_n3"), "--target", "T"],
+    "verify --family": ["verify", "--algebra", canonical_path("pplus_n3"), "--family", "G",
+                        "--target-canonical", "lambda2:3", "--json"],
+    "transport --limit": ["transport", "--algebra", "A", "--family", "G", "--limit"],
+    "transport --at": ["transport", "--algebra", "A", "--family", "G", "--at", "P"],
+}
+
+
+@pytest.mark.parametrize("command", FUZZED)
+def test_hostile_json_gets_an_exit_code_not_a_traceback(command, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+
+    @given(st.fixed_dictionaries({"A": algebra_docs, "G": family_docs, "T": target_docs}),
+           st.sampled_from(["0", "1", "1/2", "-3/2", "x", "1/0"]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    def check(docs, point):
+        slots = {"P": point}
+        for key in set(docs) & set(FUZZED[command]):
+            slots[key] = str(root / f"{key}.json")
+            Path(slots[key]).write_text(json.dumps(docs[key]), encoding="utf-8")
+        argv = [slots.get(arg, arg) for arg in FUZZED[command]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    check()

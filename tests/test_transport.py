@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -23,11 +24,16 @@ from levelone import (
     random_algebra,
     random_family,
     transport,
+    transport_at,
     transport_limit,
     unit_vector,
     verify_degeneration,
 )
+from levelone.cli import main
+from levelone.errors import PoleAtPoint
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
+from levelone.jsonio import algebra_from_dict, algebra_to_dict, family_to_dict, save_path
+from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
 
 from conftest import algebras, fe
@@ -119,6 +125,69 @@ class TestTransport:
             lhs = apply_basis_change(transport(a, g).eval_at(t0), h)
             rhs = transport(a, hg).eval_at(t0)
             assert lhs == rhs
+
+
+AT_POINTS = (F(0), F(1), F(-1), F(1, 2), F(-3, 2))
+
+
+def at_outcome(f):
+    """f() or the PoleAtPoint it raises, as a comparable value."""
+    try:
+        return f()
+    except PoleAtPoint:
+        return PoleAtPoint
+
+
+def with_det_root(g: ParamMatrix, r: F) -> ParamMatrix:
+    """g times the block [[1, 1], [1, t + 1 - r]] (+) I, whose det is t - r."""
+    n = g.dim
+    m = [[FE_ONE if i == j else FE_ZERO for j in range(n)] for i in range(n)]
+    m[0][1] = m[1][0] = FE_ONE
+    m[1][1] = FieldElement.t_power(1) + FieldElement.constant(1 - r)
+    return g @ ParamMatrix(n, tuple(tuple(row) for row in m))
+
+
+class TestTransportAt:
+    @given(algebras(min_dim=2, max_dim=3), st.integers(0, 10**6), st.integers(0, 2),
+           st.sampled_from(AT_POINTS), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_transport_then_evaluate(self, a, seed, pole_bound, t0, root):
+        """Same value or the same PoleAtPoint, also at 0 and at a root of det g."""
+        g = random_family(a.dim, pole_bound, seed)
+        if root:
+            g = with_det_root(g, t0)
+        assert at_outcome(lambda: transport_at(a, g, t0)) == at_outcome(
+            lambda: transport(a, g).eval_at(t0))
+
+    def test_pole_of_the_family_falls_back(self):
+        # g(0) does not exist, yet pminus is a fixed point of diag(1, t^-1)
+        a = canon(Tag.P_MINUS, 2)
+        g = ParamMatrix.diagonal_powers([0, -1])
+        with pytest.raises(PoleAtPoint):
+            g.eval_at(F(0))
+        assert transport_at(a, g, F(0)) == transport(a, g).eval_at(F(0)) == a
+
+    def test_singular_value_of_the_family_falls_back(self):
+        # g(0) = 0, yet diag(t, t^2) fixes lambda2 (e1*e1 = e2)
+        a = canon(Tag.LAMBDA2, 2)
+        g = ParamMatrix.diagonal_powers([1, 2])
+        assert mat_det(g.eval_at(F(0))) == 0
+        assert transport_at(a, g, F(0)) == transport(a, g).eval_at(F(0)) == a
+
+    def test_cli_at_a_regular_point_needs_no_q_t_degree_budget(self, capsys, tmp_path):
+        # transport() over Q(t) would form t^12002 = det^2 and pass MAX_DEGREE;
+        # g(1/2) is an ordinary rational basis change
+        a = canon(Tag.LAMBDA2, 2)
+        g = ParamMatrix.diagonal_powers([6000, 1])
+        alg, fam = tmp_path / "a.json", tmp_path / "g.json"
+        save_path(str(alg), algebra_to_dict(a))
+        save_path(str(fam), family_to_dict(g))
+        argv = ["transport", "--algebra", str(alg), "--family", str(fam)]
+        code = main(argv + ["--at", "1/2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert algebra_from_dict(json.loads(out)) == apply_basis_change(a, g.eval_at(F(1, 2)))
+        assert main(argv + ["--limit"]) == 1
 
 
 class TestLimits:
