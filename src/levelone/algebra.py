@@ -17,6 +17,7 @@ Fraction per nonzero output entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -460,10 +461,16 @@ def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:
 
 
 def deterministic_candidates(n: int) -> list:
-    """Standard basis vectors followed by all pairwise sums e_i + e_j (i < j)."""
+    """Standard basis vectors followed by all pairwise sums e_i + e_j (i < j),
+    as a fresh list the caller may extend."""
+    return list(_deterministic_candidates(n))
+
+
+@functools.cache
+def _deterministic_candidates(n: int) -> tuple:
     basis = [unit_vector(n, i) for i in range(n)]
     sums = [vec_add(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)]
-    return basis + sums
+    return tuple(basis + sums)
 
 
 def random_algebra(

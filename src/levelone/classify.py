@@ -18,7 +18,10 @@ canonical algebras, together with a trace of the branch taken:
 
 Witness searches are Las Vegas with a deterministic sweep first (basis
 vectors, then pairwise sums of basis vectors, then seeded random integer
-vectors).  A positive witness is confirmed by an exact rank computation.
+vectors).  A round's random vectors are drawn when a search first reaches
+them, and a failed round draws the ones it skipped before the next round,
+so the seeded stream is that of drawing every round in full.  A positive
+witness is confirmed by an exact rank computation.
 When a branch assertion fails, the in-span premise behind it was wrong, so
 vectors pinpointing the violation are fed into the next round's sweep; the
 emitted witness is always re-verified exactly before being returned.
@@ -46,6 +49,7 @@ from .algebra import (
 )
 from .canonical import CanonicalForm, Tag
 from .errors import AbelianInput, SearchExhausted
+from .poly import FE_ZERO, FieldElement
 from .transport import ParamMatrix, Witness, verify_degeneration
 
 ZERO = Fraction(0)
@@ -94,6 +98,7 @@ def classify(a: Algebra, cfg: ClassifierConfig | None = None) -> Witness:
             for v in outcome.suspects:
                 if not vec_is_zero(v) and v not in suspects:
                     suspects.append(v)
+        pool.drain()
     raise SearchExhausted("; ".join(log))
 
 
@@ -119,24 +124,54 @@ def span_witness_search(a: Algebra, mode: str, cfg: ClassifierConfig | None = No
 # -- candidate machinery ---------------------------------------------------
 
 
-def _pool(n: int, cfg: ClassifierConfig, rng: random.Random, suspects: list) -> list:
-    out = deterministic_candidates(n)
-    seen = set(out)
-    for v in suspects:
-        if v not in seen:
-            out.append(v)
-            seen.add(v)
-    bound = cfg.coordinate_range
-    for _ in range(cfg.samples_per_round):
+class _Pool:
+    """Deterministic candidates and new suspects, then ``count`` nonzero
+    random vectors drawn from ``rng`` when an iteration first reaches them.
+
+    Iterations may nest; each sees the same sequence.
+    """
+
+    def __init__(self, head: list, rng: random.Random, count: int, n: int, bound: int):
+        self._items, self._rng = head, rng
+        self._left, self._n, self._bound = count, n, bound
+
+    def _draw(self) -> bool:
+        if not self._left:
+            return False
+        self._left -= 1
+        rng, n, bound = self._rng, self._n, self._bound
         while True:
             v = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
             if any(v):
                 break
-        out.append(v)
-    return out
+        self._items.append(v)
+        return True
+
+    def __iter__(self):
+        items = self._items
+        i = 0
+        while i < len(items) or self._draw():
+            yield items[i]
+            i += 1
+
+    def drain(self) -> None:
+        """Draw whatever no iteration reached, keeping the rng in step."""
+        while self._draw():
+            pass
 
 
-def _find_square(a: Algebra, pool: list):
+def _pool(n: int, cfg: ClassifierConfig, rng: random.Random, suspects: list) -> _Pool:
+    head = deterministic_candidates(n)
+    if suspects:
+        seen = set(head)
+        for v in suspects:
+            if v not in seen:
+                head.append(v)
+                seen.add(v)
+    return _Pool(head, rng, cfg.samples_per_round, n, cfg.coordinate_range)
+
+
+def _find_square(a: Algebra, pool):
     if a.dim < 2:
         return None
     for x in pool:
@@ -146,7 +181,7 @@ def _find_square(a: Algebra, pool: list):
     return None
 
 
-def _find_pair(a: Algebra, pool: list):
+def _find_pair(a: Algebra, pool):
     if a.dim < 3:
         return None
     for ix, x in enumerate(pool):
@@ -168,18 +203,22 @@ def _fmt(v: Vector) -> str:
 def _assemble(
     a: Algebra, basis: list, weights: list, tag: Tag, trace: list, alpha=None
 ) -> Witness:
-    """Family = diag(t^-w) composed with the change onto the given frame."""
+    """Family = diag(t^-w) composed with the change onto the given frame,
+    entry (i, j) the monomial minv[i][j] * t^-w_i."""
     n = a.dim
     frame = [[basis[j][i] for j in range(n)] for i in range(n)]
     minv = linalg.mat_inverse(frame)
-    family = ParamMatrix.diagonal_powers([-w for w in weights]) @ ParamMatrix.from_rational(minv)
+    family = ParamMatrix(n, tuple(
+        tuple(FieldElement.from_laurent({-w: c}) if c else FE_ZERO for c in row)
+        for w, row in zip(weights, minv)
+    ))
     return Witness(family, CanonicalForm(tag, n, alpha), tuple(trace))
 
 
 # -- the decision tree ------------------------------------------------------
 
 
-def _attempt(a: Algebra, pool: list):
+def _attempt(a: Algebra, pool):
     n = a.dim
     if a.is_anticommutative():
         trace = ["Antisymmetric"]

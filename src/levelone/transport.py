@@ -13,8 +13,14 @@ family), one Bareiss Gauss-Jordan gives d = +-det P and R = d * P^-1 with no
 gcds, and the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with
 C = cden * c the algebra scaled to integers.
 Limits are read off that integer numerator truncated at exponent
-2*val(d) - val(D); ``transport``, ``invert`` and ``ParamMatrix.det`` still
-reduce each entry in Q(t).
+2*val(d) - val(D); ``transport`` and ``invert`` reduce each entry in Q(t).
+
+Many families, every classifier witness and bundled fixture family among
+them, are row-monomial: g = diag(t^e) * m with m rational.  Then
+g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
+t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
+b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``transport_limit`` and ``ParamMatrix.det`` read
+such a family off b and det m over Q and use the kernel for every other one.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
 rational basis change g(t0), so ``transport_at`` evaluates g first and
@@ -42,6 +48,7 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
+from .linalg import mat_det
 from .poly import (
     FE_ONE,
     FE_ZERO,
@@ -59,6 +66,7 @@ from .poly import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_DIAGNOSTICS = 6  # entrywise mismatches listed by a failing report
+SINGULAR = "family matrix is singular over Q(t)"
 
 
 def _nested(f, grid, depth: int) -> tuple:
@@ -130,7 +138,13 @@ class ParamMatrix:
         return ParamMatrix(n, tuple(rows))
 
     def det(self) -> FieldElement:
-        """Determinant in Q(t): sign * d / (L*D)^n from the fraction-free kernel."""
+        """Determinant in Q(t): t^(sum e) * det m for a row-monomial family,
+        else sign * d / (L*D)^n from the fraction-free kernel."""
+        rm = _row_monomial(self)
+        if rm is not None:
+            e, m = rm
+            c = mat_det(m)
+            return FieldElement.from_laurent({sum(e): c}) if c else FE_ZERO
         try:
             ff = _FractionFree(self)
         except SingularFamily:
@@ -141,6 +155,37 @@ class ParamMatrix:
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
         return [[e.eval_at(t0) for e in row] for row in self.entries]
+
+
+def _row_monomial(g: ParamMatrix):
+    """(e, m) with g = diag(t^e) * m and m rational, or None when some row
+    is not t^(e_i) times a rational row.
+
+    A zero row gets e_i = 0 (m is then singular).  Raises DegreeOverflow
+    where the fraction-free kernel would: for an invertible m its
+    determinant has degree sum(e_i + s), t^s clearing the denominators.
+    """
+    exps, rows = [], []
+    for row in g.entries:
+        exp, out = None, []
+        for x in row:
+            if not x.num:
+                out.append(ZERO)
+                continue
+            if len(x.num) != 1 or len(x.den) != 1:
+                return None
+            ((en, c),) = x.num.items()
+            ((ed, cd),) = x.den.items()
+            if cd != 1 or (exp is not None and en - ed != exp):
+                return None
+            exp = en - ed
+            out.append(c)
+        exps.append(exp or 0)
+        rows.append(out)
+    s = max(0, -min(exps))
+    if sum(exps) + len(exps) * s > MAX_DEGREE and mat_det(rows):
+        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
+    return exps, rows
 
 
 # -- the fraction-free kernel over Z[t] ---------------------------------------
@@ -216,7 +261,7 @@ class _FractionFree:
         for k in range(n):
             live = [r for r in range(k, n) if rows[r][k]]
             if not live:
-                raise SingularFamily("family matrix is singular over Q(t)")
+                raise SingularFamily(SINGULAR)
             p = min(live, key=lambda r: len(rows[r][k]))
             if p != k:
                 rows[k], rows[p], self.sign = rows[p], rows[k], -self.sign
@@ -330,15 +375,36 @@ def limit_at_zero(pa: ParamAlgebra) -> Algebra:
 
 
 def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
-    """limit_at_zero(transport(a, g)) read off the fraction-free numerator.
+    """limit_at_zero(transport(a, g)), exactly, without the Q(t) tensor.
 
-    Entry (k, i, j) is L*D*N/(cden*d^2) with N over Z[t], of valuation
+    For a row-monomial g = diag(t^e) * m, g^-1 = m^-1 diag(t^-e), so entry
+    (k, i, j) is b[k][i][j] * t^(e_k - e_i - e_j) with b the rational basis
+    change of a by m: a pole where the exponent is negative and b != 0, b
+    where it is 0, and 0 where it is positive.
+
+    Any other g goes through the fraction-free numerator.  Entry (k, i, j)
+    is L*D*N/(cden*d^2) with N over Z[t], of valuation
     val(N) + val(D) - 2*val(d).  So a term of N below top = 2*val(d) - val(D)
     is a pole and the term at top gives the limit.  No term above top is
     formed, so for top < 0 every entry is 0.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
+    rm = _row_monomial(g)
+    if rm is not None:
+        e, m = rm
+        try:
+            b = apply_basis_change(a, m).constants
+        except SingularMatrix:
+            raise SingularFamily(SINGULAR) from None
+
+        def read_off(k, i, j):
+            c, x = b[k][i][j], e[k] - e[i] - e[j]
+            if c and x < 0:
+                raise PoleAtZero(f"valuation {x} < 0")
+            return c if x == 0 else ZERO
+
+        return _limit(a.dim, read_off)
     ff = _FractionFree(g)
     vd, v_den = poly_ord(ff.d), poly_ord(ff.D)
     top = 2 * vd - v_den

@@ -1,4 +1,7 @@
+import importlib
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,14 +13,18 @@ from levelone import (
     Tag,
     classify,
     construct,
+    deterministic_candidates,
     random_algebra,
     span_witness_search,
     unit_vector,
     verify_degeneration,
 )
 from levelone.algebra import proportionality
+from levelone.errors import SearchExhausted
 from levelone.jsonio import witness_to_dict
 from levelone.linalg import rank
+
+classify_mod = importlib.import_module("levelone.classify")
 
 
 def canon(tag, n, alpha=None):
@@ -177,3 +184,79 @@ class TestSoundnessSample:
             w = classify_and_check(a, seed=seed)
             traces.add(w.branch_trace[0])
         assert len(traces) >= 2
+
+
+def eager_draws(rng: random.Random, n: int, cfg: ClassifierConfig) -> list:
+    """One round's random vectors, drawn up front as an eager pool would."""
+    out = []
+    for _ in range(cfg.samples_per_round):
+        while True:
+            v = tuple(F(rng.randint(-cfg.coordinate_range, cfg.coordinate_range))
+                      for _ in range(n))
+            if any(v):
+                break
+        out.append(v)
+    return out
+
+
+class TestLazyPool:
+    @pytest.mark.parametrize("reach", [0, 2])
+    def test_later_rounds_see_the_eager_stream(self, monkeypatch, reach):
+        """Round 0 reads ``reach`` random vectors and fails; round 1 still
+        gets the vectors an eager pool would have drawn for it."""
+        n = 3
+        cfg = ClassifierConfig(seed=11, samples_per_round=5, max_rounds=2)
+        head = len(deterministic_candidates(n))
+        pools = []
+
+        def scripted(a, pool):
+            seen = []
+            for v in pool:
+                if not pools and len(seen) == head + reach:
+                    break
+                seen.append(v)
+            pools.append(seen)
+            return classify_mod._Failure("scripted", [])
+
+        monkeypatch.setattr(classify_mod, "_attempt", scripted)
+        with pytest.raises(SearchExhausted):
+            classify(canon(Tag.LAMBDA2, n), cfg)
+        rng = random.Random(cfg.seed)
+        eager = [eager_draws(rng, n, cfg) for _ in range(cfg.max_rounds)]
+        assert pools[0] == deterministic_candidates(n) + eager[0][:reach]
+        assert pools[1] == deterministic_candidates(n) + eager[1]
+
+    def test_round_won_by_a_basis_vector_draws_nothing(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randint(self, lo, hi):
+                draws.append((lo, hi))
+                return super().randint(lo, hi)
+
+        monkeypatch.setattr(classify_mod, "random", SimpleNamespace(Random=CountingRandom))
+        w = classify_and_check(canon(Tag.LAMBDA2, 4))
+        assert w.branch_trace[0] == "SquareWitnessFound x=(1, 0, 0, 0)"
+        assert draws == []
+
+    def test_suspects_leave_the_deterministic_candidates_alone(self):
+        n = 4
+        suspect = (F(1), F(2), F(3), F(4))
+        pool = list(classify_mod._pool(n, ClassifierConfig(samples_per_round=2),
+                                       random.Random(0), [suspect, unit_vector(n, 0)]))
+        head = n + n * (n - 1) // 2
+        assert pool[head] == suspect and len(pool) == head + 3
+        cands = deterministic_candidates(n)
+        assert len(cands) == head and suspect not in cands
+        assert cands[:n] == [unit_vector(n, i) for i in range(n)]
+        cands.append(suspect)
+        assert deterministic_candidates(n)[-1] == (F(0), F(0), F(1), F(1))
+
+    @pytest.mark.parametrize("mode", ["square", "pair"])
+    def test_span_search_matches_an_eager_pool(self, mode):
+        find = {"square": classify_mod._find_square, "pair": classify_mod._find_pair}[mode]
+        for seed in range(12):
+            a = random_algebra(4, 0.15, seed=seed, nonabelian=True)
+            cfg = ClassifierConfig(seed=seed)
+            eager = deterministic_candidates(4) + eager_draws(random.Random(seed), 4, cfg)
+            assert span_witness_search(a, mode, cfg) == find(a, eager)

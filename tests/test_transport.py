@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -30,13 +31,14 @@ from levelone import (
     verify_degeneration,
 )
 from levelone.cli import main
-from levelone.errors import PoleAtPoint
+from levelone.errors import DegreeOverflow, PoleAtPoint
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, family_to_dict, save_path
 from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
+from levelone.transport import _row_monomial
 
-from conftest import algebras, fe
+from conftest import algebras, fe, nonzero_rationals
 
 
 def canon(tag, n, alpha=None):
@@ -327,3 +329,94 @@ class TestClosedConditions:
         if a.is_nilpotent():
             assert lim.is_nilpotent()
         assert derived_subspace(lim).dim <= derived_subspace(a).dim
+
+
+@st.composite
+def row_monomial_families(draw, max_dim=4):
+    """diag(t^e) * m with e in [-3, 3]; m often has zero entries and rows,
+    and is made singular half the time."""
+    n = draw(st.integers(1, max_dim))
+    exps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    coeff = st.one_of(st.just(F(0)), nonzero_rationals)
+    m = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[i] = [2 * x for x in m[j]]
+    return ParamMatrix(n, tuple(
+        tuple(FieldElement.from_laurent({e: c}) if c else FE_ZERO for c in row)
+        for e, row in zip(exps, m)))
+
+
+def limit_outcome(f):
+    """f() or the NoLimit entries or SingularFamily it raises."""
+    try:
+        return f()
+    except NoLimit as exc:
+        return NoLimit, exc.entries
+    except SingularFamily:
+        return SingularFamily
+
+
+def leibniz_det(g: ParamMatrix) -> FieldElement:
+    total = FE_ZERO
+    for perm in itertools.permutations(range(g.dim)):
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        term = FieldElement.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * g.entries[i][j]
+        total = total + term
+    return total
+
+
+class TestRowMonomial:
+    @given(row_monomial_families(), st.integers(0, 10**6))
+    @settings(max_examples=120, deadline=None)
+    def test_read_off_equals_the_general_path(self, g, seed):
+        assert _row_monomial(g) is not None
+        a = random_algebra(g.dim, 0.5, seed)
+        assert limit_outcome(lambda: transport_limit(a, g)) == limit_outcome(
+            lambda: limit_at_zero(transport(a, g)))
+
+    @given(row_monomial_families())
+    @settings(max_examples=80, deadline=None)
+    def test_det_equals_the_leibniz_expansion(self, g):
+        assert g.det() == leibniz_det(g)
+
+    def test_families_outside_the_read_off(self):
+        t = FieldElement.t_power(1)
+        mixed_row = ParamMatrix(2, ((t, FE_ONE), (FE_ZERO, FE_ONE)))
+        binomial = ParamMatrix(2, ((t + FE_ONE, FE_ZERO), (FE_ZERO, FE_ONE)))
+        assert _row_monomial(mixed_row) is None
+        assert _row_monomial(binomial) is None
+        assert _row_monomial(pplus_to_lambda2(3)) == ([-1, -2, -2], [
+            [F(1), F(0), F(0)], [F(-1, 2), F(1, 2), F(0)], [F(0), F(0), F(1)]])
+
+    @pytest.mark.parametrize("exps", [[6000, 6000], [-1000, 5000, 5000]])
+    def test_degree_budget_of_the_kernel_is_kept(self, exps):
+        # the kernel would clear to P = t^s * g and form det P = t^12000
+        g = ParamMatrix.diagonal_powers(exps)
+        with pytest.raises(DegreeOverflow):
+            g.det()
+        with pytest.raises(DegreeOverflow):
+            transport_limit(canon(Tag.LAMBDA2, len(exps)), g)
+
+    def test_singular_family_with_large_exponents_is_singular(self):
+        # the guard fires only for an invertible m; det = 0 has no degree
+        g = ParamMatrix(2, ((FE_ZERO, fe("2*t^8680")), (FE_ZERO, fe("-t^-1831"))))
+        assert g.det() == FE_ZERO
+        with pytest.raises(SingularFamily):
+            transport_limit(canon(Tag.LAMBDA2, 2), g)
+
+    def test_kernel_overflow_now_has_an_exact_answer(self, capsys, tmp_path):
+        # Bareiss on P = diag(t^4000, t^4000, 1) forms a t^12000 product and
+        # (L*D)^3 = t^12000, though det P = t^8000; the read-off needs neither
+        a = canon(Tag.LAMBDA2, 3)
+        g = ParamMatrix.diagonal_powers([0, 0, -4000])
+        assert g.det() == fe("t^-4000")
+        assert transport_limit(a, g) == a
+        alg, fam = tmp_path / "a.json", tmp_path / "g.json"
+        save_path(str(alg), algebra_to_dict(a))
+        save_path(str(fam), family_to_dict(g))
+        code = main(["transport", "--algebra", str(alg), "--family", str(fam), "--limit"])
+        assert code == 0
+        assert algebra_from_dict(json.loads(capsys.readouterr().out)) == a

@@ -25,10 +25,12 @@ from levelone import (  # noqa: E402
     invert,
     random_algebra,
     random_family,
+    random_invertible_matrix,
     transport_limit,
 )
 from levelone.families import scaling_family  # noqa: E402
 from levelone.poly import FieldElement  # noqa: E402
+from levelone.transport import _row_monomial  # noqa: E402
 
 T = symbols("t")
 K = QQ.frac_field(T)
@@ -125,6 +127,36 @@ def test_limit_or_poles_agree_with_sympy(a, g):
 
 def test_the_cases_reach_both_outcomes():
     outcomes = [ours_limit(a, g)[0] is None for a, g in CASES]
+    assert any(outcomes) and not all(outcomes)
+
+
+def row_monomial_cases():
+    """(algebra, diag(t^e) * m) at n = 2..3, e in [-2, 2], m invertible."""
+    rng = random.Random(20261018)
+    out = []
+    for idx in range(18):
+        n = 2 + idx % 2
+        g = (ParamMatrix.diagonal_powers([rng.randint(-2, 2) for _ in range(n)])
+             @ ParamMatrix.from_rational(random_invertible_matrix(n, rng)))
+        pool = [construct(CanonicalForm(Tag.LAMBDA2, n)),
+                construct(CanonicalForm(Tag.NU, n, F(2, 3))),
+                random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)]
+        out.append((pool[idx % 3], g))
+    return out
+
+
+ROW_MONOMIAL_CASES = row_monomial_cases()
+
+
+@pytest.mark.parametrize("a,g", ROW_MONOMIAL_CASES)
+def test_row_monomial_read_off_agrees_with_sympy(a, g):
+    assert _row_monomial(g) is not None
+    assert to_k(g.det()) == to_dm(g).det()
+    assert ours_limit(a, g) == oracle_limit(a, g)
+
+
+def test_the_row_monomial_cases_reach_both_outcomes():
+    outcomes = [ours_limit(a, g)[0] is None for a, g in ROW_MONOMIAL_CASES]
     assert any(outcomes) and not all(outcomes)
 
 
