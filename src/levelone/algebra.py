@@ -1,23 +1,23 @@
 """Structure-constant algebras over Q.
 
-An algebra of dimension n is the dense tensor c[k][i][j]: the coefficient of
-basis vector k in the product of basis vectors i and j (0-based internally;
+An algebra of dimension n is a tensor c[k][i][j]: the coefficient of basis
+vector k in the product of basis vectors i and j (0-based internally;
 interchange formats are 1-based).  Any tensor is a valid algebra, products
 are bilinear by construction.  Vectors are tuples of Fractions.
 
-The tensor kernels read the tensor directly rather than through
-``Algebra.product``: e_i * e_j is the column c[:, i, j], so the
-multiplication matrices, ``product_form`` and ``derived_subspace`` are
-slices of it.  ``apply_basis_change``, ``rebase``, ``subspace_product`` and
-the multiplication matrices accumulate in Python ints over the nonzero
-(i, j) slices of C = cden * c (cden the lcm of the entry denominators), with
-matrices and vectors scaled to integers the same way, and build one
-Fraction per nonzero output entry.
+``Algebra`` stores the tensor once, sparse and over Z, as the nonzero
+columns C[:, i, j] of C = cden * c, cden the lcm of the entry denominators;
+the dense table of Fractions is a view built on first use.  Equality, the predicates and the kernels
+(``Algebra.product``, ``apply_basis_change``, ``rebase``,
+``subspace_product``, the multiplication matrices) read the stored form,
+scale vectors and matrices to integers, accumulate in Python ints and
+divide once at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,69 +61,80 @@ def proportionality(p: Vector, v: Vector) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Algebra:
-    """Immutable algebra given by its structure tensor."""
+    """Immutable algebra stored as (dim, cden, slices): C = cden * c is the
+    tensor over Z, cden the lcm of the reduced entry denominators, and
+    slices = {(i, j): ((k, C[k][i][j]), ...)} holds the nonzero columns with
+    k increasing.  The form is canonical: equal tensors have equal fields."""
 
     dim: int
-    constants: tuple  # constants[k][i][j], all Fraction
-    _nnz: tuple = field(init=False, repr=False, compare=False)
+    _cden: int
+    _slices: dict = field(hash=False)
 
-    def __post_init__(self):
-        n = self.dim
-        if n < 1:
-            raise DimensionMismatch("dimension must be positive")
-        table = tuple(
-            tuple(
-                tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                for row in plane
-            )
-            for plane in self.constants
-        )
-        if len(table) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in table
+    def __init__(self, dim: int, constants):
+        """The algebra of the dense table constants[k][i][j]."""
+        n = dim
+        if len(constants) != n or any(
+            len(plane) != n or any(len(row) != n for row in plane) for plane in constants
         ):
             raise DimensionMismatch("structure tensor shape does not match dim")
-        object.__setattr__(self, "constants", table)
-        nnz = tuple(
-            (k, i, j, table[k][i][j])
-            for k in range(n)
-            for i in range(n)
-            for j in range(n)
-            if table[k][i][j]
-        )
-        object.__setattr__(self, "_nnz", nnz)
+        _store(self, n, (((k, i, j), plane[i][j])
+                         for i in range(n) for j in range(n) for k, plane in enumerate(constants)))
 
     @classmethod
     def zero(cls, n: int) -> "Algebra":
-        row = tuple(ZERO for _ in range(n))
-        plane = tuple(row for _ in range(n))
-        return cls(n, tuple(plane for _ in range(n)))
+        return cls.from_entries(n, {})
 
     @classmethod
     def from_entries(cls, n: int, entries: dict) -> "Algebra":
-        """Build from {(k, i, j): coeff} with 0-based indices."""
+        """Build from {(k, i, j): coeff} with 0-based indices in 0..n-1."""
+        for key in entries:
+            if len(key) != 3 or not all(isinstance(x, int) and 0 <= x < n for x in key):
+                raise DimensionMismatch(f"entry index {key} outside 0..{n - 1}")
+        ordered = sorted(entries.items(), key=lambda e: (e[0][1], e[0][2], e[0][0]))
+        return _store(object.__new__(cls), n, ordered)
+
+    @functools.cached_property
+    def constants(self) -> tuple:
+        """The dense table constants[k][i][j] of Fractions, built on first use."""
+        n = self.dim
         table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (k, i, j), v in entries.items():
-            table[k][i][j] = Fraction(v)
-        return cls(n, tuple(tuple(tuple(r) for r in p) for p in table))
+        for (k, i, j), v in self.entries().items():
+            table[k][i][j] = v
+        return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+    def entries(self) -> dict:
+        """{(k, i, j): c[k][i][j]} over the nonzero entries; inverse of from_entries."""
+        return {(k, i, j): Fraction(c, self._cden)
+                for (i, j), hits in self._slices.items() for k, c in hits}
+
+    def integer_slices(self) -> tuple[int, dict]:
+        """The stored (cden, slices), read-only."""
+        return self._cden, self._slices
 
     # -- products -----------------------------------------------------
     def product(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
+        n = self.dim
+        if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length does not match algebra dimension")
-        out = [ZERO] * self.dim
-        for k, i, j, v in self._nnz:
-            xi = x[i]
-            if xi:
-                yj = y[j]
-                if yj:
-                    out[k] += v * xi * yj
-        return tuple(out)
+        dx, xs = _int_vector(x)
+        dy, ys = _int_vector(y)
+        out = [0] * n
+        for (i, j), hits in self._slices.items():
+            xy = xs[i] * ys[j]
+            if xy:
+                for k, c in hits:
+                    out[k] += c * xy
+        den = self._cden * dx * dy
+        return tuple(_fraction(v, den) for v in out)
 
     def basis_product(self, i: int, j: int) -> Vector:
         """e_i * e_j: the column c[:, i, j] of the tensor."""
-        return tuple(plane[i][j] for plane in self.constants)
+        col = [ZERO] * self.dim
+        for k, c in self._slices.get((i, j), ()):
+            col[k] = Fraction(c, self._cden)
+        return tuple(col)
 
     def left_mult_matrix(self, x: Vector) -> list:
         """Matrix of v -> x * v: entry (k, j) is sum_i x_i c[k][i][j]."""
@@ -135,45 +146,44 @@ class Algebra:
 
     # -- predicates -----------------------------------------------------
     def is_abelian(self) -> bool:
-        return not self._nnz
+        return not self._slices
 
     def is_commutative(self) -> bool:
-        c = self.constants
-        n = self.dim
-        return all(
-            c[k][i][j] == c[k][j][i]
-            for k in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        slices = self._slices
+        return all(slices.get((j, i)) == hits for (i, j), hits in slices.items())
 
     def is_anticommutative(self) -> bool:
         """Skew tensor; over Q this is the same as x*x = 0 for every x."""
-        c = self.constants
-        n = self.dim
-        return all(
-            c[k][i][j] == -c[k][j][i]
-            for k in range(n)
-            for i in range(n)
-            for j in range(i, n)
-        )
+        slices = self._slices
+        return all(slices.get((j, i)) == tuple((k, -c) for k, c in hits)
+                   for (i, j), hits in slices.items())
 
     def is_nilpotent(self) -> bool:
         powers = ideal_powers(self)
         return powers[-1].dim == 0
 
 
-# -- integer views, built per call ------------------------------------------
-
-
-def _int_slices(a: Algebra) -> tuple[int, dict]:
-    """(cden, {(i, j): [(k, C[k][i][j]), ...]}) for C = cden * c over Z: the
-    nonzero (i, j) slices of the tensor, from one pass over its entries."""
-    cden = math.lcm(*(v.denominator for *_, v in a._nnz))
+def _store(a: Algebra, n: int, entries) -> Algebra:
+    """Give ``a`` the stored form of the ((k, i, j), value) pairs, which come
+    in (i, j, k) order; zero values are skipped."""
+    if n < 1:
+        raise DimensionMismatch("dimension must be positive")
+    nonzero = [(kij, q) for kij, v in entries
+               if v and (q := v if type(v) in (int, Fraction) else Fraction(v))]
+    cden = math.lcm(*(q.denominator for _, q in nonzero))
     slices: dict = {}
-    for k, i, j, v in a._nnz:
-        slices.setdefault((i, j), []).append((k, v.numerator * (cden // v.denominator)))
-    return cden, slices
+    for (k, i, j), q in nonzero:
+        slices.setdefault((i, j), []).append((k, q.numerator * (cden // q.denominator)))
+    return _stored(a, n, cden, {ij: tuple(hits) for ij, hits in slices.items()})
+
+
+def _stored(a: Algebra, n: int, cden: int, slices: dict) -> Algebra:
+    """``a`` with a stored form that is already canonical."""
+    vars(a).update(dim=n, _cden=cden, _slices=slices)  # frozen: no setattr
+    return a
+
+
+# -- integer scaling of vectors and matrices ----------------------------------
 
 
 def _int_vector(v) -> tuple[int, list]:
@@ -203,15 +213,14 @@ def _mult_matrix(a: Algebra, x: Vector, left: bool) -> list:
     n = a.dim
     if len(x) != n:
         raise DimensionMismatch("vector length does not match algebra dimension")
-    cden, slices = _int_slices(a)
     dx, xs = _int_vector(x)
     acc = [[0] * n for _ in range(n)]
-    for (i, j), hits in slices.items():
+    for (i, j), hits in a._slices.items():
         xi, col = (xs[i], j) if left else (xs[j], i)
         if xi:
             for k, c in hits:
                 acc[k][col] += c * xi
-    den = dx * cden
+    den = dx * a._cden
     return [[_fraction(v, den) for v in row] for row in acc]
 
 
@@ -262,7 +271,7 @@ def subspace_product(a: Algebra, u: Subspace, w: Subspace) -> Subspace:
     n = a.dim
     if u.ambient != n or w.ambient != n:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
-    _, slices = _int_slices(a)
+    slices = a._slices
     xs = [_primitive(x) for x in u.basis]
     ys = [_primitive(y) for y in w.basis]
     vectors = []
@@ -302,7 +311,7 @@ def derived_subspace(a: Algebra) -> Subspace:
     """A^2: the span of the columns c[:, i, j], read as integer slices."""
     n = a.dim
     vectors = []
-    for hits in _int_slices(a)[1].values():
+    for hits in a._slices.values():
         v = [0] * n
         for k, c in hits:
             v[k] = c
@@ -328,10 +337,14 @@ def product_form(a: Algebra, square: Subspace) -> list:
 
     B[i][j] is c[pivot][i][j] / z[pivot], pivot the first nonzero entry of z.
     """
+    n = a.dim
     z = square.basis[0]
     pivot = next(i for i, v in enumerate(z) if v)
-    zp = z[pivot]
-    return [[v / zp for v in row] for row in a.constants[pivot]]
+    den = z[pivot] * a._cden
+    b = [[ZERO] * n for _ in range(n)]
+    for (i, j), hits in a._slices.items():
+        b[i][j] = dict(hits).get(pivot, 0) / den
+    return b
 
 
 def invariant_vector(a: Algebra) -> InvariantVector:
@@ -378,11 +391,12 @@ def _contract(a: Algebra, g: list, h: list) -> Algebra:
     """The tensor c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j].
 
     With G = dg * g, H = dh * h and C = cden * c over Z, the sum G.C.(H x H)
-    runs in ints over the nonzero (s, t) slices of C and each entry is
-    divided once by dg * dh^2 * cden.
+    runs in ints over the nonzero (s, t) slices of C.  The result's stored
+    form is that integer tensor over dg * dh^2 * cden, both divided by their
+    gcd.
     """
     n = a.dim
-    cden, slices = _int_slices(a)
+    cden, slices = a._cden, a._slices
     dg, G = _int_matrix(g)
     dh, H = _int_matrix(h)
     mid = [[0] * (n * n) for _ in range(n)]  # mid[r][i*n + j] = (C.(H x H))[r][i][j]
@@ -396,17 +410,21 @@ def _contract(a: Algebra, g: list, h: list) -> Algebra:
                     for r, c in hits:
                         mid[r][base + j] += c * xy
     live = [(r, plane) for r, plane in enumerate(mid) if any(plane)]
-    den = dg * dh * dh * cden
-    out = []
+    out = []  # out[k][i*n + j] = (G.C.(H x H))[k][i][j]
     for grow in G:
         acc = [0] * (n * n)
         for r, plane in live:
             f = grow[r]
             if f:
                 acc = [u + f * v for u, v in zip(acc, plane)]
-        flat = [_fraction(v, den) for v in acc]
-        out.append(tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-    return Algebra(n, tuple(out))
+        out.append(acc)
+    den = dg * dh * dh * cden
+    g = math.gcd(den, *itertools.chain.from_iterable(out))
+    slices = {}
+    for ij, col in enumerate(zip(*out)):
+        if any(col):
+            slices[divmod(ij, n)] = tuple((k, v // g) for k, v in enumerate(col) if v)
+    return _stored(object.__new__(Algebra), n, den // g, slices)
 
 
 def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:

@@ -249,18 +249,10 @@ def _pminus_branch(a: Algebra, trace: list):
     """All products of an anticommutative algebra stay in the plane of their
     factors: normalize e1*ei = ei and scale everything but e1 down."""
     n = a.dim
-    found = None
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                p = a.basis_product(i, j)
-                if not vec_is_zero(p):
-                    found = (i, j, p)
-                    break
-        if found:
-            break
-    assert found is not None  # non-abelian + anticommutative has such a pair
-    i, j, p = found
+    # the first nonzero product of basis vectors; off the diagonal, as a skew
+    # tensor has no nonzero square
+    i, j = min((i, j) for _, i, j in a.entries())
+    p = a.basis_product(i, j)
     if any(p[k] for k in range(n) if k not in (i, j)):
         # the sweep reported every pair in-span, yet a basis product escapes
         return _Failure(

@@ -66,16 +66,10 @@ def _entry_list(d: dict, key: str) -> list:
 
 
 def algebra_to_dict(a: Algebra) -> dict:
-    products = []
-    for k, i, j, v in a._nnz:
-        products.append(
-            {
-                "left": i + 1,
-                "right": j + 1,
-                "result": k + 1,
-                "coeff": format_rational(v),
-            }
-        )
+    products = [
+        {"left": i + 1, "right": j + 1, "result": k + 1, "coeff": format_rational(v)}
+        for (k, i, j), v in a.entries().items()
+    ]
     products.sort(key=lambda e: (e["left"], e["right"], e["result"]))
     return {"dim": a.dim, "products": products}
 

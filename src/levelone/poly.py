@@ -23,8 +23,8 @@ Poly = dict  # {int exponent: nonzero Fraction}
 MAX_DEGREE = 10_000
 
 #: Hard cap on the dimension of any algebra or family read from input; a
-#: structure tensor is dense, dim^3 entries, so larger inputs are refused
-#: before anything is allocated.
+#: structure tensor has dim^3 entries and the basis-change kernels allocate
+#: that many, so larger inputs are refused before anything is allocated.
 MAX_DIM = 64
 
 ZERO = Fraction(0)

@@ -11,7 +11,7 @@ One fraction-free kernel does the arithmetic: g = P / (L*D) with P over
 Z[t] (D the lcm of the entry denominators, a power of t for a Laurent
 family), one Bareiss Gauss-Jordan gives d = +-det P and R = d * P^-1 with no
 gcds, and the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with
-C = cden * c the algebra scaled to integers.
+C = cden * c the algebra's stored integer form, read column by column.
 Limits are read off that integer numerator truncated at exponent
 2*val(d) - val(D); ``transport`` and ``invert`` reduce each entry in Q(t).
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -193,10 +192,10 @@ def _row_monomial(g: ParamMatrix):
 # hold zero coefficients until a caller drops them.
 
 
-def _addmul(acc: dict, a: dict, b: dict, top=math.inf) -> None:
-    """acc += a*b with exponents above ``top`` dropped; DegreeOverflow if a
-    kept exponent could pass MAX_DEGREE."""
-    if top > MAX_DEGREE and max(a) + max(b) > MAX_DEGREE:
+def _addmul(acc: dict, a: dict, b: dict, top=math.inf, checked=True) -> None:
+    """acc += a*b with exponents above ``top`` dropped; unless ``checked`` is
+    off, DegreeOverflow if a kept exponent could pass MAX_DEGREE."""
+    if checked and top > MAX_DEGREE and max(a) + max(b) > MAX_DEGREE:
         raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -239,7 +238,9 @@ class _FractionFree:
     g = P / (L*D) with P an integer polynomial matrix.  Elimination on
     [P | I] (Bareiss, Math. Comp. 22, 1968) keeps every entry a minor of the
     augmented matrix, so each division is exact.  It leaves d = sign * det P
-    and R = d * P^-1, and raises SingularFamily when det P = 0.
+    and R = d * P^-1, and raises SingularFamily when det P = 0.  It raises
+    DegreeOverflow on a minor past MAX_DEGREE, not on the products before
+    each exact division, whose factors are entries of P or checked minors.
     """
 
     def __init__(self, g: ParamMatrix):
@@ -271,28 +272,27 @@ class _FractionFree:
                 for j in range(k + 1, len(row)):
                     acc = {}
                     if row[j]:
-                        _addmul(acc, pk, row[j])
+                        _addmul(acc, pk, row[j], checked=False)
                     if f and pivot_row[j]:
-                        _addmul(acc, f, pivot_row[j])
+                        _addmul(acc, f, pivot_row[j], checked=False)
                     row[j] = _exact_div(acc, prev) if acc else {}
+                    if row[j] and max(row[j]) > MAX_DEGREE:
+                        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
             prev = pk
         self.d = prev
         self.R = [row[n:] for row in rows]
 
     def contract(self, a: Algebra, top=math.inf) -> tuple[list, int]:
         """(N, cden): N = P.C.(R x R) with exponents above ``top`` dropped,
-        where C = cden * c is the algebra scaled to integers."""
+        where C = cden * c is the algebra's stored integer form."""
         n = self.dim
-        cden = math.lcm(*(v.denominator for *_, v in a._nnz))
+        cden, slices = a.integer_slices()
         P, R = self.P, self.R
         if top < math.inf:
             P, R = ([[{e: c for e, c in p.items() if e <= top} for p in row] for row in m]
                     for m in (P, R))
-        by_st = defaultdict(list)
-        for r, s, t, v in a._nnz:
-            by_st[(s, t)].append((r, int(v * cden)))
         mid = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (s, t), hits in by_st.items():
+        for (s, t), hits in slices.items():
             for i, x in enumerate(R[s]):
                 for j, y in enumerate(R[t]):
                     if x and y:
@@ -394,17 +394,14 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     if rm is not None:
         e, m = rm
         try:
-            b = apply_basis_change(a, m).constants
+            b = apply_basis_change(a, m).entries()
         except SingularMatrix:
             raise SingularFamily(SINGULAR) from None
-
-        def read_off(k, i, j):
-            c, x = b[k][i][j], e[k] - e[i] - e[j]
-            if c and x < 0:
-                raise PoleAtZero(f"valuation {x} < 0")
-            return c if x == 0 else ZERO
-
-        return _limit(a.dim, read_off)
+        shift = {(k, i, j): e[k] - e[i] - e[j] for k, i, j in b}
+        poles = sorted((k + 1, i + 1, j + 1) for (k, i, j), x in shift.items() if x < 0)
+        if poles:
+            raise NoLimit(poles)
+        return Algebra.from_entries(a.dim, {kij: c for kij, c in b.items() if shift[kij] == 0})
     ff = _FractionFree(g)
     vd, v_den = poly_ord(ff.d), poly_ord(ff.D)
     top = 2 * vd - v_den
@@ -492,15 +489,13 @@ def verify_degeneration(a: Algebra, w: Witness, up_to_iso: bool = False) -> Repo
     target = construct(w.target)
     if limit == target:
         return Report(True, limit, [])
+    got, want = limit.entries(), target.entries()
     diffs = []
-    for k, i, j in itertools.product(range(a.dim), repeat=3):
-        got = limit.constants[k][i][j]
-        want = target.constants[k][i][j]
-        if got != want:
-            diffs.append(f"entry ({k + 1},{i + 1},{j + 1}): {got} != {want}")
-            if len(diffs) == MAX_DIAGNOSTICS:
-                break
-    return Report(False, limit, diffs)
+    for k, i, j in sorted(got.keys() | want.keys()):
+        x, y = got.get((k, i, j), ZERO), want.get((k, i, j), ZERO)
+        if x != y:
+            diffs.append(f"entry ({k + 1},{i + 1},{j + 1}): {x} != {y}")
+    return Report(False, limit, diffs[:MAX_DIAGNOSTICS])
 
 
 def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from levelone import (
     Algebra,
     CanonicalForm,
+    DimensionMismatch,
     Subspace,
     Tag,
     apply_basis_change,
@@ -23,7 +25,7 @@ from levelone import (
 )
 from levelone.linalg import mat_inverse, mat_mul, mat_vec
 
-from conftest import algebras, invertible_matrices
+from conftest import algebras, invertible_matrices, small_rationals
 
 
 def canon(tag, n, alpha=None):
@@ -233,3 +235,104 @@ class TestRandomAlgebra:
     def test_nonabelian_rejection(self):
         a = random_algebra(2, 0.05, seed=3, nonabelian=True)
         assert not a.is_abelian()
+
+
+@st.composite
+def tensors(draw):
+    """Random tensors at n = 1..5, diagonal entries included, then possibly
+    symmetrized or made skew by negated pairs; zero values and the zero
+    tensor are drawn as well."""
+    n = draw(st.integers(1, 5))
+    idx = st.integers(0, n - 1)
+    drawn = draw(st.dictionaries(st.tuples(idx, idx, idx), small_rationals,
+                                 max_size=2 * n * n))
+    sign = draw(st.sampled_from([None, 1, -1]))
+    if sign is None:
+        return Algebra.from_entries(n, drawn)
+    entries = {}
+    for (k, i, j), v in drawn.items():
+        entries[(k, i, j)] = v
+        entries[(k, j, i)] = sign * v
+        if sign < 0 and i == j:
+            entries[(k, i, i)] = 0
+    return Algebra.from_entries(n, entries)
+
+
+def dense_change(a, g):
+    """c'[k][i][j] = sum g[k][r] c[r][s][t] ginv[s][i] ginv[t][j], term by term."""
+    n, c, h = a.dim, a.constants, mat_inverse(g)
+    return tuple(tuple(tuple(
+        sum((g[k][r] * c[r][s][t] * h[s][i] * h[t][j]
+             for r in range(n) for s in range(n) for t in range(n)), F(0))
+        for j in range(n)) for i in range(n)) for k in range(n))
+
+
+class TestStoredForm:
+    @given(tensors())
+    @settings(max_examples=150)
+    def test_dense_round_trip(self, a):
+        b = Algebra(a.dim, a.constants)
+        assert b == a and hash(b) == hash(a)
+        assert Algebra.from_entries(a.dim, a.entries()) == a
+
+    @given(tensors(), tensors())
+    @settings(max_examples=150)
+    def test_equality_is_dense_equality(self, a, b):
+        n = a.dim
+        c = a.constants
+        assert (a == b) == (a.constants == b.constants)
+        # an integral table given as ints is the same tensor
+        ints = tuple(tuple(tuple(int(v) if v.denominator == 1 else v for v in row)
+                           for row in plane) for plane in c)
+        assert Algebra(n, ints) == a
+        # so is the table scaled by 2 and back, which changes no entry
+        assert Algebra(n, tuple(tuple(tuple(2 * v / 2 for v in row) for row in plane)
+                                for plane in c)) == a
+        # and a table with one entry moved is not
+        moved = [[list(row) for row in plane] for plane in c]
+        moved[n - 1][0][n - 1] += F(1, 3)
+        assert Algebra(n, moved) != a
+
+    @given(tensors(), st.integers(0, 2**32))
+    @settings(max_examples=80)
+    def test_kernel_outputs_are_canonical(self, a, seed):
+        n = a.dim
+        g = random_invertible_matrix(n, random.Random(seed))
+        moved = apply_basis_change(a, g)
+        assert moved == Algebra(n, moved.constants)
+        assert moved.constants == dense_change(a, g)
+        frame = random_invertible_matrix(n, random.Random(seed + 1))
+        basis = [tuple(frame[i][j] for i in range(n)) for j in range(n)]
+        rebased, m = rebase(a, basis)
+        assert rebased == Algebra(n, rebased.constants)
+        assert rebased == apply_basis_change(a, m)
+
+    @given(tensors())
+    @settings(max_examples=150)
+    def test_symmetry_predicates_match_the_dense_definitions(self, a):
+        n, c = a.dim, a.constants
+        triples = [(k, i, j) for k in range(n) for i in range(n) for j in range(n)]
+        assert a.is_commutative() == all(c[k][i][j] == c[k][j][i] for k, i, j in triples)
+        assert a.is_anticommutative() == all(
+            c[k][i][j] == -c[k][j][i] for k, i, j in triples)
+
+    def test_zero_tensor(self):
+        z = Algebra.zero(3)
+        assert z == Algebra(3, canon(Tag.ABELIAN, 3).constants) == Algebra.from_entries(3, {})
+        assert z.is_abelian() and z.is_commutative() and z.is_anticommutative()
+        assert z.entries() == {}
+
+    def test_attributes_cannot_be_assigned(self):
+        a = canon(Tag.NU, 3, F(2, 3))
+        for name in ("dim", "constants", "_cden", "_slices", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del a.dim
+        assert a == canon(Tag.NU, 3, F(2, 3))
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -2), (2, 0, 0),
+                                     (0, 2, 0), (0, 0, 2), (0, 0)])
+    def test_entries_outside_the_index_range_are_rejected(self, key):
+        with pytest.raises(DimensionMismatch):
+            Algebra.from_entries(2, {key: 1})

@@ -407,6 +407,17 @@ class TestRowMonomial:
         with pytest.raises(SingularFamily):
             transport_limit(canon(Tag.LAMBDA2, 2), g)
 
+    def test_bareiss_budget_is_checked_on_the_minors(self):
+        # the elimination forms t^12000 * (1 + t) before dividing by t^4000;
+        # every minor, the determinant among them, stays within MAX_DEGREE
+        t4000 = FieldElement.t_power(4000)
+        g = ParamMatrix(3, ((t4000, FE_ZERO, FE_ZERO), (FE_ZERO, t4000, FE_ZERO),
+                            (FE_ZERO, FE_ZERO, fe("1 + t"))))
+        assert g.det() == fe("t^8000 + t^8001")
+        # the limit reads off at exponent 2 * 8000, past MAX_DEGREE
+        with pytest.raises(DegreeOverflow):
+            transport_limit(canon(Tag.LAMBDA2, 3), g)
+
     def test_kernel_overflow_now_has_an_exact_answer(self, capsys, tmp_path):
         # Bareiss on P = diag(t^4000, t^4000, 1) forms a t^12000 product and
         # (L*D)^3 = t^12000, though det P = t^8000; the read-off needs neither

@@ -60,12 +60,15 @@ def oracle_limit(a, g: ParamMatrix):
     n = a.dim
     gk = to_dm(g).to_list()
     gik = to_dm(g).inv().to_list()
+    c = a.constants
+    nonzero = [(r, s, u, c[r][s][u]) for r in range(n) for s in range(n) for u in range(n)
+               if c[r][s][u]]
     table, poles = {}, []
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 acc = K.zero
-                for r, s, u, v in a._nnz:
+                for r, s, u, v in nonzero:
                     acc += QQ(v.numerator, v.denominator) * gk[k][r] * gik[s][i] * gik[u][j]
                 if not acc:
                     continue
