@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .algebra import invariant_vector, random_algebra
@@ -29,7 +28,6 @@ from .errors import (
     AbelianInput,
     DegreeOverflow,
     NoLimit,
-    ParseError,
     PoleAtPoint,
     SearchExhausted,
 )
@@ -237,16 +235,13 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except AbelianInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PoleAtPoint as exc:
+    except (AbelianInput, PoleAtPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, OSError, json.JSONDecodeError, DegreeOverflow) as exc:
+    except (ValueError, OSError, DegreeOverflow) as exc:  # ParseError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

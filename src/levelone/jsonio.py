@@ -228,7 +228,10 @@ def dumps(obj: dict) -> str:
 
 def load_path(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def save_path(path: str, obj: dict) -> None:

@@ -1,10 +1,15 @@
-"""Exact linear algebra over Q with Fraction entries.
+"""Exact linear algebra over Q with Fraction entries, and over Z[t].
 
-Matrices are lists of row lists; functions never mutate their arguments.
-Reduced row echelon form is the canonical representative used for subspace
-equality throughout the package.  ``rref`` eliminates fraction-free: rows are
-scaled to integers and kept primitive, and only the output entries are built
-as Fractions; ``mat_inverse`` is the rref of [a | I].
+Matrices are lists of row lists; no function but ``bareiss`` mutates its
+arguments.  Reduced row echelon form is the canonical representative used for
+subspace equality throughout the package.  ``rref`` eliminates fraction-free:
+rows are scaled to integers and kept primitive, and only the output entries
+are built as Fractions; ``mat_inverse`` is the rref of [a | I].
+
+The one other elimination is ``bareiss``, a fraction-free Gauss-Jordan over
+Z[t] that works in place.  ``mat_det`` runs it on the row-scaled integer
+matrix, ``char_poly`` on t*I - den*a, and the family kernel of ``transport``
+on [P | I].
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SingularMatrix
+from .errors import DegreeOverflow, SingularMatrix
+from .poly import MAX_DEGREE
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -20,10 +26,6 @@ ONE = Fraction(1)
 
 def mat_identity(n: int) -> list:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a: list) -> list:
-    return [list(row) for row in a]
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -117,31 +119,6 @@ def mat_inverse(a: list) -> list:
     return [row[n:] for row in rows]
 
 
-def mat_det(a: list) -> Fraction:
-    n = len(a)
-    work = mat_copy(a)
-    det = ONE
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        lead = work[col][col]
-        det *= lead
-        inv = 1 / lead
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
-
-
 def nullspace(rows: list) -> list:
     """Basis of {v : rows @ v = 0}, canonical via rref free columns."""
     if not rows:
@@ -162,21 +139,99 @@ def nullspace(rows: list) -> list:
     return out
 
 
+# -- fraction-free elimination over Z[t] -------------------------------------
+# Integer polynomials are sparse dicts {exponent >= 0: int}; accumulators may
+# hold zero coefficients until a caller drops them.
+
+
+def addmul(acc: dict, a: dict, b: dict, top=math.inf, checked=True) -> None:
+    """acc += a*b over Z[t] with exponents above ``top`` dropped; unless
+    ``checked`` is off, DegreeOverflow if a kept exponent could pass
+    MAX_DEGREE."""
+    if checked and top > MAX_DEGREE and max(a) + max(b) > MAX_DEGREE:
+        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e <= top:
+                acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _exact_div(a: dict, b: dict) -> dict:
+    """a / b over Z[t], for a quotient known to exist."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {e - eb: c // cb for e, c in a.items() if c}
+    r = {e: c for e, c in a.items() if c}
+    q = {}
+    db = max(b)
+    while r:
+        e = max(r) - db
+        c, rem = divmod(r[e + db], b[db])
+        if rem or e < 0:
+            raise ArithmeticError("inexact division over Z[t]")
+        q[e] = c
+        for eb, cb in b.items():
+            r[e + eb] = r.get(e + eb, 0) - c * cb
+        r = {k: v for k, v in r.items() if v}
+    return q
+
+
+def bareiss(rows: list) -> tuple[int, dict]:
+    """Fraction-free Gauss-Jordan over Z[t] of n rows [B | X], in place
+    (Bareiss, Math. Comp. 22, 1968): every entry stays a minor, so each
+    division is exact.  Returns (sign, d) with det B = sign * d, and leaves
+    the rows [d*I | d*B^-1*X]; (0, {}) when B is singular.  DegreeOverflow
+    on a minor past MAX_DEGREE, not on the products before each exact
+    division, whose factors are input entries or checked minors.
+    """
+    n = len(rows)
+    sign, prev = 1, {0: 1}
+    for k in range(n):
+        live = [r for r in range(k, n) if rows[r][k]]
+        if not live:
+            return 0, {}
+        p = min(live, key=lambda r: len(rows[r][k]))
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pivot_row, pk = rows[k], rows[k][k]
+        for row in rows[:k] + rows[k + 1:]:
+            f = {e: -c for e, c in row[k].items()}
+            for j in range(k + 1, len(row)):
+                acc = {}
+                if row[j]:
+                    addmul(acc, pk, row[j], checked=False)
+                if f and pivot_row[j]:
+                    addmul(acc, f, pivot_row[j], checked=False)
+                row[j] = _exact_div(acc, prev) if acc else {}
+                if row[j] and max(row[j]) > MAX_DEGREE:
+                    raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
+        prev = pk
+    return sign, prev
+
+
+def mat_det(a: list) -> Fraction:
+    """det a: the Bareiss determinant of a with each row scaled to integers,
+    divided by the row scales."""
+    rows, scale = [], 1
+    for r in a:
+        den = math.lcm(*(x.denominator for x in r))
+        rows.append([{0: x.numerator * (den // x.denominator)} if x else {} for x in r])
+        scale *= den
+    sign, d = bareiss(rows)
+    return Fraction(sign * d[0], scale) if sign else ZERO
+
+
 def char_poly(a: list) -> dict:
     """Monic characteristic polynomial det(x*I - a) as {exponent: Fraction}.
 
-    Computed by the Faddeev-LeVerrier recursion; exact over Q.
+    With den the lcm of a's denominators, det(t*I - den*a) over Z[t] has
+    coefficient den^(n-k) * c_k at t^k, where c_k is that of det(x*I - a).
     """
     n = len(a)
-    coeffs = {n: ONE}
-    m = mat_copy(a)
-    c = ONE
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                m[i][i] += c
-            m = mat_mul(a, m)
-        c = -mat_trace(m) / k
-        if c:
-            coeffs[n - k] = c
-    return coeffs
+    den = math.lcm(*(x.denominator for r in a for x in r))
+    rows = [[{0: -x.numerator * (den // x.denominator)} if x else {} for x in r] for r in a]
+    for i, row in enumerate(rows):
+        row[i] = {1: 1, **row[i]}
+    sign, d = bareiss(rows)
+    return {k: Fraction(sign * c, den ** (n - k)) for k, c in d.items()}

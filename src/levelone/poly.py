@@ -329,11 +329,6 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero in Q(t)")
         return FieldElement(dict(self.den), dict(self.num))
 
-    def scale(self, c: Fraction) -> "FieldElement":
-        if not c:
-            return FieldElement._raw({}, dict(POLY_ONE))
-        return FieldElement._raw(poly_scale(self.num, c), dict(self.den))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented

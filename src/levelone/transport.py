@@ -9,18 +9,21 @@ again an algebra.  A Witness packages a family with a claimed limit, and
 
 One fraction-free kernel does the arithmetic: g = P / (L*D) with P over
 Z[t] (D the lcm of the entry denominators, a power of t for a Laurent
-family), one Bareiss Gauss-Jordan gives d = +-det P and R = d * P^-1 with no
-gcds, and the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with
-C = cden * c the algebra's stored integer form, read column by column.
-Limits are read off that integer numerator truncated at exponent
-2*val(d) - val(D); ``transport`` and ``invert`` reduce each entry in Q(t).
+family), ``linalg.bareiss`` on [P | I] (the elimination behind ``mat_det``
+and ``char_poly`` too) gives d = +-det P and R = d * P^-1 with no gcds, and
+the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with C = cden * c
+the algebra's stored integer form, read column by column.  Limits are read
+off that integer numerator truncated at exponent 2*val(d) - val(D), after
+cancelling the power of t that R and d share; ``transport`` and ``invert``
+reduce each entry in Q(t).
 
 Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then
 g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
 t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
-b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``transport_limit`` and ``ParamMatrix.det`` read
-such a family off b and det m over Q and use the kernel for every other one.
+b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``transport_limit``
+and ``ParamMatrix.det`` read such a family off b and det m over Q and use the
+kernel for every other one.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
 rational basis change g(t0), so ``transport_at`` evaluates g first and
@@ -47,7 +50,7 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import mat_det
+from .linalg import addmul, bareiss, mat_det
 from .poly import (
     FE_ONE,
     FE_ZERO,
@@ -187,43 +190,6 @@ def _row_monomial(g: ParamMatrix):
     return exps, rows
 
 
-# -- the fraction-free kernel over Z[t] ---------------------------------------
-# Integer polynomials are sparse dicts {exponent >= 0: int}; accumulators may
-# hold zero coefficients until a caller drops them.
-
-
-def _addmul(acc: dict, a: dict, b: dict, top=math.inf, checked=True) -> None:
-    """acc += a*b with exponents above ``top`` dropped; unless ``checked`` is
-    off, DegreeOverflow if a kept exponent could pass MAX_DEGREE."""
-    if checked and top > MAX_DEGREE and max(a) + max(b) > MAX_DEGREE:
-        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e <= top:
-                acc[e] = acc.get(e, 0) + ca * cb
-
-
-def _exact_div(a: dict, b: dict) -> dict:
-    """a / b over Z[t], for a quotient known to exist."""
-    if len(b) == 1:
-        ((eb, cb),) = b.items()
-        return {e - eb: c // cb for e, c in a.items() if c}
-    r = {e: c for e, c in a.items() if c}
-    q = {}
-    db = max(b)
-    while r:
-        e = max(r) - db
-        c, rem = divmod(r[e + db], b[db])
-        if rem or e < 0:
-            raise ArithmeticError("inexact division over Z[t]")
-        q[e] = c
-        for eb, cb in b.items():
-            r[e + eb] = r.get(e + eb, 0) - c * cb
-        r = {k: v for k, v in r.items() if v}
-    return q
-
-
 def _cleared(e: FieldElement, D: dict) -> dict:
     """e * D over Q[t], for D a multiple of e's denominator."""
     if len(D) == 1:  # e.den is a power of t as well
@@ -235,12 +201,9 @@ def _cleared(e: FieldElement, D: dict) -> dict:
 class _FractionFree:
     """A family cleared to Z[t] and its fraction-free Gauss-Jordan.
 
-    g = P / (L*D) with P an integer polynomial matrix.  Elimination on
-    [P | I] (Bareiss, Math. Comp. 22, 1968) keeps every entry a minor of the
-    augmented matrix, so each division is exact.  It leaves d = sign * det P
-    and R = d * P^-1, and raises SingularFamily when det P = 0.  It raises
-    DegreeOverflow on a minor past MAX_DEGREE, not on the products before
-    each exact division, whose factors are entries of P or checked minors.
+    g = P / (L*D) with P an integer polynomial matrix.  ``linalg.bareiss`` on
+    [P | I] leaves d = sign * det P and R = d * P^-1; SingularFamily when
+    det P = 0, DegreeOverflow on a minor past MAX_DEGREE.
     """
 
     def __init__(self, g: ParamMatrix):
@@ -258,28 +221,9 @@ class _FractionFree:
                   for row in cleared]
         rows = [row + [{0: 1} if j == i else {} for j in range(n)]
                 for i, row in enumerate(self.P)]
-        self.sign, prev = 1, {0: 1}
-        for k in range(n):
-            live = [r for r in range(k, n) if rows[r][k]]
-            if not live:
-                raise SingularFamily(SINGULAR)
-            p = min(live, key=lambda r: len(rows[r][k]))
-            if p != k:
-                rows[k], rows[p], self.sign = rows[p], rows[k], -self.sign
-            pivot_row, pk = rows[k], rows[k][k]
-            for row in rows[:k] + rows[k + 1:]:
-                f = {e: -c for e, c in row[k].items()}
-                for j in range(k + 1, len(row)):
-                    acc = {}
-                    if row[j]:
-                        _addmul(acc, pk, row[j], checked=False)
-                    if f and pivot_row[j]:
-                        _addmul(acc, f, pivot_row[j], checked=False)
-                    row[j] = _exact_div(acc, prev) if acc else {}
-                    if row[j] and max(row[j]) > MAX_DEGREE:
-                        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
-            prev = pk
-        self.d = prev
+        self.sign, self.d = bareiss(rows)
+        if not self.sign:
+            raise SingularFamily(SINGULAR)
         self.R = [row[n:] for row in rows]
 
     def contract(self, a: Algebra, top=math.inf) -> tuple[list, int]:
@@ -297,7 +241,7 @@ class _FractionFree:
                 for j, y in enumerate(R[t]):
                     if x and y:
                         xy = {}
-                        _addmul(xy, x, y, top)
+                        addmul(xy, x, y, top)
                         for r, v in hits:
                             acc = mid[r][i][j]
                             for e, c in xy.items():
@@ -310,7 +254,7 @@ class _FractionFree:
                     continue
                 for k in range(n):
                     if P[k][r]:
-                        _addmul(num[k][i][j], P[k][r], m, top)
+                        addmul(num[k][i][j], P[k][r], m, top)
         return [[[{e: c for e, c in m.items() if c} for m in row] for row in plane]
                 for plane in num], cden
 
@@ -403,6 +347,12 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
             raise NoLimit(poles)
         return Algebra.from_entries(a.dim, {kij: c for kij, c in b.items() if shift[kij] == 0})
     ff = _FractionFree(g)
+    # every entry of R = d * P^-1, and so d = (R.P)[0][0], is a multiple of
+    # t^v; cancelling it leaves R / d alone and lowers top by 2v
+    v = min(min(x) for row in ff.R for x in row if x)
+    if v:
+        ff.R = [[{e - v: c for e, c in x.items()} for x in row] for row in ff.R]
+        ff.d = {e - v: c for e, c in ff.d.items()}
     vd, v_den = poly_ord(ff.d), poly_ord(ff.D)
     top = 2 * vd - v_den
     num, cden = ff.contract(a, top)

@@ -2,10 +2,12 @@
 
 sympy (a test-only dependency) redoes the rational arithmetic with its own
 matrices: the basis-change contraction g.c.(g^-1 x g^-1), reduced row
-echelon form, and the spans behind ``subspace_product``.  The slice reads
-(multiplication matrices, ``product_form``) are checked against the
-per-pair definition ``Algebra.product``.  Inputs carry denominators up to 6
-and sparse tensors, so many (i, j) slices are zero.
+echelon form, the spans behind ``subspace_product``, and the determinant and
+characteristic polynomial that ``mat_det`` and ``char_poly`` read off one
+Bareiss elimination.  The slice reads (multiplication matrices,
+``product_form``) are checked against the per-pair definition
+``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
+so many (i, j) slices are zero.
 """
 
 import random
@@ -26,7 +28,7 @@ from levelone import (  # noqa: E402
     unit_vector,
 )
 from levelone.algebra import product_form  # noqa: E402
-from levelone.linalg import rref  # noqa: E402
+from levelone.linalg import char_poly, mat_det, rref  # noqa: E402
 
 
 def to_sympy(m):
@@ -107,6 +109,50 @@ def test_rref_matches_sympy(seed):
     rank = len(want_pivots)
     assert got == from_sympy(want[:rank, :])
     assert pivots == list(want_pivots)
+
+
+def sympy_char_poly(m):
+    """det(x*I - m) as {exponent: Fraction}, computed by sympy."""
+    coeffs = to_sympy(m).charpoly().all_coeffs()  # leading coefficient first
+    top = len(coeffs) - 1
+    return {top - k: F(int(c.p), int(c.q)) for k, c in enumerate(coeffs) if c}
+
+
+def square_matrix(rng, n, kind):
+    """Dense, sparse or singular n x n rational matrix, denominators up to 6."""
+    density = 0.3 if kind == "sparse" else 1.0
+    m = [[rational(rng) if rng.random() < density else F(0) for _ in range(n)]
+         for _ in range(n)]
+    if kind == "singular":  # last row a combination of the others, or zero
+        coeffs = [rational(rng) for _ in range(n - 1)]
+        m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), F(0)) for j in range(n)]
+    return m
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "singular"])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("seed", range(3))
+def test_det_and_char_poly_match_sympy(n, kind, seed):
+    rng = random.Random(f"det:{n}:{kind}:{seed}")
+    m = square_matrix(rng, n, kind)
+    want = to_sympy(m).det()
+    assert mat_det(m) == F(int(want.p), int(want.q))
+    if kind == "singular":
+        assert mat_det(m) == 0
+    assert char_poly(m) == sympy_char_poly(m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_det_and_char_poly_of_zero(n):
+    zero = [[F(0)] * n for _ in range(n)]
+    assert mat_det(zero) == 0
+    assert char_poly(zero) == sympy_char_poly(zero) == {n: 1}
+
+
+@pytest.mark.parametrize("c", [F(0), F(1), F(-5, 6), F(7, 4)])
+def test_det_and_char_poly_of_one_by_one(c):
+    assert mat_det([[c]]) == c
+    assert char_poly([[c]]) == sympy_char_poly([[c]])
 
 
 def test_rref_of_zero_and_integer_rows():

@@ -392,6 +392,34 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        # the JSON decoder recurses once per level and hits the stack limit
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["recognize", "--algebra", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_limit_past_the_false_degree_bound_has_poles(self, capsys, tmp_path):
+        # diag(t^4000, t^4000, 1 + t) reads off at exponent 8000, not 16000
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({
+            "dim": 3,
+            "entries": [
+                {"row": 1, "col": 1, "poly": "t^4000"},
+                {"row": 2, "col": 2, "poly": "t^4000"},
+                {"row": 3, "col": 3, "poly": "1 + t"},
+            ],
+        }))
+        code = main([
+            "transport", "--algebra", canonical_path("lambda2_n3"),
+            "--family", str(family), "--limit", "--json",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert json.loads(out) == {"limit": None, "poles": [[2, 1, 1]]}
+
     @pytest.mark.parametrize("doc", [[], {
         "family": {"dim": 1, "entries": [{"row": 1, "col": 1, "poly": "t"}]},
         "target": {"tag": "nu", "dim": 1}, "trace": 5}])

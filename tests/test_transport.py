@@ -414,9 +414,11 @@ class TestRowMonomial:
         g = ParamMatrix(3, ((t4000, FE_ZERO, FE_ZERO), (FE_ZERO, t4000, FE_ZERO),
                             (FE_ZERO, FE_ZERO, fe("1 + t"))))
         assert g.det() == fe("t^8000 + t^8001")
-        # the limit reads off at exponent 2 * 8000, past MAX_DEGREE
-        with pytest.raises(DegreeOverflow):
+        # R = d * P^-1 and d share t^4000, so the read-off exponent is 8000,
+        # not 16000; the answer is that of diag(t^4000, t^4000, 1)
+        with pytest.raises(NoLimit) as exc:
             transport_limit(canon(Tag.LAMBDA2, 3), g)
+        assert exc.value.entries == [(2, 1, 1)]
 
     def test_kernel_overflow_now_has_an_exact_answer(self, capsys, tmp_path):
         # Bareiss on P = diag(t^4000, t^4000, 1) forms a t^12000 product and
