@@ -233,16 +233,15 @@ class Subspace:
 
     ambient: int
     basis: tuple  # rref rows, tuple of coordinate tuples
-    pivots: tuple = field(default=(), compare=False)
 
     @classmethod
     def span(cls, ambient: int, vectors) -> "Subspace":
-        rows, pivots = linalg.rref([list(v) for v in vectors])
-        return cls(ambient, tuple(tuple(r) for r in rows), tuple(pivots))
+        rows, _ = linalg.rref([list(v) for v in vectors])
+        return cls(ambient, tuple(tuple(r) for r in rows))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -253,8 +252,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        res = linalg.reduce_against([list(r) for r in self.basis], list(self.pivots), v)
-        return not any(res)
+        return linalg.rank([*self.basis, v]) == self.dim
 
     def join(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -447,35 +445,19 @@ def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:
     """Complete independent vectors to a full basis.
 
     Candidates are drawn greedily from ``pool`` (standard basis vectors by
-    default) in order, so the completion is deterministic.  Raises when the
-    pool cannot reach full rank.
+    default) in order, so the completion is deterministic: the chosen ones
+    are the pivot columns of the matrix whose columns are the seeds and then
+    the pool.  Raises when the pool cannot reach full rank.
     """
-    chosen: list[Vector] = []
-    rows: list[list] = []
-    pivots: list[int] = []
-
-    def try_add(v: Vector) -> bool:
-        res = list(linalg.reduce_against(rows, pivots, v))
-        lead = next((i for i, c in enumerate(res) if c), None)
-        if lead is None:
-            return False
-        rows.append([c / res[lead] for c in res])
-        pivots.append(lead)
-        chosen.append(tuple(v))
-        return True
-
-    for v in vectors:
-        if not try_add(v):
-            raise SingularMatrix("seed vectors are linearly dependent")
     if pool is None:
         pool = [unit_vector(a_dim, i) for i in range(a_dim)]
-    for v in pool:
-        if len(chosen) == a_dim:
-            break
-        try_add(v)
-    if len(chosen) != a_dim:
+    cands = [*vectors, *pool]
+    _, pivots = linalg._echelon([list(col) for col in zip(*cands)])
+    if pivots[: len(vectors)] != list(range(len(vectors))):
+        raise SingularMatrix("seed vectors are linearly dependent")
+    if len(pivots) != a_dim:
         raise SingularMatrix("candidate pool does not complete the basis")
-    return chosen
+    return [tuple(cands[p]) for p in pivots]
 
 
 def deterministic_candidates(n: int) -> list:

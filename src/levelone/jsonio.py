@@ -131,16 +131,13 @@ def family_from_dict(d: dict) -> ParamMatrix:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
         grid[i - 1][j - 1] = FieldElement.from_laurent(parse_laurent(text))
     zero = FieldElement.constant(0)
-    pm = ParamMatrix(
+    return ParamMatrix(
         n,
         tuple(
             tuple(grid[i][j] if grid[i][j] is not None else zero for j in range(n))
             for i in range(n)
         ),
     )
-    if not pm.det():
-        raise ValueError("family matrix is singular over Q(t)")
-    return pm
 
 
 def canonical_form_to_dict(form: CanonicalForm) -> dict:

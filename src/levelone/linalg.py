@@ -2,9 +2,12 @@
 
 Matrices are lists of row lists; no function but ``bareiss`` mutates its
 arguments.  Reduced row echelon form is the canonical representative used for
-subspace equality throughout the package.  ``rref`` eliminates fraction-free:
-rows are scaled to integers and kept primitive, and only the output entries
-are built as Fractions; ``mat_inverse`` is the rref of [a | I].
+subspace equality throughout the package.  Over Q there is one elimination,
+``_echelon``: an integer Gauss-Jordan on rows scaled to integers and kept
+primitive.  ``rref``, ``rank``, ``mat_inverse`` (the echelon of [a | I]) and
+``nullspace`` read it, and so do ``algebra.extend_basis`` (the pivot columns
+of its candidates) and ``Subspace.contains`` (a rank); only output entries
+are built as Fractions.
 
 The one other elimination is ``bareiss``, a fraction-free Gauss-Jordan over
 Z[t] that works in place.  ``mat_det`` runs it on the row-scaled integer
@@ -52,14 +55,13 @@ def mat_trace(a: list) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
-def rref(rows: list) -> tuple[list, list]:
-    """Reduced row echelon form.
+def _echelon(rows: list) -> tuple[list, list]:
+    """Integer Gauss-Jordan: (primitive integer rows, pivot columns).
 
-    Returns (nonzero rows, pivot column indices); rows come out with leading
-    coefficient 1 and cleared pivot columns, so equal row spaces give equal
-    outputs.  Entries may be ints or Fractions: each row is scaled to
-    integers, and Gauss-Jordan runs over Z with every changed row divided by
-    the gcd of its entries, which keeps the row space and bounds the growth.
+    Entries may be ints or Fractions: each row is scaled to integers, zero
+    rows are dropped, and every changed row is divided by the gcd of its
+    entries, which keeps the row space and bounds the growth.  Row r has
+    its pivot at column pivots[r] and zeros in every other pivot column.
     """
     work = []
     for r in rows:
@@ -69,7 +71,7 @@ def rref(rows: list) -> tuple[list, list]:
             work.append(ints)
     pivots: list[int] = []
     if not work:
-        return [], pivots
+        return work, pivots
     for col in range(len(work[0])):
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
@@ -87,6 +89,18 @@ def rref(rows: list) -> tuple[list, list]:
         pivots.append(col)
         if len(pivots) == len(work):
             break
+    del work[len(pivots):]
+    return work, pivots
+
+
+def rref(rows: list) -> tuple[list, list]:
+    """Reduced row echelon form.
+
+    Returns (nonzero rows, pivot column indices); rows come out with leading
+    coefficient 1 and cleared pivot columns, so equal row spaces give equal
+    outputs.  Only these output entries are built as Fractions.
+    """
+    work, pivots = _echelon(rows)
     return [
         [Fraction(x, row[col]) if x else ZERO for x in row]
         for row, col in zip(work, pivots)
@@ -94,29 +108,18 @@ def rref(rows: list) -> tuple[list, list]:
 
 
 def rank(rows: list) -> int:
-    return len(rref(rows)[0])
-
-
-def reduce_against(basis_rows: list, pivots: list, v) -> tuple:
-    """Residual of v after eliminating the pivot columns of an rref basis."""
-    res = list(v)
-    for row, p in zip(basis_rows, pivots):
-        c = res[p]
-        if c:
-            for j in range(len(res)):
-                if row[j]:
-                    res[j] -= c * row[j]
-    return tuple(res)
+    return len(_echelon(rows)[1])
 
 
 def mat_inverse(a: list) -> list:
+    """The right half of the echelon form of [a | I], each row over its pivot."""
     n = len(a)
-    rows, pivots = rref(
-        [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    work, pivots = _echelon(
+        [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
     )
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular over Q")
-    return [row[n:] for row in rows]
+    return [[Fraction(x, row[i]) if x else ZERO for x in row[n:]] for i, row in enumerate(work)]
 
 
 def nullspace(rows: list) -> list:

@@ -337,12 +337,9 @@ class FieldElement:
     def __repr__(self) -> str:
         from .parser import print_laurent  # local import avoids a cycle
 
-        try:
+        if list(self.den.values()) == [1]:  # den a pure power of t
             return f"FieldElement({print_laurent(self.to_laurent())!r})"
-        except ValueError:
-            num = print_laurent(self.num)
-            den = print_laurent(self.den)
-            return f"FieldElement({num!r} / {den!r})"
+        return f"FieldElement({print_laurent(self.num)!r} / {print_laurent(self.den)!r})"
 
     # -- valuation and evaluation ---------------------------------------
     def valuation_at_zero(self):

@@ -2,9 +2,10 @@
 
 sympy (a test-only dependency) redoes the rational arithmetic with its own
 matrices: the basis-change contraction g.c.(g^-1 x g^-1), reduced row
-echelon form, the spans behind ``subspace_product``, and the determinant and
-characteristic polynomial that ``mat_det`` and ``char_poly`` read off one
-Bareiss elimination.  The slice reads (multiplication matrices,
+echelon form, rank and inverse, the frames ``extend_basis`` completes,
+``Subspace.contains``, the spans behind ``subspace_product``, and the
+determinant and characteristic polynomial that ``mat_det`` and ``char_poly``
+read off one Bareiss elimination.  The slice reads (multiplication matrices,
 ``product_form``) are checked against the per-pair definition
 ``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
 so many (i, j) slices are zero.
@@ -22,13 +23,15 @@ from levelone import (  # noqa: E402
     Subspace,
     apply_basis_change,
     derived_subspace,
+    extend_basis,
     random_algebra,
     rebase,
     subspace_product,
     unit_vector,
 )
 from levelone.algebra import product_form  # noqa: E402
-from levelone.linalg import char_poly, mat_det, rref  # noqa: E402
+from levelone.errors import SingularMatrix  # noqa: E402
+from levelone.linalg import char_poly, mat_det, mat_inverse, rank, rref  # noqa: E402
 
 
 def to_sympy(m):
@@ -158,6 +161,80 @@ def test_det_and_char_poly_of_one_by_one(c):
 def test_rref_of_zero_and_integer_rows():
     assert rref([[F(0), F(0)], [0, 0]]) == ([], [])
     assert rref([[2, 4, 0], [1, 2, 1]]) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "singular"])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_and_inverse_match_sympy(n, kind, seed):
+    rng = random.Random(f"inv:{n}:{kind}:{seed}")
+    m = square_matrix(rng, n, kind)
+    want = to_sympy(m)
+    assert rank(m) == want.rank()
+    assert rank(m[:-1] + [[F(0)] * n]) == to_sympy(m[:-1] + [[F(0)] * n]).rank()
+    if want.det() == 0:
+        with pytest.raises(SingularMatrix, match="matrix is singular over Q"):
+            mat_inverse(m)
+    else:
+        assert mat_inverse(m) == from_sympy(want.inv())
+
+
+def sympy_frame(cands):
+    """The candidates at the pivot columns of the matrix whose columns they are."""
+    _, pivots = sympy.Matrix.hstack(*(to_sympy([v]).T for v in cands)).rref()
+    return [tuple(cands[p]) for p in pivots]
+
+
+def vector(rng, n, density=0.6):
+    return tuple(rational(rng) if rng.random() < density else F(0) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(4))
+def test_extend_basis_takes_the_pivot_columns(n, seed):
+    rng = random.Random(f"frame:{n}:{seed}")
+    units = [unit_vector(n, i) for i in range(n)]
+    seeds = [vector(rng, n) for _ in range(rng.randint(1, n))]
+    if to_sympy(seeds).rank() == len(seeds):
+        assert extend_basis(n, seeds) == sympy_frame(seeds + units)
+    pool = [vector(rng, n, 0.4) for _ in range(2 * n)] + units
+    seeds = seeds[:1] if any(seeds[0]) else [units[0]]
+    assert extend_basis(n, seeds, pool) == sympy_frame(seeds + pool)
+    assert extend_basis(n, [], pool) == sympy_frame(pool)
+
+
+def test_extend_basis_rejects_dependent_or_zero_seeds():
+    x, y = (F(1), F(2), F(0)), (F(0), F(1, 3), F(-1))
+    twice = tuple(2 * c for c in x)
+    for seeds in ([x, twice], [x, y, tuple(a - b for a, b in zip(x, y))],
+                  [(F(0),) * 3], [x, (F(0),) * 3],
+                  [x, y, (F(0), F(0), F(1)), (F(1), F(0), F(0))]):  # more than a_dim
+        with pytest.raises(SingularMatrix, match="seed vectors are linearly dependent"):
+            extend_basis(3, seeds)
+
+
+def test_extend_basis_rejects_a_pool_that_cannot_complete():
+    x = (F(1), F(2), F(0))
+    for pool in ([], [x], [(F(0), F(1), F(0)), (F(1, 2), F(1), F(0))], [(F(0),) * 3]):
+        with pytest.raises(SingularMatrix, match="candidate pool does not complete the basis"):
+            extend_basis(3, [x], pool)
+    assert extend_basis(3, [x], [(F(0), F(1), F(0)), (F(0), F(0), F(5))]) == [
+        x, (F(0), F(1), F(0)), (F(0), F(0), F(5))]
+    assert extend_basis(0, []) == []
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_subspace_contains_matches_sympy_rank(n, seed):
+    rng = random.Random(f"contains:{n}:{seed}")
+    for _ in range(6):
+        sub = random_subspace(rng, n)
+        coeffs = [rational(rng) for _ in sub.basis]
+        inside = tuple(sum((c * b[i] for c, b in zip(coeffs, sub.basis)), F(0))
+                       for i in range(n))
+        for v in (inside, vector(rng, n), (F(0),) * n):
+            rows = [list(b) for b in sub.basis] + [list(v)]
+            assert sub.contains(v) == (to_sympy(rows).rank() == sub.dim)
+        assert sub.contains(inside)
 
 
 def sympy_span(ambient, vectors):

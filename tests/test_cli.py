@@ -303,23 +303,41 @@ class TestMalformedInputs:
         code, _ = run(capsys, "recognize", "--algebra", str(bad))
         assert code == 2
 
-    def test_singular_family_file(self, capsys, tmp_path):
+    SINGULAR_FAMILY = {
+        "dim": 2,
+        "entries": [
+            {"row": 1, "col": 1, "poly": "t"},
+            {"row": 1, "col": 2, "poly": "t"},
+            {"row": 2, "col": 1, "poly": "t"},
+            {"row": 2, "col": 2, "poly": "t"},
+        ],
+    }
+    SINGULAR = (2, "error: family matrix is singular over Q(t)\n")
+
+    def run_singular_family(self, capsys, tmp_path, *command, algebra="lambda2_n2"):
+        """(exit code, stderr) of a command on the singular family."""
         bad = tmp_path / "f.json"
-        bad.write_text(json.dumps({
-            "dim": 2,
-            "entries": [
-                {"row": 1, "col": 1, "poly": "t"},
-                {"row": 1, "col": 2, "poly": "t"},
-                {"row": 2, "col": 1, "poly": "t"},
-                {"row": 2, "col": 2, "poly": "t"},
-            ],
-        }))
-        code, _ = run(
-            capsys, "transport",
-            "--algebra", canonical_path("lambda2_n2"),
-            "--family", str(bad), "--limit",
-        )
-        assert code == 2
+        bad.write_text(json.dumps(self.SINGULAR_FAMILY))
+        code = main([*command, "--algebra", canonical_path(algebra), "--family", str(bad)])
+        return code, capsys.readouterr().err
+
+    def test_singular_family_file(self, capsys, tmp_path):
+        assert self.run_singular_family(capsys, tmp_path, "transport", "--limit") == self.SINGULAR
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--target-canonical", "lambda2:2"],
+        ["transport", "--at", "1/2"],
+    ])
+    def test_singular_family_is_rejected_where_it_is_used(self, capsys, tmp_path, command):
+        """Loading does not eliminate the family; its first use finds it
+        singular."""
+        assert self.run_singular_family(capsys, tmp_path, *command) == self.SINGULAR
+
+    def test_singular_family_of_the_wrong_dimension(self, capsys, tmp_path):
+        """The dimension check comes before the first use of the family."""
+        got = self.run_singular_family(capsys, tmp_path, "transport", "--limit",
+                                       algebra="lambda2_n3")
+        assert got == (2, "error: algebra and family dimensions differ\n")
 
     def test_laurent_syntax_error_position(self, capsys, tmp_path):
         bad = tmp_path / "f.json"

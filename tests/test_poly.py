@@ -32,6 +32,13 @@ class TestFieldArithmetic:
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
 
+    def test_repr_of_a_quotient(self):
+        x = ONE / (T + ONE)
+        assert repr(x) == "FieldElement('1' / 't + 1')"
+        assert repr(fe("1/2*t^-2")) == "FieldElement('1/2*t^-2')"
+        with pytest.raises(ValueError, match="not a Laurent polynomial: FieldElement"):
+            x.to_laurent()
+
     def test_degree_guard(self):
         big = FieldElement.t_power(6000)
         with pytest.raises(DegreeOverflow):
