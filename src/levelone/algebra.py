@@ -9,7 +9,8 @@ are bilinear by construction.  Vectors are tuples of Fractions.
 columns C[:, i, j] of C = cden * c, cden the lcm of the entry denominators;
 the dense table of Fractions is a view built on first use.  Equality, the predicates and the kernels
 (``Algebra.product``, ``apply_basis_change``, ``rebase``,
-``subspace_product``, the multiplication matrices) read the stored form,
+``subspace_product`` and its zero test ``products_vanish``, the
+multiplication matrices) read the stored form,
 scale vectors and matrices to integers, accumulate in Python ints and
 divide once at the end.
 """
@@ -199,9 +200,10 @@ def _int_matrix(m: list) -> tuple[int, list]:
 
 
 def _primitive(v: Vector) -> list:
-    """The primitive integer vector on the line of a nonzero rational vector."""
+    """The primitive integer vector on the line of a rational vector; zero
+    stays zero."""
     ints = _int_vector(v)[1]
-    g = math.gcd(*ints)
+    g = math.gcd(*ints) or 1
     return [x // g for x in ints]
 
 
@@ -245,7 +247,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.span(ambient, [unit_vector(ambient, i) for i in range(ambient)])
+        return cls(ambient, tuple(unit_vector(ambient, i) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -261,19 +263,28 @@ class Subspace:
 
 
 def subspace_product(a: Algebra, u: Subspace, w: Subspace) -> Subspace:
-    """span{ x*y : x in basis(u), y in basis(w) }; exact since products are bilinear.
-
-    Each basis vector is scaled to a primitive integer vector on its line and
-    each product accumulated in ints; scaling changes no span.
-    """
+    """span{ x*y : x in basis(u), y in basis(w) }; exact since products are bilinear."""
     n = a.dim
     if u.ambient != n or w.ambient != n:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
+    return Subspace.span(n, _pair_products(a, u.basis, w.basis))
+
+
+def products_vanish(a: Algebra, xs, ys) -> bool:
+    """Whether x*y = 0 for every x in xs and y in ys; a zero test, no span."""
+    return not any(map(any, _pair_products(a, xs, ys)))
+
+
+def _pair_products(a: Algebra, xs, ys):
+    """The products x*y, x in xs and y in ys, as integer vectors.
+
+    Each vector is scaled to a primitive integer vector on its line and each
+    product accumulated in ints; scaling changes neither a span nor a zero.
+    """
+    n = a.dim
     slices = a._slices
-    xs = [_primitive(x) for x in u.basis]
-    ys = [_primitive(y) for y in w.basis]
-    vectors = []
-    for x in xs:
+    ys = [_primitive(y) for y in ys]
+    for x in map(_primitive, xs):
         for y in ys:
             p = [0] * n
             for (i, j), hits in slices.items():
@@ -281,8 +292,7 @@ def subspace_product(a: Algebra, u: Subspace, w: Subspace) -> Subspace:
                 if xy:
                     for k, c in hits:
                         p[k] += c * xy
-            vectors.append(p)
-    return Subspace.span(n, vectors)
+            yield p
 
 
 def ideal_powers(a: Algebra) -> list:

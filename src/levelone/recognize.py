@@ -8,6 +8,15 @@ hyperbolic pairs of the induced bilinear form for the one-dimensional-square
 algebras, and an idempotent with prescribed left/right spectra for the
 nu family.
 
+Each branch computes only what it reads.  An algebra that is neither
+commutative nor anticommutative goes straight to the nu search, with no A^2;
+the other two build A^2, and the annihilation A*A^2 = A^2*A = 0 (read only
+when dim A^2 = 1) and A^2*A^2 = 0 are zero tests on the integer products,
+with no span built.  In the nu search a match of the rebased table is
+returned as it stands, since it implies the spectrum (x - 1)(x - alpha)^(n-1)
+of the idempotent's left action; that characteristic polynomial is computed
+only to name a failure.
+
 One case is decided only up to isomorphism over the algebraic closure: a
 commutative algebra whose rank-2 symmetric product form has no rational
 isotropic vector (e.g. the form x^2 + y^2) is reported with the n3plus tag
@@ -28,9 +37,9 @@ from .algebra import (
     deterministic_candidates,
     extend_basis,
     product_form,
+    products_vanish,
     proportionality,
     rebase,
-    subspace_product,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -38,6 +47,7 @@ from .algebra import (
 )
 from .canonical import CanonicalForm, Tag, construct
 from .errors import NotNu
+from .poly import poly_mul, poly_pow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,39 +77,42 @@ def recognize(a: Algebra) -> RecognitionResult:
     n = a.dim
     if a.is_abelian():
         return _recognized(CanonicalForm(Tag.ABELIAN, n), linalg.mat_identity(n))
+    skew = a.is_anticommutative()
+    if not skew and not a.is_commutative():
+        return _try_nu(a)
     square = derived_subspace(a)
     d2 = square.dim
-    annihilates = (
-        subspace_product(a, Subspace.full(n), square).dim == 0
-        and subspace_product(a, square, Subspace.full(n)).dim == 0
+    # A*A^2 = A^2*A = 0, read only when dim A^2 = 1; one side suffices, since
+    # y*x = +-x*y here
+    annihilates = d2 == 1 and products_vanish(
+        a, [unit_vector(n, i) for i in range(n)], square.basis
     )
-    if a.is_anticommutative():
-        if d2 == 1 and annihilates:
+    if skew:
+        if annihilates:
             b = product_form(a, square)
             r = linalg.rank(b)
             if r == 2 and n >= 3:
                 return _check_basis(a, _skew_pair_basis(a, b), Tag.N3_MINUS)
             return _not_canonical(f"skew product form has rank {r}, need 2")
-        if d2 == n - 1 and subspace_product(a, square, square).dim == 0:
+        if d2 == n - 1 and products_vanish(a, square.basis, square.basis):
             return _scalar_line_path(a, square, Tag.P_MINUS)
         return _not_canonical(
             f"anticommutative with dim A^2 = {d2}: matches no canonical form"
         )
-    if a.is_commutative():
-        if d2 == 1 and annihilates:
-            b = product_form(a, square)
-            r = linalg.rank(b)
-            if r == 1:
-                return _check_basis(a, _rank_one_basis(a, b), Tag.LAMBDA2)
-            if r == 2 and n >= 3:
-                return _symmetric_pair_path(a, b)
-            return _not_canonical(
-                f"symmetric product form has rank {r} in dimension {n}"
-            )
-        if d2 == n - 1 and n >= 2:
-            if subspace_product(a, square, square).dim != 0:
-                return _not_canonical("A^2 * A^2 != 0")
-            return _scalar_line_path(a, square, Tag.P_PLUS)
+    if annihilates:
+        b = product_form(a, square)
+        r = linalg.rank(b)
+        if r == 1:
+            return _check_basis(a, _rank_one_basis(a, b), Tag.LAMBDA2)
+        if r == 2 and n >= 3:
+            return _symmetric_pair_path(a, b)
+        return _not_canonical(
+            f"symmetric product form has rank {r} in dimension {n}"
+        )
+    if d2 == n - 1 and n >= 2:
+        if not products_vanish(a, square.basis, square.basis):
+            return _not_canonical("A^2 * A^2 != 0")
+        return _scalar_line_path(a, square, Tag.P_PLUS)
     return _try_nu(a)
 
 
@@ -250,6 +263,8 @@ def _try_nu(a: Algebra) -> RecognitionResult:
             found = (x, c)
             break
     if found is None:
+        # unreachable: zero squares on every e_i and e_i + e_j make the tensor
+        # skew, and anticommutative input never gets here
         return _not_canonical("no vector with a nonzero square in the sweep")
     x, c = found
     e = vec_scale(x, 1 / c)
@@ -258,15 +273,6 @@ def _try_nu(a: Algebra) -> RecognitionResult:
     left = a.left_mult_matrix(e)
     right = a.right_mult_matrix(e)
     alpha = (linalg.mat_trace(left) - 1) / (n - 1)
-    # exact spectrum check: char(left) = (x - 1)(x - alpha)^(n-1)
-    expected = {1: ONE, 0: -ONE}
-    factor = {1: ONE, 0: -alpha} if alpha else {1: ONE}
-    from .poly import poly_mul, poly_pow
-
-    if linalg.char_poly(left) != poly_mul(expected, poly_pow(factor, n - 1)):
-        return _not_canonical(
-            "left multiplication by the idempotent has the wrong spectrum"
-        )
     rows = []
     for idx in range(n):
         rows.append([left[idx][j] - (alpha if idx == j else ZERO) for j in range(n)])
@@ -274,10 +280,22 @@ def _try_nu(a: Algebra) -> RecognitionResult:
     for idx in range(n):
         rows.append([right[idx][j] - (beta if idx == j else ZERO) for j in range(n)])
     eigen = linalg.nullspace(rows)
+    if len(eigen) == n - 1:
+        # extend_basis cannot raise: on the eigenspace e*e would be alpha*e =
+        # (1 - alpha)*e, which e*e = e rules out
+        result = _check_basis(a, extend_basis(n, [e], pool=eigen), Tag.NU, alpha)
+        if result.recognized:
+            # the table is nu(alpha), so char(left) = (x - 1)(x - alpha)^(n-1)
+            return result
+    # the spectrum is computed only to name the failure
+    factor = {1: ONE, 0: -alpha} if alpha else {1: ONE}
+    if linalg.char_poly(left) != poly_mul({1: ONE, 0: -ONE}, poly_pow(factor, n - 1)):
+        return _not_canonical(
+            "left multiplication by the idempotent has the wrong spectrum"
+        )
     if len(eigen) != n - 1:
         return _not_canonical(
             f"joint eigenspace of the idempotent actions has dimension "
             f"{len(eigen)}, need {n - 1}"
         )
-    basis = extend_basis(n, [e], pool=eigen)
-    return _check_basis(a, basis, Tag.NU, alpha)
+    return result

@@ -5,7 +5,8 @@ matrices: the basis-change contraction g.c.(g^-1 x g^-1), reduced row
 echelon form, rank and inverse, the frames ``extend_basis`` completes,
 ``Subspace.contains``, the spans behind ``subspace_product``, and the
 determinant and characteristic polynomial that ``mat_det`` and ``char_poly``
-read off one Bareiss elimination.  The slice reads (multiplication matrices,
+read off one Bareiss elimination, and the isomorphisms ``recognize`` returns
+(the input transported by the iso is the canonical table).  The slice reads (multiplication matrices,
 ``product_form``) are checked against the per-pair definition
 ``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
 so many (i, j) slices are zero.
@@ -20,17 +21,21 @@ sympy = pytest.importorskip("sympy")
 
 from levelone import (  # noqa: E402
     Algebra,
+    CanonicalForm,
     Subspace,
+    Tag,
     apply_basis_change,
+    construct,
     derived_subspace,
     extend_basis,
     random_algebra,
     rebase,
+    recognize,
     subspace_product,
     unit_vector,
 )
-from levelone.algebra import product_form  # noqa: E402
-from levelone.errors import SingularMatrix  # noqa: E402
+from levelone.algebra import product_form, products_vanish  # noqa: E402
+from levelone.errors import BadDimension, SingularMatrix  # noqa: E402
 from levelone.linalg import char_poly, mat_det, mat_inverse, rank, rref  # noqa: E402
 
 
@@ -263,6 +268,11 @@ def test_subspace_product_is_the_span_of_pair_products(n, seed):
     ]:
         products = [a.product(x, y) for x in u.basis for y in w.basis]
         assert subspace_product(a, u, w).basis == sympy_span(n, products)
+        assert products_vanish(a, u.basis, w.basis) == (sympy_span(n, products) == ())
+    assert Subspace.full(n) == Subspace.span(n, [unit_vector(n, i) for i in range(n)])
+    zero = (F(0),) * n
+    assert products_vanish(a, [zero], Subspace.full(n).basis)
+    assert products_vanish(a, Subspace.full(n).basis, [zero])
     every = [a.product(unit_vector(n, i), unit_vector(n, j))
              for i in range(n) for j in range(n)]
     assert derived_subspace(a).basis == sympy_span(n, every)
@@ -301,3 +311,50 @@ def test_product_form_rebuilds_every_product(n, seed):
         for j in range(n):
             want = a.product(unit_vector(n, i), unit_vector(n, j))
             assert tuple(form[i][j] * c for c in zs) == want
+
+
+def sympy_transport(a, g):
+    """g.A(g^-1 x, g^-1 y) as a dense table, with h = g^-1 from sympy and the
+    sum c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j] taken one index
+    at a time."""
+    n = a.dim
+    h = g.inv()
+    c = [[[sympy.Rational(x.numerator, x.denominator) for x in row] for row in plane]
+         for plane in a.constants]
+    idx = range(n)
+    gc = [[[sum(g[k, r] * c[r][s][t] for r in idx) for t in idx] for s in idx] for k in idx]
+    gch = [[[sum(gc[k][s][t] * h[s, i] for s in idx) for t in idx] for i in idx] for k in idx]
+    out = [[[sum(gch[k][i][t] * h[t, j] for t in idx) for j in idx] for i in idx] for k in idx]
+    return [[[F(int(x.p), int(x.q)) for x in row] for row in plane] for plane in out]
+
+
+RECOGNIZED_FORMS = [
+    (Tag.ABELIAN, None), (Tag.P_MINUS, None), (Tag.P_PLUS, None), (Tag.N3_MINUS, None),
+    (Tag.N3_PLUS, None), (Tag.LAMBDA2, None), (Tag.NU, F(0)), (Tag.NU, F(1)),
+    (Tag.NU, F(1, 2)), (Tag.NU, F(2, 3)), (Tag.NU, F(-3)),
+]
+
+
+def moved_forms():
+    """(form, the canonical table under a random rational basis change), twice
+    for every form at n = 2..5."""
+    for n in (2, 3, 4, 5):
+        for tag, alpha in RECOGNIZED_FORMS:
+            try:
+                form = CanonicalForm(tag, n, alpha)
+            except BadDimension:
+                continue
+            for seed in range(2):
+                rng = random.Random(f"recognize:{tag.value}:{alpha}:{n}:{seed}")
+                yield form, apply_basis_change(construct(form), invertible(rng, n))
+
+
+@pytest.mark.parametrize("form,a", list(moved_forms()), ids=lambda x: str(x)[:40])
+def test_recognize_iso_transports_onto_the_canonical_table(form, a):
+    res = recognize(a)
+    assert res.form == form
+    want = [[list(row) for row in plane] for plane in construct(form).constants]
+    g = to_sympy(res.iso)
+    assert sympy_transport(a, g) == want
+    if g != g.T:  # the oracle tells the iso from its transpose
+        assert sympy_transport(a, g.T) != want

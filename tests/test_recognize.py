@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,8 @@ from levelone import (
     random_invertible_matrix,
     recognize,
 )
-from levelone.linalg import char_poly, mat_identity
+from levelone import linalg
+from levelone.linalg import char_poly, mat_identity, mat_inverse
 from levelone.poly import poly_mul, poly_pow
 
 
@@ -166,7 +168,10 @@ class TestClosureLevelCases:
         res = recognize(a)
         assert res.form == CanonicalForm(Tag.N3_PLUS, 3)
         assert res.iso is None
-        assert "closure" in res.reason
+        assert res.reason == (
+            "recognized over the algebraic closure only: the rank-2 "
+            "symmetric form has no rational isotropic vector"
+        )
 
     def test_isotropic_symmetric_form_gets_an_iso(self):
         # e1*e1 = e3, e2*e2 = -e3: x^2 - y^2 vanishes at (1, 1)
@@ -196,4 +201,99 @@ class TestClosureLevelCases:
         )
         res = recognize(a)
         assert not res.recognized
-        assert "rank" in res.reason
+        assert res.reason == "skew product form has rank 4, need 2"
+
+
+# Every reason recognize can give for a non-canonical input, each on an input
+# of its own (0-based (k, i, j) keys: e_i * e_j has e_k-coefficient c).  The
+# one left out, "no vector with a nonzero square in the sweep", cannot be
+# reached (see the comment in _try_nu).
+REASONS = [
+    (  # e1e1 = e1, e1e2 = e2e1 = e2/2, e1e3 = e3/3, e3e1 = 2e3/3
+        3,
+        {(0, 0, 0): F(1), (1, 0, 1): F(1, 2), (2, 0, 2): F(1, 3),
+         (1, 1, 0): F(1, 2), (2, 2, 0): F(2, 3)},
+        "left multiplication by the idempotent has the wrong spectrum",
+    ),
+    (  # e1e1 = e1, e1e2 = e2/2, e1e3 = e3/2
+        3,
+        {(0, 0, 0): F(1), (1, 0, 1): F(1, 2), (2, 0, 2): F(1, 2)},
+        "joint eigenspace of the idempotent actions has dimension 0, need 2",
+    ),
+    (  # nu(2/3) plus e2e3 = e1
+        3,
+        {**canon(Tag.NU, 3, F(2, 3)).entries(), (0, 1, 2): F(1)},
+        "normalized table does not match nu(2/3) dim 3",
+    ),
+    (  # e1e1 = e2, e1e2 = e1: not commutative, and x*x leaves the line of x
+        2,
+        {(1, 0, 0): F(1), (0, 0, 1): F(1)},
+        "found x with x*x outside the line of x",
+    ),
+    (  # e1e1 = e2, e1e2 = e2e1 = e3, e2e2 = e2
+        3,
+        {(1, 0, 0): F(1), (2, 0, 1): F(1), (2, 1, 0): F(1), (1, 1, 1): F(1)},
+        "A^2 * A^2 != 0",
+    ),
+    (  # e1e1 = e2e2 = e3e3 = e4
+        4,
+        {(3, 0, 0): F(1), (3, 1, 1): F(1), (3, 2, 2): F(1)},
+        "symmetric product form has rank 3 in dimension 4",
+    ),
+    (  # so(3): e1e2 = e3, e2e3 = e1, e3e1 = e2
+        3,
+        {(2, 0, 1): F(1), (2, 1, 0): F(-1), (0, 1, 2): F(1), (0, 2, 1): F(-1),
+         (1, 2, 0): F(1), (1, 0, 2): F(-1)},
+        "anticommutative with dim A^2 = 3: matches no canonical form",
+    ),
+    (  # e1e2 = e3, e1e3 = -e2 (skew): e1 rotates A^2
+        3,
+        {(2, 0, 1): F(1), (2, 1, 0): F(-1), (1, 0, 2): F(-1), (1, 2, 0): F(1)},
+        "left multiplication by a complement vector is not a nonzero scalar on A^2",
+    ),
+    (  # e1e2 = e2, e1e3 = 2e3 (skew)
+        3,
+        {(1, 0, 1): F(1), (1, 1, 0): F(-1), (2, 0, 2): F(2), (2, 2, 0): F(-2)},
+        "left multiplication by a complement vector is not scalar on A^2",
+    ),
+]
+
+
+@pytest.mark.parametrize("n,entries,reason", REASONS, ids=[r[2][:40] for r in REASONS])
+def test_each_reason_is_pinned(n, entries, reason):
+    res = recognize(Algebra.from_entries(n, entries))
+    assert res.form is None and res.iso is None
+    assert res.reason == reason
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1), F(1, 2), F(2, 3), F(-3)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_nu_match_implies_its_spectrum(n, alpha):
+    """A nu match is returned without a spectrum check; this is the fact that
+    makes that safe: the idempotent the iso picks has char (x - 1)(x - alpha)^(n-1)."""
+    want = poly_mul({1: F(1), 0: F(-1)}, poly_pow({1: F(1), 0: -alpha}, n - 1))
+    for seed in range(4):
+        a = moved(Tag.NU, n, alpha, seed=seed)
+        res = recognize(a)
+        assert res.form == CanonicalForm(Tag.NU, n, alpha)
+        e = tuple(row[0] for row in mat_inverse([list(r) for r in res.iso]))
+        assert a.product(e, e) == e
+        assert char_poly(a.left_mult_matrix(e)) == want
+
+
+def test_a_match_reads_only_its_branch(monkeypatch):
+    """A nu match computes no spectrum, and input that is neither commutative
+    nor anticommutative builds no A^2."""
+    module = importlib.import_module("levelone.recognize")
+
+    def unread(*args):
+        raise AssertionError("computed on a branch that does not read it")
+
+    monkeypatch.setattr(linalg, "char_poly", unread)
+    for alpha in (F(0), F(1), F(1, 2), F(2, 3), F(-3)):
+        assert recognize(moved(Tag.NU, 4, alpha, seed=2)).form.alpha == alpha
+    monkeypatch.setattr(module, "derived_subspace", unread)
+    for alpha in (F(0), F(2, 3), F(-3)):
+        assert recognize(moved(Tag.NU, 3, alpha, seed=4)).form.alpha == alpha
+    res = recognize(Algebra.from_entries(2, {(1, 0, 0): F(1), (0, 0, 1): F(1)}))
+    assert res.reason == "found x with x*x outside the line of x"
