@@ -13,10 +13,17 @@ the dense table of Fractions is a view built on first use.  Equality, the predic
 multiplication matrices) read the stored form,
 scale vectors and matrices to integers, accumulate in Python ints and
 divide once at the end.
+
+One integer contraction, ``_contract``, is behind ``apply_basis_change``,
+``rebase`` and the t -> 0 read-off of a row-monomial family diag(t^e) * m in
+``transport``.  Given e, it forms only the entries (k, i, j) with
+e_k <= e_i + e_j, the ones that do not vanish at t = 0; without e it forms
+every entry.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -395,32 +402,42 @@ def apply_basis_change(a: Algebra, g: list) -> Algebra:
     return _contract(a, g, linalg.mat_inverse(g))  # raises SingularMatrix
 
 
-def _contract(a: Algebra, g: list, h: list) -> Algebra:
-    """The tensor c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j].
+def _contract(a: Algebra, g: list, h: list, e=None) -> Algebra:
+    """The tensor c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j],
+    formed only where e_k <= e_i + e_j; the other entries are left 0.
+
+    For a family diag(t^e) * g with h = g^-1, entry (k, i, j) of the
+    transported tensor is t^(e_k - e_i - e_j) c'[k][i][j], so the entries
+    left out are exactly those that vanish at t = 0.  No exponents means
+    e = 0: every entry is formed.
 
     With G = dg * g, H = dh * h and C = cden * c over Z, the sum G.C.(H x H)
-    runs in ints over the nonzero (s, t) slices of C.  The result's stored
-    form is that integer tensor over dg * dh^2 * cden, both divided by their
+    runs in ints over the nonzero (s, t) slices of C, and only over the pairs
+    (i, j) with e_i + e_j >= min(e); taken by e_i + e_j descending, the
+    pairs that row k of G needs are a prefix of them.  The result's stored
+    form is the integer tensor over dg * dh^2 * cden, both divided by their
     gcd.
     """
     n = a.dim
     cden, slices = a._cden, a._slices
     dg, G = _int_matrix(g)
     dh, H = _int_matrix(h)
-    mid = [[0] * (n * n) for _ in range(n)]  # mid[r][i*n + j] = (C.(H x H))[r][i][j]
+    pairs, width, by_i = _pair_order((0,) * n if e is None else tuple(e))
+    mid = [[0] * len(pairs) for _ in range(n)]  # mid[r][p] = (C.(H x H))[r][pairs[p]]
     for (s, t), hits in slices.items():
-        row_t = [(j, y) for j, y in enumerate(H[t]) if y]
+        ht = H[t]
         for i, x in enumerate(H[s]):
             if x:
-                base = i * n
-                for j, y in row_t:
-                    xy = x * y
-                    for r, c in hits:
-                        mid[r][base + j] += c * xy
+                for j, p in by_i[i]:
+                    y = ht[j]
+                    if y:
+                        xy = x * y
+                        for r, c in hits:
+                            mid[r][p] += c * xy
     live = [(r, plane) for r, plane in enumerate(mid) if any(plane)]
-    out = []  # out[k][i*n + j] = (G.C.(H x H))[k][i][j]
-    for grow in G:
-        acc = [0] * (n * n)
+    out = []  # out[k][p] = (G.C.(H x H))[k][pairs[p]] for p < width[k]
+    for grow, w in zip(G, width):
+        acc = [0] * w
         for r, plane in live:
             f = grow[r]
             if f:
@@ -428,11 +445,28 @@ def _contract(a: Algebra, g: list, h: list) -> Algebra:
         out.append(acc)
     den = dg * dh * dh * cden
     g = math.gcd(den, *itertools.chain.from_iterable(out))
-    slices = {}
-    for ij, col in enumerate(zip(*out)):
+    cols = []
+    for ij, col in zip(pairs, itertools.zip_longest(*out, fillvalue=0)):
         if any(col):
-            slices[divmod(ij, n)] = tuple((k, v // g) for k, v in enumerate(col) if v)
-    return _stored(object.__new__(Algebra), n, den // g, slices)
+            cols.append((ij, tuple((k, v // g) for k, v in enumerate(col) if v)))
+    return _stored(object.__new__(Algebra), n, den // g, dict(sorted(cols)))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_order(e: tuple) -> tuple:
+    """(pairs, width, by_i) for ``_contract``: the pairs (i, j) with
+    e_i + e_j >= min(e) by e_i + e_j descending, the length of row k's
+    prefix of them, and by_i[i] = ((j, position of (i, j)), ...)."""
+    n = len(e)
+    lo = min(e)
+    pairs = sorted(((i, j) for i in range(n) for j in range(n) if e[i] + e[j] >= lo),
+                   key=lambda ij: -e[ij[0]] - e[ij[1]])
+    sums = [-e[i] - e[j] for i, j in pairs]  # ascending
+    width = [bisect.bisect_right(sums, -ek) for ek in e]
+    by_i = [[] for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        by_i[i].append((j, p))
+    return tuple(pairs), tuple(width), tuple(map(tuple, by_i))
 
 
 def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:

@@ -200,14 +200,16 @@ def _fmt(v: Vector) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _assemble(
-    a: Algebra, basis: list, weights: list, tag: Tag, trace: list, alpha=None
-) -> Witness:
-    """Family = diag(t^-w) composed with the change onto the given frame,
-    entry (i, j) the monomial minv[i][j] * t^-w_i."""
-    n = a.dim
-    frame = [[basis[j][i] for j in range(n)] for i in range(n)]
-    minv = linalg.mat_inverse(frame)
+def _frame_inverse(basis: list) -> list:
+    """The inverse of the frame whose columns are the basis vectors: the
+    matrix ``rebase`` returns, for branches that do not rebase."""
+    return linalg.mat_inverse([list(col) for col in zip(*basis)])
+
+
+def _assemble(minv: list, weights: list, tag: Tag, trace: list, alpha=None) -> Witness:
+    """Family = diag(t^-w) composed with the change onto a frame, minv the
+    frame's inverse; entry (i, j) is the monomial minv[i][j] * t^-w_i."""
+    n = len(minv)
     family = ParamMatrix(n, tuple(
         tuple(FieldElement.from_laurent({-w: c}) if c else FE_ZERO for c in row)
         for w, row in zip(weights, minv)
@@ -227,14 +229,14 @@ def _attempt(a: Algebra, pool):
             x, y = pair
             trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
             basis = extend_basis(n, [x, y, a.product(x, y)])
-            return _assemble(a, basis, [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
+            return _assemble(_frame_inverse(basis), [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
         trace.append("PairWitnessAbsent")
         return _pminus_branch(a, trace)
     sq = _find_square(a, pool)
     if sq is not None:
         trace = [f"SquareWitnessFound x={_fmt(sq)}"]
         basis = extend_basis(n, [sq, a.product(sq, sq)])
-        return _assemble(a, basis, [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
+        return _assemble(_frame_inverse(basis), [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
     trace = ["SquareInSpan"]
     pair = _find_pair(a, pool)
     if pair is not None:
@@ -274,7 +276,7 @@ def _pminus_branch(a: Algebra, trace: list):
     for m in range(2, n):
         lead = reb.constants[0][0][m]
         absorbed.append(vec_add(basis[m], vec_scale(basis[0], lead)))
-    reb2, _ = rebase(a, absorbed)
+    reb2, minv = rebase(a, absorbed)
     suspects: list = []
     for m in range(1, n):
         col = [reb2.constants[k][0][m] for k in range(n)]
@@ -286,7 +288,7 @@ def _pminus_branch(a: Algebra, trace: list):
             ]
     if suspects:
         return _Failure("normalization e1*ei = ei failed", suspects)
-    return _assemble(a, absorbed, [0] + [1] * (n - 1), Tag.P_MINUS, trace)
+    return _assemble(minv, [0] + [1] * (n - 1), Tag.P_MINUS, trace)
 
 
 def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
@@ -298,7 +300,7 @@ def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
     """
     n = a.dim
     basis = extend_basis(n, [x, y, a.product(x, y)])
-    reb, _ = rebase(a, basis)
+    reb, minv = rebase(a, basis)
     ok = True
     for k in range(2, n):
         if reb.constants[k][0][0] or reb.constants[k][1][1]:
@@ -310,7 +312,7 @@ def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
             "polarization identities failed on a mixed-product frame",
             [x, y, vec_add(x, y)],
         )
-    return _assemble(a, basis, [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
+    return _assemble(minv, [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
 
 
 def _nu_branch(a: Algebra, trace: list):
@@ -357,7 +359,7 @@ def _nu_branch(a: Algebra, trace: list):
     if suspects:
         return _Failure("idempotent sum relations failed", suspects)
     final = [b1] + [vec_sub(w, b1) for w in ordered[1:k]] + ordered[k:]
-    reb, _ = rebase(a, final)
+    reb, minv = rebase(a, final)
     head = [reb.constants[kk][0][0] for kk in range(n)]
     if any(head[kk] != (ONE if kk == 0 else ZERO) for kk in range(n)):
         return _Failure("idempotent head product broke", [b1])
@@ -382,4 +384,4 @@ def _nu_branch(a: Algebra, trace: list):
                     "direction scalars disagree",
                     [vec_add(final[1], final[m])],
                 )
-    return _assemble(a, final, [0] + [1] * (n - 1), Tag.NU, trace, alpha)
+    return _assemble(minv, [0] + [1] * (n - 1), Tag.NU, trace, alpha)

@@ -45,6 +45,7 @@ from .jsonio import (
     recognition_to_dict,
     report_to_dict,
     save_path,
+    witness_from_dict,
     witness_to_dict,
 )
 from .recognize import recognize
@@ -68,17 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a degeneration witness exactly")
     p.add_argument("--algebra", required=True, help="algebra JSON file")
-    p.add_argument("--family", required=True, help="family JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
+    p.add_argument("--family", help="family JSON file")
+    group = p.add_mutually_exclusive_group()
     group.add_argument("--target", help="canonical-form JSON file")
     group.add_argument(
         "--target-canonical",
         metavar="SPEC",
         help="inline target, e.g. lambda2:5 or nu:4:2/3",
     )
+    p.add_argument("--witness", help="witness JSON file, as classify --out writes it; "
+                   "takes the place of --family and the target")
     p.add_argument("--up-to-iso", action="store_true",
                    help="compare via recognition instead of entrywise")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(check=functools.partial(_check_verify_sources, p))
 
     p = sub.add_parser("classify", help="produce a verified degeneration witness")
     p.add_argument("--algebra", required=True)
@@ -119,6 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_verify_sources(p: argparse.ArgumentParser, args) -> None:
+    """Either --witness alone, or --family with one target option; argparse's
+    groups cannot say so, so the errors are raised here in its words."""
+    if args.witness is not None:
+        for flag in ("family", "target", "target_canonical"):
+            if getattr(args, flag) is not None:
+                option = "--" + flag.replace("_", "-")
+                p.error(f"argument --witness: not allowed with argument {option}")
+    elif args.family is None:
+        p.error("the following arguments are required: --family")
+    elif args.target is None and args.target_canonical is None:
+        p.error("one of the arguments --target --target-canonical is required")
+
+
 def parse_canonical_spec(spec: str) -> CanonicalForm:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
@@ -138,12 +156,16 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_verify(args) -> int:
     a = algebra_from_dict(load_path(args.algebra))
-    family = family_from_dict(load_path(args.family))
-    if args.target:
-        target = canonical_form_from_dict(load_path(args.target))
+    if args.witness is not None:
+        witness = witness_from_dict(load_path(args.witness))
     else:
-        target = parse_canonical_spec(args.target_canonical)
-    report = verify_degeneration(a, Witness(family, target), up_to_iso=args.up_to_iso)
+        family = family_from_dict(load_path(args.family))
+        if args.target is not None:
+            target = canonical_form_from_dict(load_path(args.target))
+        else:
+            target = parse_canonical_spec(args.target_canonical)
+        witness = Witness(family, target)
+    report = verify_degeneration(a, witness, up_to_iso=args.up_to_iso)
     if args.json:
         sys.stdout.write(dumps(report_to_dict(report)))
     else:
@@ -229,6 +251,8 @@ def cmd_canonical(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if hasattr(args, "check"):
+            args.check(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     # the handler is looked up per call, so a rebound cmd_* is honoured

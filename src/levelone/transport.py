@@ -21,9 +21,14 @@ Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then
 g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
 t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
-b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``transport_limit``
-and ``ParamMatrix.det`` read such a family off b and det m over Q and use the
-kernel for every other one.
+b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``ParamMatrix.det``
+reads det m over Q.  ``transport_limit`` inverts m and has the integer
+contraction ``algebra._contract`` form only the entries of b with
+e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
+e_k < e_i + e_j is a pole, and without poles the formed tensor, whose
+nonzero entries all have e_k = e_i + e_j, is the limit in its stored form.
+For a lambda2 witness, e = -(1, 2, ..., 2), that is n - 1 entries of n^3.
+Every other family goes through the kernel.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
 rational basis change g(t0), so ``transport_at`` evaluates g first and
@@ -39,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, apply_basis_change
+from .algebra import Algebra, _contract, apply_basis_change
 from .canonical import CanonicalForm, construct
 from .errors import (
     DegreeOverflow,
@@ -50,7 +55,7 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import addmul, bareiss, mat_det
+from .linalg import addmul, bareiss, mat_det, mat_inverse
 from .poly import (
     FE_ONE,
     FE_ZERO,
@@ -324,7 +329,9 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     For a row-monomial g = diag(t^e) * m, g^-1 = m^-1 diag(t^-e), so entry
     (k, i, j) is b[k][i][j] * t^(e_k - e_i - e_j) with b the rational basis
     change of a by m: a pole where the exponent is negative and b != 0, b
-    where it is 0, and 0 where it is positive.
+    where it is 0, and 0 where it is positive.  Only the entries with
+    e_k <= e_i + e_j are formed, over Z; the limit is their integer tensor
+    over its common denominator, with no Fraction per entry.
 
     Any other g goes through the fraction-free numerator.  Entry (k, i, j)
     is L*D*N/(cden*d^2) with N over Z[t], of valuation
@@ -338,14 +345,15 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     if rm is not None:
         e, m = rm
         try:
-            b = apply_basis_change(a, m).entries()
+            minv = mat_inverse(m)
         except SingularMatrix:
             raise SingularFamily(SINGULAR) from None
-        shift = {(k, i, j): e[k] - e[i] - e[j] for k, i, j in b}
-        poles = sorted((k + 1, i + 1, j + 1) for (k, i, j), x in shift.items() if x < 0)
+        b = _contract(a, m, minv, e)
+        poles = sorted((k + 1, i + 1, j + 1) for (i, j), hits in b.integer_slices()[1].items()
+                       for k, _ in hits if e[k] < e[i] + e[j])
         if poles:
             raise NoLimit(poles)
-        return Algebra.from_entries(a.dim, {kij: c for kij, c in b.items() if shift[kij] == 0})
+        return b
     ff = _FractionFree(g)
     # every entry of R = d * P^-1, and so d = (R.P)[0][0], is a multiple of
     # t^v; cancelling it leaves R / d alone and lowers top by 2v

@@ -23,6 +23,7 @@ from levelone import (
     subspace_product,
     unit_vector,
 )
+from levelone.algebra import _contract
 from levelone.linalg import mat_inverse, mat_mul, mat_vec
 
 from conftest import algebras, invertible_matrices, small_rationals
@@ -336,3 +337,38 @@ class TestStoredForm:
     def test_entries_outside_the_index_range_are_rejected(self, key):
         with pytest.raises(DimensionMismatch):
             Algebra.from_entries(2, {key: 1})
+
+
+@st.composite
+def exponent_vectors(draw, n):
+    """Exponents in [-4, 4]: any, all equal, or all negative."""
+    kind = draw(st.sampled_from(("any", "equal", "negative")))
+    if kind == "equal":
+        return [draw(st.integers(-4, 4))] * n
+    hi = -1 if kind == "negative" else 4
+    return draw(st.lists(st.integers(-4, hi), min_size=n, max_size=n))
+
+
+@st.composite
+def rational_matrices(draw, n):
+    """Square rational matrices, often with zero entries and zero rows."""
+    coeff = st.one_of(st.just(F(0)), small_rationals)
+    m = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        m[i] = [F(0)] * n
+    return m
+
+
+class TestBoundedContraction:
+    @given(tensors(), st.data())
+    @settings(max_examples=200)
+    def test_equals_the_full_contraction_on_every_formed_entry(self, a, data):
+        n = a.dim
+        e = data.draw(exponent_vectors(n))
+        g, h = data.draw(rational_matrices(n)), data.draw(rational_matrices(n))
+        full = _contract(a, g, h)
+        bounded = _contract(a, g, h, e)
+        assert bounded == Algebra(n, bounded.constants)  # a canonical stored form
+        assert bounded.entries() == {
+            (k, i, j): v for (k, i, j), v in full.entries().items() if e[k] <= e[i] + e[j]}
+        assert list(bounded.entries()) == sorted(bounded.entries(), key=lambda x: x[1:])

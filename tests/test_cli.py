@@ -104,6 +104,13 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_empty_target_path_is_usage_error(self, capsys):
+        # an empty --target is a path that does not exist, not a missing option
+        code = main(["verify", "--algebra", canonical_path("pplus_n3"),
+                     "--family", family_path("pplus_to_lambda2_n3"), "--target", ""])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_target_spec(self, capsys):
         code, _ = run(
             capsys, "verify",
@@ -112,6 +119,95 @@ class TestVerify:
             "--target-canonical", "pminus",
         )
         assert code == 2
+
+
+# squares stay on their lines (x*x = x_1 x), but e1*e2 = e2/2 + e3 leaves the
+# plane of e1 and e2: the classifier's mixed-product branch onto n3minus
+MIXED_PRODUCT_N3 = {"dim": 3, "products": [
+    {"left": 1, "right": 1, "result": 1, "coeff": "1"},
+    {"left": 1, "right": 2, "result": 2, "coeff": "1/2"},
+    {"left": 1, "right": 2, "result": 3, "coeff": "1"},
+    {"left": 2, "right": 1, "result": 2, "coeff": "1/2"},
+    {"left": 2, "right": 1, "result": 3, "coeff": "-1"},
+    {"left": 1, "right": 3, "result": 3, "coeff": "1/2"},
+    {"left": 3, "right": 1, "result": 3, "coeff": "1/2"},
+]}
+
+# one input per classify branch: (algebra fixture or table, trace head, target)
+CLASSIFY_BRANCHES = {
+    "anticommutative pair": ("n3minus_n4", ["Antisymmetric", "PairWitnessFound"], "n3minus"),
+    "pminus": ("pminus_n4", ["Antisymmetric", "PairWitnessAbsent"], "pminus"),
+    "square": ("pplus_n3", ["SquareWitnessFound"], "lambda2"),
+    "mixed pair": (MIXED_PRODUCT_N3, ["SquareInSpan", "PairWitnessFound"], "n3minus"),
+    "nu": ("nu_n3_alpha_2_3", ["SquareInSpan", "NuNormalization"], "nu"),
+}
+
+
+class TestVerifyWitnessFile:
+    @pytest.mark.parametrize("branch", CLASSIFY_BRANCHES)
+    def test_classify_out_verifies_from_the_file(self, capsys, tmp_path, branch):
+        source, trace, tag = CLASSIFY_BRANCHES[branch]
+        if isinstance(source, dict):
+            algebra = str(tmp_path / "a.json")
+            save_path(algebra, source)
+        else:
+            algebra = canonical_path(source)
+        witness = tmp_path / "w.json"
+        code, _ = run(capsys, "classify", "--algebra", algebra, "--out", str(witness))
+        assert code == 0
+        doc = json.loads(witness.read_text())
+        assert [step.split(" ")[0] for step in doc["trace"]] == trace
+        assert doc["target"]["tag"] == tag
+        code, out = run(capsys, "verify", "--algebra", algebra, "--witness", str(witness))
+        assert (code, out) == (0, "PASS\n")
+        # the same report as the family and target given apart
+        family, target = tmp_path / "g.json", tmp_path / "target.json"
+        save_path(str(family), doc["family"])
+        save_path(str(target), doc["target"])
+        apart = run(capsys, "verify", "--algebra", algebra, "--family", str(family),
+                    "--target", str(target), "--json")
+        together = run(capsys, "verify", "--algebra", algebra, "--witness", str(witness),
+                       "--json")
+        assert together == apart and together[0] == 0
+        # a witness whose target is edited no longer verifies
+        doc["target"] = {"tag": "lambda2" if tag != "lambda2" else "pminus",
+                         "dim": doc["target"]["dim"]}
+        save_path(str(witness), doc)
+        code, out = run(capsys, "verify", "--algebra", algebra, "--witness", str(witness))
+        assert code == 1 and out.startswith("FAIL")
+
+    @pytest.mark.parametrize("extra", [
+        ["--family", family_path("pplus_to_lambda2_n3")],
+        ["--target-canonical", "lambda2:3"],
+        ["--target", "t.json"],
+        ["--family", family_path("pplus_to_lambda2_n3"), "--target-canonical", "lambda2:3"],
+    ])
+    def test_witness_with_a_family_or_target_is_a_usage_error(self, capsys, tmp_path, extra):
+        witness = tmp_path / "w.json"
+        assert main(["classify", "--algebra", canonical_path("pplus_n3"),
+                     "--out", str(witness)]) == 0
+        code = main(["verify", "--algebra", canonical_path("pplus_n3"),
+                     "--witness", str(witness), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "argument --witness: not allowed with argument --" in err
+
+    @pytest.mark.parametrize("args,message", [
+        ([], "the following arguments are required: --family"),
+        (["--target-canonical", "lambda2:3"], "the following arguments are required: --family"),
+        (["--family", family_path("pplus_to_lambda2_n3")],
+         "one of the arguments --target --target-canonical is required"),
+    ])
+    def test_without_a_witness_family_and_target_are_required(self, capsys, args, message):
+        code = main(["verify", "--algebra", canonical_path("pplus_n3"), *args])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_witness_file_of_the_wrong_shape_is_a_usage_error(self, capsys):
+        code = main(["verify", "--algebra", canonical_path("pplus_n3"),
+                     "--witness", canonical_path("pplus_n3")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: witness JSON missing field 'family'\n"
 
 
 class TestClassify:
@@ -540,9 +636,13 @@ target_docs = st.fixed_dictionaries(
     {"tag": st.sampled_from([t.value for t in Tag]) | junk, "dim": dims},
     optional={"alpha": rationals},
 ) | junk
+witness_docs = st.fixed_dictionaries(
+    {"family": family_docs, "target": target_docs},
+    optional={"trace": st.lists(st.text(max_size=5), max_size=2) | junk},
+) | junk
 
-# argv templates: "A", "G" and "T" stand for files holding a hostile algebra,
-# family and target, "P" for an evaluation point
+# argv templates: "A", "G", "T" and "W" stand for files holding a hostile
+# algebra, family, target and witness, "P" for an evaluation point
 FUZZED = {
     "recognize": ["recognize", "--algebra", "A"],
     "classify": ["classify", "--algebra", "A"],
@@ -550,6 +650,7 @@ FUZZED = {
                         "--family", family_path("pplus_to_lambda2_n3"), "--target", "T"],
     "verify --family": ["verify", "--algebra", canonical_path("pplus_n3"), "--family", "G",
                         "--target-canonical", "lambda2:3", "--json"],
+    "verify --witness": ["verify", "--algebra", canonical_path("pplus_n3"), "--witness", "W"],
     "transport --limit": ["transport", "--algebra", "A", "--family", "G", "--limit"],
     "transport --at": ["transport", "--algebra", "A", "--family", "G", "--at", "P"],
 }
@@ -559,7 +660,8 @@ FUZZED = {
 def test_hostile_json_gets_an_exit_code_not_a_traceback(command, tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
 
-    @given(st.fixed_dictionaries({"A": algebra_docs, "G": family_docs, "T": target_docs}),
+    @given(st.fixed_dictionaries({"A": algebra_docs, "G": family_docs, "T": target_docs,
+                                  "W": witness_docs}),
            st.sampled_from(["0", "1", "1/2", "-3/2", "x", "1/0"]))
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])

@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import json
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,10 @@ from levelone.poly import FE_ONE, FE_ZERO, FieldElement
 from levelone.transport import _row_monomial
 
 from conftest import algebras, fe, nonzero_rationals
+
+# ``levelone.transport`` is also the name of a function the package exports
+algebra_module = importlib.import_module("levelone.algebra")
+transport_module = importlib.import_module("levelone.transport")
 
 
 def canon(tag, n, alpha=None):
@@ -376,6 +382,33 @@ class TestRowMonomial:
         a = random_algebra(g.dim, 0.5, seed)
         assert limit_outcome(lambda: transport_limit(a, g)) == limit_outcome(
             lambda: limit_at_zero(transport(a, g)))
+
+    @given(row_monomial_families(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_read_off_builds_no_entry_dict_and_no_full_basis_change(self, g, seed):
+        # the read-off contracts only the entries that survive t -> 0 and
+        # builds the limit from their integers: no Algebra.entries(), no
+        # apply_basis_change
+        a = random_algebra(g.dim, 0.5, seed)
+        want = limit_outcome(lambda: limit_at_zero(transport(a, g)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the read-off formed the full tensor")
+
+        with mock.patch.object(Algebra, "entries", refuse), \
+                mock.patch.object(algebra_module, "apply_basis_change", refuse), \
+                mock.patch.object(transport_module, "apply_basis_change", refuse):
+            got = limit_outcome(lambda: transport_limit(a, g))
+        assert got == want
+
+    def test_read_off_of_a_witness_without_the_full_tensor(self, monkeypatch):
+        a = canon(Tag.P_PLUS, 3)
+        monkeypatch.setattr(Algebra, "entries", None)
+        monkeypatch.setattr(transport_module, "apply_basis_change", None)
+        assert transport_limit(a, pplus_to_lambda2(3)) == canon(Tag.LAMBDA2, 3)
+        with pytest.raises(NoLimit) as exc:
+            transport_limit(canon(Tag.LAMBDA2, 3), ParamMatrix.diagonal_powers([1, 0, 0]))
+        assert exc.value.entries == [(2, 1, 1)]
 
     @given(row_monomial_families())
     @settings(max_examples=80, deadline=None)

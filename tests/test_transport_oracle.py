@@ -17,10 +17,13 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from levelone import (  # noqa: E402
     CanonicalForm,
+    ClassifierConfig,
     NoLimit,
     ParamMatrix,
     SingularFamily,
     Tag,
+    apply_basis_change,
+    classify,
     construct,
     invert,
     random_algebra,
@@ -160,6 +163,47 @@ def test_row_monomial_read_off_agrees_with_sympy(a, g):
 
 def test_the_row_monomial_cases_reach_both_outcomes():
     outcomes = [ours_limit(a, g)[0] is None for a, g in ROW_MONOMIAL_CASES]
+    assert any(outcomes) and not all(outcomes)
+
+
+def classify_witness_cases():
+    """(algebra, classify witness family) with the witness's target, for
+    each target the classifier reaches, at n = 3..5: the target in a random
+    basis, and for lambda2 a random algebra too.  Each family is also
+    applied to a second random algebra, where most entries are dropped at
+    t = 0 and poles appear."""
+    rng = random.Random(20261019)
+    out = []
+    for n in (3, 4, 5):
+        for tag, alpha in ((Tag.LAMBDA2, None), (Tag.NU, F(2, 3)), (Tag.P_MINUS, None),
+                           (Tag.N3_MINUS, None)):
+            form = CanonicalForm(tag, n, alpha)
+            inputs = [apply_basis_change(construct(form), random_invertible_matrix(n, rng))]
+            if tag is Tag.LAMBDA2:
+                inputs.append(random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True))
+            for a in inputs:
+                w = classify(a, ClassifierConfig(seed=rng.randrange(10**6)))
+                other = random_algebra(n, 0.4, rng.randrange(10**6), nonabelian=True)
+                out += [(a, w.family, w.target), (other, w.family, None)]
+    return out
+
+
+WITNESS_CASES = classify_witness_cases()
+
+
+@pytest.mark.parametrize("a,g,target", WITNESS_CASES)
+def test_classify_witness_read_off_agrees_with_sympy(a, g, target):
+    assert _row_monomial(g) is not None
+    ours = ours_limit(a, g)
+    assert ours == oracle_limit(a, g)
+    if target is not None:
+        assert ours == (construct(target).entries(), None)
+
+
+def test_the_witness_cases_reach_every_target_and_both_outcomes():
+    targets = {target.tag for _, _, target in WITNESS_CASES if target is not None}
+    assert targets == {Tag.LAMBDA2, Tag.NU, Tag.P_MINUS, Tag.N3_MINUS}
+    outcomes = [ours_limit(a, g)[0] is None for a, g, target in WITNESS_CASES if target is None]
     assert any(outcomes) and not all(outcomes)
 
 
