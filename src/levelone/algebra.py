@@ -18,7 +18,14 @@ One integer contraction, ``_contract``, is behind ``apply_basis_change``,
 ``rebase`` and the t -> 0 read-off of a row-monomial family diag(t^e) * m in
 ``transport``.  Given e, it forms only the entries (k, i, j) with
 e_k <= e_i + e_j, the ones that do not vanish at t = 0; without e it forms
-every entry.
+every entry.  It takes both matrices over Z as (den, integer rows): each
+caller scales its rational input once, and an inverse comes straight from
+the integer elimination (``linalg._inverse``) with no Fraction in between.
+
+``_frame`` completes seed vectors to a frame and returns the frame's
+inverse from the same elimination; ``extend_basis`` is its basis, and the
+classifier and recognizer rebase onto a frame through that inverse
+(``_rebased``) instead of inverting it again.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _int_matrix, _inverse_of
 from .errors import DimensionMismatch, SingularMatrix
 
 ZERO = Fraction(0)
@@ -198,12 +206,6 @@ def _int_vector(v) -> tuple[int, list]:
     """(den, den * v) over Z, den the lcm of the entry denominators."""
     den = math.lcm(*(x.denominator for x in v))
     return den, [x.numerator * (den // x.denominator) for x in v]
-
-
-def _int_matrix(m: list) -> tuple[int, list]:
-    """(den, den * m) over Z, den the lcm of all entry denominators."""
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
 
 
 def _primitive(v: Vector) -> list:
@@ -399,36 +401,40 @@ def apply_basis_change(a: Algebra, g: list) -> Algebra:
     n = a.dim
     if len(g) != n or any(len(row) != n for row in g):
         raise DimensionMismatch("matrix size does not match algebra dimension")
-    return _contract(a, g, linalg.mat_inverse(g))  # raises SingularMatrix
+    g = _int_matrix(g)
+    return _contract(a, g, _inverse_of(g))  # raises SingularMatrix
 
 
-def _contract(a: Algebra, g: list, h: list, e=None) -> Algebra:
+def _contract(a: Algebra, g: tuple, h: tuple, e=None) -> Algebra:
     """The tensor c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j],
     formed only where e_k <= e_i + e_j; the other entries are left 0.
 
+    g and h come over Z as (dg, G) and (dh, H), g = G / dg and h = H / dh,
+    straight from an elimination or from one scaling of a rational matrix.
     For a family diag(t^e) * g with h = g^-1, entry (k, i, j) of the
     transported tensor is t^(e_k - e_i - e_j) c'[k][i][j], so the entries
     left out are exactly those that vanish at t = 0.  No exponents means
     e = 0: every entry is formed.
 
-    With G = dg * g, H = dh * h and C = cden * c over Z, the sum G.C.(H x H)
-    runs in ints over the nonzero (s, t) slices of C, and only over the pairs
-    (i, j) with e_i + e_j >= min(e); taken by e_i + e_j descending, the
-    pairs that row k of G needs are a prefix of them.  The result's stored
-    form is the integer tensor over dg * dh^2 * cden, both divided by their
-    gcd.
+    With C = cden * c over Z, the sum G.C.(H x H) runs in ints over the
+    nonzero (s, t) slices of C, and only over the pairs (i, j) with
+    e_i + e_j >= min(e), visiting only the i that have such a pair; taken by
+    e_i + e_j descending, the pairs that row k of G needs are a prefix of
+    them.  The result's stored form is the integer tensor over
+    dg * dh^2 * cden, both divided by their gcd.
     """
     n = a.dim
     cden, slices = a._cden, a._slices
-    dg, G = _int_matrix(g)
-    dh, H = _int_matrix(h)
+    dg, G = g
+    dh, H = h
     pairs, width, by_i = _pair_order((0,) * n if e is None else tuple(e))
     mid = [[0] * len(pairs) for _ in range(n)]  # mid[r][p] = (C.(H x H))[r][pairs[p]]
     for (s, t), hits in slices.items():
-        ht = H[t]
-        for i, x in enumerate(H[s]):
+        hs, ht = H[s], H[t]
+        for i, js in by_i:
+            x = hs[i]
             if x:
-                for j, p in by_i[i]:
+                for j, p in js:
                     y = ht[j]
                     if y:
                         xy = x * y
@@ -456,7 +462,8 @@ def _contract(a: Algebra, g: list, h: list, e=None) -> Algebra:
 def _pair_order(e: tuple) -> tuple:
     """(pairs, width, by_i) for ``_contract``: the pairs (i, j) with
     e_i + e_j >= min(e) by e_i + e_j descending, the length of row k's
-    prefix of them, and by_i[i] = ((j, position of (i, j)), ...)."""
+    prefix of them, and by_i = ((i, ((j, position of (i, j)), ...)), ...)
+    over the rows i that have such a pair."""
     n = len(e)
     lo = min(e)
     pairs = sorted(((i, j) for i in range(n) for j in range(n) if e[i] + e[j] >= lo),
@@ -466,7 +473,13 @@ def _pair_order(e: tuple) -> tuple:
     by_i = [[] for _ in range(n)]
     for p, (i, j) in enumerate(pairs):
         by_i[i].append((j, p))
-    return tuple(pairs), tuple(width), tuple(map(tuple, by_i))
+    return (tuple(pairs), tuple(width),
+            tuple((i, tuple(js)) for i, js in enumerate(by_i) if js))
+
+
+def _frame_matrix(n: int, basis: list) -> tuple[int, list]:
+    """(den, den * F) over Z for the frame F whose columns are the basis."""
+    return _int_matrix([[basis[j][i] for j in range(n)] for i in range(n)])
 
 
 def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:
@@ -476,13 +489,17 @@ def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:
     i.e. apply_basis_change(a, m) with m the inverse of the frame matrix;
     the frame itself is m^-1, so it is inverted once.
     """
-    n = a.dim
-    frame = [[basis[j][i] for j in range(n)] for i in range(n)]
+    h = _frame_matrix(a.dim, basis)
     try:
-        m = linalg.mat_inverse(frame)
+        g = _inverse_of(h)
     except SingularMatrix:
         raise SingularMatrix("proposed basis is linearly dependent")
-    return _contract(a, m, frame), m
+    return _contract(a, g, h), linalg._fractions(g)
+
+
+def _rebased(a: Algebra, basis: list, inverse: tuple) -> Algebra:
+    """``rebase(a, basis)[0]`` for a frame whose inverse (den, rows) is known."""
+    return _contract(a, inverse, _frame_matrix(a.dim, basis))
 
 
 def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:
@@ -493,15 +510,36 @@ def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:
     are the pivot columns of the matrix whose columns are the seeds and then
     the pool.  Raises when the pool cannot reach full rank.
     """
+    return _frame(a_dim, vectors, pool)[0]
+
+
+def _frame(n: int, seeds: list, pool: list | None = None) -> tuple[list, tuple]:
+    """(basis, inverse): ``extend_basis(n, seeds, pool)`` and the inverse
+    (den, rows) of the frame whose columns it is, from one elimination.
+
+    The matrix whose columns are the seeds, then the pool, then I is
+    eliminated once, each row scaled to integers; with the default pool,
+    the pool block is I and nothing is appended.  The I block of the
+    echelon, each row over its pivot, is the frame's inverse.
+    """
+    k = len(seeds)
     if pool is None:
-        pool = [unit_vector(a_dim, i) for i in range(a_dim)]
-    cands = [*vectors, *pool]
-    _, pivots = linalg._echelon([list(col) for col in zip(*cands)])
-    if pivots[: len(vectors)] != list(range(len(vectors))):
+        cands, width = [*seeds, *_deterministic_candidates(n)[:n]], k
+    else:
+        cands = [*seeds, *pool]
+        width = len(cands)  # where the appended I block starts
+    work, head = [], cands[:width]
+    for i in range(n):
+        den, row = _int_vector([v[i] for v in head])
+        row += [0] * n
+        row[width + i] = den
+        work.append(row)
+    work, pivots = linalg._echelon(work)
+    if pivots[:k] != list(range(k)):
         raise SingularMatrix("seed vectors are linearly dependent")
-    if len(pivots) != a_dim:
+    if pivots and pivots[-1] >= len(cands):  # a pivot in the appended I block
         raise SingularMatrix("candidate pool does not complete the basis")
-    return [tuple(cands[p]) for p in pivots]
+    return [tuple(cands[p]) for p in pivots], linalg._pivot_inverse(work, pivots, width)
 
 
 def deterministic_candidates(n: int) -> list:

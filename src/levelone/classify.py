@@ -37,6 +37,8 @@ from . import linalg
 from .algebra import (
     Algebra,
     Vector,
+    _frame,
+    _rebased,
     deterministic_candidates,
     extend_basis,
     proportionality,
@@ -115,7 +117,8 @@ def span_witness_search(a: Algebra, mode: str, cfg: ClassifierConfig | None = No
     rng = random.Random(cfg.seed)
     pool = _pool(a.dim, cfg, rng, [])
     if mode == "square":
-        return _find_square(a, pool)
+        hit = _find_square(a, pool)
+        return hit and hit[0]
     if mode == "pair":
         return _find_pair(a, pool)
     raise ValueError(f"unknown search mode {mode!r}")
@@ -172,12 +175,13 @@ def _pool(n: int, cfg: ClassifierConfig, rng: random.Random, suspects: list) -> 
 
 
 def _find_square(a: Algebra, pool):
+    """(x, x*x) for the first x in the pool whose square leaves its line."""
     if a.dim < 2:
         return None
     for x in pool:
         s = a.product(x, x)
         if not vec_is_zero(s) and proportionality(s, x) is None:
-            return x
+            return x, s
     return None
 
 
@@ -200,18 +204,14 @@ def _fmt(v: Vector) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _frame_inverse(basis: list) -> list:
-    """The inverse of the frame whose columns are the basis vectors: the
-    matrix ``rebase`` returns, for branches that do not rebase."""
-    return linalg.mat_inverse([list(col) for col in zip(*basis)])
-
-
 def _assemble(minv: list, weights: list, tag: Tag, trace: list, alpha=None) -> Witness:
     """Family = diag(t^-w) composed with the change onto a frame, minv the
-    frame's inverse; entry (i, j) is the monomial minv[i][j] * t^-w_i."""
+    frame's inverse; entry (i, j) is the monomial minv[i][j] * t^-w_i, built
+    in the reduced form that ``FieldElement.from_laurent`` gives it (every
+    w >= 0)."""
     n = len(minv)
     family = ParamMatrix(n, tuple(
-        tuple(FieldElement.from_laurent({-w: c}) if c else FE_ZERO for c in row)
+        tuple(FieldElement._raw({0: c}, {w: ONE}) if c else FE_ZERO for c in row)
         for w, row in zip(weights, minv)
     ))
     return Witness(family, CanonicalForm(tag, n, alpha), tuple(trace))
@@ -228,15 +228,17 @@ def _attempt(a: Algebra, pool):
         if pair is not None:
             x, y = pair
             trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
-            basis = extend_basis(n, [x, y, a.product(x, y)])
-            return _assemble(_frame_inverse(basis), [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
+            _, inv = _frame(n, [x, y, a.product(x, y)])
+            return _assemble(linalg._fractions(inv), [1, 1] + [2] * (n - 2), Tag.N3_MINUS,
+                             trace)
         trace.append("PairWitnessAbsent")
         return _pminus_branch(a, trace)
     sq = _find_square(a, pool)
     if sq is not None:
-        trace = [f"SquareWitnessFound x={_fmt(sq)}"]
-        basis = extend_basis(n, [sq, a.product(sq, sq)])
-        return _assemble(_frame_inverse(basis), [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
+        x, square = sq
+        trace = [f"SquareWitnessFound x={_fmt(x)}"]
+        _, inv = _frame(n, [x, square])
+        return _assemble(linalg._fractions(inv), [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
     trace = ["SquareInSpan"]
     pair = _find_pair(a, pool)
     if pair is not None:
@@ -270,8 +272,8 @@ def _pminus_branch(a: Algebra, trace: list):
     g2, g1 = q[second], q[first]
     b1 = vec_scale(unit_vector(n, first), 1 / g2)
     b2 = vec_add(unit_vector(n, second), vec_scale(b1, g1))
-    basis = extend_basis(n, [b1, b2])
-    reb, _ = rebase(a, basis)
+    basis, inv = _frame(n, [b1, b2])
+    reb = _rebased(a, basis, inv)
     absorbed = [basis[0], basis[1]]
     for m in range(2, n):
         lead = reb.constants[0][0][m]
@@ -299,8 +301,8 @@ def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
     hidden square witness x + y when it fails.
     """
     n = a.dim
-    basis = extend_basis(n, [x, y, a.product(x, y)])
-    reb, minv = rebase(a, basis)
+    basis, inv = _frame(n, [x, y, a.product(x, y)])
+    reb = _rebased(a, basis, inv)
     ok = True
     for k in range(2, n):
         if reb.constants[k][0][0] or reb.constants[k][1][1]:
@@ -312,7 +314,7 @@ def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
             "polarization identities failed on a mixed-product frame",
             [x, y, vec_add(x, y)],
         )
-    return _assemble(minv, [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
+    return _assemble(linalg._fractions(inv), [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
 
 
 def _nu_branch(a: Algebra, trace: list):

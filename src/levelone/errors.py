@@ -28,6 +28,14 @@ class ParseError(ValueError):
         self.token = token
 
 
+class CoefficientTooLarge(ValueError):
+    """An integer literal in the input has more digits than MAX_COEFF_DIGITS."""
+
+    def __init__(self, digits: int, bound: int):
+        super().__init__(f"integer literal of {digits} digits exceeds the bound of "
+                         f"{bound} digits")
+
+
 class DimensionMismatch(ValueError):
     """Operands live in spaces of different dimensions."""
 

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .algebra import Algebra, InvariantVector
 from .canonical import CanonicalForm, Tag
-from .errors import ParseError
+from .errors import CoefficientTooLarge, ParseError
 from .parser import parse_laurent, print_laurent
-from .poly import MAX_DIM, FieldElement
+from .poly import MAX_COEFF_DIGITS, MAX_DIM, FieldElement
 from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness
 
@@ -33,6 +33,9 @@ _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"bad rational literal: {text!r} (expected int[/uint])")
+    digits = max(map(len, text.lstrip("-").split("/")))
+    if digits > MAX_COEFF_DIGITS:  # int() would refuse it
+        raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
     return Fraction(text)
 
 

@@ -1,13 +1,18 @@
 """Exact linear algebra over Q with Fraction entries, and over Z[t].
 
-Matrices are lists of row lists; no function but ``bareiss`` mutates its
-arguments.  Reduced row echelon form is the canonical representative used for
+Matrices are lists of row lists; no function but ``bareiss`` and the private
+``_echelon`` mutates its arguments.  Reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  Over Q there is one elimination,
-``_echelon``: an integer Gauss-Jordan on rows scaled to integers and kept
-primitive.  ``rref``, ``rank``, ``mat_inverse`` (the echelon of [a | I]) and
-``nullspace`` read it, and so do ``algebra.extend_basis`` (the pivot columns
-of its candidates) and ``Subspace.contains`` (a rank); only output entries
-are built as Fractions.
+``_echelon``: an integer Gauss-Jordan on integer rows, kept primitive.
+``rref``, ``rank`` and ``nullspace`` read it on rows scaled to integers, and
+so does ``Subspace.contains`` (a rank).  ``_inverse`` reads the echelon of
+[a | I] for an integer matrix a as (den, rows), rows / den = a^-1 over the
+lcm of the pivots; ``mat_inverse`` is its Fraction view, and basis changes
+and the row-monomial limit in ``transport`` take the integers as they are.
+``algebra._frame`` (behind ``extend_basis``) eliminates its candidates once
+and reads both the chosen frame (the pivot columns) and the frame's inverse
+(the identity block, each row over its pivot) off the same echelon.  Only
+output entries are built as Fractions.
 
 The one other elimination is ``bareiss``, a fraction-free Gauss-Jordan over
 Z[t] that works in place.  ``mat_det`` runs it on the row-scaled integer
@@ -55,20 +60,14 @@ def mat_trace(a: list) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
-def _echelon(rows: list) -> tuple[list, list]:
-    """Integer Gauss-Jordan: (primitive integer rows, pivot columns).
+def _echelon(work: list) -> tuple[list, list]:
+    """Integer Gauss-Jordan, in place, on nonzero rows of ints:
+    (primitive rows, pivot columns).
 
-    Entries may be ints or Fractions: each row is scaled to integers, zero
-    rows are dropped, and every changed row is divided by the gcd of its
-    entries, which keeps the row space and bounds the growth.  Row r has
-    its pivot at column pivots[r] and zeros in every other pivot column.
+    Every changed row is divided by the gcd of its entries, which keeps the
+    row space and bounds the growth.  Row r has its pivot at column
+    pivots[r] and zeros in every other pivot column.
     """
-    work = []
-    for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
-        ints = [x.numerator * (den // x.denominator) for x in r]
-        if any(ints):
-            work.append(ints)
     pivots: list[int] = []
     if not work:
         return work, pivots
@@ -93,6 +92,18 @@ def _echelon(rows: list) -> tuple[list, list]:
     return work, pivots
 
 
+def _scaled_echelon(rows: list) -> tuple[list, list]:
+    """``_echelon`` of rows of ints or Fractions, each scaled to integers;
+    zero rows are dropped."""
+    work = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        if any(ints):
+            work.append(ints)
+    return _echelon(work)
+
+
 def rref(rows: list) -> tuple[list, list]:
     """Reduced row echelon form.
 
@@ -100,7 +111,7 @@ def rref(rows: list) -> tuple[list, list]:
     coefficient 1 and cleared pivot columns, so equal row spaces give equal
     outputs.  Only these output entries are built as Fractions.
     """
-    work, pivots = _echelon(rows)
+    work, pivots = _scaled_echelon(rows)
     return [
         [Fraction(x, row[col]) if x else ZERO for x in row]
         for row, col in zip(work, pivots)
@@ -108,18 +119,60 @@ def rref(rows: list) -> tuple[list, list]:
 
 
 def rank(rows: list) -> int:
-    return len(_echelon(rows)[1])
+    return len(_scaled_echelon(rows)[1])
+
+
+def _pivot_inverse(work: list, pivots: list, start: int) -> tuple[int, list]:
+    """(den, rows) with rows / den the inverse of the frame an echelon chose.
+
+    The echelon E * [F ... | I] of a matrix with an identity block from
+    column ``start`` on has E * F = diag(pivot values) for F the pivot
+    columns, so F^-1 is the identity block with each row divided by its
+    pivot; den is the lcm of the pivots.
+    """
+    ps = [row[col] for row, col in zip(work, pivots)]
+    den = math.lcm(*ps)
+    return den, [[x * (den // p) for x in row[start:]] for row, p in zip(work, ps)]
+
+
+def _int_matrix(m: list) -> tuple[int, list]:
+    """(den, den * m) over Z, den the lcm of all entry denominators."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
+def _inverse(a: list) -> tuple[int, list]:
+    """(den, rows) with rows / den = a^-1 for an integer matrix a, from the
+    echelon of [a | I]; den is the lcm of the pivots, which is that of the
+    reduced denominators of a^-1."""
+    n = len(a)
+    work, pivots = _echelon([[*row, *(0,) * i, 1, *(0,) * (n - 1 - i)]
+                             for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular over Q")
+    return _pivot_inverse(work, pivots, n)
+
+
+def _inverse_of(m: tuple[int, list]) -> tuple[int, list]:
+    """(den, rows) of (M / d)^-1 = d * M^-1 for m = (d, M) over Z."""
+    d, rows = m
+    dd, inv = _inverse(rows)
+    g = math.gcd(d, dd)
+    if d == g:
+        return dd // g, inv
+    f = d // g
+    return dd // g, [[f * x for x in row] for row in inv]
+
+
+def _fractions(inv: tuple[int, list]) -> list:
+    """The Fraction matrix rows / den of a (den, rows) pair."""
+    den, rows = inv
+    return [[Fraction(x, den) if x else ZERO for x in row] for row in rows]
 
 
 def mat_inverse(a: list) -> list:
-    """The right half of the echelon form of [a | I], each row over its pivot."""
-    n = len(a)
-    work, pivots = _echelon(
-        [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    )
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular over Q")
-    return [[Fraction(x, row[i]) if x else ZERO for x in row[n:]] for i, row in enumerate(work)]
+    """a^-1 as Fractions: the view of ``_inverse`` of a scaled to integers."""
+    return _fractions(_inverse_of(_int_matrix(a)))
 
 
 def nullspace(rows: list) -> list:

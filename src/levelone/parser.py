@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import CoefficientTooLarge, ParseError
+from .poly import MAX_COEFF_DIGITS
 
 _DIGITS = set("0123456789")
 
@@ -36,6 +37,8 @@ class _Tokens:
                 j = i
                 while j < n and text[j] in _DIGITS:
                     j += 1
+                if j - i > MAX_COEFF_DIGITS:  # int() would refuse it
+                    raise CoefficientTooLarge(j - i, MAX_COEFF_DIGITS)
                 self.items.append(("int", text[i:j], i))
                 i = j
             elif ch == "t":

@@ -27,6 +27,11 @@ MAX_DEGREE = 10_000
 #: that many, so larger inputs are refused before anything is allocated.
 MAX_DIM = 64
 
+#: Hard cap on the digits of any integer literal read from input, a
+#: coefficient's numerator or denominator or an exponent; it is CPython's
+#: default int_max_str_digits, so every literal that converts today is kept.
+MAX_COEFF_DIGITS = 4300
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

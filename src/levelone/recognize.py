@@ -33,9 +33,10 @@ from . import linalg
 from .algebra import (
     Algebra,
     Subspace,
+    _frame,
+    _rebased,
     derived_subspace,
     deterministic_candidates,
-    extend_basis,
     product_form,
     products_vanish,
     proportionality,
@@ -92,7 +93,8 @@ def recognize(a: Algebra) -> RecognitionResult:
             b = product_form(a, square)
             r = linalg.rank(b)
             if r == 2 and n >= 3:
-                return _check_basis(a, _skew_pair_basis(a, b), Tag.N3_MINUS)
+                basis, inv = _skew_pair_basis(a, b)
+                return _check_basis(a, basis, Tag.N3_MINUS, inverse=inv)
             return _not_canonical(f"skew product form has rank {r}, need 2")
         if d2 == n - 1 and products_vanish(a, square.basis, square.basis):
             return _scalar_line_path(a, square, Tag.P_MINUS)
@@ -103,7 +105,8 @@ def recognize(a: Algebra) -> RecognitionResult:
         b = product_form(a, square)
         r = linalg.rank(b)
         if r == 1:
-            return _check_basis(a, _rank_one_basis(a, b), Tag.LAMBDA2)
+            basis, inv = _rank_one_basis(a, b)
+            return _check_basis(a, basis, Tag.LAMBDA2, inverse=inv)
         if r == 2 and n >= 3:
             return _symmetric_pair_path(a, b)
         return _not_canonical(
@@ -129,13 +132,21 @@ def alpha_of(a: Algebra) -> Fraction:
 # -- shared helpers ------------------------------------------------------
 
 
-def _check_basis(a: Algebra, basis: list, tag: Tag, alpha=None) -> RecognitionResult:
-    """Rebase and compare against the canonical table; iso on success."""
+def _check_basis(a: Algebra, basis: list, tag: Tag, alpha=None,
+                 inverse=None) -> RecognitionResult:
+    """Rebase and compare against the canonical table; iso on success.
+
+    ``inverse`` is the frame's inverse (den, rows) when ``algebra._frame``
+    chose the basis, so that it is not computed again.
+    """
     n = a.dim
     form = CanonicalForm(tag, n, alpha)
-    rebased, m = rebase(a, basis)
+    if inverse is None:
+        rebased, m = rebase(a, basis)
+    else:
+        rebased, m = _rebased(a, basis, inverse), None
     if rebased == construct(form):
-        return _recognized(form, m)
+        return _recognized(form, m if inverse is None else linalg._fractions(inverse))
     return _not_canonical(
         f"normalized table does not match {form.describe()}"
     )
@@ -155,8 +166,9 @@ def _form_value(b: list, x: Vector, y: Vector) -> Fraction:
 # -- one-dimensional-square paths ----------------------------------------
 
 
-def _skew_pair_basis(a: Algebra, b: list) -> list:
-    """Basis (u, v, u*v, radical...) with form value 1 on the leading pair."""
+def _skew_pair_basis(a: Algebra, b: list) -> tuple:
+    """Frame (u, v, u*v, radical...) with form value 1 on the leading pair,
+    with its inverse."""
     n = a.dim
     i, j = next(
         (i, j) for i in range(n) for j in range(n) if b[i][j]
@@ -165,17 +177,18 @@ def _skew_pair_basis(a: Algebra, b: list) -> list:
     v = vec_scale(unit_vector(n, j), 1 / b[i][j])
     b3 = a.product(u, v)
     radical = linalg.nullspace(b)
-    return extend_basis(n, [u, v, b3], pool=radical)
+    return _frame(n, [u, v, b3], pool=radical)
 
 
-def _rank_one_basis(a: Algebra, b: list) -> list:
-    """Basis (u, u*u, radical...); u*u is free, so no square roots appear."""
+def _rank_one_basis(a: Algebra, b: list) -> tuple:
+    """Frame (u, u*u, radical...) with its inverse; u*u is free, so no
+    square roots appear."""
     n = a.dim
     i = next(i for i in range(n) if b[i][i])
     u = unit_vector(n, i)
     b2 = a.product(u, u)
     radical = linalg.nullspace(b)
-    return extend_basis(n, [u, b2], pool=radical)
+    return _frame(n, [u, b2], pool=radical)
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction | None:
@@ -219,8 +232,8 @@ def _symmetric_pair_path(a: Algebra, b: list) -> RecognitionResult:
     v2 = vec_add(v1, vec_scale(w, -_form_value(b, v1, v1) / 2))
     b3 = a.product(w, v2)
     radical = linalg.nullspace(b)
-    basis = extend_basis(n, [w, v2, b3], pool=radical)
-    return _check_basis(a, basis, Tag.N3_PLUS)
+    basis, inv = _frame(n, [w, v2, b3], pool=radical)
+    return _check_basis(a, basis, Tag.N3_PLUS, inverse=inv)
 
 
 # -- scalar-action path (p+ and p-) --------------------------------------
@@ -281,9 +294,10 @@ def _try_nu(a: Algebra) -> RecognitionResult:
         rows.append([right[idx][j] - (beta if idx == j else ZERO) for j in range(n)])
     eigen = linalg.nullspace(rows)
     if len(eigen) == n - 1:
-        # extend_basis cannot raise: on the eigenspace e*e would be alpha*e =
+        # _frame cannot raise: on the eigenspace e*e would be alpha*e =
         # (1 - alpha)*e, which e*e = e rules out
-        result = _check_basis(a, extend_basis(n, [e], pool=eigen), Tag.NU, alpha)
+        basis, inv = _frame(n, [e], pool=eigen)
+        result = _check_basis(a, basis, Tag.NU, alpha, inverse=inv)
         if result.recognized:
             # the table is nu(alpha), so char(left) = (x - 1)(x - alpha)^(n-1)
             return result

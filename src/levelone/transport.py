@@ -22,9 +22,10 @@ them, are row-monomial: g = diag(t^e) * m with m rational.  Then
 g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
 t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
 b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``ParamMatrix.det``
-reads det m over Q.  ``transport_limit`` inverts m and has the integer
-contraction ``algebra._contract`` form only the entries of b with
-e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
+reads det m over Q.  ``transport_limit`` scales m to integers once, inverts
+that integer matrix (``linalg._inverse``, over one common denominator) and
+has the integer contraction ``algebra._contract`` form only the entries of b
+with e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
 e_k < e_i + e_j is a pole, and without poles the formed tensor, whose
 nonzero entries all have e_k = e_i + e_j, is the limit in its stored form.
 For a lambda2 witness, e = -(1, 2, ..., 2), that is n - 1 entries of n^3.
@@ -55,7 +56,7 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import addmul, bareiss, mat_det, mat_inverse
+from .linalg import _int_matrix, _inverse_of, addmul, bareiss, mat_det
 from .poly import (
     FE_ONE,
     FE_ZERO,
@@ -329,9 +330,10 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     For a row-monomial g = diag(t^e) * m, g^-1 = m^-1 diag(t^-e), so entry
     (k, i, j) is b[k][i][j] * t^(e_k - e_i - e_j) with b the rational basis
     change of a by m: a pole where the exponent is negative and b != 0, b
-    where it is 0, and 0 where it is positive.  Only the entries with
-    e_k <= e_i + e_j are formed, over Z; the limit is their integer tensor
-    over its common denominator, with no Fraction per entry.
+    where it is 0, and 0 where it is positive.  m is scaled to integers
+    once and inverted over Z; only the entries with e_k <= e_i + e_j are
+    formed, and the limit is their integer tensor over its common
+    denominator, with no Fraction per entry.
 
     Any other g goes through the fraction-free numerator.  Entry (k, i, j)
     is L*D*N/(cden*d^2) with N over Z[t], of valuation
@@ -344,8 +346,9 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     rm = _row_monomial(g)
     if rm is not None:
         e, m = rm
+        m = _int_matrix(m)
         try:
-            minv = mat_inverse(m)
+            minv = _inverse_of(m)
         except SingularMatrix:
             raise SingularFamily(SINGULAR) from None
         b = _contract(a, m, minv, e)

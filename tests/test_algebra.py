@@ -24,7 +24,7 @@ from levelone import (
     unit_vector,
 )
 from levelone.algebra import _contract
-from levelone.linalg import mat_inverse, mat_mul, mat_vec
+from levelone.linalg import _int_matrix, mat_inverse, mat_mul, mat_vec
 
 from conftest import algebras, invertible_matrices, small_rationals
 
@@ -366,6 +366,7 @@ class TestBoundedContraction:
         n = a.dim
         e = data.draw(exponent_vectors(n))
         g, h = data.draw(rational_matrices(n)), data.draw(rational_matrices(n))
+        g, h = _int_matrix(g), _int_matrix(h)
         full = _contract(a, g, h)
         bounded = _contract(a, g, h, e)
         assert bounded == Algebra(n, bounded.constants)  # a canonical stored form

@@ -2,7 +2,9 @@
 
 sympy (a test-only dependency) redoes the rational arithmetic with its own
 matrices: the basis-change contraction g.c.(g^-1 x g^-1), reduced row
-echelon form, rank and inverse, the frames ``extend_basis`` completes,
+echelon form, rank and inverse (and the integer inverse over one common
+denominator behind it), the frames ``extend_basis`` completes and the
+inverse that the same elimination gives with them,
 ``Subspace.contains``, the spans behind ``subspace_product``, and the
 determinant and characteristic polynomial that ``mat_det`` and ``char_poly``
 read off one Bareiss elimination, and the isomorphisms ``recognize`` returns
@@ -12,6 +14,7 @@ read off one Bareiss elimination, and the isomorphisms ``recognize`` returns
 so many (i, j) slices are zero.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -34,9 +37,18 @@ from levelone import (  # noqa: E402
     subspace_product,
     unit_vector,
 )
-from levelone.algebra import product_form, products_vanish  # noqa: E402
+from levelone.algebra import _frame, product_form, products_vanish  # noqa: E402
 from levelone.errors import BadDimension, SingularMatrix  # noqa: E402
-from levelone.linalg import char_poly, mat_det, mat_inverse, rank, rref  # noqa: E402
+from levelone.linalg import (  # noqa: E402
+    _int_matrix,
+    _inverse,
+    char_poly,
+    mat_det,
+    mat_inverse,
+    nullspace,
+    rank,
+    rref,
+)
 
 
 def to_sympy(m):
@@ -206,6 +218,68 @@ def test_extend_basis_takes_the_pivot_columns(n, seed):
     seeds = seeds[:1] if any(seeds[0]) else [units[0]]
     assert extend_basis(n, seeds, pool) == sympy_frame(seeds + pool)
     assert extend_basis(n, [], pool) == sympy_frame(pool)
+
+
+def frame_cases(rng, n):
+    """(seeds, pool) pairs whose frame exists: the default pool, seeds that
+    already span (with and without a pool), a radical-like pool (the kernel
+    of a random form, seeds outside it) and an eigenspace-like one (a
+    hyperplane, one seed off it)."""
+    units = [unit_vector(n, i) for i in range(n)]
+    seeds = [vector(rng, n) for _ in range(rng.randint(1, n))]
+    if to_sympy(seeds).rank() == len(seeds):
+        yield seeds, None
+    spanning = [tuple(col) for col in zip(*invertible(rng, n))]
+    yield spanning, None
+    yield spanning, [vector(rng, n) for _ in range(2)]
+    r = rng.randint(1, n)
+    form = [[rational(rng) for _ in range(n)] for _ in range(r)]
+    radical = nullspace(form)
+    seeds = [vector(rng, n) for _ in range(n - len(radical))]
+    if to_sympy(seeds + radical).rank() == n:
+        yield seeds, radical
+        yield seeds[:1], [*radical, *seeds[1:], *units]
+    normal = [rational(rng) or F(1) for _ in range(n)]
+    hyperplane = nullspace([normal])
+    seed = vector(rng, n)
+    if sum(a * b for a, b in zip(normal, seed)):
+        yield [seed], hyperplane
+        yield [seed], [*hyperplane, seed, *units]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(4))
+def test_frame_inverse_is_the_inverse_of_the_chosen_frame(n, seed):
+    rng = random.Random(f"frame-inverse:{n}:{seed}")
+    for seeds, pool in frame_cases(rng, n):
+        basis, (den, rows) = _frame(n, seeds, pool)
+        cands = seeds + (pool if pool is not None else [unit_vector(n, i) for i in range(n)])
+        assert basis == extend_basis(n, seeds, pool) == sympy_frame(cands)
+        frame = sympy.Matrix.hstack(*(to_sympy([v]).T for v in basis))
+        assert type(den) is int and den > 0
+        assert [[F(x, den) for x in row] for row in rows] == from_sympy(frame.inv())
+
+
+def test_frame_of_dimension_zero():
+    assert extend_basis(0, []) == []
+    assert _frame(0, []) == ([], (1, []))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "singular"])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_inverse_over_one_denominator(n, kind, seed):
+    rng = random.Random(f"int-inverse:{n}:{kind}:{seed}")
+    _, m = _int_matrix(square_matrix(rng, n, kind))
+    want = to_sympy([[F(x) for x in row] for row in m])
+    if want.det() == 0:
+        with pytest.raises(SingularMatrix, match="matrix is singular over Q"):
+            _inverse(m)
+        return
+    den, rows = _inverse(m)
+    inv = from_sympy(want.inv())
+    assert [[F(x, den) for x in row] for row in rows] == inv == mat_inverse(m)
+    assert den == math.lcm(*(x.denominator for row in inv for x in row))
 
 
 def test_extend_basis_rejects_dependent_or_zero_seeds():

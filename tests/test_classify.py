@@ -25,6 +25,7 @@ from levelone.jsonio import witness_to_dict
 from levelone.linalg import rank
 
 classify_mod = importlib.import_module("levelone.classify")
+linalg_mod = importlib.import_module("levelone.linalg")
 
 
 def canon(tag, n, alpha=None):
@@ -259,4 +260,36 @@ class TestLazyPool:
             a = random_algebra(4, 0.15, seed=seed, nonabelian=True)
             cfg = ClassifierConfig(seed=seed)
             eager = deterministic_candidates(4) + eager_draws(random.Random(seed), 4, cfg)
-            assert span_witness_search(a, mode, cfg) == find(a, eager)
+            want = find(a, eager)
+            if mode == "square" and want is not None:  # (x, x*x)
+                x, square = want
+                assert square == a.product(x, x)
+                want = x
+            assert span_witness_search(a, mode, cfg) == want
+
+
+class TestEliminationCount:
+    """A square witness takes one integer elimination for its frame and the
+    frame's inverse, and one in the verifier, which inverts the family's
+    rational part itself."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_lambda2_witness_costs_two_eliminations(self, monkeypatch, n):
+        calls = []
+        echelon = linalg_mod._echelon
+
+        def counted(rows):
+            calls.append(len(rows))
+            return echelon(rows)
+
+        monkeypatch.setattr(linalg_mod, "_echelon", counted)
+        squares = 0
+        for seed in range(6):
+            a = random_algebra(n, (0.15, 0.4, 0.8)[seed % 3], seed=seed, nonabelian=True)
+            calls.clear()
+            w = classify(a, ClassifierConfig(seed=seed))
+            if w.branch_trace[0].startswith("SquareWitnessFound"):
+                assert w.target.tag is Tag.LAMBDA2
+                assert calls == [n, n]
+                squares += 1
+        assert squares

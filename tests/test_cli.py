@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from levelone import CanonicalForm, Tag, construct
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
-from levelone.poly import MAX_DIM
+from levelone.poly import MAX_COEFF_DIGITS, MAX_DIM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -557,6 +557,37 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: dimension {MAX_DIM + 1} exceeds the cap of {MAX_DIM}\n"
+
+    @pytest.mark.parametrize("where", ["algebra", "family", "at", "alpha"])
+    def test_coefficient_past_the_digit_bound(self, capsys, tmp_path, where):
+        big = "7" * (MAX_COEFF_DIGITS + 700)
+        algebra, family = canonical_path("lambda2_n2"), tmp_path / "g.json"
+        family.write_text(json.dumps({"dim": 2, "entries": [
+            {"row": 1, "col": 1, "poly": big + "*t" if where == "family" else "t"},
+            {"row": 2, "col": 2, "poly": "1"}]}))
+        argv = {
+            "algebra": ["classify", "--algebra", str(tmp_path / "a.json")],
+            "family": ["transport", "--algebra", algebra, "--family", str(family), "--limit"],
+            "at": ["transport", "--algebra", algebra, "--family", str(family), "--at", big],
+            "alpha": ["canonical", "--name", "nu", "--dim", "2", "--alpha", "1/" + big],
+        }[where]
+        save_path(str(tmp_path / "a.json"), {"dim": 2, "products": [
+            {"left": 1, "right": 1, "result": 2, "coeff": "-" + big}]})
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: integer literal of {len(big)} digits exceeds the bound of "
+                       f"{MAX_COEFF_DIGITS} digits\n")
+
+    def test_coefficient_at_the_digit_bound_is_read(self, capsys, tmp_path):
+        big = "7" * MAX_COEFF_DIGITS
+        family = tmp_path / "g.json"
+        family.write_text(json.dumps({"dim": 1, "entries": [
+            {"row": 1, "col": 1, "poly": f"{big}/{big[:-1]}*t^0"}]}))
+        argv = ["transport", "--algebra", canonical_path("abelian_n1"),
+                "--family", str(family), "--at", "-" + big]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"dim": 1, "products": []}
 
     @pytest.mark.parametrize("command", ["canonical --name abelian", "random --seed 0"])
     def test_dimension_flag_past_the_cap(self, capsys, command):

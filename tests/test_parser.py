@@ -4,11 +4,21 @@ import pytest
 from hypothesis import given
 
 from levelone import ParseError, parse_laurent, print_laurent
+from levelone.errors import CoefficientTooLarge
+from levelone.poly import MAX_COEFF_DIGITS
 
 from conftest import laurent_polys
 
 
 class TestParse:
+    def test_literal_past_the_digit_bound(self):
+        ok = "1" * MAX_COEFF_DIGITS
+        at_bound = "0" * (MAX_COEFF_DIGITS - 1)
+        assert parse_laurent(f"{ok}/{ok}*t - 2*t^{at_bound}3") == {1: F(1), 3: F(-2)}
+        for text in (ok + "7", f"1/{ok}7", f"t^{ok}7", f"t + 3*t^-{ok}0"):
+            with pytest.raises(CoefficientTooLarge, match=f"of {MAX_COEFF_DIGITS + 1} digits"):
+                parse_laurent(text)
+
     def test_family_coefficient_string(self):
         assert parse_laurent("t^-1 - 1/2*t^-2") == {-1: F(1), -2: F(-1, 2)}
 
