@@ -26,6 +26,13 @@ the integer elimination (``linalg._inverse``) with no Fraction in between.
 inverse from the same elimination; ``extend_basis`` is its basis, and the
 classifier and recognizer rebase onto a frame through that inverse
 (``_rebased``) instead of inverting it again.
+
+``_scalar_action`` decides in one read of the slices, in ints, whether the
+tensor is c^k_ij = a_i [k = j] + b_j [k = i] for linear forms a and b: the
+scalar-action shape of nu(alpha) (a = alpha phi, b = (1 - alpha) phi) and
+of pminus (b = -a).  It is the identity behind every product staying in the
+plane of its factors (n >= 3), and, on the symmetrised tensor, behind every
+square staying on its line (n >= 2).
 """
 
 from __future__ import annotations
@@ -302,6 +309,68 @@ def _pair_products(a: Algebra, xs, ys):
                     for k, c in hits:
                         p[k] += c * xy
             yield p
+
+
+def _scalar_action(a: Algebra, symmetrised: bool = False) -> tuple | None:
+    """(A, B, D) over Z with c^k_ij = (A_i [k = j] + B_j [k = i]) / D, or
+    None when the tensor has no such form; with ``symmetrised`` the tensor
+    read is c^k_ij + c^k_ji.  None in dimension 1, where A and B are not
+    unique.
+
+    With C = cden * c, the sums u_i = sum_k C[k][i][k] and
+    w_i = sum_k C[k][k][i] of a tensor of the form are u = n a + b and
+    w = a + n b in units of 1 / cden, so A = n u - w and B = n w - u over
+    D = (n^2 - 1) cden.  The read stops at the first entry of a column
+    (i, j) off the plane of e_i and e_j, so a tensor far from the form
+    costs little; the two entries each column may have are then checked
+    against the prediction.  A missing predicted column fails too: the form
+    tensor would be the input plus the missing columns, with the same u and
+    w, but the missing columns add r A_i + d (A_i + B_i) to u_i and
+    c B_i + d (A_i + B_i) to w_i (r and c counting them off the diagonal in
+    row and column i, d on it), which cannot all vanish unless no column is
+    missing.
+    """
+    n = a.dim
+    if n < 2:
+        return None
+    u, w = [0] * n, [0] * n
+    cols = []
+    for (i, j), hits in _symmetrised(a._slices) if symmetrised else a._slices.items():
+        for k, c in hits:
+            if k == j:
+                u[i] += c
+            if k == i:
+                w[j] += c
+            elif k != j:
+                return None
+        cols.append((i, j, hits))
+    A = [n * x - y for x, y in zip(u, w)]
+    B = [n * y - x for x, y in zip(u, w)]
+    m = n * n - 1
+    for i, j, hits in cols:
+        col = dict(hits)
+        if i == j:
+            if m * col.get(i, 0) != A[i] + B[i]:
+                return None
+        elif m * col.get(j, 0) != A[i] or m * col.get(i, 0) != B[j]:
+            return None
+    return A, B, m * a._cden
+
+
+def _symmetrised(slices: dict):
+    """The nonzero columns of C[k][i][j] + C[k][j][i] as ((i, j), hits) in
+    the stored form, made one at a time so that a reader may stop early."""
+    for (i, j), hits in slices.items():
+        if i > j and (j, i) in slices:
+            continue  # made with (j, i)
+        col = dict(hits)
+        for k, c in slices.get((j, i), ()):
+            col[k] = col.get(k, 0) + c
+        merged = tuple(sorted((k, c) for k, c in col.items() if c))
+        if merged:
+            yield (i, j), merged
+            if i != j:
+                yield (j, i), merged
 
 
 def ideal_powers(a: Algebra) -> list:

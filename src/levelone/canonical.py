@@ -18,6 +18,7 @@ and ``alpha`` must be omitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -75,8 +76,10 @@ class CanonicalForm:
         return f"{self.tag.value} dim {self.dim}"
 
 
+@functools.lru_cache(maxsize=256)
 def construct(form: CanonicalForm) -> Algebra:
-    """Exact structure tensor of the named algebra."""
+    """Exact structure tensor of the named algebra; each table is built once
+    and shared, which is safe as an ``Algebra`` is immutable."""
     n = form.dim
     one = Fraction(1)
     entries: dict = {}

@@ -16,12 +16,19 @@ canonical algebras, together with a trace of the branch taken:
   * otherwise: idempotent normalization, weights (0, 1, ..., 1), target
     nu(alpha) with the scalar read off the normalized table.
 
-Witness searches are Las Vegas with a deterministic sweep first (basis
-vectors, then pairwise sums of basis vectors, then seeded random integer
-vectors).  A round's random vectors are drawn when a search first reaches
-them, and a failed round draws the ones it skipped before the next round,
-so the seeded stream is that of drawing every round in full.  A positive
-witness is confirmed by an exact rank computation.
+Both negative outcomes are first decided by an identity on the tensor
+(``algebra._scalar_action``): every square stays on its line iff the
+symmetrised tensor c^k_ij + c^k_ji has the scalar-action form (n >= 2), and
+every product stays in the plane of its factors iff the tensor has it
+(n >= 3).  When the identity holds the search below could find nothing, so
+it stops (the square search once its basis vectors found no witness); the
+pool it leaves unread is drawn lazily, so the seeded stream is unchanged.
+Otherwise the witness searches are Las Vegas with a deterministic sweep
+first (basis vectors, then pairwise sums of basis vectors, then seeded
+random integer vectors).  A round's random vectors are drawn when a search
+first reaches them, and a failed round draws the ones it skipped before the
+next round, so the seeded stream is that of drawing every round in full.  A
+positive witness is confirmed by an exact rank computation.
 When a branch assertion fails, the in-span premise behind it was wrong, so
 vectors pinpointing the violation are fed into the next round's sweep; the
 emitted witness is always re-verified exactly before being returned.
@@ -39,6 +46,7 @@ from .algebra import (
     Vector,
     _frame,
     _rebased,
+    _scalar_action,
     deterministic_candidates,
     extend_basis,
     proportionality,
@@ -175,10 +183,17 @@ def _pool(n: int, cfg: ClassifierConfig, rng: random.Random, suspects: list) -> 
 
 
 def _find_square(a: Algebra, pool):
-    """(x, x*x) for the first x in the pool whose square leaves its line."""
-    if a.dim < 2:
+    """(x, x*x) for the first x in the pool whose square leaves its line.
+
+    Past the n basis vectors, which find most witnesses, the sweep stops
+    when the symmetrised tensor has the scalar-action form: every square
+    then stays on its line."""
+    n = a.dim
+    if n < 2:
         return None
-    for x in pool:
+    for idx, x in enumerate(pool):
+        if idx == n and _scalar_action(a, symmetrised=True) is not None:
+            return None
         s = a.product(x, x)
         if not vec_is_zero(s) and proportionality(s, x) is None:
             return x, s
@@ -186,7 +201,10 @@ def _find_square(a: Algebra, pool):
 
 
 def _find_pair(a: Algebra, pool):
-    if a.dim < 3:
+    """(x, y) for the first ordered pair in the pool whose product leaves
+    their plane; None at once when the tensor has the scalar-action form,
+    which in dimension >= 3 is every product staying in its plane."""
+    if a.dim < 3 or _scalar_action(a) is not None:
         return None
     for ix, x in enumerate(pool):
         for iy, y in enumerate(pool):

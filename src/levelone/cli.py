@@ -41,10 +41,12 @@ from .jsonio import (
     family_to_dict,
     invariants_to_dict,
     load_path,
+    parse_integer,
     parse_rational,
     recognition_to_dict,
     report_to_dict,
     save_path,
+    shown,
     witness_from_dict,
     witness_to_dict,
 )
@@ -140,9 +142,9 @@ def _check_verify_sources(p: argparse.ArgumentParser, args) -> None:
 def parse_canonical_spec(spec: str) -> CanonicalForm:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise ValueError(f"bad target spec {spec!r}, want name:dim[:alpha]")
+        raise ValueError(f"bad target spec {shown(spec)}, want name:dim[:alpha]")
     tag = Tag(parts[0])
-    dim = int(parts[1])
+    dim = parse_integer(parts[1])
     alpha = parse_rational(parts[2]) if len(parts) == 3 else None
     return CanonicalForm(tag, dim, alpha)
 

@@ -28,15 +28,37 @@ from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
+# a JSON string, or a run of digits outside every string
+_STRING_OR_DIGITS = re.compile(r'"(?:[^"\\]|\\.)*"|\d+')
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise ValueError(f"bad rational literal: {text!r} (expected int[/uint])")
+        raise ValueError(f"bad rational literal: {shown(text)} (expected int[/uint])")
     digits = max(map(len, text.lstrip("-").split("/")))
     if digits > MAX_COEFF_DIGITS:  # int() would refuse it
         raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
     return Fraction(text)
+
+
+def parse_integer(text: str) -> int:
+    """int(text), with a literal of more than MAX_COEFF_DIGITS digits
+    refused as CoefficientTooLarge before int() sees it."""
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_COEFF_DIGITS:
+        raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
+    return int(text)
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut short past 80 characters so
+    that a huge input literal is not echoed back whole."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    if type(value) is int:
+        return f"<integer of {len(text.lstrip('-'))} digits>"
+    return f"{text[:60]}... <{len(text)} characters>"
 
 
 def format_rational(q: Fraction) -> str:
@@ -46,9 +68,9 @@ def format_rational(q: Fraction) -> str:
 def check_dimension(n) -> int:
     """n itself when it is an int in 1..MAX_DIM; ValueError otherwise."""
     if type(n) is not int or n < 1:  # bool is not a dimension
-        raise ValueError(f"bad dimension: {n!r}")
+        raise ValueError(f"bad dimension: {shown(n)}")
     if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the cap of {MAX_DIM}")
+        raise ValueError(f"dimension {shown(n)} exceeds the cap of {MAX_DIM}")
     return n
 
 
@@ -87,10 +109,10 @@ def algebra_from_dict(d: dict) -> Algebra:
         try:
             i, j, k, text = item["left"], item["right"], item["result"], item["coeff"]
         except KeyError as exc:
-            raise ValueError(f"product entry missing a field: {item!r}") from exc
+            raise ValueError(f"product entry missing a field: {shown(item)}") from exc
         for idx in (i, j, k):
             if type(idx) is not int or not 1 <= idx <= n:
-                raise ValueError(f"index {idx!r} out of range 1..{n}")
+                raise ValueError(f"index {shown(idx)} out of range 1..{n}")
         if (i, j, k) in seen:
             raise ValueError(f"duplicate product triple (left={i}, right={j}, result={k})")
         seen.add((i, j, k))
@@ -124,12 +146,12 @@ def family_from_dict(d: dict) -> ParamMatrix:
         try:
             i, j, text = item["row"], item["col"], item["poly"]
         except KeyError as exc:
-            raise ValueError(f"family entry missing a field: {item!r}") from exc
+            raise ValueError(f"family entry missing a field: {shown(item)}") from exc
         if not isinstance(text, str):
-            raise ValueError(f"family entry poly must be a string: {text!r}")
+            raise ValueError(f"family entry poly must be a string: {shown(text)}")
         for idx in (i, j):
             if type(idx) is not int or not 1 <= idx <= n:
-                raise ValueError(f"index {idx!r} out of range 1..{n}")
+                raise ValueError(f"index {shown(idx)} out of range 1..{n}")
         if grid[i - 1][j - 1] is not None:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
         grid[i - 1][j - 1] = FieldElement.from_laurent(parse_laurent(text))
@@ -155,7 +177,7 @@ def canonical_form_from_dict(d: dict) -> CanonicalForm:
     try:
         tag = Tag(d["tag"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad canonical tag in {d!r}") from exc
+        raise ValueError(f"bad canonical tag in {shown(d)}") from exc
     dim = d.get("dim")
     if type(dim) is not int:
         raise ValueError("canonical form needs an integer 'dim'")
@@ -227,11 +249,24 @@ def dumps(obj: dict) -> str:
 
 
 def load_path(path: str) -> dict:
+    """The JSON document in the file; an integer literal of more than
+    MAX_COEFF_DIGITS digits raises CoefficientTooLarge."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the decoder's int() refused a literal past CPython's digit limit,
+        # which is MAX_COEFF_DIGITS; find its length only now, off the hot path
+        digits = max((len(t) for t in _STRING_OR_DIGITS.findall(text) if t[0] != '"'),
+                     default=0)
+        if digits <= MAX_COEFF_DIGITS:
+            raise
+        raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS) from None
 
 
 def save_path(path: str, obj: dict) -> None:

@@ -12,10 +12,18 @@ Each branch computes only what it reads.  An algebra that is neither
 commutative nor anticommutative goes straight to the nu search, with no A^2;
 the other two build A^2, and the annihilation A*A^2 = A^2*A = 0 (read only
 when dim A^2 = 1) and A^2*A^2 = 0 are zero tests on the integer products,
-with no span built.  In the nu search a match of the rebased table is
-returned as it stands, since it implies the spectrum (x - 1)(x - alpha)^(n-1)
-of the idempotent's left action; that characteristic polynomial is computed
-only to name a failure.
+with no span built.
+
+A nu match (n >= 2) is read off the tensor.  nu(alpha) is
+x*y = alpha phi(x) y + (1 - alpha) phi(y) x, so the algebra is nu(alpha)
+exactly when ``algebra._scalar_action`` finds c^k_ij = (A_i [k = j] +
+B_j [k = i]) / D with A parallel to S = A + B != 0; then alpha = A_p / S_p
+at the first p with S_p != 0 and phi = S / D.  The idempotent is
+e = e_p / phi(e_p) (e_p is the first candidate with a nonzero square, as
+x*x = phi(x) x) and its joint eigenspace is ker phi, so the iso is the
+inverse of the frame (e, ker phi), with no product, multiplication matrix
+or contraction.  Otherwise the algebra is not nu(alpha), and the sweep for
+an idempotent, its spectrum and its eigenspace run only to name what fails.
 
 One case is decided only up to isomorphism over the algebraic closure: a
 commutative algebra whose rank-2 symmetric product form has no rational
@@ -35,6 +43,7 @@ from .algebra import (
     Subspace,
     _frame,
     _rebased,
+    _scalar_action,
     derived_subspace,
     deterministic_candidates,
     product_form,
@@ -132,15 +141,13 @@ def alpha_of(a: Algebra) -> Fraction:
 # -- shared helpers ------------------------------------------------------
 
 
-def _check_basis(a: Algebra, basis: list, tag: Tag, alpha=None,
-                 inverse=None) -> RecognitionResult:
+def _check_basis(a: Algebra, basis: list, tag: Tag, inverse=None) -> RecognitionResult:
     """Rebase and compare against the canonical table; iso on success.
 
     ``inverse`` is the frame's inverse (den, rows) when ``algebra._frame``
     chose the basis, so that it is not computed again.
     """
-    n = a.dim
-    form = CanonicalForm(tag, n, alpha)
+    form = CanonicalForm(tag, a.dim)
     if inverse is None:
         rebased, m = rebase(a, basis)
     else:
@@ -266,6 +273,20 @@ def _scalar_line_path(a: Algebra, square: Subspace, tag: Tag) -> RecognitionResu
 
 def _try_nu(a: Algebra) -> RecognitionResult:
     n = a.dim
+    action = _scalar_action(a)
+    if action is not None:
+        A, B, D = action
+        s = [x + y for x, y in zip(A, B)]
+        p = next((i for i, x in enumerate(s) if x), None)
+        if p is not None and all(x * s[p] == A[p] * y for x, y in zip(A, s)):
+            # x*y = alpha phi(x) y + (1 - alpha) phi(y) x with phi = s / D, so
+            # x*x = phi(x) x: e_p is the first candidate with a nonzero square,
+            # e = e_p / phi(e_p) the idempotent and ker phi its eigenspace
+            e = vec_scale(unit_vector(n, p), Fraction(D, s[p]))
+            _, inv = _frame(n, [e], pool=linalg.nullspace([s]))
+            form = CanonicalForm(Tag.NU, n, Fraction(A[p], s[p]))
+            return _recognized(form, linalg._fractions(inv))
+    # n = 1, or not nu: the sweep names what fails
     found = None
     for x in deterministic_candidates(n):
         sq = a.product(x, x)
@@ -284,8 +305,13 @@ def _try_nu(a: Algebra) -> RecognitionResult:
     if n == 1:
         return _check_basis(a, [e], Tag.NU)
     left = a.left_mult_matrix(e)
-    right = a.right_mult_matrix(e)
     alpha = (linalg.mat_trace(left) - 1) / (n - 1)
+    factor = {1: ONE, 0: -alpha} if alpha else {1: ONE}
+    if linalg.char_poly(left) != poly_mul({1: ONE, 0: -ONE}, poly_pow(factor, n - 1)):
+        return _not_canonical(
+            "left multiplication by the idempotent has the wrong spectrum"
+        )
+    right = a.right_mult_matrix(e)
     rows = []
     for idx in range(n):
         rows.append([left[idx][j] - (alpha if idx == j else ZERO) for j in range(n)])
@@ -293,23 +319,11 @@ def _try_nu(a: Algebra) -> RecognitionResult:
     for idx in range(n):
         rows.append([right[idx][j] - (beta if idx == j else ZERO) for j in range(n)])
     eigen = linalg.nullspace(rows)
-    if len(eigen) == n - 1:
-        # _frame cannot raise: on the eigenspace e*e would be alpha*e =
-        # (1 - alpha)*e, which e*e = e rules out
-        basis, inv = _frame(n, [e], pool=eigen)
-        result = _check_basis(a, basis, Tag.NU, alpha, inverse=inv)
-        if result.recognized:
-            # the table is nu(alpha), so char(left) = (x - 1)(x - alpha)^(n-1)
-            return result
-    # the spectrum is computed only to name the failure
-    factor = {1: ONE, 0: -alpha} if alpha else {1: ONE}
-    if linalg.char_poly(left) != poly_mul({1: ONE, 0: -ONE}, poly_pow(factor, n - 1)):
-        return _not_canonical(
-            "left multiplication by the idempotent has the wrong spectrum"
-        )
     if len(eigen) != n - 1:
         return _not_canonical(
             f"joint eigenspace of the idempotent actions has dimension "
             f"{len(eigen)}, need {n - 1}"
         )
-    return result
+    # the identity failed, so the frame (e, eigen) does not carry the table
+    form = CanonicalForm(Tag.NU, n, alpha)
+    return _not_canonical(f"normalized table does not match {form.describe()}")

@@ -238,6 +238,17 @@ class TestRandomAlgebra:
         assert not a.is_abelian()
 
 
+class TestCanonicalTables:
+    def test_each_table_is_built_once_and_shared(self):
+        """``construct`` is cached: equal forms give the one immutable table."""
+        form = CanonicalForm(Tag.NU, 5, F(2, 3))
+        a = construct(form)
+        assert construct(CanonicalForm(Tag.NU, 5, F(4, 6))) is a
+        assert a == Algebra.from_entries(5, a.entries())
+        with pytest.raises(FrozenInstanceError):
+            a.dim = 4
+
+
 @st.composite
 def tensors(draw):
     """Random tensors at n = 1..5, diagonal entries included, then possibly

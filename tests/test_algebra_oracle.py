@@ -8,12 +8,15 @@ inverse that the same elimination gives with them,
 ``Subspace.contains``, the spans behind ``subspace_product``, and the
 determinant and characteristic polynomial that ``mat_det`` and ``char_poly``
 read off one Bareiss elimination, and the isomorphisms ``recognize`` returns
-(the input transported by the iso is the canonical table).  The slice reads (multiplication matrices,
-``product_form``) are checked against the per-pair definition
-``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
+(the input transported by the iso is the canonical table), and the
+scalar-action identity behind the classifier's negative branches and the nu
+recognizer (x ^ x*x and x ^ y ^ x*y expanded for symbolic x and y).  The
+slice reads (multiplication matrices, ``product_form``) are checked against
+the per-pair definition ``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
 so many (i, j) slices are zero.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -37,7 +40,7 @@ from levelone import (  # noqa: E402
     subspace_product,
     unit_vector,
 )
-from levelone.algebra import _frame, product_form, products_vanish  # noqa: E402
+from levelone.algebra import _frame, _scalar_action, product_form, products_vanish  # noqa: E402
 from levelone.errors import BadDimension, SingularMatrix  # noqa: E402
 from levelone.linalg import (  # noqa: E402
     _int_matrix,
@@ -432,3 +435,115 @@ def test_recognize_iso_transports_onto_the_canonical_table(form, a):
     assert sympy_transport(a, g) == want
     if g != g.T:  # the oracle tells the iso from its transpose
         assert sympy_transport(a, g.T) != want
+
+
+# -- the scalar-action identity ------------------------------------------------
+
+
+def square_and_plane_stay(a):
+    """(x*x in Qx for every x, x*y in span(x, y) for every x, y), decided by
+    sympy on symbolic x and y: every 2x2 minor of [x, x*x] and every 3x3
+    minor of [x, y, x*y] must expand to the zero polynomial."""
+    n = a.dim
+    ring, *gens = sympy.ring([f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)],
+                             sympy.QQ)
+    xs, ys = gens[:n], gens[n:]
+    c = a.constants
+
+    def prod(u, v):
+        return [sum((sympy.QQ(c[k][i][j].numerator, c[k][i][j].denominator) * u[i] * v[j]
+                     for i in range(n) for j in range(n) if c[k][i][j]), ring.zero)
+                for k in range(n)]
+
+    sq, xy = prod(xs, xs), prod(xs, ys)
+    on_line = all(xs[i] * sq[j] - xs[j] * sq[i] == 0
+                  for i in range(n) for j in range(i + 1, n))
+    in_plane = all(
+        xs[p] * (ys[q] * xy[r] - ys[r] * xy[q]) - xs[q] * (ys[p] * xy[r] - ys[r] * xy[p])
+        + xs[r] * (ys[p] * xy[q] - ys[q] * xy[p]) == 0
+        for p, q, r in itertools.combinations(range(n), 3)
+    ) if n >= 3 else None
+    return on_line, in_plane
+
+
+def scalar_action_table(n, a_form, b_form):
+    """The tensor c^k_ij = a_i [k = j] + b_j [k = i]."""
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            for k, v in ((j, a_form[i]), (i, b_form[j])):
+                if v:
+                    entries[(k, i, j)] = entries.get((k, i, j), 0) + v
+    return Algebra.from_entries(n, {key: v for key, v in entries.items() if v})
+
+
+def perturbed(a, rng):
+    """One entry of the table changed: set to a new value or removed."""
+    n = a.dim
+    entries = a.entries()
+    key = rng.choice(list(entries)) if entries and rng.random() < 0.3 else \
+        (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+    entries[key] = 0 if key in entries and rng.random() < 0.5 else rational(rng) or F(1)
+    return Algebra.from_entries(n, {key: v for key, v in entries.items() if v})
+
+
+def identity_inputs(n):
+    """Moved nu(alpha) and pminus, their one-entry perturbations, planar
+    tensors with independent forms, squares-on-lines tensors with a skew
+    part, and random algebras."""
+    rng = random.Random(f"identity:{n}")
+    out = []
+    for form in [CanonicalForm(Tag.NU, n, al) for al in (F(0), F(1), F(1, 2), F(2, 3), F(-3))] + \
+            [CanonicalForm(Tag.P_MINUS, n)]:
+        moved = apply_basis_change(construct(form), invertible(rng, n))
+        out += [moved, perturbed(moved, rng), perturbed(construct(form), rng)]
+    for _ in range(5):
+        lam = [rational(rng) for _ in range(n)]
+        c = sparse_algebra(rng, n).constants
+        squares = scalar_action_table(n, lam, lam).constants
+        # x*x = lam(x) x, plus the skew part of a random table
+        on_lines = {(k, i, j): squares[k][i][j] + c[k][i][j] - c[k][j][i]
+                    for k in range(n) for i in range(n) for j in range(n)}
+        out += [scalar_action_table(n, [rational(rng) for _ in range(n)],
+                                    [rational(rng) for _ in range(n)]),
+                Algebra.from_entries(n, {key: v for key, v in on_lines.items() if v}),
+                sparse_algebra(rng, n)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scalar_action_identity_matches_sympy(n):
+    """The kernel's verdict on the symmetrised tensor is "every square on its
+    line" and on the tensor "every product in its plane" (n >= 3), as
+    sympy expands them; when it holds, A, B and D rebuild the tensor."""
+    seen = set()
+    for a in identity_inputs(n):
+        on_line, in_plane = square_and_plane_stay(a)
+        assert (_scalar_action(a, symmetrised=True) is not None) == on_line
+        action = _scalar_action(a)
+        if n >= 3:
+            assert (action is not None) == in_plane
+        if action is not None:
+            A, B, D = action
+            assert a == scalar_action_table(n, [F(x, D) for x in A], [F(x, D) for x in B])
+        seen.add((on_line, action is not None))
+    # at n = 2 squares on their lines make the tensor planar: its skew part
+    # e1*e2 = -e2*e1 = v is a_1 e2 - a_2 e1 for a = (v_2, -v_1)
+    assert seen == {(True, True), (False, False)} | ({(True, False)} if n >= 3 else set())
+
+
+def test_scalar_action_needs_dimension_two():
+    assert _scalar_action(construct(CanonicalForm(Tag.NU, 1))) is None
+    assert _scalar_action(construct(CanonicalForm(Tag.NU, 1)), symmetrised=True) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scalar_action_fails_on_a_missing_column(n):
+    """Removing any one column of nu(2/3) or pminus leaves a tensor without
+    the form, though each column left has its entries in its own plane."""
+    for form in (CanonicalForm(Tag.NU, n, F(2, 3)), CanonicalForm(Tag.P_MINUS, n)):
+        entries = construct(form).entries()
+        for i, j in {(i, j) for _, i, j in entries}:
+            a = Algebra.from_entries(n, {key: v for key, v in entries.items()
+                                         if key[1:] != (i, j)})
+            assert _scalar_action(a) is None

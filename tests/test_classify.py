@@ -11,15 +11,17 @@ from levelone import (
     CanonicalForm,
     ClassifierConfig,
     Tag,
+    apply_basis_change,
     classify,
     construct,
     deterministic_candidates,
     random_algebra,
+    random_invertible_matrix,
     span_witness_search,
     unit_vector,
     verify_degeneration,
 )
-from levelone.algebra import proportionality
+from levelone.algebra import _scalar_action, proportionality
 from levelone.errors import SearchExhausted
 from levelone.jsonio import witness_to_dict
 from levelone.linalg import rank
@@ -293,3 +295,87 @@ class TestEliminationCount:
                 assert calls == [n, n]
                 squares += 1
         assert squares
+
+
+def identity_inputs(n, rng):
+    """Canonical forms of every tag in random bases, one-entry perturbations
+    of them, random tensors and their symmetric and skew parts, planar
+    tensors x*y = a(x) y + b(y) x, and squares on their lines plus a skew
+    part."""
+    def q():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    out = []
+    for tag in Tag:
+        for alpha in ((F(0), F(1), F(1, 2), F(2, 3), F(-3)) if tag is Tag.NU else (None,)):
+            try:
+                base = canon(tag, n, alpha)
+            except ValueError:  # no such form in dimension n
+                continue
+            m = apply_basis_change(base, random_invertible_matrix(n, rng, bound=2))
+            entries = m.entries()
+            entries[(rng.randrange(n), rng.randrange(n), rng.randrange(n))] = q() or F(1)
+            out += [m, Algebra.from_entries(n, {k: v for k, v in entries.items() if v})]
+    for _ in range(30):
+        c = random_algebra(n, rng.choice((0.15, 0.4, 0.8)), rng.randrange(2**31)).constants
+        a_form, b_form, lam = ([q() for _ in range(n)] for _ in range(3))
+        tables = {
+            "random": lambda k, i, j: c[k][i][j],
+            "symmetric": lambda k, i, j: c[k][i][j] + c[k][j][i],
+            "skew": lambda k, i, j: c[k][i][j] - c[k][j][i],
+            "planar": lambda k, i, j: a_form[i] * (k == j) + b_form[j] * (k == i),
+            "on lines": lambda k, i, j: (lam[i] * (k == j) + lam[j] * (k == i)
+                                         + c[k][i][j] - c[k][j][i]),
+        }
+        for entry in tables.values():
+            out.append(Algebra.from_entries(n, {
+                (k, i, j): v for k in range(n) for i in range(n) for j in range(n)
+                if (v := F(entry(k, i, j)))}))
+    return [a for a in out if not a.is_abelian()]
+
+
+class TestIdentities:
+    """``_find_square`` and ``_find_pair`` return None at once when the
+    scalar-action identity holds; the sweeps they skip could find nothing."""
+
+    def test_identities_agree_with_the_sweeps(self, monkeypatch):
+        rng = random.Random("identities")
+        inputs = [a for n in range(2, 7) for a in identity_inputs(n, rng)]
+        assert len(inputs) >= 700
+        cfg = ClassifierConfig(samples_per_round=4)
+        new = [(span_witness_search(a, "square", cfg), span_witness_search(a, "pair", cfg))
+               for a in inputs]
+        monkeypatch.setattr(classify_mod, "_scalar_action", lambda *args, **kw: None)
+        kinds = set()
+        for a, got in zip(inputs, new):
+            old = (span_witness_search(a, "square", cfg), span_witness_search(a, "pair", cfg))
+            assert got == old
+            on_lines = _scalar_action(a, symmetrised=True) is not None
+            planar = _scalar_action(a) is not None
+            assert on_lines == (old[0] is None)
+            if a.dim >= 3:
+                assert planar == (old[1] is None)
+                kinds.add((on_lines, planar))
+        assert kinds == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("tag,alpha", [(Tag.NU, F(2, 3)), (Tag.NU, F(-3)),
+                                           (Tag.P_MINUS, None)])
+    def test_scalar_action_forms_never_sweep(self, monkeypatch, tag, alpha):
+        """A moved nu or pminus form goes to its branch with the witness it
+        had before, reading at most the basis vectors of the pool (and the
+        one item after them, at which the square search stops)."""
+        n = 8
+        a = apply_basis_change(canon(tag, n, alpha),
+                               random_invertible_matrix(n, random.Random(3)))
+        want = witness_to_dict(classify_and_check(a))
+        read = []
+        sweep = classify_mod._Pool.__iter__
+
+        def counted(pool):
+            for v in sweep(pool):
+                read.append(v)
+                yield v
+
+        monkeypatch.setattr(classify_mod._Pool, "__iter__", counted)
+        assert witness_to_dict(classify(a)) == want
+        assert read == deterministic_candidates(n)[:len(read)] and len(read) <= n + 1

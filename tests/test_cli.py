@@ -589,6 +589,66 @@ class TestMalformedInputs:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == {"dim": 1, "products": []}
 
+    @pytest.mark.parametrize("where", ["dim", "left", "row", "target dim", "target-canonical"])
+    def test_integer_past_the_digit_bound(self, capsys, tmp_path, where):
+        """JSON integers and the dimension of --target-canonical are refused
+        by the same named bound as coefficients, before int() sees them."""
+        big = "1" * (MAX_COEFF_DIGITS + 700)
+        docs = {
+            "dim": ('{"dim": %s, "products": []}' % big, None),
+            "left": ('{"dim": 2, "products": [{"left": %s, "right": 1, "result": 1, '
+                     '"coeff": "1"}]}' % big, None),
+            "row": (None, '{"dim": 2, "entries": [{"row": %s, "col": 1, "poly": "t"}]}' % big),
+            "target dim": (None, None),
+            "target-canonical": (None, None),
+        }
+        algebra, family = docs[where]
+        (tmp_path / "a.json").write_text(algebra or json.dumps(algebra_to_dict(
+            construct(CanonicalForm(Tag.P_PLUS, 3)))))
+        (tmp_path / "g.json").write_text(family or Path(family_path(
+            "pplus_to_lambda2_n3")).read_text())
+        (tmp_path / "t.json").write_text('{"tag": "lambda2", "dim": %s}' % big)
+        verify = ["verify", "--algebra", str(tmp_path / "a.json"),
+                  "--family", str(tmp_path / "g.json")]
+        argv = {
+            "dim": ["recognize", "--algebra", str(tmp_path / "a.json")],
+            "left": ["classify", "--algebra", str(tmp_path / "a.json")],
+            "row": ["transport", "--algebra", str(tmp_path / "a.json"),
+                    "--family", str(tmp_path / "g.json"), "--limit"],
+            "target dim": verify + ["--target", str(tmp_path / "t.json")],
+            "target-canonical": verify + ["--target-canonical", "lambda2:" + big],
+        }[where]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: integer literal of {len(big)} digits exceeds the bound of "
+                       f"{MAX_COEFF_DIGITS} digits\n")
+
+    def test_long_digit_runs_inside_strings_are_not_integers(self, capsys, tmp_path):
+        """Only number tokens are integer literals: a long run of digits inside
+        a JSON string is text, and the bound leaves it alone."""
+        doc = {"dim": 3, "products": [], "note": "1" * (MAX_COEFF_DIGITS + 700)}
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        assert main(["recognize", "--algebra", str(tmp_path / "a.json")]) == 0
+        assert capsys.readouterr().out == "recognized: abelian dim 3\n"
+
+    @pytest.mark.parametrize("literal,shown", [
+        ("1" * 4000, "dimension <integer of 4000 digits> exceeds the cap of 64"),
+        ("-" + "1" * 4000, "bad dimension: <integer of 4000 digits>"),
+        (str(MAX_DIM + 1), f"dimension {MAX_DIM + 1} exceeds the cap of {MAX_DIM}"),
+    ])
+    def test_a_long_dimension_is_not_echoed(self, capsys, tmp_path, literal, shown):
+        (tmp_path / "a.json").write_text('{"dim": %s, "products": []}' % literal)
+        assert main(["recognize", "--algebra", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == f"error: {shown}\n"
+
+    def test_a_long_index_is_not_echoed(self, capsys, tmp_path):
+        (tmp_path / "a.json").write_text(
+            '{"dim": 2, "products": [{"left": %s, "right": 1, "result": 1, "coeff": "1"}]}'
+            % ("9" * 4000))
+        assert main(["recognize", "--algebra", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == "error: index <integer of 4000 digits> out of range 1..2\n"
+
     @pytest.mark.parametrize("command", ["canonical --name abelian", "random --seed 0"])
     def test_dimension_flag_past_the_cap(self, capsys, command):
         code = main(command.split() + ["--dim", str(MAX_DIM + 1)])

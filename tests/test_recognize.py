@@ -18,6 +18,7 @@ from levelone import (
     recognize,
 )
 from levelone import linalg
+from levelone.algebra import _scalar_action
 from levelone.linalg import char_poly, mat_identity, mat_inverse
 from levelone.poly import poly_mul, poly_pow
 
@@ -297,3 +298,50 @@ def test_a_match_reads_only_its_branch(monkeypatch):
         assert recognize(moved(Tag.NU, 3, alpha, seed=4)).form.alpha == alpha
     res = recognize(Algebra.from_entries(2, {(1, 0, 0): F(1), (0, 0, 1): F(1)}))
     assert res.reason == "found x with x*x outside the line of x"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_nu_is_read_off_the_tensor(monkeypatch, n):
+    """A moved nu(alpha) is recognized, with the iso of the full check, by
+    the scalar-action identity alone: no product, multiplication matrix,
+    contraction or characteristic polynomial."""
+    algebra_mod = importlib.import_module("levelone.algebra")
+    inputs = [moved(Tag.NU, n, alpha, seed=seed)
+              for alpha in (F(0), F(1), F(1, 2), F(2, 3), F(-3)) for seed in range(2)]
+    want = [recognize(a) for a in inputs]
+
+    def unread(*args):
+        raise AssertionError("the nu identity needs no products")
+
+    monkeypatch.setattr(Algebra, "product", unread)
+    monkeypatch.setattr(Algebra, "left_mult_matrix", unread)
+    monkeypatch.setattr(algebra_mod, "_contract", unread)
+    monkeypatch.setattr(linalg, "char_poly", unread)
+    for a, res in zip(inputs, want):
+        got = recognize(a)
+        assert got == res and got.form.tag is Tag.NU
+    monkeypatch.undo()
+    for a, res in zip(inputs, want):
+        assert apply_basis_change(a, [list(row) for row in res.iso]) == construct(res.form)
+
+
+def test_the_nu_identity_accepts_no_skew_tensor():
+    """x*y = a(x) y - a(y) x has the scalar-action form with a + b = 0;
+    it is pminus, not nu, and the nu search says so."""
+    module = importlib.import_module("levelone.recognize")
+    for n in (2, 3, 5):
+        res = module._try_nu(moved(Tag.P_MINUS, n, seed=n))
+        assert res.form is None
+        assert res.reason == "no vector with a nonzero square in the sweep"
+
+
+def test_independent_scalar_actions_are_not_nu():
+    """x*y = a(x) y + b(y) x with a and b independent is not nu(alpha) for
+    any alpha: the identity holds, the nu test fails, and the sweep names it."""
+    # e1*e1 = e1, e1*e2 = e2 (a = e1*), e2*e2 = e2, e1*e2 gains e1 (b = e2*)
+    a = Algebra.from_entries(2, {(0, 0, 0): F(1), (1, 0, 1): F(1), (0, 0, 1): F(1),
+                                 (1, 1, 1): F(1)})
+    assert _scalar_action(a) is not None
+    res = recognize(a)
+    assert res.form is None
+    assert res.reason == "joint eigenspace of the idempotent actions has dimension 0, need 1"
