@@ -16,27 +16,37 @@ canonical algebras, together with a trace of the branch taken:
   * otherwise: idempotent normalization, weights (0, 1, ..., 1), target
     nu(alpha) with the scalar read off the normalized table.
 
-Both negative outcomes are first decided by an identity on the tensor
-(``algebra._scalar_action``): every square stays on its line iff the
-symmetrised tensor c^k_ij + c^k_ji has the scalar-action form (n >= 2), and
-every product stays in the plane of its factors iff the tensor has it
-(n >= 3).  When the identity holds the search below could find nothing, so
-it stops (the square search once its basis vectors found no witness); the
-pool it leaves unread is drawn lazily, so the seeded stream is unchanged.
-Otherwise the witness searches are Las Vegas with a deterministic sweep
-first (basis vectors, then pairwise sums of basis vectors, then seeded
-random integer vectors).  A round's random vectors are drawn when a search
-first reaches them, and a failed round draws the ones it skipped before the
-next round, so the seeded stream is that of drawing every round in full.  A
-positive witness is confirmed by an exact rank computation.
-When a branch assertion fails, the in-span premise behind it was wrong, so
-vectors pinpointing the violation are fed into the next round's sweep; the
-emitted witness is always re-verified exactly before being returned.
+The classifier is deterministic and total.  Both negative outcomes are
+decided by an identity on the tensor (``algebra._scalar_action``): every
+square stays on its line iff the symmetrised tensor c^k_ij + c^k_ji has the
+scalar-action form (n >= 2), and every product stays in the plane of its
+factors iff the tensor has it (n >= 3).  When an identity fails, a witness
+sits on a small fixed grid (Alon's Combinatorial Nullstellensatz, in the
+binary case: a nonzero binary form of degree d is nonzero at one of d + 1
+points of distinct slope):
+
+  * pairs.  Every monomial of x ^ y ^ (x*y) names at most two coordinates
+    p, i of x and two q, j of y, with degree 2 in each of x and y, so the
+    form is nonzero on span(e_p, e_i) x span(e_q, e_j), and then at one of
+    {e_p, e_i, e_p + e_i} x {e_q, e_j, e_q + e_j}: the basis vectors and
+    their pairwise sums hold a witness pair.
+  * squares.  x ^ (x*x) is cubic.  Were its monomials all square-free,
+    every (x*x)_b would be x_b L_b with L_b - L_a free of x_a and x_b, so
+    all the L_b would be equal and x ^ (x*x) = 0.  Some x_p^3 or
+    x_p^2 x_q therefore survives, and the form, restricted to
+    span(e_p, e_q), is nonzero at e_p, e_q, e_p + e_q or 2 e_p + e_q: the
+    basis vectors, their pairwise sums, then 2 e_p + e_q for p != q.
+
+The searches sweep these lists in that order and stop at the first
+witness, so nothing is drawn at random and there is no fallback.  The
+square search checks the identity once its n basis vectors, which find
+most witnesses, found none.  Each branch's premise follows from the
+identities, so the branches build their frames without re-checking it;
+``verify_degeneration`` still checks every emitted witness exactly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,10 +54,10 @@ from . import linalg
 from .algebra import (
     Algebra,
     Vector,
+    _deterministic_candidates,
     _frame,
     _rebased,
     _scalar_action,
-    deterministic_candidates,
     extend_basis,
     proportionality,
     rebase,
@@ -64,126 +74,61 @@ from .transport import ParamMatrix, Witness, verify_degeneration
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Search budget; the defaults classify everything seen in practice."""
+    """Accepted for compatibility: the classifier is deterministic, and
+    nothing reads the seed."""
 
     seed: int = 0
-    samples_per_round: int = 32
-    max_rounds: int = 4
-    coordinate_range: int = 10**6
-
-    def __post_init__(self):
-        if self.samples_per_round < 1 or self.max_rounds < 1 or self.coordinate_range < 1:
-            raise ValueError("budget fields must be positive")
-
-
-@dataclass
-class _Failure:
-    reason: str
-    suspects: list
 
 
 def classify(a: Algebra, cfg: ClassifierConfig | None = None) -> Witness:
-    """Return a verified degeneration witness for a non-abelian algebra."""
-    if cfg is None:
-        cfg = ClassifierConfig()
+    """Return a verified degeneration witness for a non-abelian algebra;
+    ``cfg`` has no effect."""
     if a.is_abelian():
         raise AbelianInput("every product is zero; nothing to classify")
-    rng = random.Random(cfg.seed)
-    suspects: list[Vector] = []
-    log: list[str] = []
-    for round_no in range(cfg.max_rounds):
-        pool = _pool(a.dim, cfg, rng, suspects)
-        outcome = _attempt(a, pool)
-        if isinstance(outcome, Witness):
-            report = verify_degeneration(a, outcome)
-            if report.passed:
-                return outcome
-            log.append(f"round {round_no}: verification failed: {report.diagnostics}")
-        else:
-            log.append(f"round {round_no}: {outcome.reason}")
-            for v in outcome.suspects:
-                if not vec_is_zero(v) and v not in suspects:
-                    suspects.append(v)
-        pool.drain()
-    raise SearchExhausted("; ".join(log))
+    witness = _attempt(a)
+    report = verify_degeneration(a, witness)
+    if not report.passed:
+        raise SearchExhausted(f"the witness failed exact verification: {report.diagnostics}")
+    return witness
 
 
-def span_witness_search(a: Algebra, mode: str, cfg: ClassifierConfig | None = None):
-    """Search for a vector whose square leaves its line (``"square"``) or an
-    ordered pair whose product leaves its plane (``"pair"``).
-
-    Sweeps basis vectors, pairwise sums, then seeded random vectors; every
-    hit is confirmed by an exact rank computation.  Returns None when the
-    sweep finds nothing.
-    """
-    if cfg is None:
-        cfg = ClassifierConfig()
-    rng = random.Random(cfg.seed)
-    pool = _pool(a.dim, cfg, rng, [])
+def span_witness_search(a: Algebra, mode: str):
+    """A vector whose square leaves its line (``"square"``) or an ordered
+    pair whose product leaves its plane (``"pair"``), the first on the
+    grid; None exactly when there is none."""
     if mode == "square":
-        hit = _find_square(a, pool)
+        hit = _find_square(a)
         return hit and hit[0]
     if mode == "pair":
-        return _find_pair(a, pool)
+        return _find_pair(a)
     raise ValueError(f"unknown search mode {mode!r}")
 
 
-# -- candidate machinery ---------------------------------------------------
+# -- candidate grids ---------------------------------------------------------
 
 
-class _Pool:
-    """Deterministic candidates and new suspects, then ``count`` nonzero
-    random vectors drawn from ``rng`` when an iteration first reaches them.
-
-    Iterations may nest; each sees the same sequence.
-    """
-
-    def __init__(self, head: list, rng: random.Random, count: int, n: int, bound: int):
-        self._items, self._rng = head, rng
-        self._left, self._n, self._bound = count, n, bound
-
-    def _draw(self) -> bool:
-        if not self._left:
-            return False
-        self._left -= 1
-        rng, n, bound = self._rng, self._n, self._bound
-        while True:
-            v = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-            if any(v):
-                break
-        self._items.append(v)
-        return True
-
-    def __iter__(self):
-        items = self._items
-        i = 0
-        while i < len(items) or self._draw():
-            yield items[i]
-            i += 1
-
-    def drain(self) -> None:
-        """Draw whatever no iteration reached, keeping the rng in step."""
-        while self._draw():
-            pass
+def _pair_grid(n: int) -> tuple:
+    """Basis vectors, then pairwise sums e_i + e_j (i < j)."""
+    return _deterministic_candidates(n)
 
 
-def _pool(n: int, cfg: ClassifierConfig, rng: random.Random, suspects: list) -> _Pool:
-    head = deterministic_candidates(n)
-    if suspects:
-        seen = set(head)
-        for v in suspects:
-            if v not in seen:
-                head.append(v)
-                seen.add(v)
-    return _Pool(head, rng, cfg.samples_per_round, n, cfg.coordinate_range)
+def _square_grid(n: int):
+    """The pair grid, then 2 e_p + e_q for ordered p != q."""
+    yield from _deterministic_candidates(n)
+    for p in range(n):
+        for q in range(n):
+            if q != p:
+                yield tuple(TWO if k == p else ONE if k == q else ZERO for k in range(n))
 
 
-def _find_square(a: Algebra, pool):
-    """(x, x*x) for the first x in the pool whose square leaves its line.
+def _find_square(a: Algebra):
+    """(x, x*x) for the first x on the square grid whose square leaves its
+    line.
 
     Past the n basis vectors, which find most witnesses, the sweep stops
     when the symmetrised tensor has the scalar-action form: every square
@@ -191,7 +136,7 @@ def _find_square(a: Algebra, pool):
     n = a.dim
     if n < 2:
         return None
-    for idx, x in enumerate(pool):
+    for idx, x in enumerate(_square_grid(n)):
         if idx == n and _scalar_action(a, symmetrised=True) is not None:
             return None
         s = a.product(x, x)
@@ -200,14 +145,15 @@ def _find_square(a: Algebra, pool):
     return None
 
 
-def _find_pair(a: Algebra, pool):
-    """(x, y) for the first ordered pair in the pool whose product leaves
-    their plane; None at once when the tensor has the scalar-action form,
-    which in dimension >= 3 is every product staying in its plane."""
+def _find_pair(a: Algebra):
+    """(x, y) for the first ordered pair on the pair grid whose product
+    leaves their plane; None at once when the tensor has the scalar-action
+    form, which in dimension >= 3 is every product staying in its plane."""
     if a.dim < 3 or _scalar_action(a) is not None:
         return None
-    for ix, x in enumerate(pool):
-        for iy, y in enumerate(pool):
+    grid = _pair_grid(a.dim)
+    for ix, x in enumerate(grid):
+        for iy, y in enumerate(grid):
             if ix == iy:
                 continue
             p = a.product(x, y)
@@ -238,49 +184,51 @@ def _assemble(minv: list, weights: list, tag: Tag, trace: list, alpha=None) -> W
 # -- the decision tree ------------------------------------------------------
 
 
-def _attempt(a: Algebra, pool):
+def _attempt(a: Algebra) -> Witness:
     n = a.dim
     if a.is_anticommutative():
         trace = ["Antisymmetric"]
-        pair = _find_pair(a, pool)
+        pair = _find_pair(a)
         if pair is not None:
-            x, y = pair
-            trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
-            _, inv = _frame(n, [x, y, a.product(x, y)])
-            return _assemble(linalg._fractions(inv), [1, 1] + [2] * (n - 2), Tag.N3_MINUS,
-                             trace)
+            return _n3minus_branch(a, pair, trace)
         trace.append("PairWitnessAbsent")
         return _pminus_branch(a, trace)
-    sq = _find_square(a, pool)
+    sq = _find_square(a)
     if sq is not None:
         x, square = sq
         trace = [f"SquareWitnessFound x={_fmt(x)}"]
         _, inv = _frame(n, [x, square])
         return _assemble(linalg._fractions(inv), [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
     trace = ["SquareInSpan"]
-    pair = _find_pair(a, pool)
+    pair = _find_pair(a)
     if pair is not None:
-        x, y = pair
-        trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
-        return _n3_mixed_branch(a, x, y, trace)
+        return _n3minus_branch(a, pair, trace)
     trace.append("NuNormalization")
     return _nu_branch(a, trace)
 
 
-def _pminus_branch(a: Algebra, trace: list):
+def _n3minus_branch(a: Algebra, pair: tuple, trace: list) -> Witness:
+    """The product x*y escapes the plane of x and y.
+
+    Either the algebra is anticommutative, or its squares stay on their
+    lines and polarization gives y*x = -x*y modulo the plane; either way
+    that is exactly what survives the (1, 1, 2, ..., 2) scaling."""
+    x, y = pair
+    trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
+    _, inv = _frame(a.dim, [x, y, a.product(x, y)])
+    return _assemble(linalg._fractions(inv), [1, 1] + [2] * (a.dim - 2), Tag.N3_MINUS,
+                     trace)
+
+
+def _pminus_branch(a: Algebra, trace: list) -> Witness:
     """All products of an anticommutative algebra stay in the plane of their
-    factors: normalize e1*ei = ei and scale everything but e1 down."""
+    factors, so x*y = phi(y) x - phi(x) y: normalize e1*ei = ei and scale
+    everything but e1 down."""
     n = a.dim
     # the first nonzero product of basis vectors; off the diagonal, as a skew
     # tensor has no nonzero square
     i, j = min((i, j) for _, i, j in a.entries())
     p = a.basis_product(i, j)
-    if any(p[k] for k in range(n) if k not in (i, j)):
-        # the sweep reported every pair in-span, yet a basis product escapes
-        return _Failure(
-            "a basis product escapes the span of its factors",
-            [unit_vector(n, i), unit_vector(n, j)],
-        )
     if p[j]:
         first, second = i, j
         q = p
@@ -296,112 +244,32 @@ def _pminus_branch(a: Algebra, trace: list):
     for m in range(2, n):
         lead = reb.constants[0][0][m]
         absorbed.append(vec_add(basis[m], vec_scale(basis[0], lead)))
-    reb2, minv = rebase(a, absorbed)
-    suspects: list = []
-    for m in range(1, n):
-        col = [reb2.constants[k][0][m] for k in range(n)]
-        if any(col[k] != (ONE if k == m else ZERO) for k in range(n)):
-            suspects += [
-                absorbed[0],
-                absorbed[m],
-                vec_add(absorbed[1], absorbed[m]),
-            ]
-    if suspects:
-        return _Failure("normalization e1*ei = ei failed", suspects)
-    return _assemble(minv, [0] + [1] * (n - 1), Tag.P_MINUS, trace)
+    _, minv = _frame(n, absorbed)
+    return _assemble(linalg._fractions(minv), [0] + [1] * (n - 1), Tag.P_MINUS, trace)
 
 
-def _n3_mixed_branch(a: Algebra, x: Vector, y: Vector, trace: list):
-    """Squares stay on their lines, the product x*y escapes its plane.
-
-    Polarization then forces y*x = -x*y modulo the plane, which is exactly
-    what survives the (1, 1, 2, ..., 2) scaling; check it and expose the
-    hidden square witness x + y when it fails.
-    """
-    n = a.dim
-    basis, inv = _frame(n, [x, y, a.product(x, y)])
-    reb = _rebased(a, basis, inv)
-    ok = True
-    for k in range(2, n):
-        if reb.constants[k][0][0] or reb.constants[k][1][1]:
-            ok = False
-        if reb.constants[k][1][0] != (-ONE if k == 2 else ZERO):
-            ok = False
-    if not ok:
-        return _Failure(
-            "polarization identities failed on a mixed-product frame",
-            [x, y, vec_add(x, y)],
-        )
-    return _assemble(linalg._fractions(inv), [1, 1] + [2] * (n - 2), Tag.N3_MINUS, trace)
-
-
-def _nu_branch(a: Algebra, trace: list):
+def _nu_branch(a: Algebra, trace: list) -> Witness:
     """Every square on its line, every product in its plane: idempotent
-    normalization onto the scalar-action table."""
+    normalization onto the scalar-action table.
+
+    A non-anticommutative algebra has a nonzero square among the basis
+    vectors and their pairwise sums, and each nonzero square is a multiple
+    of its vector."""
     n = a.dim
-    start = None
-    for x in deterministic_candidates(n):
-        s = a.product(x, x)
-        if not vec_is_zero(s):
-            c = proportionality(s, x)
-            if c is None:
-                return _Failure("square witness surfaced in the idempotent step", [x])
-            start = (x, c)
-            break
-    if start is None:
-        # a non-anticommutative algebra has a nonzero square among basis
-        # vectors and their pairwise sums; getting here means the tensor
-        # anticommutativity check and this sweep disagree
-        return _Failure("no nonzero square among deterministic candidates", [])
-    x, c = start
-    b1 = vec_scale(x, 1 / c)
-    frame = extend_basis(n, [b1])
+    x, s = next((x, s) for x in _deterministic_candidates(n)
+                if not vec_is_zero(s := a.product(x, x)))
+    b1 = vec_scale(x, 1 / proportionality(s, x))
     idem: list[Vector] = []
     null: list[Vector] = []
-    for w in frame[1:]:
+    for w in extend_basis(n, [b1])[1:]:
         s = a.product(w, w)
         if vec_is_zero(s):
             null.append(w)
         else:
-            cw = proportionality(s, w)
-            if cw is None:
-                return _Failure("square witness surfaced in the idempotent step", [w])
-            idem.append(vec_scale(w, 1 / cw))
-    ordered = [b1] + idem + null
-    k = 1 + len(idem)
-    suspects: list = []
-    for m in range(1, n):
-        w = ordered[m]
-        s = vec_add(a.product(b1, w), a.product(w, b1))
-        want = vec_add(b1, w) if m < k else w
-        if s != want:
-            suspects += [vec_add(b1, w), vec_sub(b1, w)]
-    if suspects:
-        return _Failure("idempotent sum relations failed", suspects)
-    final = [b1] + [vec_sub(w, b1) for w in ordered[1:k]] + ordered[k:]
+            idem.append(vec_scale(w, 1 / proportionality(s, w)))
+    # squares on their lines give b1*w + w*b1 = b1 + w for an idempotent w and
+    # w for w*w = 0, so b1*f + f*b1 = f for every f after b1 below
+    final = [b1] + [vec_sub(w, b1) for w in idem] + null
     reb, minv = rebase(a, final)
-    head = [reb.constants[kk][0][0] for kk in range(n)]
-    if any(head[kk] != (ONE if kk == 0 else ZERO) for kk in range(n)):
-        return _Failure("idempotent head product broke", [b1])
-    alphas: list[Fraction] = []
-    for m in range(1, n):
-        col01 = [reb.constants[kk][0][m] for kk in range(n)]
-        col10 = [reb.constants[kk][m][0] for kk in range(n)]
-        stray = [
-            kk for kk in range(n) if kk not in (0, m) and (col01[kk] or col10[kk])
-        ]
-        if stray or col10[m] != 1 - col01[m] or col10[0] != -col01[0]:
-            suspects += [final[m], vec_add(b1, final[m]), vec_sub(b1, final[m])]
-        alphas.append(col01[m])
-    if suspects:
-        return _Failure("pair span relations failed around the idempotent", suspects)
-    alpha = None
-    if n >= 2:
-        alpha = alphas[0]
-        for m in range(2, n):
-            if alphas[m - 1] != alpha:
-                return _Failure(
-                    "direction scalars disagree",
-                    [vec_add(final[1], final[m])],
-                )
+    alpha = reb.constants[1][0][1] if n >= 2 else None
     return _assemble(minv, [0] + [1] * (n - 1), Tag.NU, trace, alpha)

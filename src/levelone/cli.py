@@ -5,14 +5,16 @@ canonical.  Exit codes are a stable contract:
 
     0  pass / success
     1  verification failed, no limit, input not recognized, or the
-       classifier found no witness
+       classifier's witness failed exact verification
     2  usage error, unreadable or malformed input, or input whose exponents
        pass the degree bound or whose dimension passes MAX_DIM
     3  domain precondition violated (abelian classify input, pole at the
        evaluation point)
 
 All commands are deterministic given their flags; randomness enters only
-through an explicit --seed.
+through the --seed of ``random``.  Integer flags are read by
+``jsonio.parse_integer``, so a literal past the digit bound fails like any
+other integer input.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="produce a verified degeneration witness")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0", help="accepted for compatibility; no effect")
     p.add_argument("--out", help="write the witness JSON here instead of stdout")
 
     p = sub.add_parser("recognize", help="match an algebra against the canonical forms")
@@ -109,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="seed-deterministic random inputs")
     p.add_argument("--kind", choices=("algebra", "family"), default="algebra")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", required=True)
     p.add_argument("--density", type=float, default=0.4, help="algebra kind only")
-    p.add_argument("--pole-bound", type=int, default=1, help="family kind only")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pole-bound", default="1", help="family kind only")
+    p.add_argument("--seed", required=True)
     p.add_argument("--non-abelian", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("canonical", help="emit a canonical algebra")
     p.add_argument("--name", required=True, choices=[t.value for t in Tag])
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", required=True)
     p.add_argument("--alpha", help="rational scalar, nu only")
     p.add_argument("--out")
 
@@ -176,8 +178,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    cfg = ClassifierConfig(seed=parse_integer(args.seed))
     a = algebra_from_dict(load_path(args.algebra))
-    witness = classify(a, ClassifierConfig(seed=args.seed))  # verified inside
+    witness = classify(a, cfg)  # verified inside
     _emit(witness_to_dict(witness), args.out)
     print(
         f"classified onto {witness.target.describe()}; witness verified",
@@ -233,19 +236,20 @@ def cmd_transport(args) -> int:
 
 
 def cmd_random(args) -> int:
-    check_dimension(args.dim)
+    n = check_dimension(parse_integer(args.dim))
+    seed = parse_integer(args.seed)
     if args.kind == "algebra":
-        a = random_algebra(args.dim, args.density, args.seed, args.non_abelian)
+        a = random_algebra(n, args.density, seed, args.non_abelian)
         _emit(algebra_to_dict(a), args.out)
     else:
-        pm = random_family(args.dim, args.pole_bound, args.seed)
+        pm = random_family(n, parse_integer(args.pole_bound), seed)
         _emit(family_to_dict(pm), args.out)
     return 0
 
 
 def cmd_canonical(args) -> int:
     alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    form = CanonicalForm(Tag(args.name), check_dimension(args.dim), alpha)
+    form = CanonicalForm(Tag(args.name), check_dimension(parse_integer(args.dim)), alpha)
     _emit(algebra_to_dict(construct(form)), args.out)
     return 0
 

@@ -72,7 +72,11 @@ class AbelianInput(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """The classifier ran out of search rounds with inconsistent branch state."""
+    """The classifier's witness failed exact verification.
+
+    The candidate grids are complete and each branch's premise follows from
+    the scalar-action identities, so this signals a defect, not bad luck;
+    the message carries the verifier's diagnostics."""
 
 
 class NotNu(ValueError):

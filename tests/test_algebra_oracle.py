@@ -10,7 +10,9 @@ determinant and characteristic polynomial that ``mat_det`` and ``char_poly``
 read off one Bareiss elimination, and the isomorphisms ``recognize`` returns
 (the input transported by the iso is the canonical table), and the
 scalar-action identity behind the classifier's negative branches and the nu
-recognizer (x ^ x*x and x ^ y ^ x*y expanded for symbolic x and y).  The
+recognizer (x ^ x*x and x ^ y ^ x*y expanded for symbolic x and y), with
+the completeness of the classifier's candidate grids: a witness is found
+wherever sympy says one exists.  The
 slice reads (multiplication matrices, ``product_form``) are checked against
 the per-pair definition ``Algebra.product``.  Inputs carry denominators up to 6 and sparse tensors,
 so many (i, j) slices are zero.
@@ -32,11 +34,13 @@ from levelone import (  # noqa: E402
     Tag,
     apply_basis_change,
     construct,
+    deterministic_candidates,
     derived_subspace,
     extend_basis,
     random_algebra,
     rebase,
     recognize,
+    span_witness_search,
     subspace_product,
     unit_vector,
 )
@@ -490,13 +494,15 @@ def perturbed(a, rng):
 def identity_inputs(n):
     """Moved nu(alpha) and pminus, their one-entry perturbations, planar
     tensors with independent forms, squares-on-lines tensors with a skew
-    part, and random algebras."""
+    part, each also with one column shifted (``column_shifted``), and random
+    algebras."""
     rng = random.Random(f"identity:{n}")
     out = []
     for form in [CanonicalForm(Tag.NU, n, al) for al in (F(0), F(1), F(1, 2), F(2, 3), F(-3))] + \
             [CanonicalForm(Tag.P_MINUS, n)]:
         moved = apply_basis_change(construct(form), invertible(rng, n))
         out += [moved, perturbed(moved, rng), perturbed(construct(form), rng)]
+    lines = []
     for _ in range(5):
         lam = [rational(rng) for _ in range(n)]
         c = sparse_algebra(rng, n).constants
@@ -504,28 +510,55 @@ def identity_inputs(n):
         # x*x = lam(x) x, plus the skew part of a random table
         on_lines = {(k, i, j): squares[k][i][j] + c[k][i][j] - c[k][j][i]
                     for k in range(n) for i in range(n) for j in range(n)}
+        lines.append(Algebra.from_entries(n, {key: v for key, v in on_lines.items() if v}))
         out += [scalar_action_table(n, [rational(rng) for _ in range(n)],
                                     [rational(rng) for _ in range(n)]),
-                Algebra.from_entries(n, {key: v for key, v in on_lines.items() if v}),
+                lines[-1],
                 sparse_algebra(rng, n)]
-    return out
+    return out + [column_shifted(a, rng) for a in lines]
+
+
+def column_shifted(a, rng):
+    """e_p*e_q moved by d (e_p + e_q), p != q, so that x*x gains
+    d x_p x_q (e_p + e_q).  On a squares-on-lines tensor, x ^ x*x becomes
+    d x_p x_q (x ^ (e_p + e_q)), which vanishes on every basis vector and
+    pairwise sum but not at 2 e_p + e_q.  One shifted entry could not do
+    this: it adds d x_i x_j (x ^ e_k), with a monomial x_i^2 x_j or
+    x_k^2 x_a, which some e_i or pairwise sum sees."""
+    n = a.dim
+    p, q = rng.sample(range(n), 2)
+    d = rational(rng) or F(1)
+    entries = a.entries()
+    for key in ((p, p, q), (q, p, q)):
+        entries[key] = entries.get(key, 0) + d
+    return Algebra.from_entries(n, {key: v for key, v in entries.items() if v})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_scalar_action_identity_matches_sympy(n):
     """The kernel's verdict on the symmetrised tensor is "every square on its
     line" and on the tensor "every product in its plane" (n >= 3), as
-    sympy expands them; when it holds, A, B and D rebuild the tensor."""
+    sympy expands them; when it holds, A, B and D rebuild the tensor.  The
+    classifier's grids are complete: its square and pair searches find a
+    witness exactly where sympy says one exists, and a column-shifted
+    squares-on-lines tensor needs one of the form 2 e_p + e_q."""
     seen = set()
-    for a in identity_inputs(n):
+    inputs = identity_inputs(n)
+    for idx, a in enumerate(inputs):
         on_line, in_plane = square_and_plane_stay(a)
         assert (_scalar_action(a, symmetrised=True) is not None) == on_line
+        x = span_witness_search(a, "square")
+        assert (x is None) == on_line
         action = _scalar_action(a)
         if n >= 3:
             assert (action is not None) == in_plane
+            assert (span_witness_search(a, "pair") is None) == in_plane
         if action is not None:
             A, B, D = action
             assert a == scalar_action_table(n, [F(x, D) for x in A], [F(x, D) for x in B])
+        if idx >= len(inputs) - 5:  # column_shifted
+            assert x not in deterministic_candidates(n)
+            assert sorted(x) == [0] * (n - 2) + [1, 2]
         seen.add((on_line, action is not None))
     # at n = 2 squares on their lines make the tensor planar: its skew part
     # e1*e2 = -e2*e1 = v is a_1 e2 - a_2 e1 for a = (v_2, -v_1)

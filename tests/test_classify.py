@@ -21,7 +21,7 @@ from levelone import (
     unit_vector,
     verify_degeneration,
 )
-from levelone.algebra import _scalar_action, proportionality
+from levelone.algebra import _scalar_action
 from levelone.errors import SearchExhausted
 from levelone.jsonio import witness_to_dict
 from levelone.linalg import rank
@@ -189,87 +189,6 @@ class TestSoundnessSample:
         assert len(traces) >= 2
 
 
-def eager_draws(rng: random.Random, n: int, cfg: ClassifierConfig) -> list:
-    """One round's random vectors, drawn up front as an eager pool would."""
-    out = []
-    for _ in range(cfg.samples_per_round):
-        while True:
-            v = tuple(F(rng.randint(-cfg.coordinate_range, cfg.coordinate_range))
-                      for _ in range(n))
-            if any(v):
-                break
-        out.append(v)
-    return out
-
-
-class TestLazyPool:
-    @pytest.mark.parametrize("reach", [0, 2])
-    def test_later_rounds_see_the_eager_stream(self, monkeypatch, reach):
-        """Round 0 reads ``reach`` random vectors and fails; round 1 still
-        gets the vectors an eager pool would have drawn for it."""
-        n = 3
-        cfg = ClassifierConfig(seed=11, samples_per_round=5, max_rounds=2)
-        head = len(deterministic_candidates(n))
-        pools = []
-
-        def scripted(a, pool):
-            seen = []
-            for v in pool:
-                if not pools and len(seen) == head + reach:
-                    break
-                seen.append(v)
-            pools.append(seen)
-            return classify_mod._Failure("scripted", [])
-
-        monkeypatch.setattr(classify_mod, "_attempt", scripted)
-        with pytest.raises(SearchExhausted):
-            classify(canon(Tag.LAMBDA2, n), cfg)
-        rng = random.Random(cfg.seed)
-        eager = [eager_draws(rng, n, cfg) for _ in range(cfg.max_rounds)]
-        assert pools[0] == deterministic_candidates(n) + eager[0][:reach]
-        assert pools[1] == deterministic_candidates(n) + eager[1]
-
-    def test_round_won_by_a_basis_vector_draws_nothing(self, monkeypatch):
-        draws = []
-
-        class CountingRandom(random.Random):
-            def randint(self, lo, hi):
-                draws.append((lo, hi))
-                return super().randint(lo, hi)
-
-        monkeypatch.setattr(classify_mod, "random", SimpleNamespace(Random=CountingRandom))
-        w = classify_and_check(canon(Tag.LAMBDA2, 4))
-        assert w.branch_trace[0] == "SquareWitnessFound x=(1, 0, 0, 0)"
-        assert draws == []
-
-    def test_suspects_leave_the_deterministic_candidates_alone(self):
-        n = 4
-        suspect = (F(1), F(2), F(3), F(4))
-        pool = list(classify_mod._pool(n, ClassifierConfig(samples_per_round=2),
-                                       random.Random(0), [suspect, unit_vector(n, 0)]))
-        head = n + n * (n - 1) // 2
-        assert pool[head] == suspect and len(pool) == head + 3
-        cands = deterministic_candidates(n)
-        assert len(cands) == head and suspect not in cands
-        assert cands[:n] == [unit_vector(n, i) for i in range(n)]
-        cands.append(suspect)
-        assert deterministic_candidates(n)[-1] == (F(0), F(0), F(1), F(1))
-
-    @pytest.mark.parametrize("mode", ["square", "pair"])
-    def test_span_search_matches_an_eager_pool(self, mode):
-        find = {"square": classify_mod._find_square, "pair": classify_mod._find_pair}[mode]
-        for seed in range(12):
-            a = random_algebra(4, 0.15, seed=seed, nonabelian=True)
-            cfg = ClassifierConfig(seed=seed)
-            eager = deterministic_candidates(4) + eager_draws(random.Random(seed), 4, cfg)
-            want = find(a, eager)
-            if mode == "square" and want is not None:  # (x, x*x)
-                x, square = want
-                assert square == a.product(x, x)
-                want = x
-            assert span_witness_search(a, mode, cfg) == want
-
-
 class TestEliminationCount:
     """A square witness takes one integer elimination for its frame and the
     frame's inverse, and one in the verifier, which inverts the family's
@@ -342,13 +261,12 @@ class TestIdentities:
         rng = random.Random("identities")
         inputs = [a for n in range(2, 7) for a in identity_inputs(n, rng)]
         assert len(inputs) >= 700
-        cfg = ClassifierConfig(samples_per_round=4)
-        new = [(span_witness_search(a, "square", cfg), span_witness_search(a, "pair", cfg))
+        new = [(span_witness_search(a, "square"), span_witness_search(a, "pair"))
                for a in inputs]
         monkeypatch.setattr(classify_mod, "_scalar_action", lambda *args, **kw: None)
         kinds = set()
         for a, got in zip(inputs, new):
-            old = (span_witness_search(a, "square", cfg), span_witness_search(a, "pair", cfg))
+            old = (span_witness_search(a, "square"), span_witness_search(a, "pair"))
             assert got == old
             on_lines = _scalar_action(a, symmetrised=True) is not None
             planar = _scalar_action(a) is not None
@@ -361,21 +279,64 @@ class TestIdentities:
     @pytest.mark.parametrize("tag,alpha", [(Tag.NU, F(2, 3)), (Tag.NU, F(-3)),
                                            (Tag.P_MINUS, None)])
     def test_scalar_action_forms_never_sweep(self, monkeypatch, tag, alpha):
-        """A moved nu or pminus form goes to its branch with the witness it
-        had before, reading at most the basis vectors of the pool (and the
-        one item after them, at which the square search stops)."""
+        """A moved nu or pminus form goes to its branch reading at most the
+        basis vectors of the square grid and the one item after them, at
+        which the square search stops, and none of the pair grid."""
         n = 8
         a = apply_basis_change(canon(tag, n, alpha),
                                random_invertible_matrix(n, random.Random(3)))
         want = witness_to_dict(classify_and_check(a))
-        read = []
-        sweep = classify_mod._Pool.__iter__
+        read, pair_grids = [], []
+        square_grid = classify_mod._square_grid
 
-        def counted(pool):
-            for v in sweep(pool):
+        def counted(n):
+            for v in square_grid(n):
                 read.append(v)
                 yield v
 
-        monkeypatch.setattr(classify_mod._Pool, "__iter__", counted)
+        monkeypatch.setattr(classify_mod, "_square_grid", counted)
+        monkeypatch.setattr(classify_mod, "_pair_grid", pair_grids.append)
         assert witness_to_dict(classify(a)) == want
         assert read == deterministic_candidates(n)[:len(read)] and len(read) <= n + 1
+        assert pair_grids == []
+
+
+class TestGrids:
+    def test_the_grids_in_order(self):
+        n = 4
+        basis = [unit_vector(n, i) for i in range(n)]
+        sums = [tuple(a + b for a, b in zip(basis[i], basis[j]))
+                for i in range(n) for j in range(i + 1, n)]
+        doubled = [tuple(2 * a + b for a, b in zip(basis[p], basis[q]))
+                   for p in range(n) for q in range(n) if p != q]
+        assert list(classify_mod._pair_grid(n)) == basis + sums
+        assert list(classify_mod._square_grid(n)) == basis + sums + doubled
+
+    def test_deterministic_candidates_are_a_fresh_list(self):
+        n = 4
+        cands = deterministic_candidates(n)
+        cands.append((F(1), F(2), F(3), F(4)))
+        assert deterministic_candidates(n)[-1] == (F(0), F(0), F(1), F(1))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0, 1): -7, (0, 1, 0): 2, (1, 1, 0): -5},
+        {(0, 0, 1): -9, (1, 0, 1): -9},
+        {(1, 1, 1): -1, (1, 0, 1): 1},
+    ])
+    def test_witnesses_past_the_pairwise_sums(self, entries):
+        """Inputs whose only square witnesses on the grid are 2 e_p + e_q:
+        each classifies to lambda2 on a small witness, whatever the seed."""
+        a = Algebra.from_entries(2, {key: F(v) for key, v in entries.items()})
+        w = classify_and_check(a, seed=0)
+        assert w.target.tag is Tag.LAMBDA2
+        x = tuple(F(c) for c in w.branch_trace[0].split("x=(")[1].rstrip(")").split(", "))
+        assert set(x) <= {0, 1, 2} and x not in deterministic_candidates(2)
+        assert witness_to_dict(w) == witness_to_dict(classify(a, ClassifierConfig(seed=7)))
+
+    def test_a_witness_that_fails_verification_raises(self, monkeypatch):
+        def failed(a, w):
+            return SimpleNamespace(passed=False, diagnostics="injected")
+
+        monkeypatch.setattr(classify_mod, "verify_degeneration", failed)
+        with pytest.raises(SearchExhausted, match="failed exact verification: injected"):
+            classify(canon(Tag.LAMBDA2, 3))

@@ -655,6 +655,24 @@ class TestMalformedInputs:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: dimension")
 
+    @pytest.mark.parametrize("argv", [
+        ["random", "--seed", "0", "--dim", "{big}"],
+        ["random", "--dim", "3", "--seed", "{big}"],
+        ["random", "--kind", "family", "--dim", "3", "--seed", "2", "--pole-bound", "{big}"],
+        ["canonical", "--name", "abelian", "--dim", "{big}"],
+        ["classify", "--algebra", canonical_path("pplus_n3"), "--seed", "{big}"],
+    ])
+    def test_integer_flag_past_the_digit_bound(self, capsys, argv):
+        """An integer flag is refused by the named bound in one line, not
+        echoed back by argparse."""
+        big = "1" * (MAX_COEFF_DIGITS + 700)
+        code = main([big if arg == "{big}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: integer literal of {len(big)} digits exceeds the "
+                                f"bound of {MAX_COEFF_DIGITS} digits\n")
+
 
 class TestParserReuse:
     COMMANDS = [
