@@ -24,15 +24,16 @@ the integer elimination (``linalg._inverse``) with no Fraction in between.
 
 ``_frame`` completes seed vectors to a frame and returns the frame's
 inverse from the same elimination; ``extend_basis`` is its basis, and the
-classifier and recognizer rebase onto a frame through that inverse
-(``_rebased``) instead of inverting it again.
+classifier's witnesses and the recognizer's isos are such inverses.
 
 ``_scalar_action`` decides in one read of the slices, in ints, whether the
 tensor is c^k_ij = a_i [k = j] + b_j [k = i] for linear forms a and b: the
 scalar-action shape of nu(alpha) (a = alpha phi, b = (1 - alpha) phi) and
 of pminus (b = -a).  It is the identity behind every product staying in the
 plane of its factors (n >= 3), and, on the symmetrised tensor, behind every
-square staying on its line (n >= 2).
+square staying on its line (n >= 2); the classifier reads the normalized
+pminus and nu tables off its (A, B, D), and the recognizer the pminus and
+nu matches.
 """
 
 from __future__ import annotations
@@ -564,11 +565,6 @@ def rebase(a: Algebra, basis: list) -> tuple[Algebra, list]:
     except SingularMatrix:
         raise SingularMatrix("proposed basis is linearly dependent")
     return _contract(a, g, h), linalg._fractions(g)
-
-
-def _rebased(a: Algebra, basis: list, inverse: tuple) -> Algebra:
-    """``rebase(a, basis)[0]`` for a frame whose inverse (den, rows) is known."""
-    return _contract(a, inverse, _frame_matrix(a.dim, basis))
 
 
 def extend_basis(a_dim: int, vectors: list, pool: list | None = None) -> list:

@@ -14,7 +14,7 @@ canonical algebras, together with a trace of the branch taken:
   * squares stay on their lines but some mixed product escapes its plane:
     n3minus as in the first branch;
   * otherwise: idempotent normalization, weights (0, 1, ..., 1), target
-    nu(alpha) with the scalar read off the normalized table.
+    nu(alpha) with the scalar read off the scalar-action identity.
 
 The classifier is deterministic and total.  Both negative outcomes are
 decided by an identity on the tensor (``algebra._scalar_action``): every
@@ -42,7 +42,10 @@ witness, so nothing is drawn at random and there is no fallback.  The
 square search checks the identity once its n basis vectors, which find
 most witnesses, found none.  Each branch's premise follows from the
 identities, so the branches build their frames without re-checking it;
-``verify_degeneration`` still checks every emitted witness exactly.
+``verify_degeneration`` still checks every emitted witness exactly.  The
+pminus and nu branches read what they need of the normalized table (the
+leads on e1, the scalar) off the identity's (A, B, D), so no branch
+contracts the tensor.
 """
 
 from __future__ import annotations
@@ -56,11 +59,10 @@ from .algebra import (
     Vector,
     _deterministic_candidates,
     _frame,
-    _rebased,
     _scalar_action,
     extend_basis,
     proportionality,
-    rebase,
+    rebase,  # noqa: F401  (perfbench/test_perfbench.py reads this binding)
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -238,12 +240,14 @@ def _pminus_branch(a: Algebra, trace: list) -> Witness:
     g2, g1 = q[second], q[first]
     b1 = vec_scale(unit_vector(n, first), 1 / g2)
     b2 = vec_add(unit_vector(n, second), vec_scale(b1, g1))
-    basis, inv = _frame(n, [b1, b2])
-    reb = _rebased(a, basis, inv)
+    basis, _ = _frame(n, [b1, b2])
+    # x*y = phi(x) y - phi(y) x with phi = A / D and phi(b1) = 1, so b1 * f
+    # has lead -phi(f) on b1
+    A, _, D = _scalar_action(a)
     absorbed = [basis[0], basis[1]]
-    for m in range(2, n):
-        lead = reb.constants[0][0][m]
-        absorbed.append(vec_add(basis[m], vec_scale(basis[0], lead)))
+    for f in basis[2:]:
+        lead = -sum(x * y for x, y in zip(A, f)) / D
+        absorbed.append(vec_add(f, vec_scale(basis[0], lead)))
     _, minv = _frame(n, absorbed)
     return _assemble(linalg._fractions(minv), [0] + [1] * (n - 1), Tag.P_MINUS, trace)
 
@@ -270,6 +274,10 @@ def _nu_branch(a: Algebra, trace: list) -> Witness:
     # squares on their lines give b1*w + w*b1 = b1 + w for an idempotent w and
     # w for w*w = 0, so b1*f + f*b1 = f for every f after b1 below
     final = [b1] + [vec_sub(w, b1) for w in idem] + null
-    reb, minv = rebase(a, final)
-    alpha = reb.constants[1][0][1] if n >= 2 else None
-    return _assemble(minv, [0] + [1] * (n - 1), Tag.NU, trace, alpha)
+    _, minv = _frame(n, final)
+    alpha = None
+    if n >= 2:
+        # x*y = a(x) y + b(y) x with a = A / D, so b1 * f has a(b1) on f
+        A, _, D = _scalar_action(a)
+        alpha = sum(x * y for x, y in zip(A, b1)) / D
+    return _assemble(linalg._fractions(minv), [0] + [1] * (n - 1), Tag.NU, trace, alpha)

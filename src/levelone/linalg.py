@@ -5,7 +5,8 @@ Matrices are lists of row lists; no function but ``bareiss`` and the private
 subspace equality throughout the package.  Over Q there is one elimination,
 ``_echelon``: an integer Gauss-Jordan on integer rows, kept primitive.
 ``rref``, ``rank`` and ``nullspace`` read it on rows scaled to integers, and
-so does ``Subspace.contains`` (a rank).  ``_inverse`` reads the echelon of
+so does ``Subspace.contains`` (a rank); ``_kernel`` is the rref kernel basis
+read off an echelon, behind ``nullspace``.  ``_inverse`` reads the echelon of
 [a | I] for an integer matrix a as (den, rows), rows / den = a^-1 over the
 lcm of the pivots; ``mat_inverse`` is its Fraction view, and basis changes
 and the row-monomial limit in ``transport`` take the integers as they are.
@@ -179,8 +180,12 @@ def nullspace(rows: list) -> list:
     """Basis of {v : rows @ v = 0}, canonical via rref free columns."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    basis_rows, pivots = rref(rows)
+    return _kernel(*_scaled_echelon(rows), len(rows[0]))
+
+
+def _kernel(work: list, pivots: list, ncols: int) -> list:
+    """The rref basis of the kernel of an echelon's row space: one vector per
+    free column f, 1 at f and -row[f] / row[p] at each pivot column p."""
     pivot_set = set(pivots)
     out = []
     for free in range(ncols):
@@ -188,9 +193,9 @@ def nullspace(rows: list) -> list:
             continue
         v = [ZERO] * ncols
         v[free] = ONE
-        for row, p in zip(basis_rows, pivots):
+        for row, p in zip(work, pivots):
             if row[free]:
-                v[p] = -row[free]
+                v[p] = Fraction(-row[free], row[p])
         out.append(tuple(v))
     return out
 

@@ -345,3 +345,164 @@ def test_independent_scalar_actions_are_not_nu():
     res = recognize(a)
     assert res.form is None
     assert res.reason == "joint eigenspace of the idempotent actions has dimension 0, need 1"
+
+
+# -- the integer reads: pminus, pplus and the rank-one forms ------------------
+
+
+READS = {  # each read and the tags it names
+    "_read_pminus": {Tag.P_MINUS},
+    "_read_pplus": {Tag.P_PLUS},
+    "_read_rank_one": {Tag.LAMBDA2, Tag.N3_MINUS, Tag.N3_PLUS},
+}
+
+
+def canonical_forms(ns):
+    from levelone.errors import BadDimension
+
+    for n in ns:
+        for tag, alpha in ALL_FORMS:
+            try:
+                yield CanonicalForm(tag, n, alpha)
+            except BadDimension:
+                pass
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_match_contracts_nothing(monkeypatch, n):
+    """Every canonical form, moved, is recognized with its iso by its read
+    alone: no contraction, rebase, A^2, product zero test or comparison
+    against the canonical table.  Then, independently of how recognize found
+    it, the iso carries the input onto the canonical table."""
+    algebra_mod = importlib.import_module("levelone.algebra")
+    canonical_mod = importlib.import_module("levelone.canonical")
+    module = importlib.import_module("levelone.recognize")
+    inputs = [(form, moved(form.tag, n, form.alpha, seed=seed))
+              for form in canonical_forms([n]) for seed in range(3)]
+
+    def unread(*args):
+        raise AssertionError("a match needs no contraction and no A^2")
+
+    for owner, name in ((algebra_mod, "_contract"), (algebra_mod, "rebase"),
+                        (module, "rebase"), (algebra_mod, "derived_subspace"),
+                        (module, "derived_subspace"), (module, "products_vanish"),
+                        (canonical_mod, "construct")):
+        monkeypatch.setattr(owner, name, unread)
+    got = [recognize(a) for _, a in inputs]
+    monkeypatch.undo()
+    for (form, a), res in zip(inputs, got):
+        assert res.form == form, res.reason
+        assert apply_basis_change(a, [list(row) for row in res.iso]) == construct(form)
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_each_read_names_only_its_own_tags(read, n):
+    fn = getattr(importlib.import_module("levelone.recognize"), read)
+    for form in canonical_forms([n]):
+        for seed in range(2):
+            res = fn(moved(form.tag, n, form.alpha, seed=seed))
+            if form.tag in READS[read]:
+                assert res.form == form
+            else:
+                assert res is None, (form, res)
+
+
+# the reasons recognize gives, as patterns
+REASON_PATTERNS = [
+    r"left multiplication by the idempotent has the wrong spectrum",
+    r"joint eigenspace of the idempotent actions has dimension \d+, need \d+",
+    r"normalized table does not match nu\(-?\d+(/\d+)?\) dim \d+",
+    r"found x with x\*x outside the line of x",
+    r"A\^2 \* A\^2 != 0",
+    r"symmetric product form has rank \d+ in dimension \d+",
+    r"skew product form has rank \d+, need 2",
+    r"anticommutative with dim A\^2 = \d+: matches no canonical form",
+    r"left multiplication by a complement vector is not a nonzero scalar on A\^2",
+    r"left multiplication by a complement vector is not scalar on A\^2",
+]
+
+
+def single_entry_perturbations(a, rng, count):
+    """a with one entry c^k_ij moved by 1/7 (and c^k_ji by +-1/7, keeping a
+    commutative or anticommutative tensor so)."""
+    n = a.dim
+    sign = 1 if a.is_commutative() else -1 if a.is_anticommutative() else 0
+    for _ in range(count):
+        k, i, j = (rng.randrange(n) for _ in range(3))
+        if sign == -1 and i == j:
+            continue
+        entries = a.entries()
+        entries[(k, i, j)] = entries.get((k, i, j), F(0)) + F(1, 7)
+        if sign and i != j:
+            entries[(k, j, i)] = entries.get((k, j, i), F(0)) + sign * F(1, 7)
+        yield Algebra.from_entries(n, entries)
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_each_read_rejects_a_perturbation_of_its_forms(read):
+    """A perturbed form with other invariants than the form is not the form:
+    the read does not name it, and recognize gives one of its reasons, or
+    another tag with an iso that carries the input onto that tag's table."""
+    import re
+
+    from levelone import invariant_vector
+
+    fn = getattr(importlib.import_module("levelone.recognize"), read)
+    checked = 0
+    for n in range(2, 7):
+        for form in canonical_forms([n]):
+            if form.tag not in READS[read]:
+                continue
+            want = invariant_vector(construct(form))
+            for seed in range(2):
+                a = moved(form.tag, n, seed=seed)
+                rng = random.Random(f"{read}:{form.describe()}:{seed}")
+                for b in single_entry_perturbations(a, rng, 8):
+                    if invariant_vector(b) == want:
+                        continue  # possibly still the form
+                    got = fn(b)
+                    assert got is None or got.form is None or got.form.tag is not form.tag
+                    res = recognize(b)
+                    if res.form is None:
+                        assert any(re.fullmatch(p, res.reason) for p in REASON_PATTERNS), \
+                            res.reason
+                    else:
+                        assert res.form != form
+                        if res.iso is not None:
+                            iso = [list(row) for row in res.iso]
+                            assert apply_basis_change(b, iso) == construct(res.form)
+                    checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("tag", [Tag.P_MINUS, Tag.P_PLUS])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_scalar_line_iso_is_the_normalization_frame(tag, n):
+    """The pminus / pplus iso is the inverse of the frame of the full
+    normalization: x / c for the first basis vector x outside A^2, with
+    x*v = c v on A^2 (for pplus x less x*x / 2c first), then the rref basis
+    of A^2."""
+    for seed in range(3):
+        a = moved(tag, n, seed=seed)
+        square = derived_subspace(a)
+        x = next(e for e in (tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+                 if not square.contains(e))
+        v0 = square.basis[0]
+        p = next(i for i, v in enumerate(v0) if v)
+        c = a.product(x, v0)[p] / v0[p]
+        if tag is Tag.P_PLUS:
+            s = a.product(x, x)
+            x = tuple(xi - si / (2 * c) for xi, si in zip(x, s))
+        frame = [tuple(xi / c for xi in x), *square.basis]
+        want = mat_inverse([[v[i] for v in frame] for i in range(n)])
+        assert [list(row) for row in recognize(a).iso] == want
+
+
+def test_the_rank_one_read_needs_a_symmetric_or_skew_form():
+    """e1*e2 = e3 alone has dim A^2 = 1 and B z = 0, but B is neither
+    symmetric nor skew: no rank-one tag."""
+    module = importlib.import_module("levelone.recognize")
+    a = Algebra.from_entries(3, {(2, 0, 1): F(1)})
+    assert module._read_rank_one(a) is None
+    assert recognize(a).reason == "found x with x*x outside the line of x"
