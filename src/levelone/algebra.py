@@ -179,8 +179,14 @@ class Algebra:
     def is_anticommutative(self) -> bool:
         """Skew tensor; over Q this is the same as x*x = 0 for every x."""
         slices = self._slices
-        return all(slices.get((j, i)) == tuple((k, -c) for k, c in hits)
-                   for (i, j), hits in slices.items())
+        for (i, j), hits in slices.items():
+            other = slices.get((j, i), ())
+            if len(other) != len(hits):
+                return False
+            for (k, c), (l, d) in zip(hits, other):
+                if k != l or c != -d:
+                    return False
+        return True
 
     def is_nilpotent(self) -> bool:
         powers = ideal_powers(self)

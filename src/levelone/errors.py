@@ -29,11 +29,12 @@ class ParseError(ValueError):
 
 
 class CoefficientTooLarge(ValueError):
-    """An integer literal in the input has more digits than MAX_COEFF_DIGITS."""
+    """An integer literal in the input, or an integer of an output named by
+    ``output``, has more digits than MAX_COEFF_DIGITS."""
 
-    def __init__(self, digits: int, bound: int):
-        super().__init__(f"integer literal of {digits} digits exceeds the bound of "
-                         f"{bound} digits")
+    def __init__(self, digits: int, bound: int, output: str | None = None):
+        what = "integer literal" if output is None else f"cannot write the {output}: integer"
+        super().__init__(f"{what} of {digits} digits exceeds the bound of {bound} digits")
 
 
 class DimensionMismatch(ValueError):

@@ -11,18 +11,25 @@ Report:    {"pass": bool, "limit": <algebra> | null, "diagnostics": [...]}
 
 Serialization is deterministic (sorted keys and entries), so identical
 values produce byte-identical files.
+
+Algebras are read and written in the integer stored form (cden, slices) of
+``Algebra``: each "p[/q]" literal is read as two ints, and each coefficient
+is written as C/cden reduced by one gcd, with no Fraction in between.  An
+integer of an output that has more than MAX_COEFF_DIGITS digits raises
+CoefficientTooLarge naming the output, as one of the input does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
-from .algebra import Algebra, InvariantVector
+from .algebra import Algebra, InvariantVector, _stored
 from .canonical import CanonicalForm, Tag
 from .errors import CoefficientTooLarge, ParseError
-from .parser import parse_laurent, print_laurent
+from .parser import parse_laurent, print_laurent, rational_text
 from .poly import MAX_COEFF_DIGITS, MAX_DIM, FieldElement
 from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness
@@ -32,13 +39,24 @@ _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 _STRING_OR_DIGITS = re.compile(r'"(?:[^"\\]|\\.)*"|\d+')
 
 
-def parse_rational(text: str) -> Fraction:
+def _rational_pair(text: str) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0 for an "int[/uint]" literal."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"bad rational literal: {shown(text)} (expected int[/uint])")
-    digits = max(map(len, text.lstrip("-").split("/")))
-    if digits > MAX_COEFF_DIGITS:  # int() would refuse it
-        raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    if len(text) > MAX_COEFF_DIGITS:  # int() may refuse it
+        digits = max(len(num.lstrip("-")), len(den))
+        if digits > MAX_COEFF_DIGITS:
+            raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
+    if not den:
+        return int(num), 1
+    p, q = int(num), int(den)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*_rational_pair(text))
 
 
 def parse_integer(text: str) -> int:
@@ -61,8 +79,10 @@ def shown(value) -> str:
     return f"{text[:60]}... <{len(text)} characters>"
 
 
-def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
+def format_rational(q: Fraction, output: str = "rational") -> str:
+    """str(q); an integer past MAX_COEFF_DIGITS digits raises
+    CoefficientTooLarge naming ``output``."""
+    return rational_text(q.numerator, q.denominator, output)
 
 
 def check_dimension(n) -> int:
@@ -91,11 +111,13 @@ def _entry_list(d: dict, key: str) -> list:
 
 
 def algebra_to_dict(a: Algebra) -> dict:
-    products = [
-        {"left": i + 1, "right": j + 1, "result": k + 1, "coeff": format_rational(v)}
-        for (k, i, j), v in a.entries().items()
-    ]
-    products.sort(key=lambda e: (e["left"], e["right"], e["result"]))
+    cden, slices = a.integer_slices()
+    products = []
+    for (i, j), hits in sorted(slices.items()):
+        for k, c in hits:
+            g = math.gcd(c, cden)
+            products.append({"left": i + 1, "right": j + 1, "result": k + 1,
+                             "coeff": rational_text(c // g, cden // g, "algebra")})
     return {"dim": a.dim, "products": products}
 
 
@@ -103,35 +125,38 @@ def algebra_from_dict(d: dict) -> Algebra:
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("algebra JSON needs a 'dim' field")
     n = check_dimension(d["dim"])
-    entries: dict = {}
-    seen = set()
+    pairs: dict = {}  # every triple read, zero coefficients too
     for item in _entry_list(d, "products"):
         try:
             i, j, k, text = item["left"], item["right"], item["result"], item["coeff"]
         except KeyError as exc:
             raise ValueError(f"product entry missing a field: {shown(item)}") from exc
-        for idx in (i, j, k):
-            if type(idx) is not int or not 1 <= idx <= n:
-                raise ValueError(f"index {shown(idx)} out of range 1..{n}")
-        if (i, j, k) in seen:
+        if not (type(i) is int and type(j) is int and type(k) is int
+                and 0 < i <= n and 0 < j <= n and 0 < k <= n):
+            idx = next(x for x in (i, j, k) if type(x) is not int or not 1 <= x <= n)
+            raise ValueError(f"index {shown(idx)} out of range 1..{n}")
+        if (i, j, k) in pairs:
             raise ValueError(f"duplicate product triple (left={i}, right={j}, result={k})")
-        seen.add((i, j, k))
-        coeff = parse_rational(text)
-        if coeff:
-            entries[(k - 1, i - 1, j - 1)] = coeff
-    return Algebra.from_entries(n, entries)
+        pairs[(i, j, k)] = _rational_pair(text)
+    nonzero = sorted(item for item in pairs.items() if item[1][0])
+    cden = math.lcm(*(q for _, (_, q) in nonzero))
+    slices: dict = {}
+    for (i, j, k), (p, q) in nonzero:
+        slices.setdefault((i - 1, j - 1), []).append((k - 1, p * (cden // q)))
+    return _stored(object.__new__(Algebra), n, cden,
+                   {ij: tuple(hits) for ij, hits in slices.items()})
 
 
 # -- families and witnesses -------------------------------------------------
 
 
-def family_to_dict(pm: ParamMatrix) -> dict:
+def family_to_dict(pm: ParamMatrix, output: str = "family") -> dict:
     entries = []
     for i, row in enumerate(pm.entries):
         for j, e in enumerate(row):
             if e:
                 entries.append(
-                    {"row": i + 1, "col": j + 1, "poly": print_laurent(e.to_laurent())}
+                    {"row": i + 1, "col": j + 1, "poly": print_laurent(e.to_laurent(), output)}
                 )
     entries.sort(key=lambda it: (it["row"], it["col"]))
     return {"dim": pm.dim, "entries": entries}
@@ -165,10 +190,10 @@ def family_from_dict(d: dict) -> ParamMatrix:
     )
 
 
-def canonical_form_to_dict(form: CanonicalForm) -> dict:
+def canonical_form_to_dict(form: CanonicalForm, output: str = "canonical form") -> dict:
     out = {"tag": form.tag.value, "dim": form.dim}
     if form.alpha is not None:
-        out["alpha"] = format_rational(form.alpha)
+        out["alpha"] = format_rational(form.alpha, output)
     return out
 
 
@@ -187,8 +212,8 @@ def canonical_form_from_dict(d: dict) -> CanonicalForm:
 
 def witness_to_dict(w: Witness) -> dict:
     return {
-        "family": family_to_dict(w.family),
-        "target": canonical_form_to_dict(w.target),
+        "family": family_to_dict(w.family, "witness family"),
+        "target": canonical_form_to_dict(w.target, "witness target"),
         "trace": list(w.branch_trace),
     }
 
@@ -217,11 +242,11 @@ def report_to_dict(r: Report) -> dict:
 def recognition_to_dict(res: RecognitionResult) -> dict:
     out: dict = {"recognized": res.recognized}
     if res.form is not None:
-        out["form"] = canonical_form_to_dict(res.form)
+        out["form"] = canonical_form_to_dict(res.form, "recognized form")
         if res.form.alpha is not None:
-            out["alpha"] = format_rational(res.form.alpha)
+            out["alpha"] = out["form"]["alpha"]
     if res.iso is not None:
-        out["iso"] = [[format_rational(v) for v in row] for row in res.iso]
+        out["iso"] = [[format_rational(v, "iso") for v in row] for row in res.iso]
     if res.reason is not None:
         out["reason"] = res.reason
     return out

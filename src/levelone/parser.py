@@ -12,6 +12,7 @@ order in the same grammar, so ``parse_laurent(print_laurent(p)) == p``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import CoefficientTooLarge, ParseError
@@ -142,14 +143,16 @@ def _tpart(toks: _Tokens) -> int:
     return sign * int(toks.take("int")[1])
 
 
-def print_laurent(lp: dict) -> str:
-    """Render a Laurent dict in decreasing exponent order."""
+def print_laurent(lp: dict, output: str = "Laurent polynomial") -> str:
+    """Render a Laurent dict in decreasing exponent order; a coefficient
+    with an integer past MAX_COEFF_DIGITS digits raises CoefficientTooLarge
+    naming ``output``."""
     if not lp:
         return "0"
     parts: list[str] = []
     for e in sorted(lp, reverse=True):
         c = lp[e]
-        body = _term_body(abs(c), e)
+        body = _term_body(rational_text(abs(c.numerator), c.denominator, output), e)
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:
@@ -157,10 +160,26 @@ def print_laurent(lp: dict) -> str:
     return " ".join(parts)
 
 
-def _term_body(c: Fraction, e: int) -> str:
+def _term_body(coeff: str, e: int) -> str:
     if e == 0:
-        return str(c)
+        return coeff
     tpart = "t" if e == 1 else f"t^{e}"
-    if c == 1:
+    if coeff == "1":
         return tpart
-    return f"{c}*{tpart}"
+    return f"{coeff}*{tpart}"
+
+
+_DIGIT_CAP = 10**MAX_COEFF_DIGITS
+
+
+def rational_text(p: int, q: int, output: str) -> str:
+    """The literal "p", or "p/q", of p/q in lowest terms with q > 0.  An
+    integer of more than MAX_COEFF_DIGITS digits, which str() would refuse,
+    raises CoefficientTooLarge naming ``output`` instead."""
+    if -_DIGIT_CAP < p < _DIGIT_CAP and q < _DIGIT_CAP:
+        return str(p) if q == 1 else f"{p}/{q}"
+    big = max(abs(p), q)
+    digits = int((big.bit_length() - 1) * math.log10(2))  # 10**digits <= big
+    while big >= 10**digits:
+        digits += 1
+    raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS, output)

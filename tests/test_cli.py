@@ -579,6 +579,24 @@ class TestMalformedInputs:
         assert err == (f"error: integer literal of {len(big)} digits exceeds the bound of "
                        f"{MAX_COEFF_DIGITS} digits\n")
 
+    def test_a_witness_past_the_digit_bound_is_named_and_not_written(self, capsys, tmp_path):
+        """Every input literal fits the bound, but the verified n3minus witness
+        has family coefficients with denominators of 7999 digits."""
+        num = 10**3999 + 7
+        b, inv = f"{num}/3", f"3/{num}"
+        table = [(1, 2, 2, b), (2, 1, 2, "-" + b), (1, 3, 3, b), (3, 1, 3, "-" + b),
+                 (1, 4, 4, inv), (4, 1, 4, "-" + inv)]
+        save_path(str(tmp_path / "a.json"), {"dim": 4, "products": [
+            {"left": i, "right": j, "result": k, "coeff": c} for i, j, k, c in table]})
+        out = tmp_path / "w.json"
+        code = main(["classify", "--algebra", str(tmp_path / "a.json"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: cannot write the witness family: integer of 7999 "
+                                f"digits exceeds the bound of {MAX_COEFF_DIGITS} digits\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_coefficient_at_the_digit_bound_is_read(self, capsys, tmp_path):
         big = "7" * MAX_COEFF_DIGITS
         family = tmp_path / "g.json"

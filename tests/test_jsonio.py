@@ -1,0 +1,230 @@
+"""The algebra reader and writers work in the integer stored form; these tests
+hold them to the Fraction path they replaced, literal by literal and byte by
+byte."""
+
+import random
+import re
+from fractions import Fraction as F
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from levelone import Algebra, CanonicalForm, Tag, apply_basis_change, random_invertible_matrix
+from levelone.errors import CoefficientTooLarge
+from levelone.jsonio import (
+    algebra_from_dict,
+    algebra_to_dict,
+    check_dimension,
+    dumps,
+    format_rational,
+    load_path,
+    parse_rational,
+    recognition_to_dict,
+    shown,
+)
+from levelone.poly import MAX_COEFF_DIGITS
+from levelone.recognize import RecognitionResult, recognize
+
+CANONICAL = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "canonical")
+                   .glob("*.algebra.json"))
+
+# -- the Fraction path, as the reader was before it read integers -------------
+
+OLD_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
+
+
+def fraction_literal(text) -> F:
+    if not isinstance(text, str) or not OLD_RATIONAL_RE.match(text):
+        raise ValueError(f"bad rational literal: {shown(text)} (expected int[/uint])")
+    digits = max(map(len, text.lstrip("-").split("/")))
+    if digits > MAX_COEFF_DIGITS:
+        raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
+    return F(text)
+
+
+def fraction_reader(d) -> Algebra:
+    if not isinstance(d, dict) or "dim" not in d:
+        raise ValueError("algebra JSON needs a 'dim' field")
+    n = check_dimension(d["dim"])
+    items = d.get("products", [])
+    if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+        raise ValueError("'products' must be a list of objects")
+    entries, seen = {}, set()
+    for item in items:
+        try:
+            i, j, k, text = item["left"], item["right"], item["result"], item["coeff"]
+        except KeyError as exc:
+            raise ValueError(f"product entry missing a field: {shown(item)}") from exc
+        for idx in (i, j, k):
+            if type(idx) is not int or not 1 <= idx <= n:
+                raise ValueError(f"index {shown(idx)} out of range 1..{n}")
+        if (i, j, k) in seen:
+            raise ValueError(f"duplicate product triple (left={i}, right={j}, result={k})")
+        seen.add((i, j, k))
+        coeff = fraction_literal(text)
+        if coeff:
+            entries[(k - 1, i - 1, j - 1)] = coeff
+    return Algebra.from_entries(n, entries)
+
+
+def outcome(read, doc):
+    """The stored form read from doc, or the type and message of the error."""
+    try:
+        a = read(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return a.dim, a._cden, list(a._slices.items())
+
+
+# -- documents -----------------------------------------------------------------
+
+
+@st.composite
+def literals(draw):
+    """A valid "int[/uint]" literal: unreduced, signed, zero-valued or padded
+    with leading zeros."""
+    p = draw(st.integers(-50, 50) | st.integers(-10**30, 10**30) | st.just(0))
+    m = draw(st.sampled_from([1, 1, 2, 6, 10]))
+    q = draw(st.integers(1, 40)) * m
+    num = ("-" if p < 0 or (p == 0 and draw(st.booleans())) else "") \
+        + "0" * draw(st.integers(0, 2)) + str(abs(p) * m)
+    if q == 1 and draw(st.booleans()):
+        return num
+    return f"{num}/{'0' * draw(st.integers(0, 2))}{q}"
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 8))
+    triples = st.tuples(*[st.integers(1, n)] * 3)
+    keys = draw(st.lists(triples, unique=True, max_size=3 * n * n))
+    products = [{"left": i, "right": j, "result": k, "coeff": draw(literals())}
+                for i, j, k in keys]
+    return {"dim": n, "products": draw(st.permutations(products))}
+
+
+bad_indices = st.sampled_from([0, 9, -1, True, False, 1.0, "1", None, [1]])
+bad_literals = st.sampled_from(["1.5", "", "1/0", "1/00", "x", "+1", " 1", "1/-2", "--1",
+                                "1/2/3", "1\n", "١٢", "1e3", 3, None, 1.5, ["1"]])
+
+
+@st.composite
+def hostile_documents(draw):
+    """A valid document with hostile entries, duplicates and missing fields
+    spliced in at random places."""
+    doc = draw(documents())
+    n = doc["dim"]
+    products = list(doc["products"])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["index", "literal", "duplicate", "missing", "zero dup"]))
+        entry = {"left": draw(st.integers(1, n)), "right": draw(st.integers(1, n)),
+                 "result": draw(st.integers(1, n)), "coeff": draw(literals())}
+        if kind == "index":
+            entry[draw(st.sampled_from(["left", "right", "result"]))] = draw(bad_indices)
+        elif kind == "literal":
+            entry["coeff"] = draw(bad_literals)
+        elif kind == "missing":
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        elif products:
+            entry = dict(draw(st.sampled_from(products)))
+            if kind == "zero dup":
+                entry["coeff"] = "0"
+        products.insert(draw(st.integers(0, len(products))), entry)
+    dim = draw(st.sampled_from([n] * 6 + [0, 65, True, "2"]))
+    return {"dim": dim, "products": products}
+
+
+class TestReader:
+    @given(documents())
+    @settings(max_examples=300)
+    def test_reads_the_stored_form_of_the_fraction_path(self, doc):
+        assert outcome(algebra_from_dict, doc) == outcome(fraction_reader, doc)
+        assert isinstance(outcome(algebra_from_dict, doc)[0], int)
+
+    @given(hostile_documents())
+    @settings(max_examples=300)
+    def test_raises_the_first_error_of_the_fraction_path(self, doc):
+        assert outcome(algebra_from_dict, doc) == outcome(fraction_reader, doc)
+
+    @pytest.mark.parametrize("first, second", [("0", "1"), ("1", "0"), ("0", "0/3")])
+    def test_a_zero_coefficient_counts_as_seen(self, first, second):
+        doc = {"dim": 2, "products": [{"left": 1, "right": 2, "result": 2, "coeff": first},
+                                      {"left": 1, "right": 2, "result": 2, "coeff": second}]}
+        with pytest.raises(ValueError, match=r"^duplicate product triple \(left=1, right=2, "
+                                             r"result=2\)$"):
+            algebra_from_dict(doc)
+
+    @given(literals() | bad_literals)
+    def test_parse_rational_is_the_fraction_of_the_literal(self, text):
+        try:
+            want = fraction_literal(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == want
+
+    def test_the_digit_bound_holds_in_numerator_and_denominator(self):
+        at = "7" * MAX_COEFF_DIGITS
+        assert parse_rational(f"-{at}/{at}") == -1
+        for text in ("-" + at + "7", f"1/{at}7", f"{at}7/{at}"):
+            with pytest.raises(CoefficientTooLarge,
+                               match=f"^integer literal of {MAX_COEFF_DIGITS + 1} digits"):
+                parse_rational(text)
+
+
+# -- writers ---------------------------------------------------------------------
+
+
+def fraction_recognition(res: RecognitionResult) -> dict:
+    """recognition_to_dict as it was written with str(Fraction(v))."""
+    out: dict = {"recognized": res.recognized}
+    if res.form is not None:
+        out["form"] = {"tag": res.form.tag.value, "dim": res.form.dim}
+        if res.form.alpha is not None:
+            out["form"]["alpha"] = out["alpha"] = str(F(res.form.alpha))
+    if res.iso is not None:
+        out["iso"] = [[str(F(v)) for v in row] for row in res.iso]
+    if res.reason is not None:
+        out["reason"] = res.reason
+    return out
+
+
+class TestWriters:
+    @pytest.mark.parametrize("path", CANONICAL, ids=lambda p: p.name.split(".")[0])
+    def test_canonical_fixtures_round_trip_byte_for_byte(self, path):
+        doc = load_path(str(path))
+        assert dumps(algebra_to_dict(algebra_from_dict(doc))) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("path", CANONICAL, ids=lambda p: p.name.split(".")[0])
+    def test_recognition_is_written_as_its_fractions(self, path):
+        a = algebra_from_dict(load_path(str(path)))
+        g = random_invertible_matrix(a.dim, random.Random(path.name), bound=3)
+        for b in (a, apply_basis_change(a, g)):
+            res = recognize(b)
+            assert dumps(recognition_to_dict(res)) == dumps(fraction_recognition(res))
+
+    def test_all_76_canonical_fixtures_are_checked(self):
+        assert len(CANONICAL) == 76
+
+    @given(st.fractions() | st.fractions(min_value=-10**40, max_value=10**40))
+    def test_format_rational_is_str_of_the_fraction(self, q):
+        assert format_rational(q) == str(q)
+
+    def test_an_algebra_entry_past_the_digit_bound_names_the_algebra(self):
+        cap = 10**MAX_COEFF_DIGITS
+        fits = Algebra.from_entries(1, {(0, 0, 0): F(1 - cap, cap - 1)})
+        assert algebra_to_dict(fits)["products"][0]["coeff"] == "-1"
+        for value, digits in ((F(cap), MAX_COEFF_DIGITS + 1), (F(-7, cap * 10), MAX_COEFF_DIGITS + 2)):
+            a = Algebra.from_entries(2, {(1, 0, 0): value})
+            with pytest.raises(CoefficientTooLarge, match=f"^cannot write the algebra: integer "
+                               f"of {digits} digits exceeds the bound of {MAX_COEFF_DIGITS} digits$"):
+                algebra_to_dict(a)
+
+    def test_an_iso_entry_past_the_digit_bound_names_the_iso(self):
+        res = RecognitionResult(CanonicalForm(Tag.NU, 1), ((F(1, 10**5000),),))
+        with pytest.raises(CoefficientTooLarge, match="^cannot write the iso: integer of 5001 "
+                                                      "digits"):
+            recognition_to_dict(res)
