@@ -173,7 +173,7 @@ def _fmt(v: Vector) -> str:
 def _assemble(minv: list, weights: list, tag: Tag, trace: list, alpha=None) -> Witness:
     """Family = diag(t^-w) composed with the change onto a frame, minv the
     frame's inverse; entry (i, j) is the monomial minv[i][j] * t^-w_i, built
-    in the reduced form that ``FieldElement.from_laurent`` gives it (every
+    in the form that ``FieldElement.from_laurent`` gives it (every
     w >= 0)."""
     n = len(minv)
     family = ParamMatrix(n, tuple(

@@ -3,8 +3,11 @@
 A polynomial is a sparse dict mapping exponent to a nonzero Fraction; the
 zero polynomial is the empty dict.  Ordinary polynomials keep exponents
 >= 0, Laurent polynomials may use negative exponents.  An element of Q(t)
-is a reduced numerator/denominator pair with monic denominator, which makes
-equality plain structural equality of the two dicts.
+is a numerator/denominator pair of ordinary polynomials with monic
+denominator that share no power of t.  No polynomial gcd is taken, so the
+pair need not be reduced: a Laurent polynomial keeps the one form num/t^s,
+equality cross-multiplies, and evaluation at t0 first divides out the
+factors (t - t0) that num and den share.
 
 No floating point enters anywhere.
 """
@@ -42,11 +45,6 @@ def poly_const(c) -> Poly:
     """Constant polynomial, {} for zero."""
     c = Fraction(c)
     return {0: c} if c else {}
-
-
-def poly_degree(p: Poly):
-    """Top exponent; -inf for the zero polynomial."""
-    return max(p) if p else -math.inf
 
 
 def poly_ord(p: Poly):
@@ -131,36 +129,21 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     return total
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder in Q[t] (non-negative exponents only)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _divide_linear(p: Poly, t0: Fraction) -> Poly:
+    """p / (t - t0) by Horner's rule, for p != 0 with p(t0) = 0 (exponents
+    >= 0)."""
     q: Poly = {}
-    r = dict(a)
-    db = max(b)
-    lb = b[db]
-    while r and max(r) >= db:
-        dr = max(r)
-        c = r[dr] / lb
-        e = dr - db
-        q[e] = c
-        for eb, cb in b.items():
-            k = eb + e
-            s = r.get(k, ZERO) - c * cb
-            if s:
-                r[k] = s
-            else:
-                r.pop(k, None)
-    return q, r
-
-
-def poly_exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = poly_divmod(a, b)
-    if r:
-        raise ValueError("division is not exact")
+    acc = ZERO
+    for e in range(max(p), 0, -1):
+        acc = acc * t0 + p.get(e, ZERO)
+        if acc:
+            q[e - 1] = acc
     return q
 
 
+# poly_gcd and its helpers below have no caller in the package, since Q(t)
+# elements stay unreduced: they are kept only because perfbench/tracer.py wraps
+# poly.poly_gcd by name, and can go with the next change to the benchmark.
 def _int_primitive(p: Poly) -> dict:
     """Rescale to an integer polynomial with content 1 (sign kept)."""
     if not p:
@@ -220,26 +203,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_monic({e: Fraction(c) for e, c in x.items()})
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    g = poly_gcd(a, b)
-    return poly_monic(poly_mul(a, poly_exact_div(b, g)))
-
-
-def laurent_to_num_den(lp: Poly) -> tuple[Poly, Poly]:
-    """Split a Laurent polynomial into ordinary numerator and t-power denominator."""
-    if not lp:
-        return {}, dict(POLY_ONE)
-    shift = min(0, min(lp))
-    return poly_shift(lp, -shift), {-shift: ONE}
-
-
 class FieldElement:
-    """An element of Q(t): num/den with gcd(num, den) = 1 and monic den.
+    """An element of Q(t): num/den with monic den, no power of t in common
+    and no other common factor cancelled.
 
     Instances are immutable; all operations return fresh values.  Equality
-    is structural thanks to the canonical representation.
+    is num * den' == num' * den.
     """
 
     __slots__ = ("num", "den")
@@ -251,7 +220,7 @@ class FieldElement:
             den = dict(POLY_ONE)
         elif not isinstance(den, dict):
             den = poly_const(den)
-        n, d = _reduce(num, den)
+        n, d = _normalize(num, den)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -261,7 +230,7 @@ class FieldElement:
     # -- constructors -------------------------------------------------
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "FieldElement":
-        """Wrap already-reduced parts without re-normalizing."""
+        """Wrap already-normalized parts as they are."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
@@ -280,8 +249,9 @@ class FieldElement:
 
     @classmethod
     def from_laurent(cls, lp: Poly) -> "FieldElement":
-        num, den = laurent_to_num_den(lp)
-        return cls._raw(num, den)  # already reduced: den is a pure t-power
+        """lp * t^s / t^s, s the order of the pole of lp at t = 0."""
+        s = max(0, -min(lp, default=0))
+        return cls._raw(poly_shift(lp, s), {s: ONE})
 
     # -- predicates and views ------------------------------------------
     def __bool__(self) -> bool:
@@ -289,12 +259,9 @@ class FieldElement:
 
     def to_laurent(self) -> Poly:
         """Return the Laurent dict; fails unless den is a pure power of t."""
-        if len(self.den) != 1:
+        if len(self.den) != 1:  # den is monic: a lone term is t^e
             raise ValueError(f"not a Laurent polynomial: {self!r}")
-        e, c = next(iter(self.den.items()))
-        if c != 1:
-            raise ValueError(f"not a Laurent polynomial: {self!r}")
-        return poly_shift(self.num, -e)
+        return poly_shift(self.num, -max(self.den))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -337,7 +304,9 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.den == other.den:
+            return self.num == other.num
+        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
     def __repr__(self) -> str:
         from .parser import print_laurent  # local import avoids a cycle
@@ -360,18 +329,22 @@ class FieldElement:
             return ZERO
         if v < 0:
             raise PoleAtZero(f"valuation {v} < 0")
-        # reduced with valuation 0 forces ord(num) = ord(den) = 0
+        # no shared power of t and valuation 0 force ord(num) = ord(den) = 0
         return self.num[0] / self.den[0]
 
     def eval_at(self, t0: Fraction) -> Fraction:
+        """f(t0); PoleAtPoint when den still vanishes at t0 after every
+        factor (t - t0) shared with num is divided out."""
         t0 = Fraction(t0)
-        d = poly_eval(self.den, t0)
-        if not d:
-            raise PoleAtPoint(f"denominator vanishes at t = {t0}")
-        return poly_eval(self.num, t0) / d
+        num, den = self.num, self.den
+        while not (d := poly_eval(den, t0)):
+            if poly_eval(num, t0):
+                raise PoleAtPoint(f"denominator vanishes at t = {t0}")
+            num, den = _divide_linear(num, t0), _divide_linear(den, t0)
+        return poly_eval(num, t0) / d
 
 
-def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not den:
         raise ZeroDivisionError("zero denominator in Q(t)")
     if not num:
@@ -380,12 +353,6 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if shift:
         num = poly_shift(num, -shift)
         den = poly_shift(den, -shift)
-    # a monomial on either side shares no further factor with the other
-    if len(den) > 1 and len(num) > 1:
-        g = poly_gcd(num, den)
-        if poly_degree(g) > 0:
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
     lc = den[max(den)]
     if lc != 1:
         inv = 1 / lc

@@ -7,15 +7,18 @@ entry has non-negative valuation the entrywise limit at t = 0 exists and is
 again an algebra.  A Witness packages a family with a claimed limit, and
 ``verify_degeneration`` checks the claim bit-exactly.
 
-One fraction-free kernel does the arithmetic: g = P / (L*D) with P over
-Z[t] (D the lcm of the entry denominators, a power of t for a Laurent
-family), ``linalg.bareiss`` on [P | I] (the elimination behind ``mat_det``
-and ``char_poly`` too) gives d = +-det P and R = d * P^-1 with no gcds, and
-the transported tensor is L*D * P.C.(R x R) / (cden * d^2) with C = cden * c
-the algebra's stored integer form, read column by column.  Limits are read
-off that integer numerator truncated at exponent 2*val(d) - val(D), after
-cancelling the power of t that R and d share; ``transport`` and ``invert``
-reduce each entry in Q(t).
+Families are Laurent: every entry is a Laurent polynomial in t, as the
+family grammar, the classifier and the builders make them.  One
+fraction-free kernel does the arithmetic: g = P / (L*t^s) with P over Z[t]
+(t^s the largest entry denominator), ``linalg.bareiss`` on [P | I] (the
+elimination behind ``mat_det`` and ``char_poly`` too) gives d = +-det P and
+R = d * P^-1 with no gcds, and the transported tensor is
+L*t^s * P.C.(R x R) / (cden * d^2) with C = cden * c the algebra's stored
+integer form, read column by column.  Limits are read off that integer
+numerator truncated at exponent 2*val(d) - s, after cancelling the power of
+t that R and d share.  ``transport`` and ``invert`` return these quotients
+unreduced: equal in Q(t) to the reduced ones, with only the power of t
+cancelled.  The kernel refuses an entry that is not Laurent (ValueError).
 
 Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then
@@ -33,8 +36,9 @@ Every other family goes through the kernel.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
 rational basis change g(t0), so ``transport_at`` evaluates g first and
-transports over Q; only at a pole of g or a root of det g does it need the
-reduced Q(t) tensor.
+transports over Q; only at t0 = 0, the one pole a Laurent family can have,
+or at a root of det g does it evaluate the Q(t) tensor, whose entries then
+divide out the factors (t - t0) they share.
 """
 
 from __future__ import annotations
@@ -62,13 +66,10 @@ from .poly import (
     FE_ZERO,
     MAX_DEGREE,
     FieldElement,
-    POLY_ONE,
-    poly_exact_div,
-    poly_lcm,
     poly_mul,
     poly_ord,
-    poly_pow,
     poly_scale,
+    poly_shift,
 )
 
 ZERO = Fraction(0)
@@ -147,7 +148,7 @@ class ParamMatrix:
 
     def det(self) -> FieldElement:
         """Determinant in Q(t): t^(sum e) * det m for a row-monomial family,
-        else sign * d / (L*D)^n from the fraction-free kernel."""
+        else sign * d / (L*t^s)^n from the fraction-free kernel."""
         rm = _row_monomial(self)
         if rm is not None:
             e, m = rm
@@ -158,7 +159,7 @@ class ParamMatrix:
         except SingularFamily:
             return FE_ZERO
         num = {e: Fraction(ff.sign * c) for e, c in ff.d.items()}
-        return FieldElement(num, poly_pow(poly_scale(ff.D, ff.L), self.dim))
+        return FieldElement(num, {ff.s * self.dim: Fraction(ff.L ** self.dim)})
 
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
@@ -196,33 +197,21 @@ def _row_monomial(g: ParamMatrix):
     return exps, rows
 
 
-def _cleared(e: FieldElement, D: dict) -> dict:
-    """e * D over Q[t], for D a multiple of e's denominator."""
-    if len(D) == 1:  # e.den is a power of t as well
-        shift = max(D) - max(e.den)
-        return {k + shift: c for k, c in e.num.items()}
-    return poly_mul(e.num, poly_exact_div(D, e.den))
-
-
 class _FractionFree:
-    """A family cleared to Z[t] and its fraction-free Gauss-Jordan.
+    """A Laurent family cleared to Z[t] and its fraction-free Gauss-Jordan.
 
-    g = P / (L*D) with P an integer polynomial matrix.  ``linalg.bareiss`` on
-    [P | I] leaves d = sign * det P and R = d * P^-1; SingularFamily when
-    det P = 0, DegreeOverflow on a minor past MAX_DEGREE.
+    g = P / (L*t^s) with P an integer polynomial matrix and t^s the largest
+    entry denominator.  ``linalg.bareiss`` on [P | I] leaves d = sign * det P
+    and R = d * P^-1; SingularFamily when det P = 0, DegreeOverflow on a
+    minor past MAX_DEGREE, ValueError on an entry that is not Laurent.
     """
 
     def __init__(self, g: ParamMatrix):
         n = self.dim = g.dim
-        D = POLY_ONE
-        for row in g.entries:
-            for e in row:
-                if e.num and e.den != D:  # two powers of t need no gcd
-                    D = (poly_lcm(D, e.den) if len(D) + len(e.den) > 2
-                         else {max(max(D), max(e.den)): ONE})
-        cleared = [[_cleared(e, D) for e in row] for row in g.entries]
+        s = max(max(e.den) for row in g.entries for e in row)
+        cleared = [[poly_shift(e.to_laurent(), s) for e in row] for row in g.entries]
         L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
-        self.D, self.L = D, L
+        self.s, self.L = s, L
         self.P = [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
                   for row in cleared]
         rows = [row + [{0: 1} if j == i else {} for j in range(n)]
@@ -266,14 +255,15 @@ class _FractionFree:
 
 
 def _over(ff: _FractionFree, den: dict):
-    """m -> the reduced FieldElement L*D*m / den, for m over Z[t]."""
-    factor = poly_scale(ff.D, ff.L)
+    """m -> the FieldElement L*t^s*m / den, for m over Z[t]."""
     den = {e: Fraction(c) for e, c in den.items()}
-    return lambda m: FieldElement(poly_mul(m, factor), dict(den))
+    return lambda m: FieldElement({e + ff.s: Fraction(c * ff.L) for e, c in m.items()},
+                                  dict(den))
 
 
 def invert(g: ParamMatrix) -> ParamMatrix:
-    """Exact inverse over Q(t), L*D*R/d; raises SingularFamily when det = 0."""
+    """Exact inverse over Q(t), L*t^s*R/d unreduced; raises SingularFamily
+    when det = 0."""
     ff = _FractionFree(g)
     return ParamMatrix(g.dim, _nested(_over(ff, ff.d), ff.R, 2))
 
@@ -295,7 +285,8 @@ def embed_algebra(a: Algebra) -> ParamAlgebra:
 
 
 def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
-    """The transported tensor over Q(t), every entry fully reduced."""
+    """The transported tensor over Q(t), each entry L*t^s*N/(cden*d^2) with
+    only the power of t cancelled."""
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
     ff = _FractionFree(g)
@@ -336,8 +327,8 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     denominator, with no Fraction per entry.
 
     Any other g goes through the fraction-free numerator.  Entry (k, i, j)
-    is L*D*N/(cden*d^2) with N over Z[t], of valuation
-    val(N) + val(D) - 2*val(d).  So a term of N below top = 2*val(d) - val(D)
+    is L*t^s*N/(cden*d^2) with N over Z[t], of valuation
+    val(N) + s - 2*val(d).  So a term of N below top = 2*val(d) - s
     is a pole and the term at top gives the limit.  No term above top is
     formed, so for top < 0 every entry is 0.
     """
@@ -364,10 +355,10 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     if v:
         ff.R = [[{e - v: c for e, c in x.items()} for x in row] for row in ff.R]
         ff.d = {e - v: c for e, c in ff.d.items()}
-    vd, v_den = poly_ord(ff.d), poly_ord(ff.D)
-    top = 2 * vd - v_den
+    vd = poly_ord(ff.d)
+    top = 2 * vd - ff.s
     num, cden = ff.contract(a, top)
-    scale = ff.L * ff.D[v_den] / (cden * ff.d[vd] ** 2)
+    scale = Fraction(ff.L, cden * ff.d[vd] ** 2)
 
     def value(k, i, j):
         nm = num[k][i][j]
@@ -381,12 +372,13 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
 def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     """transport(a, g).eval_at(t0), through g(t0) where that is invertible.
 
-    Each reduced entry p/q of transport(a, g) equals a quotient whose
-    denominator is a product of the entry denominators of g and det g.  Where
-    all of these are nonzero at t0, q(t0) != 0 and evaluation commutes with
-    the contraction, so the value is apply_basis_change(a, g(t0)).  At a pole
-    of g or a root of det g the reduced tensor may still be regular, so there
-    it is built and evaluated; PoleAtPoint means it is not.
+    Each entry of transport(a, g) is a quotient whose denominator is a
+    product of the entry denominators of g and det g.  Where all of these
+    are nonzero at t0, evaluation commutes with the contraction, so the
+    value is apply_basis_change(a, g(t0)).  At a pole of g (t0 = 0) or a
+    root of det g the reduced tensor may still be regular, so there it is
+    built and evaluated, dividing out the shared factors (t - t0);
+    PoleAtPoint means it is not regular.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")

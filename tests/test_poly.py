@@ -2,12 +2,20 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from levelone import DegreeOverflow, FieldElement, PoleAtPoint, PoleAtZero
-from levelone.poly import poly_scale, poly_shift, poly_sub
+from levelone.poly import poly_mul, poly_pow, poly_scale, poly_shift, poly_sub
 
-from conftest import fe, field_elements, nonzero_field_elements
+from conftest import (
+    fe,
+    field_elements,
+    laurent_polys,
+    nonzero_field_elements,
+    nonzero_rationals,
+    small_rationals,
+)
 
 ONE = FieldElement.constant(1)
 ZERO = FieldElement.constant(0)
@@ -121,9 +129,73 @@ class TestFieldAxioms:
 
     @given(field_elements())
     def test_invariants_hold(self, a):
-        from levelone.poly import poly_gcd
-
         assert a.den, "denominator never empty"
         assert a.den[max(a.den)] == 1, "denominator is monic"
-        if a.num:
-            assert poly_gcd(a.num, a.den) == {0: F(1)}, "reduced"
+        assert min(a.den) == 0 or min(a.num) == 0, "num and den share no power of t"
+
+
+ordinary_polys = laurent_polys(min_exp=0, max_exp=4)
+
+
+def quotient(p, q, r, m, m2):
+    """p * (t - r)^m / (q * (t - r)^m2), formed without any cancellation."""
+    lin = {1: F(1), 0: -r}
+    return FieldElement(poly_mul(p, poly_pow(lin, m)), poly_mul(q, poly_pow(lin, m2)))
+
+
+class TestUnreducedQuotients:
+    """Quotients that keep a common factor (t - r)^k, against sympy QQ(t),
+    which reduces every element it forms."""
+
+    @given(ordinary_polys, ordinary_polys.filter(bool), small_rationals,
+           st.integers(0, 3), st.integers(0, 3), nonzero_rationals, st.integers(0, 2),
+           st.booleans(), ordinary_polys, ordinary_polys.filter(bool), st.integers(0, 3),
+           st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_agree_with_sympy(self, p, q, r, m, m2, c, k, same, p2, q2, m3, m4):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        field = sympy.QQ.frac_field(t)
+
+        def to_k(e):
+            def poly(x):
+                return sum((sympy.QQ(v.numerator, v.denominator) * field(t) ** j
+                            for j, v in x.items()), field.zero)
+
+            return poly(e.num) / poly(e.den)
+
+        def oracle_at(x, t0):
+            """The reduced quotient's value at t0, or None at a pole."""
+            t0 = sympy.QQ(t0.numerator, t0.denominator)
+            d = x.denom(t0)
+            if not d:
+                return None
+            v = x.numer(t0) / d
+            return F(int(v.numerator), int(v.denominator))
+
+        f = quotient(p, q, r, m, m2)
+        ours = to_k(f)
+        assert ours == to_k(FieldElement(p, q)) * field(t - r) ** (m - m2)
+        for t0 in (r, F(0)):
+            want = oracle_at(ours, t0)
+            if want is None:
+                with pytest.raises(PoleAtPoint):
+                    f.eval_at(t0)
+            else:
+                assert f.eval_at(t0) == want
+        if ours:
+            num, den = ours.numer, ours.denom
+            v = min(e[0] for e, _ in num.terms()) - min(e[0] for e, _ in den.terms())
+        else:
+            v = math.inf
+        assert f.valuation_at_zero() == v
+        if v < 0:
+            with pytest.raises(PoleAtZero):
+                f.eval_at_zero()
+        else:
+            assert f.eval_at_zero() == (oracle_at(ours, F(0)) if v == 0 else 0)
+        if same:  # the same element, another common factor and scale
+            g = quotient(poly_scale(p, c), poly_scale(q, c), r, m + k, m2 + k)
+        else:
+            g = quotient(p2, q2, r, m3, m4)
+        assert (f == g) == (g == f) == (ours == to_k(g))

@@ -3,7 +3,7 @@
 sympy (a test-only dependency) does the same computations over QQ(t) with
 its own field arithmetic: determinant, inverse, and the transported tensor
 g.c(g^-1 x, g^-1 y), whose t -> 0 limit is read off each reduced entry's
-valuation.
+valuation and whose value at t0 is each reduced entry evaluated there.
 """
 
 import random
@@ -19,6 +19,7 @@ from levelone import (  # noqa: E402
     CanonicalForm,
     ClassifierConfig,
     NoLimit,
+    PoleAtPoint,
     ParamMatrix,
     SingularFamily,
     Tag,
@@ -29,6 +30,8 @@ from levelone import (  # noqa: E402
     random_algebra,
     random_family,
     random_invertible_matrix,
+    transport,
+    transport_at,
     transport_limit,
 )
 from levelone.families import scaling_family  # noqa: E402
@@ -58,31 +61,62 @@ def coeff(p, k):
     return dict((m[0], c) for m, c in p.terms()).get(k, QQ(0))
 
 
-def oracle_limit(a, g: ParamMatrix):
-    """(limit entries as Fractions, None), or (None, sorted 1-based poles)."""
+def to_fraction(q) -> F:
+    return F(int(q.numerator), int(q.denominator))
+
+
+def oracle_tensor(a, g: ParamMatrix) -> dict:
+    """{(k, i, j): nonzero entry in QQ(t)} of the transported tensor."""
     n = a.dim
     gk = to_dm(g).to_list()
     gik = to_dm(g).inv().to_list()
     c = a.constants
     nonzero = [(r, s, u, c[r][s][u]) for r in range(n) for s in range(n) for u in range(n)
                if c[r][s][u]]
-    table, poles = {}, []
+    out = {}
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 acc = K.zero
                 for r, s, u, v in nonzero:
                     acc += QQ(v.numerator, v.denominator) * gk[k][r] * gik[s][i] * gik[u][j]
-                if not acc:
-                    continue
-                num, den = acc.numer, acc.denom
-                val = order(num) - order(den)
-                if val < 0:
-                    poles.append((k + 1, i + 1, j + 1))
-                elif val == 0:
-                    q = coeff(num, order(num)) / coeff(den, order(den))
-                    table[(k, i, j)] = F(int(q.numerator), int(q.denominator))
+                if acc:
+                    out[(k, i, j)] = acc
+    return out
+
+
+def oracle_limit(a, g: ParamMatrix):
+    """(limit entries as Fractions, None), or (None, sorted 1-based poles)."""
+    table, poles = {}, []
+    for (k, i, j), acc in oracle_tensor(a, g).items():
+        num, den = acc.numer, acc.denom
+        val = order(num) - order(den)
+        if val < 0:
+            poles.append((k + 1, i + 1, j + 1))
+        elif val == 0:
+            table[(k, i, j)] = to_fraction(coeff(num, order(num)) / coeff(den, order(den)))
     return (None, poles) if poles else (table, None)
+
+
+def oracle_at(a, g: ParamMatrix, t0: F):
+    """Nonzero entries of the tensor at t0, each reduced entry evaluated
+    there, or PoleAtPoint when some reduced entry has a pole at t0."""
+    x = QQ(t0.numerator, t0.denominator)
+    table = {}
+    for kij, acc in oracle_tensor(a, g).items():
+        if not acc.denom(x):
+            return PoleAtPoint
+        if acc.numer(x):
+            table[kij] = to_fraction(acc.numer(x) / acc.denom(x))
+    return table
+
+
+def ours_at(f):
+    """The nonzero entries of the algebra f() returns, or PoleAtPoint."""
+    try:
+        return f().entries()
+    except PoleAtPoint:
+        return PoleAtPoint
 
 
 def ours_limit(a, g):
@@ -96,15 +130,12 @@ def ours_limit(a, g):
 
 
 def cases():
-    """(algebra, family) pairs: random Laurent families at n = 2..3, and the
-    inverse of one, whose denominators are not powers of t."""
+    """(algebra, family) pairs: random Laurent families at n = 2..3."""
     rng = random.Random(20240611)
     out = []
     for idx in range(24):
         n = 2 + idx % 2
         g = random_family(n, idx % 3, rng.randrange(10**6))
-        if idx % 4 == 3:
-            g = invert(g)
         pool = [construct(CanonicalForm(Tag.P_MINUS, n)),
                 construct(CanonicalForm(Tag.NU, n, F(2, 3))),
                 random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)]
@@ -115,8 +146,19 @@ def cases():
 CASES = cases()
 
 
-def test_some_cases_have_non_monomial_denominators():
-    assert any(len(e.den) > 1 for _, g in CASES for row in g.entries for e in row)
+def test_some_inverses_have_non_monomial_denominators():
+    assert any(len(e.den) > 1 for _, g in CASES for row in invert(g).entries for e in row)
+
+
+def test_a_family_that_is_not_laurent_is_refused():
+    """The kernel takes Laurent families only: the inverse of a family whose
+    det is not a monomial has entries over other denominators."""
+    a, g = next((a, g) for a, g in CASES
+                if any(len(e.den) > 1 for row in invert(g).entries for e in row))
+    h = invert(g)
+    for f in (lambda: transport_limit(a, h), lambda: transport(a, h), h.det):
+        with pytest.raises(ValueError, match="not a Laurent polynomial: FieldElement"):
+            f()
 
 
 @pytest.mark.parametrize("a,g", CASES)
@@ -134,6 +176,53 @@ def test_limit_or_poles_agree_with_sympy(a, g):
 def test_the_cases_reach_both_outcomes():
     outcomes = [ours_limit(a, g)[0] is None for a, g in CASES]
     assert any(outcomes) and not all(outcomes)
+
+
+def double_root_cases():
+    """(algebra, g, r) with (t - r)^2 dividing det g, r != 0: a random
+    Laurent family times diag(1, ..., (t - r)^2), and the two pinned
+    families diag(1, (t - 1)^2) (regular) and [[1, t], [0, (t - 1)^2]] (a
+    pole) on pminus."""
+    rng = random.Random(20261020)
+    t, one, zero = (FieldElement.t_power(1), FieldElement.constant(1),
+                    FieldElement.constant(0))
+
+    def diag(xs):
+        return ParamMatrix(len(xs), tuple(tuple(x if i == j else zero for j in range(len(xs)))
+                                          for i, x in enumerate(xs)))
+
+    out = []
+    for idx in range(16):
+        n = 2 + idx % 2
+        r = (F(1), F(-1), F(1, 2), F(-3, 2))[idx % 4]
+        lin = t - FieldElement.constant(r)
+        g = random_family(n, idx % 3, rng.randrange(10**6)) @ diag([one] * (n - 1) + [lin * lin])
+        pool = [construct(CanonicalForm(Tag.P_MINUS, n)),
+                construct(CanonicalForm(Tag.LAMBDA2, n)),
+                random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)]
+        out.append((pool[idx % 3], g, r))
+    pminus = construct(CanonicalForm(Tag.P_MINUS, 2))
+    sq = (t - one) * (t - one)
+    out.append((pminus, diag([one, sq]), F(1)))
+    out.append((pminus, ParamMatrix(2, ((one, t), (zero, sq))), F(1)))
+    return out
+
+
+DOUBLE_ROOT_CASES = double_root_cases()
+
+
+@pytest.mark.parametrize("a,g,r", DOUBLE_ROOT_CASES)
+def test_transport_at_a_double_root_agrees_with_sympy(a, g, r):
+    assert not g.det().eval_at(r)
+    want = oracle_at(a, g, r)
+    assert ours_at(lambda: transport(a, g).eval_at(r)) == want
+    assert ours_at(lambda: transport_at(a, g, r)) == want
+
+
+def test_the_double_root_cases_reach_both_outcomes():
+    outcomes = [oracle_at(a, g, r) is PoleAtPoint for a, g, r in DOUBLE_ROOT_CASES]
+    assert outcomes[-2:] == [False, True]
+    assert any(outcomes[:-2]) and not all(outcomes[:-2])
 
 
 def row_monomial_cases():
