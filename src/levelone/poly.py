@@ -257,11 +257,12 @@ class FieldElement:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def to_laurent(self) -> Poly:
-        """Return the Laurent dict; fails unless den is a pure power of t."""
+    def to_laurent(self, shift: int = 0) -> Poly:
+        """Return the Laurent dict of t^shift * self; fails unless den is a
+        pure power of t."""
         if len(self.den) != 1:  # den is monic: a lone term is t^e
             raise ValueError(f"not a Laurent polynomial: {self!r}")
-        return poly_shift(self.num, -max(self.den))
+        return poly_shift(self.num, shift - max(self.den))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -304,8 +305,6 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
         return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
     def __repr__(self) -> str:

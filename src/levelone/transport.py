@@ -69,7 +69,6 @@ from .poly import (
     poly_mul,
     poly_ord,
     poly_scale,
-    poly_shift,
 )
 
 ZERO = Fraction(0)
@@ -209,7 +208,7 @@ class _FractionFree:
     def __init__(self, g: ParamMatrix):
         n = self.dim = g.dim
         s = max(max(e.den) for row in g.entries for e in row)
-        cleared = [[poly_shift(e.to_laurent(), s) for e in row] for row in g.entries]
+        cleared = [[e.to_laurent(s) for e in row] for row in g.entries]
         L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
         self.s, self.L = s, L
         self.P = [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
