@@ -21,6 +21,8 @@ e_k <= e_i + e_j, the ones that do not vanish at t = 0; without e it forms
 every entry.  It takes both matrices over Z as (den, integer rows): each
 caller scales its rational input once, and an inverse comes straight from
 the integer elimination (``linalg._inverse``) with no Fraction in between.
+The limits ``transport`` reads off Z[t] are stored by ``_integer_algebra``:
+integer columns over one denominator, divided by their gcd.
 
 ``_frame`` completes seed vectors to a frame and returns the frame's
 inverse from the same elimination; ``extend_basis`` is its basis, and the
@@ -534,6 +536,19 @@ def _contract(a: Algebra, g: tuple, h: tuple, e=None) -> Algebra:
     return _stored(object.__new__(Algebra), n, den // g, dict(sorted(cols)))
 
 
+def _integer_algebra(n: int, den: int, cols: dict) -> Algebra:
+    """The algebra c = C / den for the nonzero integer columns
+    cols = {(i, j): ((k, C[k][i][j]), ...)}, given in (i, j) order with k
+    increasing: its stored form is C and den divided by their gcd, signed
+    so that the denominator is positive."""
+    g = math.gcd(den, *(c for hits in cols.values() for _, c in hits))
+    if den < 0:
+        g = -g
+    if g != 1:
+        cols = {ij: tuple((k, c // g) for k, c in hits) for ij, hits in cols.items()}
+    return _stored(object.__new__(Algebra), n, den // g, cols)
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_order(e: tuple) -> tuple:
     """(pairs, width, by_i) for ``_contract``: the pairs (i, j) with
@@ -626,6 +641,11 @@ def _deterministic_candidates(n: int) -> tuple:
     return tuple(basis + sums)
 
 
+#: The least chance, per draw, of a nonzero entry at which ``random_algebra``
+#: redraws for a non-abelian sample.
+MIN_NONZERO_CHANCE = 1e-3
+
+
 def random_algebra(
     n: int, density: float, seed: int, nonabelian: bool = False
 ) -> Algebra:
@@ -633,10 +653,16 @@ def random_algebra(
 
     Each entry is nonzero with probability ``density``; values have
     numerators in [-9, 9] and denominators in [1, 4].  With ``nonabelian``
-    the sample is redrawn until some entry is nonzero.
+    the sample is redrawn until some entry is nonzero; a draw has one with
+    chance 1 - (1 - density)^(n^3), and below MIN_NONZERO_CHANCE (more than
+    a thousand expected draws, and none at all at density 0) ValueError is
+    raised instead.
     """
     if n < 1 or not 0 <= density <= 1:
         raise ValueError("need n >= 1 and 0 <= density <= 1")
+    if nonabelian and (chance := 1 - (1 - float(density)) ** n**3) < MIN_NONZERO_CHANCE:
+        raise ValueError(f"a non-abelian draw at n = {n} and density {density} has chance "
+                         f"{chance:.3g} < {MIN_NONZERO_CHANCE}")
     rng = random.Random(seed)
     while True:
         entries = {}

@@ -17,8 +17,8 @@ output entries are built as Fractions.
 
 The one other elimination is ``bareiss``, a fraction-free Gauss-Jordan over
 Z[t] that works in place.  ``mat_det`` runs it on the row-scaled integer
-matrix, ``char_poly`` on t*I - den*a, and the family kernel of ``transport``
-on [P | I].
+matrix, ``char_poly`` on t*I - den*a, the family kernel of ``transport``
+on [P | I] and its scalar-action read-off on [P^T | A^T B^T].
 """
 
 from __future__ import annotations

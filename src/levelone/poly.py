@@ -122,11 +122,28 @@ def poly_pow(a: Poly, k: int) -> Poly:
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    """Exact substitution; negative exponents require x != 0."""
-    total = ZERO
-    for e, c in p.items():
-        total += c * x**e
-    return total
+    """Exact substitution; negative exponents require x != 0.
+
+    Sparse Horner over Z: with x = u/v, D the lcm of the coefficient
+    denominators and exponents from low to top, the sum of
+    (D*c_e) * u^(e - low) * v^(top - e) takes one power of u and one of v
+    per gap between exponents, and p(x) is that sum over D * v^(top - low),
+    times x^low.
+    """
+    if not p:
+        return ZERO
+    u, v = x.numerator, x.denominator
+    den = math.lcm(*(c.denominator for c in p.values()))
+    es = sorted(p, reverse=True)
+    acc, vpow, low = 0, 1, es[0]  # low: the last exponent taken
+    for e in es:
+        if e != low:
+            acc *= u ** (low - e)
+            vpow *= v ** (low - e)
+            low = e
+        c = p[e]
+        acc += c.numerator * (den // c.denominator) * vpow
+    return Fraction(acc, den * vpow) * x**low
 
 
 def _divide_linear(p: Poly, t0: Fraction) -> Poly:

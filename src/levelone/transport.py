@@ -32,13 +32,29 @@ with e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
 e_k < e_i + e_j is a pole, and without poles the formed tensor, whose
 nonzero entries all have e_k = e_i + e_j, is the limit in its stored form.
 For a lambda2 witness, e = -(1, 2, ..., 2), that is n - 1 entries of n^3.
-Every other family goes through the kernel.
+
+An algebra of scalar-action form, x*y = A(x) y + B(y) x for linear forms
+A and B (``algebra._scalar_action``: pminus, nu(alpha)), keeps that form
+under any family, with the forms A' = A.g^-1 and B' = B.g^-1:
+g(A(g^-1 x) g^-1 y) = A(g^-1 x) y.  So its limit needs only those two
+rows, L*t^s times A.P^-1 and B.P^-1, from one ``bareiss`` on
+[P^T | A^T B^T] (one right-hand column when B is a multiple of A), and
+only the 2n^2 - n entries with k in {i, j} are read.  The read-off is
+gated on 2 * (sum of the row degrees of P) <= MAX_DEGREE: a minor of
+either elimination has degree at most that sum, and the kernel's read-off
+exponent at most twice it, so under the gate neither raises
+DegreeOverflow and above it the kernel runs and raises as it always has.
+
+``transport_limit`` thus tries the row-monomial read-off, then the
+scalar-action read-off, then the kernel; the last two build the limit
+straight in the stored integer form, over one common denominator.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
 rational basis change g(t0), so ``transport_at`` evaluates g first and
 transports over Q; only at t0 = 0, the one pole a Laurent family can have,
 or at a root of det g does it evaluate the Q(t) tensor, whose entries then
-divide out the factors (t - t0) they share.
+divide out the factors (t - t0) they share; each distinct denominator is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _contract, apply_basis_change
+from .algebra import Algebra, _contract, _integer_algebra, _scalar_action, apply_basis_change
 from .canonical import CanonicalForm, construct
 from .errors import (
     DegreeOverflow,
@@ -66,6 +82,7 @@ from .poly import (
     FE_ZERO,
     MAX_DEGREE,
     FieldElement,
+    poly_eval,
     poly_mul,
     poly_ord,
     poly_scale,
@@ -196,6 +213,16 @@ def _row_monomial(g: ParamMatrix):
     return exps, rows
 
 
+def _cleared(g: ParamMatrix) -> tuple[int, int, list]:
+    """(s, L, P) with g = P / (L*t^s), P over Z[t] and t^s the largest entry
+    denominator; ValueError on an entry that is not Laurent."""
+    s = max(max(e.den) for row in g.entries for e in row)
+    cleared = [[e.to_laurent(s) for e in row] for row in g.entries]
+    L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
+    return s, L, [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
+                  for row in cleared]
+
+
 class _FractionFree:
     """A Laurent family cleared to Z[t] and its fraction-free Gauss-Jordan.
 
@@ -207,12 +234,7 @@ class _FractionFree:
 
     def __init__(self, g: ParamMatrix):
         n = self.dim = g.dim
-        s = max(max(e.den) for row in g.entries for e in row)
-        cleared = [[e.to_laurent(s) for e in row] for row in g.entries]
-        L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
-        self.s, self.L = s, L
-        self.P = [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
-                  for row in cleared]
+        self.s, self.L, self.P = _cleared(g)
         rows = [row + [{0: 1} if j == i else {} for j in range(n)]
                 for i, row in enumerate(self.P)]
         self.sign, self.d = bareiss(rows)
@@ -275,7 +297,20 @@ class ParamAlgebra:
     constants: tuple  # constants[k][i][j], FieldElement
 
     def eval_at(self, t0: Fraction) -> Algebra:
-        return Algebra(self.dim, _nested(lambda e: e.eval_at(t0), self.constants, 3))
+        """Each entry at t0, every distinct denominator evaluated once."""
+        t0 = Fraction(t0)
+        dens = {}
+
+        def value(e: FieldElement) -> Fraction:
+            if not e.num:
+                return ZERO
+            key = tuple((k, c.numerator, c.denominator) for k, c in e.den.items())
+            d = dens.get(key)
+            if d is None:
+                d = dens[key] = poly_eval(e.den, t0)
+            return poly_eval(e.num, t0) / d if d else e.eval_at(t0)
+
+        return Algebra(self.dim, _nested(value, self.constants, 3))
 
 
 def embed_algebra(a: Algebra) -> ParamAlgebra:
@@ -325,6 +360,14 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     formed, and the limit is their integer tensor over its common
     denominator, with no Fraction per entry.
 
+    A scalar-action algebra, c^k_ij = (A_i [k = j] + B_j [k = i]) / D
+    (pminus and nu(alpha) among them), keeps its form under transport, with
+    the linear forms A.g^-1 and B.g^-1: ``_scalar_action_limit`` reads the
+    limit off those two rows, from one elimination of n x (n + 2) or fewer.
+    It is taken when twice the sum of the row degrees of P stays within
+    MAX_DEGREE; no minor of either elimination, nor the kernel's read-off
+    exponent, can pass MAX_DEGREE then, so both raise alike.
+
     Any other g goes through the fraction-free numerator.  Entry (k, i, j)
     is L*t^s*N/(cden*d^2) with N over Z[t], of valuation
     val(N) + s - 2*val(d).  So a term of N below top = 2*val(d) - s
@@ -333,6 +376,7 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
+    n = a.dim
     rm = _row_monomial(g)
     if rm is not None:
         e, m = rm
@@ -347,6 +391,11 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
         if poles:
             raise NoLimit(poles)
         return b
+    action = _scalar_action(a)
+    if action is not None:
+        s, L, P = _cleared(g)
+        if 2 * sum(max((max(p) for p in row if p), default=0) for row in P) <= MAX_DEGREE:
+            return _scalar_action_limit(n, action, s, L, P)
     ff = _FractionFree(g)
     # every entry of R = d * P^-1, and so d = (R.P)[0][0], is a multiple of
     # t^v; cancelling it leaves R / d alone and lowers top by 2v
@@ -357,15 +406,86 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     vd = poly_ord(ff.d)
     top = 2 * vd - ff.s
     num, cden = ff.contract(a, top)
-    scale = Fraction(ff.L, cden * ff.d[vd] ** 2)
+    poles, cols = [], {}
+    for i, j in itertools.product(range(n), repeat=2):
+        hits = []
+        for k in range(n):
+            nm = num[k][i][j]
+            if nm and min(nm) < top:
+                poles.append((k + 1, i + 1, j + 1))
+            elif top in nm:
+                hits.append((k, ff.L * nm[top]))
+        if hits:
+            cols[(i, j)] = tuple(hits)
+    if poles:
+        raise NoLimit(sorted(poles))
+    return _integer_algebra(n, cden * ff.d[vd] ** 2, cols)
 
-    def value(k, i, j):
-        nm = num[k][i][j]
-        if nm and min(nm) < top:
-            raise PoleAtZero(f"valuation {min(nm) - top} < 0")
-        return nm[top] * scale if nm else ZERO
 
-    return _limit(a.dim, value)
+def _scalar_action_limit(n: int, action: tuple, s: int, L: int, P: list) -> Algebra:
+    """The limit at t = 0 of c^k_ij = (A_i [k = j] + B_j [k = i]) / D
+    transported by g = P / (L*t^s).
+
+    g.c(g^-1 x, g^-1 y) = (A.g^-1 x) y / D + (B.g^-1 y) x / D, so the
+    transported tensor has the same form with the rows A' = L*t^s*A.P^-1
+    and B' = L*t^s*B.P^-1.  ``linalg.bareiss`` on [P^T | A^T B^T] gives
+    d = +-det P and Y = d*P^-T [A^T B^T], so A'_i = L*t^s*Y_A[i] / d: a term
+    of Y below exponent val(d) - s is a pole, and the term there, over
+    d's lowest coefficient and D, is the limit.  Entry (k, i, j) is nonzero
+    only for k in {i, j}, so 2n^2 - n entries are read.  When B is a
+    multiple B_p / A_p of A, or A = 0, one right-hand column serves both.
+    """
+    A, B, D = action
+    # A' and B' are read as wa * ya / q and wb * yb / q below, ya and yb the
+    # solutions for the first and the last right-hand column
+    p = next((i for i, x in enumerate(A) if x), None)
+    if p is None:  # A = 0
+        cols, wa, wb, q = [B] if any(B) else [], 0, 1, 1
+    elif all(A[p] * y == B[p] * x for x, y in zip(A, B)):  # B = (B_p / A_p) * A
+        cols, wa, wb, q = [A], A[p], B[p], A[p]
+    else:
+        cols, wa, wb, q = [A, B], 1, 1, 1
+    rows = [[P[j][i] for j in range(n)] + [{0: c[i]} if c[i] else {} for c in cols]
+            for i in range(n)]
+    sign, d = bareiss(rows)
+    if not sign:
+        raise SingularFamily(SINGULAR)
+    if not cols:
+        return Algebra.zero(n)
+    vd = min(d)
+    top = vd - s
+
+    def read(*parts) -> tuple[bool, int]:
+        """(pole, L times the coefficient at top) of the sum of w*y."""
+        acc = {}
+        for w, y in parts:
+            if w:
+                for e, c in y.items():
+                    if e <= top:
+                        acc[e] = acc.get(e, 0) + w * c
+        return any(c for e, c in acc.items() if e < top), L * acc.get(top, 0)
+
+    ya, yb = [row[n] for row in rows], [row[-1] for row in rows]
+    ra = [read((wa, y)) for y in ya]  # A'_i: the entries (j, i, j), j != i
+    rb = [read((wb, y)) for y in yb]  # B'_j: the entries (i, i, j), i != j
+    rd = [read((wa, x), (wb, y)) for x, y in zip(ya, yb)]  # A'_i + B'_i at (i, i, i)
+    if any(pole for r in (ra, rb, rd) for pole, _ in r):
+        poles = []
+        for k in range(n):
+            for i in range(n):
+                if i == k:
+                    poles += [(k + 1, k + 1, j + 1) for j in range(n)
+                              if (rd if j == k else rb)[j][0]]
+                elif ra[i][0]:
+                    poles.append((k + 1, i + 1, k + 1))
+        raise NoLimit(poles)
+    out = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        hits = ((i, rd[i][1]),) if i == j else ((i, rb[j][1]), (j, ra[i][1]))
+        hits = tuple(sorted(h for h in hits if h[1]))
+        if hits:
+            out[(i, j)] = hits
+    return _integer_algebra(n, d[vd] * D * q, out)
 
 
 def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:

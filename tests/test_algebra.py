@@ -237,6 +237,22 @@ class TestRandomAlgebra:
         a = random_algebra(2, 0.05, seed=3, nonabelian=True)
         assert not a.is_abelian()
 
+    @pytest.mark.parametrize("n,density", [(3, 0.0), (1, 0.0), (3, 1e-5), (1, 0.0009)])
+    def test_nonabelian_draw_without_hope_is_refused(self, n, density):
+        # at density 0 the redraw loop could never end; below a chance of
+        # 1/1000 per draw it is refused too
+        with pytest.raises(ValueError, match=r"non-abelian draw .* has chance .* < 0\.001"):
+            random_algebra(n, density, seed=1, nonabelian=True)
+
+    @pytest.mark.parametrize("n,density", [(3, 0.0), (3, 1e-5)])
+    def test_abelian_draws_at_any_density_are_kept(self, n, density):
+        assert random_algebra(n, density, seed=1).is_abelian()
+
+    def test_draws_at_a_hopeful_density_are_unchanged(self):
+        # chance 1 - (1 - 0.002)^1 = 0.002: kept, and redrawn until nonzero
+        assert random_algebra(1, 0.002, seed=5, nonabelian=True).entries() == {(0, 0, 0): F(2)}
+        assert random_algebra(2, 0.15, seed=3, nonabelian=True).entries() == {(1, 0, 1): F(8, 3)}
+
 
 class TestCanonicalTables:
     def test_each_table_is_built_once_and_shared(self):

@@ -349,11 +349,32 @@ class TestTransportCommand:
         assert got == construct(CanonicalForm(Tag.P_MINUS, 4))
 
 
+    @pytest.mark.parametrize("seed,code", [(1, 1), (6, 0)])
+    @pytest.mark.parametrize("name", ["pminus_n4", "nu_n4_alpha_2_3"])
+    def test_limit_of_a_random_family_matches_the_recorded_bytes(self, capsys, tmp_path,
+                                                                 seed, code, name):
+        # families that are not row-monomial: the scalar-action read-off
+        fam = tmp_path / "g.family.json"
+        assert main(["random", "--kind", "family", "--dim", "4", "--pole-bound", "2",
+                     "--seed", str(seed), "--out", str(fam)]) == 0
+        got = run(capsys, "transport", "--algebra", canonical_path(name),
+                  "--family", str(fam), "--limit", "--json")
+        want = FIXTURES / "limits" / f"random_n4_pb2_seed{seed}.{name}.limit.json"
+        assert got == (code, want.read_text())
+
+
 class TestRandomCommand:
     def test_seed_determinism(self, capsys):
         _, out1 = run(capsys, "random", "--dim", "3", "--seed", "4")
         _, out2 = run(capsys, "random", "--dim", "3", "--seed", "4")
         assert out1 == out2
+
+    def test_non_abelian_at_density_zero_exits_2(self, capsys):
+        code = main(["random", "--kind", "algebra", "--dim", "3", "--seed", "1",
+                     "--density", "0", "--non-abelian"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a non-abelian draw at n = 3 and density 0.0 has chance 0 < 0.001\n")
 
     def test_family_kind(self, capsys):
         code, out = run(

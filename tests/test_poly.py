@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from levelone import DegreeOverflow, FieldElement, PoleAtPoint, PoleAtZero
-from levelone.poly import poly_mul, poly_pow, poly_scale, poly_shift, poly_sub
+from levelone.poly import poly_eval, poly_mul, poly_pow, poly_scale, poly_shift, poly_sub
 
 from conftest import (
     fe,
@@ -199,3 +199,23 @@ class TestUnreducedQuotients:
         else:
             g = quotient(p2, q2, r, m3, m4)
         assert (f == g) == (g == f) == (ours == to_k(g))
+
+
+class TestPolyEval:
+    @given(laurent_polys(min_exp=-8, max_exp=12, max_terms=6), nonzero_rationals)
+    @settings(max_examples=200)
+    def test_sparse_horner_equals_the_sum_of_terms(self, p, x):
+        assert poly_eval(p, x) == sum((c * x**e for e, c in p.items()), F(0))
+
+    @given(laurent_polys(min_exp=0, max_exp=12, max_terms=6))
+    def test_at_zero_reads_the_constant_term(self, p):
+        assert poly_eval(p, F(0)) == p.get(0, 0)
+
+    def test_a_negative_exponent_at_zero_divides_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_eval({-2: F(1), 3: F(5)}, F(0))
+
+    def test_examples(self):
+        assert poly_eval({}, F(3)) == 0
+        assert poly_eval({0: F(7, 2)}, F(-5)) == F(7, 2)
+        assert poly_eval({-1: F(1, 2), 2: F(-3)}, F(-2, 3)) == F(-3, 4) - F(4, 3)

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from levelone import (
     Algebra,
     CanonicalForm,
+    ClassifierConfig,
     NoLimit,
     ParamAlgebra,
     ParamMatrix,
@@ -19,6 +20,7 @@ from levelone import (
     Tag,
     Witness,
     apply_basis_change,
+    classify,
     construct,
     derived_subspace,
     embed_algebra,
@@ -26,6 +28,7 @@ from levelone import (
     limit_at_zero,
     random_algebra,
     random_family,
+    random_invertible_matrix,
     transport,
     transport_at,
     transport_limit,
@@ -112,6 +115,31 @@ class TestTransport:
             if mat_det(gmat) == 0:
                 continue
             assert moved == apply_basis_change(a, gmat)
+
+    @given(algebras(min_dim=2, max_dim=3), st.integers(0, 10**6), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_each_denominator_evaluated_once_gives_the_entrywise_values(self, a, seed, pb):
+        pa = transport(a, random_family(a.dim, pb, seed))
+        for t0 in (F(0), F(1), F(-1), F(1, 2), F(-3, 2)):
+            want = []
+            for plane in pa.constants:
+                for row in plane:
+                    for e in row:
+                        try:
+                            want.append(e.eval_at(t0))
+                        except PoleAtPoint:
+                            want = PoleAtPoint
+                            break
+                    if want is PoleAtPoint:
+                        break
+                if want is PoleAtPoint:
+                    break
+            if want is PoleAtPoint:
+                with pytest.raises(PoleAtPoint):
+                    pa.eval_at(t0)
+            else:
+                got = pa.eval_at(t0).constants
+                assert [x for plane in got for row in plane for x in row] == want
 
     @given(algebras(min_dim=2, max_dim=3), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -466,3 +494,143 @@ class TestRowMonomial:
         code = main(["transport", "--algebra", str(alg), "--family", str(fam), "--limit"])
         assert code == 0
         assert algebra_from_dict(json.loads(capsys.readouterr().out)) == a
+
+
+def outcome(f):
+    """The limit f() returns, or (type, NoLimit entries or message) of what
+    it raises."""
+    try:
+        return f()
+    except NoLimit as exc:
+        return NoLimit, exc.entries
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def diag(*entries):
+    n = len(entries)
+    return ParamMatrix(n, tuple(tuple(fe(x) if i == j else FE_ZERO for j in range(n))
+                                for i, x in enumerate(entries)))
+
+
+def scalar_action_inputs(n, rng):
+    """pminus, nu(alpha) at several alpha, and x*y = A(x) y + B(y) x for
+    random A and B, A = 0 and B = 0."""
+    out = [canon(Tag.P_MINUS, n)]
+    out += [canon(Tag.NU, n, F(alpha)) for alpha in ("0", "1", "1/2", "2/3", "-3")]
+    for kind in range(3):
+        A = [F(rng.randint(-3, 3), rng.randint(1, 3)) if kind != 1 else 0 for _ in range(n)]
+        B = [F(rng.randint(-3, 3), rng.randint(1, 3)) if kind != 2 else 0 for _ in range(n)]
+        entries = {}
+        for i, j in itertools.product(range(n), repeat=2):
+            entries[(j, i, j)] = entries.get((j, i, j), 0) + A[i]
+            entries[(i, i, j)] = entries.get((i, i, j), 0) + B[j]
+        out.append(Algebra.from_entries(n, {kij: v for kij, v in entries.items() if v}))
+    return out
+
+
+class TestScalarActionBranch:
+    """transport_limit reads pminus, nu and every x*y = A(x) y + B(y) x off
+    the transported forms A.g^-1 and B.g^-1 when the family is not
+    row-monomial and twice its row degrees stay within MAX_DEGREE."""
+
+    @pytest.fixture
+    def branch_calls(self, monkeypatch):
+        calls = []
+        branch = transport_module._scalar_action_limit
+        monkeypatch.setattr(transport_module, "_scalar_action_limit",
+                            lambda *args: calls.append(args) or branch(*args))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_answer_as_the_fraction_free_kernel(self, n, monkeypatch):
+        rng = random.Random(1800 + n)
+        t, one = FieldElement.t_power(1), FE_ONE
+        singular = ParamMatrix(n, tuple(tuple(t if i < 2 else one if i == j else FE_ZERO
+                                              for j in range(n)) for i in range(n)))
+        families = [random_family(n, rng.randint(1, 3), rng.randrange(10**6))
+                    for _ in range(6)]
+        families += [singular, invert(families[0])]  # SingularFamily, not Laurent
+        cases = [(a, g) for a in scalar_action_inputs(n, rng) for g in families]
+        assert all(transport_module._scalar_action(a) is not None for a, _ in cases)
+        fast = [outcome(lambda: transport_limit(a, g)) for a, g in cases]
+        monkeypatch.setattr(transport_module, "_scalar_action", lambda a: None)
+        assert fast == [outcome(lambda: transport_limit(a, g)) for a, g in cases]
+        kinds = {o if isinstance(o, Algebra) else o[0] for o in fast}
+        assert {NoLimit, SingularFamily, ValueError} <= {k for k in kinds if isinstance(k, type)}
+        assert any(isinstance(o, Algebra) for o in fast)
+
+    # outcomes pinned from the kernel, which answered every case before the
+    # branch existed; "branch" says which side of the degree gate a case is
+    POLES_PMINUS = [(2, 1, 2), (2, 2, 1), (3, 1, 3), (3, 3, 1)]
+    POLES_NU = [(1, 1, 1)] + POLES_PMINUS
+
+    @pytest.mark.parametrize("entries,branch", [
+        (("t^4000", "t^4000", "1 + t"), False),  # sum of row degrees 8001
+        (("t^2000", "t^2000", "1 + t"), True),   # 4001
+    ])
+    @pytest.mark.parametrize("tag,alpha,poles", [(Tag.P_MINUS, None, POLES_PMINUS),
+                                                 (Tag.NU, F(2, 3), POLES_NU)])
+    def test_bareiss_budget_shape(self, entries, branch, tag, alpha, poles, branch_calls):
+        # the kernel's elimination forms t^12000 * (1 + t) before dividing by
+        # t^4000 and reads at exponent 8000; the branch is gated off there
+        with pytest.raises(NoLimit) as exc:
+            transport_limit(canon(tag, 3, alpha), diag(*entries))
+        assert exc.value.entries == poles
+        assert bool(branch_calls) is branch
+
+    @pytest.mark.parametrize("second,branch", [("t^2499 + t^2500", True),   # 5000
+                                               ("t^2500 + t^2501", False)])  # 5001
+    def test_gate_is_twice_the_row_degrees_against_max_degree(self, second, branch,
+                                                              branch_calls):
+        g = diag("t^2500", second)
+        with pytest.raises(NoLimit) as exc:
+            transport_limit(canon(Tag.P_MINUS, 2), g)
+        assert exc.value.entries == [(2, 1, 2), (2, 2, 1)]
+        with pytest.raises(NoLimit) as exc:
+            transport_limit(canon(Tag.NU, 2, F(2, 3)), g)
+        assert exc.value.entries == [(1, 1, 1), (2, 1, 2), (2, 2, 1)]
+        assert len(branch_calls) == (2 if branch else 0)
+
+    @pytest.mark.parametrize("tag,alpha", [(Tag.P_MINUS, None), (Tag.NU, F(2, 3))])
+    def test_degree_budget_of_the_kernel_is_kept(self, tag, alpha, branch_calls):
+        # P = diag(t^6000, 1 + t^6000) has the minor t^6000 * (1 + t^6000)
+        with pytest.raises(DegreeOverflow):
+            transport_limit(canon(tag, 2, alpha), diag("t^6000", "1 + t^6000"))
+        assert branch_calls == []
+
+    @pytest.mark.parametrize("entries,branch", [(("1 + t", "1", "t^-4000"), False),
+                                                (("1 + t", "t^-2000", "t^-2000"), True)])
+    @pytest.mark.parametrize("tag,alpha", [(Tag.P_MINUS, None), (Tag.NU, F(2, 3))])
+    def test_kernel_overflow_shape_has_an_exact_answer(self, entries, branch, tag, alpha,
+                                                       branch_calls, capsys, tmp_path):
+        # P = t^4000 * g has row degrees 4001 + 4000 + 0: past the gate, the
+        # kernel answers, as the branch does below it
+        a, g = canon(tag, 3, alpha), diag(*entries)
+        assert transport_limit(a, g) == a
+        alg, fam = tmp_path / "a.json", tmp_path / "g.json"
+        save_path(str(alg), algebra_to_dict(a))
+        save_path(str(fam), family_to_dict(g))
+        code = main(["transport", "--algebra", str(alg), "--family", str(fam), "--limit"])
+        assert code == 0
+        assert algebra_from_dict(json.loads(capsys.readouterr().out)) == a
+        assert len(branch_calls) == (2 if branch else 0)
+
+    def test_a_classify_witness_never_reaches_the_branch(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a witness family reached the scalar-action branch")
+
+        monkeypatch.setattr(transport_module, "_scalar_action_limit", refuse)
+        rng = random.Random(18)
+        for n in (2, 3, 4, 5):
+            inputs = [apply_basis_change(a, random_invertible_matrix(n, rng))
+                      for a in scalar_action_inputs(n, rng)]
+            inputs += [random_algebra(n, 0.4, rng.randrange(10**6), nonabelian=True)
+                       for _ in range(4)]
+            for a in inputs:
+                if a.is_abelian():
+                    continue
+                w = classify(a, ClassifierConfig(seed=rng.randrange(10**6)))
+                assert transport_limit(a, w.family) == construct(w.target)
+                for b in inputs[:6]:  # pminus and nu under the same family
+                    outcome(lambda: transport_limit(b, w.family))

@@ -6,6 +6,8 @@ g.c(g^-1 x, g^-1 y), whose t -> 0 limit is read off each reduced entry's
 valuation and whose value at t0 is each reduced entry evaluated there.
 """
 
+import importlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,6 +18,7 @@ from sympy import QQ, symbols  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from levelone import (  # noqa: E402
+    Algebra,
     CanonicalForm,
     ClassifierConfig,
     NoLimit,
@@ -37,6 +40,9 @@ from levelone import (  # noqa: E402
 from levelone.families import scaling_family  # noqa: E402
 from levelone.poly import FieldElement  # noqa: E402
 from levelone.transport import _row_monomial  # noqa: E402
+
+# ``levelone.transport`` is also the name of a function the package exports
+transport_module = importlib.import_module("levelone.transport")
 
 T = symbols("t")
 K = QQ.frac_field(T)
@@ -87,8 +93,13 @@ def oracle_tensor(a, g: ParamMatrix) -> dict:
 
 def oracle_limit(a, g: ParamMatrix):
     """(limit entries as Fractions, None), or (None, sorted 1-based poles)."""
+    return read_limit(oracle_tensor(a, g))
+
+
+def read_limit(tensor: dict):
+    """oracle_limit of the tensor {(k, i, j): nonzero entry in QQ(t)}."""
     table, poles = {}, []
-    for (k, i, j), acc in oracle_tensor(a, g).items():
+    for (k, i, j), acc in sorted(tensor.items()):
         num, den = acc.numer, acc.denom
         val = order(num) - order(den)
         if val < 0:
@@ -313,3 +324,76 @@ def test_singular_family_raises_from_transport_limit():
     assert not g.det()
     with pytest.raises(SingularFamily):
         transport_limit(construct(CanonicalForm(Tag.P_MINUS, 2)), g)
+
+
+def scalar_action_algebra(n, A, B):
+    """c^k_ij = A_i [k = j] + B_j [k = i]: x*y = A(x) y + B(y) x."""
+    entries = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        if A[i]:
+            entries[(j, i, j)] = entries.get((j, i, j), 0) + A[i]
+        if B[j]:
+            entries[(i, i, j)] = entries.get((i, i, j), 0) + B[j]
+    return Algebra.from_entries(n, {kij: v for kij, v in entries.items() if v})
+
+
+SCALAR_KINDS = ("general", "B = -A", "B parallel to A", "A = 0", "B = 0", "abelian")
+
+
+def scalar_action_cases():
+    """(algebra, A, B, family) with the algebra x*y = A(x) y + B(y) x, A and
+    B of each kind, at n = 2..6 and pole bound 0..3."""
+    rng = random.Random(20261021)
+    out = []
+    for idx in range(36):
+        n, pole_bound, kind = 2 + idx % 5, idx % 4, SCALAR_KINDS[idx % 6]
+        A, B = ([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in "AB")
+        A[0] = A[0] or F(1)
+        B[-1] = B[-1] or F(-2)
+        lam = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        zero = [F(0)] * n
+        A, B = {"general": (A, B), "B = -A": (A, [-x for x in A]),
+                "B parallel to A": (A, [lam * x for x in A]), "A = 0": (zero, B),
+                "B = 0": (A, zero), "abelian": (zero, zero)}[kind]
+        g = random_family(n, pole_bound, rng.randrange(10**6))
+        out.append((scalar_action_algebra(n, A, B), A, B, g))
+    return out
+
+
+SCALAR_ACTION_CASES = scalar_action_cases()
+
+
+def oracle_scalar_limit(A, B, g: ParamMatrix):
+    """oracle_limit for x*y = A(x) y + B(y) x: the transported product is
+    x*y = A'(x) y + B'(y) x with A' = A.g^-1 and B' = B.g^-1 over QQ(t)."""
+    n = g.dim
+    gik = to_dm(g).inv().to_list()
+    A2, B2 = ([sum((QQ(v[r].numerator, v[r].denominator) * gik[r][i] for r in range(n)), K.zero)
+               for i in range(n)] for v in (A, B))
+    tensor = {}
+    for k, i, j in itertools.product(range(n), repeat=3):
+        acc = (A2[i] if k == j else K.zero) + (B2[j] if k == i else K.zero)
+        if acc:
+            tensor[(k, i, j)] = acc
+    return read_limit(tensor)
+
+
+@pytest.mark.parametrize("a,A,B,g", SCALAR_ACTION_CASES)
+def test_scalar_action_limit_agrees_with_sympy(a, A, B, g, monkeypatch):
+    calls = []
+    branch = transport_module._scalar_action_limit
+    monkeypatch.setattr(transport_module, "_scalar_action_limit",
+                        lambda *args: calls.append(1) or branch(*args))
+    want = oracle_scalar_limit(A, B, g)
+    # the generic contraction over QQ(t) takes minutes at n = 6; where it is
+    # quick it checks the transported forms against the whole tensor too
+    if g.dim <= 3:
+        assert oracle_limit(a, g) == want
+    assert ours_limit(a, g) == want
+    assert calls == ([] if _row_monomial(g) is not None else [1])
+
+
+def test_the_scalar_action_cases_reach_the_branch_and_both_outcomes():
+    outcomes = [ours_limit(a, g)[0] is None for a, _, _, g in SCALAR_ACTION_CASES
+                if _row_monomial(g) is None]
+    assert len(outcomes) >= 24 and any(outcomes) and not all(outcomes)
