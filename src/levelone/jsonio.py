@@ -10,7 +10,10 @@ Witness:   {"family": <family>, "target": {"tag": ..., "dim": ...,
 Report:    {"pass": bool, "limit": <algebra> | null, "diagnostics": [...]}
 
 Serialization is deterministic (sorted keys and entries), so identical
-values produce byte-identical files.
+values produce byte-identical files.  ``dumps`` writes the bytes
+``json.dumps(obj, indent=2, sort_keys=True)`` would, plus a newline,
+without the pure-Python encoder that ``indent`` keeps ``json`` on: one
+recursive writer, with strings escaped by ``json``'s own C escaper.
 
 Algebras are read and written in the integer stored form (cden, slices) of
 ``Algebra``: each "p[/q]" literal is read as two ints, and each coefficient
@@ -25,6 +28,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Algebra, InvariantVector, _stored
 from .canonical import CanonicalForm, Tag
@@ -270,7 +274,37 @@ def invariants_to_dict(iv: InvariantVector) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, for
+    a document of dicts with str keys, lists, str, int, bool and None; any
+    other type raises TypeError."""
+    return _text(obj, "\n") + "\n"
+
+
+#: the JSON text of a str, int, bool or None, by exact type
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _text(x, nl: str) -> str:
+    """x as indented JSON; nl is the line break and indent of x's own line."""
+    scalar = _SCALARS.get(type(x))
+    if scalar:
+        return scalar(x)
+    inner = nl + "  "
+    if type(x) is dict:
+        if not x:
+            return "{}"
+        items = []
+        for key in sorted(x):  # scalar values inline: they are most of a document
+            v = x[key]
+            scalar = _SCALARS.get(type(v))
+            items.append(_quote(key) + ": " + (scalar(v) if scalar else _text(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(x) is list:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in x]) + nl + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def load_path(path: str) -> dict:

@@ -89,19 +89,23 @@ def parse_laurent(text: str) -> dict:
 
 
 def _accumulate(out: dict, toks: _Tokens, sign: int) -> None:
-    coeff, exp = _term(toks)
-    coeff *= sign
-    s = out.get(exp, Fraction(0)) + coeff
-    if s:
-        out[exp] = s
+    """Add the next term, sign * num/den * t^exp, to out; a Fraction is
+    added only when the exponent repeats, and a zero sum is dropped."""
+    num, den, exp = _term(toks)
+    coeff = Fraction(sign * num, den)
+    if exp in out:
+        coeff += out[exp]
+    if coeff:
+        out[exp] = coeff
     else:
         out.pop(exp, None)
 
 
-def _term(toks: _Tokens) -> tuple[Fraction, int]:
+def _term(toks: _Tokens) -> tuple[int, int, int]:
+    """(num, den, exp) of the next term, num/den its unsigned coefficient."""
     kind, text, pos = toks.peek()
     if kind == "t":
-        return Fraction(1), _tpart(toks)
+        return 1, 1, _tpart(toks)
     if kind != "int":
         raise ParseError("expected a coefficient or 't'", pos, text)
     num = int(toks.take("int")[1])
@@ -114,16 +118,15 @@ def _term(toks: _Tokens) -> tuple[Fraction, int]:
         den = int(toks.take("int")[1])
         if den == 0:
             raise ParseError("zero denominator", dp, dt)
-    coeff = Fraction(num, den)
     if toks.peek()[0] == "*":
         toks.take("*")
         k, t, p = toks.peek()
         if k != "t":
             raise ParseError("expected 't' after '*'", p, t)
-        return coeff, _tpart(toks)
+        return num, den, _tpart(toks)
     if toks.peek()[0] == "t":
-        return coeff, _tpart(toks)
-    return coeff, 0
+        return num, den, _tpart(toks)
+    return num, den, 0
 
 
 def _tpart(toks: _Tokens) -> int:

@@ -50,11 +50,12 @@ scalar-action read-off, then the kernel; the last two build the limit
 straight in the stored integer form, over one common denominator.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
-rational basis change g(t0), so ``transport_at`` evaluates g first and
-transports over Q; only at t0 = 0, the one pole a Laurent family can have,
-or at a root of det g does it evaluate the Q(t) tensor, whose entries then
-divide out the factors (t - t0) they share; each distinct denominator is
-evaluated once.
+rational basis change g(t0), so ``transport_at`` evaluates g = P / (L*t^s)
+at t0 = u/v over Z, as one integer matrix over one denominator, and hands
+it to the integer contraction; only at t0 = 0, the one pole a Laurent
+family can have, or at a root of det g does it evaluate the Q(t) tensor,
+whose entries then divide out the factors (t - t0) they share; each
+distinct denominator is evaluated once.
 """
 
 from __future__ import annotations
@@ -489,22 +490,49 @@ def _scalar_action_limit(n: int, action: tuple, s: int, L: int, P: list) -> Alge
 
 
 def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
-    """transport(a, g).eval_at(t0), through g(t0) where that is invertible.
+    """transport(a, g).eval_at(t0), through g(t0) over Z where that is
+    invertible.
 
     Each entry of transport(a, g) is a quotient whose denominator is a
     product of the entry denominators of g and det g.  Where all of these
     are nonzero at t0, evaluation commutes with the contraction, so the
-    value is apply_basis_change(a, g(t0)).  At a pole of g (t0 = 0) or a
-    root of det g the reduced tensor may still be regular, so there it is
+    value is apply_basis_change(a, g(t0)).  With g = P / (L*t^s) and
+    t0 = u/v, g(t0) is Q / den over Z: Q = v^D * P(t0) and
+    den = L * u^s * v^(D - s), D = max(s, deg P), signed so that den > 0.
+    A P of degree past MAX_DEGREE raises DegreeOverflow first, as the
+    limit does.  At a pole of g (t0 = 0 with s > 0) or a root of det g
+    (Q singular) the reduced tensor may still be regular, so there it is
     built and evaluated, dividing out the shared factors (t - t0);
-    PoleAtPoint means it is not regular.
+    PoleAtPoint means it is not regular.  A family with an entry that is
+    not Laurent, which only ``invert`` makes, is evaluated entry by entry
+    and transported over Q, with the same fallback.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
+    t0 = Fraction(t0)
     try:
-        return apply_basis_change(a, g.eval_at(t0))
-    except (PoleAtPoint, SingularMatrix):
-        return transport(a, g).eval_at(t0)
+        s, L, P = _cleared(g)
+    except ValueError:  # an entry that is not Laurent
+        try:
+            return apply_basis_change(a, g.eval_at(t0))
+        except (PoleAtPoint, SingularMatrix):
+            return transport(a, g).eval_at(t0)
+    exps = {e for row in P for p in row for e in p}
+    top = max(exps, default=0)
+    if top > MAX_DEGREE:
+        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
+    top = max(top, s)
+    u, v = t0.numerator, t0.denominator
+    den = L * u**s * v ** (top - s)
+    if den:
+        sign = -1 if den < 0 else 1
+        powers = {e: sign * u**e * v ** (top - e) for e in exps}  # t^e at t0, times v^top
+        m = (abs(den), [[sum(c * powers[e] for e, c in p.items()) for p in row] for row in P])
+        try:
+            return _contract(a, m, _inverse_of(m))
+        except SingularMatrix:
+            pass
+    return transport(a, g).eval_at(t0)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,44 @@ class TestTransportCommand:
         want = FIXTURES / "limits" / f"random_n4_pb2_seed{seed}.{name}.limit.json"
         assert got == (code, want.read_text())
 
+    @pytest.mark.parametrize("at,tag", [("1/2", "1_2"), ("-3/2", "m3_2")])
+    @pytest.mark.parametrize("seed", [1, 6])
+    @pytest.mark.parametrize("name", ["pminus_n4", "nu_n4_alpha_2_3"])
+    def test_at_of_a_random_family_matches_the_recorded_bytes(self, capsys, tmp_path,
+                                                              at, tag, seed, name):
+        # g(t0) evaluated over Z; seed 1 has an odd pole order, so at -3/2
+        # the common denominator of g(t0) changes sign
+        fam = tmp_path / "g.family.json"
+        assert main(["random", "--kind", "family", "--dim", "4", "--pole-bound", "2",
+                     "--seed", str(seed), "--out", str(fam)]) == 0
+        got = run(capsys, "transport", "--algebra", canonical_path(name),
+                  "--family", str(fam), f"--at={at}")
+        want = FIXTURES / "at" / f"random_n4_pb2_seed{seed}.{name}.at_{tag}.json"
+        assert got == (0, want.read_text())
+
+    def test_recognize_of_a_moved_algebra_matches_the_recorded_bytes(self, capsys):
+        moved = FIXTURES / "at" / "random_n4_pb2_seed1.nu_n4_alpha_2_3.at_1_2.json"
+        got = run(capsys, "recognize", "--algebra", str(moved), "--json")
+        want = moved.with_name(moved.name.replace(".json", ".recognize.json"))
+        assert got == (0, want.read_text())
+
+    @pytest.mark.parametrize("at", ["1", "-1", "1/2"])
+    def test_at_refuses_an_exponent_past_the_degree_bound(self, capsys, tmp_path, at):
+        # the cleared numerator of diag(t^k, 1) has degree k; past MAX_DEGREE
+        # --at exits 2 before evaluating, as --limit does (it exited 0 here)
+        def transported(k):
+            fam = tmp_path / f"t{k}.family.json"
+            fam.write_text(json.dumps({"dim": 2, "entries": [
+                {"row": 1, "col": 1, "poly": f"t^{k}"}, {"row": 2, "col": 2, "poly": "1"}]}))
+            return main(["transport", "--algebra", canonical_path("pminus_n2"),
+                         "--family", str(fam), f"--at={at}"])
+
+        assert transported(10_000) == 0
+        capsys.readouterr()
+        assert transported(10_001) == 2
+        assert capsys.readouterr().err == "error: exponent beyond +/-10000\n"
+        assert transported(2_000_000) == 2
+
 
 class TestRandomCommand:
     def test_seed_determinism(self, capsys):

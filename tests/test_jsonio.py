@@ -2,6 +2,7 @@
 hold them to the Fraction path they replaced, literal by literal and byte by
 byte."""
 
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -11,21 +12,40 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from levelone import Algebra, CanonicalForm, Tag, apply_basis_change, random_invertible_matrix
+from levelone import (
+    Algebra,
+    CanonicalForm,
+    NoLimit,
+    ParamMatrix,
+    Tag,
+    apply_basis_change,
+    classify,
+    construct,
+    invariant_vector,
+    random_family,
+    random_invertible_matrix,
+    transport_limit,
+    verify_degeneration,
+)
 from levelone.errors import CoefficientTooLarge
 from levelone.jsonio import (
     algebra_from_dict,
     algebra_to_dict,
     check_dimension,
     dumps,
+    family_to_dict,
     format_rational,
+    invariants_to_dict,
     load_path,
     parse_rational,
     recognition_to_dict,
+    report_to_dict,
     shown,
+    witness_to_dict,
 )
 from levelone.poly import MAX_COEFF_DIGITS
 from levelone.recognize import RecognitionResult, recognize
+from levelone.transport import Witness
 
 CANONICAL = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "canonical")
                    .glob("*.algebra.json"))
@@ -228,3 +248,72 @@ class TestWriters:
         with pytest.raises(CoefficientTooLarge, match="^cannot write the iso: integer of 5001 "
                                                       "digits"):
             recognition_to_dict(res)
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+
+def stdlib_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+json_strings = st.text() | st.sampled_from(
+    ["", "caf\u00e9", "\u2028\u00ff\U0001f600", '"quoted"', "back\\slash", "\x00\x1f\x7f\n\t"])
+json_ints = st.integers() | st.integers(1 - 10**MAX_COEFF_DIGITS, 10**MAX_COEFF_DIGITS - 1)
+json_documents = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24)
+
+
+def cli_documents() -> dict:
+    """One document of each kind the CLI writes."""
+    pminus, lambda2 = (construct(CanonicalForm(tag, 3)) for tag in (Tag.P_MINUS, Tag.LAMBDA2))
+    nu = construct(CanonicalForm(Tag.NU, 4, F(2, 3)))
+    moved = apply_basis_change(nu, random_invertible_matrix(4, random.Random(3)))
+    witness = classify(construct(CanonicalForm(Tag.P_PLUS, 3)))
+    wrong = Witness(ParamMatrix.identity(3), CanonicalForm(Tag.LAMBDA2, 3))
+    try:
+        transport_limit(lambda2, ParamMatrix.diagonal_powers([0, -1, 0]))
+    except NoLimit as exc:
+        poles = {"limit": None, "poles": [list(e) for e in exc.entries]}
+    return {
+        "algebra": algebra_to_dict(moved),
+        "family": family_to_dict(random_family(4, 2, 1)),
+        "witness": witness_to_dict(witness),
+        "report": report_to_dict(verify_degeneration(pminus, wrong)),
+        "recognition": recognition_to_dict(RecognitionResult(
+            CanonicalForm(Tag.NU, 2, F(-3)), ((F(1, 2), F(0)), (F(-7), F(1))),
+            "recognized over Q")),
+        "recognition of a moved algebra": recognition_to_dict(recognize(moved)),
+        "invariants": invariants_to_dict(invariant_vector(lambda2)),
+        "poles": poles,
+    }
+
+
+CLI_DOCUMENTS = cli_documents()
+
+
+class TestDumps:
+    @given(json_documents)
+    @settings(max_examples=300)
+    def test_writes_the_bytes_of_the_stdlib_encoder(self, doc):
+        assert dumps(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize("kind", CLI_DOCUMENTS)
+    def test_every_document_the_cli_writes(self, kind):
+        doc = CLI_DOCUMENTS[kind]
+        assert dumps(doc) == stdlib_dumps(doc)
+
+    def test_the_documents_carry_what_they_are_named_for(self):
+        docs = CLI_DOCUMENTS
+        assert docs["report"]["diagnostics"] and docs["report"]["pass"] is False
+        assert {"iso", "reason", "alpha"} <= docs["recognition"].keys()
+        assert docs["recognition of a moved algebra"]["iso"]
+        assert docs["poles"]["poles"] and docs["witness"]["trace"]
+
+    @pytest.mark.parametrize("doc", [1.5, {"a": 0.0}, [F(1, 2)], {"a": (1, 2)}, {"a": {1}},
+                                     {1: "x"}, {None: 1}, b"x"])
+    def test_another_type_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            dumps(doc)

@@ -36,12 +36,12 @@ from levelone import (
     verify_degeneration,
 )
 from levelone.cli import main
-from levelone.errors import DegreeOverflow, PoleAtPoint
+from levelone.errors import DegreeOverflow, PoleAtPoint, SingularMatrix
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, family_to_dict, save_path
 from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
-from levelone.transport import _row_monomial
+from levelone.transport import _cleared, _row_monomial
 
 from conftest import algebras, fe, nonzero_rationals
 
@@ -224,6 +224,127 @@ class TestTransportAt:
         assert code == 0
         assert algebra_from_dict(json.loads(out)) == apply_basis_change(a, g.eval_at(F(1, 2)))
         assert main(argv + ["--limit"]) == 1
+
+
+def composed_at(a, g, t0):
+    """transport_at as the rational composition: g(t0) entry by entry over Q,
+    and the Q(t) tensor where g(t0) has a pole or is singular."""
+    try:
+        return apply_basis_change(a, g.eval_at(t0))
+    except (PoleAtPoint, SingularMatrix):
+        return transport(a, g).eval_at(t0)
+
+
+def stored_outcome(f):
+    """The stored form (cden, slices) of f(), or the type and message of
+    what it raises."""
+    try:
+        return f().integer_slices()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def needs_the_tensor(g, t0) -> bool:
+    """g(t0) has a pole or is singular."""
+    try:
+        return mat_det(g.eval_at(t0)) == 0
+    except PoleAtPoint:
+        return True
+
+
+INTEGER_POINTS = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(-7, 5))
+
+
+class TestIntegerEvaluation:
+    """transport_at evaluates g = P / (L*t^s) at u/v over Z; the fallback to
+    the Q(t) tensor runs exactly where g(t0) has a pole or is singular."""
+
+    @staticmethod
+    def agree(a, g, t0, monkeypatch):
+        calls = []
+        real = transport_module.transport
+        monkeypatch.setattr(transport_module, "transport",
+                            lambda *args: calls.append(args) or real(*args))
+        got = stored_outcome(lambda: transport_at(a, g, t0))
+        monkeypatch.setattr(transport_module, "transport", real)
+        assert got == stored_outcome(lambda: composed_at(a, g, t0))
+        assert len(calls) == needs_the_tensor(g, t0)
+        if not isinstance(got[0], type):
+            assert got[0] > 0
+        return got
+
+    @pytest.mark.parametrize("pole_bound", range(4))
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_same_stored_form_or_error_as_the_rational_composition(self, n, pole_bound,
+                                                                    monkeypatch):
+        rng = random.Random(f"at:{n}:{pole_bound}")
+        for _ in range(2):
+            g = random_family(n, pole_bound, rng.randrange(10**6))
+            for a in (canon(Tag.P_MINUS, n), canon(Tag.NU, n, F(2, 3)),
+                      random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)):
+                for t0 in INTEGER_POINTS:
+                    self.agree(a, g, t0, monkeypatch)
+
+    def test_negative_point_and_odd_pole_order_keep_the_denominator_positive(self,
+                                                                             monkeypatch):
+        # L * u^s * v^(D - s) < 0 for u < 0 and s odd; the result is the same
+        odd = [g for g in (random_family(3, 3, seed) for seed in range(40))
+               if _cleared(g)[0] % 2]
+        cases = [(g, t0) for g in odd for t0 in (F(-1), F(-3, 2), F(-7, 5))
+                 if not needs_the_tensor(g, t0)]
+        assert len(cases) >= 20
+        for g, t0 in cases:
+            self.agree(random_algebra(3, 0.6, 7, nonabelian=True), g, t0, monkeypatch)
+
+    def test_at_zero_without_and_with_a_pole(self, monkeypatch):
+        a = random_algebra(3, 0.6, 11, nonabelian=True)
+        t, one = fe("t"), FE_ONE
+        unipotent = ParamMatrix(3, ((one, t, FE_ZERO), (FE_ZERO, one, t * t),
+                                    (FE_ZERO, FE_ZERO, one)))
+        t1 = ParamMatrix.diagonal_powers([1, 1, 1])
+        polynomial = [g @ h for g in (random_family(3, 0, seed) for seed in range(6))
+                      for h in (unipotent, t1)]
+        assert all(_cleared(g)[0] == 0 for g in polynomial)
+        assert any(needs_the_tensor(g, F(0)) for g in polynomial)
+        assert not all(needs_the_tensor(g, F(0)) for g in polynomial)
+        poles = [g for g in (random_family(3, 2, seed) for seed in range(12)) if _cleared(g)[0]]
+        assert poles
+        for g in polynomial + poles:
+            self.agree(a, g, F(0), monkeypatch)
+
+    def test_a_root_of_det_g_falls_back(self, monkeypatch):
+        a = canon(Tag.NU, 3, F(2, 3))
+        for seed, t0 in itertools.product(range(3), (F(1), F(-3, 2), F(-7, 5))):
+            g = with_det_root(random_family(3, 1, seed), t0)
+            assert needs_the_tensor(g, t0)
+            self.agree(a, g, t0, monkeypatch)
+
+    def test_an_inverse_family_keeps_the_composition(self, monkeypatch):
+        # invert(g) has entries over det g; a non-Laurent one is evaluated
+        # entry by entry, and at a pole the Q(t) kernel refuses it
+        families = [random_family(3, 1, seed) for seed in range(8)]
+        families += [ParamMatrix.diagonal_powers([1, -2, 0]) @ families[0],
+                     ParamMatrix.diagonal_powers([2, 0, -1])]
+        inverses = [invert(g) for g in families]
+        laurent = [h for h in inverses if all(len(e.den) == 1 for row in h.entries for e in row)]
+        assert laurent and len(laurent) < len(inverses)
+        a = canon(Tag.P_MINUS, 3)
+        outcomes = {self.agree(a, h, t0, monkeypatch)[0]
+                    for h in inverses for t0 in INTEGER_POINTS}
+        assert ValueError in outcomes
+
+    @pytest.mark.parametrize("t0", [F(1), F(-1), F(1, 2), F(0)])
+    def test_an_exponent_of_p_past_the_degree_bound_raises(self, t0):
+        a = canon(Tag.P_MINUS, 2)
+        for exps in ([10_001, 0], [-10_001, 0], [0, 2_000_000]):
+            with pytest.raises(DegreeOverflow, match=r"^exponent beyond \+/-10000$"):
+                transport_at(a, ParamMatrix.diagonal_powers(exps), t0)
+        if t0:
+            for exps in ([10_000, 0], [-10_000, 0]):
+                g = ParamMatrix.diagonal_powers(exps)
+                assert transport_at(a, g, t0) == composed_at(a, g, t0)
+        # a common pole leaves P constant: the bound is on P, not on s
+        assert transport_at(a, ParamMatrix.diagonal_powers([-20_000, -20_000]), F(1)) == a
 
 
 class TestLimits:

@@ -109,12 +109,12 @@ def read_limit(tensor: dict):
     return (None, poles) if poles else (table, None)
 
 
-def oracle_at(a, g: ParamMatrix, t0: F):
+def oracle_at(a, g: ParamMatrix, t0: F, tensor=None):
     """Nonzero entries of the tensor at t0, each reduced entry evaluated
     there, or PoleAtPoint when some reduced entry has a pole at t0."""
     x = QQ(t0.numerator, t0.denominator)
     table = {}
-    for kij, acc in oracle_tensor(a, g).items():
+    for kij, acc in (tensor or oracle_tensor(a, g)).items():
         if not acc.denom(x):
             return PoleAtPoint
         if acc.numer(x):
@@ -187,6 +187,17 @@ def test_limit_or_poles_agree_with_sympy(a, g):
 def test_the_cases_reach_both_outcomes():
     outcomes = [ours_limit(a, g)[0] is None for a, g in CASES]
     assert any(outcomes) and not all(outcomes)
+
+
+AT_POINTS = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(-7, 5))
+
+
+@pytest.mark.parametrize("a,g", CASES)
+def test_transport_at_agrees_with_sympy(a, g):
+    """g(t0) over Z where it is invertible, the reduced tensor elsewhere."""
+    tensor = oracle_tensor(a, g)
+    for t0 in AT_POINTS:
+        assert ours_at(lambda: transport_at(a, g, t0)) == oracle_at(a, g, t0, tensor)
 
 
 def double_root_cases():
