@@ -46,10 +46,19 @@ identities, so the branches build their frames without re-checking it;
 pminus and nu branches read what they need of the normalized table (the
 leads on e1, the scalar) off the identity's (A, B, D), so no branch
 contracts the tensor.
+
+Every branch ends in a frame, read off one integer echelon with its
+inverse (den, rows) over Z, and pole weights w.  ``_assemble`` stores the
+family diag(t^-w) * rows / den straight in the cleared form P / (L*t^s)
+of ``transport.ParamMatrix``, canonical after one gcd, and the verifier's
+row-monomial read-off takes the integers back off P.  No Fraction matrix
+and no FieldElement is built between the frame and the verdict.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +80,6 @@ from .algebra import (
 )
 from .canonical import CanonicalForm, Tag
 from .errors import AbelianInput, SearchExhausted
-from .poly import FE_ZERO, FieldElement
 from .transport import ParamMatrix, Witness, verify_degeneration
 
 ZERO = Fraction(0)
@@ -170,17 +178,19 @@ def _fmt(v: Vector) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _assemble(minv: list, weights: list, tag: Tag, trace: list, alpha=None) -> Witness:
-    """Family = diag(t^-w) composed with the change onto a frame, minv the
-    frame's inverse; entry (i, j) is the monomial minv[i][j] * t^-w_i, built
-    in the form that ``FieldElement.from_laurent`` gives it (every
-    w >= 0)."""
-    n = len(minv)
-    family = ParamMatrix(n, tuple(
-        tuple(FieldElement._raw({0: c}, {w: ONE}) if c else FE_ZERO for c in row)
-        for w, row in zip(weights, minv)
-    ))
-    return Witness(family, CanonicalForm(tag, n, alpha), tuple(trace))
+def _assemble(inv: tuple, weights: list, tag: Tag, trace: list, alpha=None) -> Witness:
+    """Family = diag(t^-w) composed with the change onto a frame, whose
+    inverse is inv = (den, rows) over Z: entry (i, j) is
+    rows[i][j] / den * t^-w_i, stored cleared as P / (L*t^s) with
+    s = max(w) and P[i][j] = rows[i][j] / g * t^(s - w_i), L = den / g for
+    g the gcd of den and rows.  That is the canonical form: den > 0, every
+    row is nonzero, and a row of weight s has exponent 0."""
+    den, rows = inv
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    s = max(weights)
+    family = ParamMatrix.from_cleared(s, den // g, tuple([
+        tuple([{s - w: x // g} if x else {} for x in row]) for w, row in zip(weights, rows)]))
+    return Witness(family, CanonicalForm(tag, len(rows), alpha), tuple(trace))
 
 
 # -- the decision tree ------------------------------------------------------
@@ -200,7 +210,7 @@ def _attempt(a: Algebra) -> Witness:
         x, square = sq
         trace = [f"SquareWitnessFound x={_fmt(x)}"]
         _, inv = _frame(n, [x, square])
-        return _assemble(linalg._fractions(inv), [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
+        return _assemble(inv, [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
     trace = ["SquareInSpan"]
     pair = _find_pair(a)
     if pair is not None:
@@ -218,7 +228,7 @@ def _n3minus_branch(a: Algebra, pair: tuple, trace: list) -> Witness:
     x, y = pair
     trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
     _, inv = _frame(a.dim, [x, y, a.product(x, y)])
-    return _assemble(linalg._fractions(inv), [1, 1] + [2] * (a.dim - 2), Tag.N3_MINUS,
+    return _assemble(inv, [1, 1] + [2] * (a.dim - 2), Tag.N3_MINUS,
                      trace)
 
 
@@ -249,7 +259,7 @@ def _pminus_branch(a: Algebra, trace: list) -> Witness:
         lead = -sum(x * y for x, y in zip(A, f)) / D
         absorbed.append(vec_add(f, vec_scale(basis[0], lead)))
     _, minv = _frame(n, absorbed)
-    return _assemble(linalg._fractions(minv), [0] + [1] * (n - 1), Tag.P_MINUS, trace)
+    return _assemble(minv, [0] + [1] * (n - 1), Tag.P_MINUS, trace)
 
 
 def _nu_branch(a: Algebra, trace: list) -> Witness:
@@ -280,4 +290,4 @@ def _nu_branch(a: Algebra, trace: list) -> Witness:
         # x*y = a(x) y + b(y) x with a = A / D, so b1 * f has a(b1) on f
         A, _, D = _scalar_action(a)
         alpha = sum(x * y for x, y in zip(A, b1)) / D
-    return _assemble(linalg._fractions(minv), [0] + [1] * (n - 1), Tag.NU, trace, alpha)
+    return _assemble(minv, [0] + [1] * (n - 1), Tag.NU, trace, alpha)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadDimension
-from .poly import FE_ZERO, FieldElement
 from .transport import ParamMatrix
 
 _HALF = Fraction(1, 2)
@@ -36,26 +35,26 @@ def scaling_family(weights) -> ParamMatrix:
 def pplus_to_lambda2(n: int) -> ParamMatrix:
     if n < 2:
         raise BadDimension("needs dimension >= 2")
-    grid = [[FE_ZERO] * n for _ in range(n)]
-    grid[0][0] = FieldElement.from_laurent({-1: Fraction(1)})
-    grid[1][0] = FieldElement.from_laurent({-2: -_HALF})
-    grid[1][1] = FieldElement.from_laurent({-2: _HALF})
+    grid = [[{} for _ in range(n)] for _ in range(n)]
+    grid[0][0] = {-1: 1}
+    grid[1][0] = {-2: -_HALF}
+    grid[1][1] = {-2: _HALF}
     for i in range(2, n):
-        grid[i][i] = FieldElement.from_laurent({-2: Fraction(1)})
-    return ParamMatrix(n, tuple(tuple(row) for row in grid))
+        grid[i][i] = {-2: 1}
+    return ParamMatrix.from_laurent(grid)
 
 
 def n3plus_to_lambda2(n: int) -> ParamMatrix:
     if n < 3:
         raise BadDimension("needs dimension >= 3")
-    grid = [[FE_ZERO] * n for _ in range(n)]
-    grid[0][0] = FieldElement.from_laurent({-1: Fraction(1)})
-    grid[2][0] = FieldElement.from_laurent({-2: Fraction(-1)})
-    grid[2][1] = FieldElement.from_laurent({-2: Fraction(1)})
-    grid[1][2] = FieldElement.from_laurent({-2: _HALF})
+    grid = [[{} for _ in range(n)] for _ in range(n)]
+    grid[0][0] = {-1: 1}
+    grid[2][0] = {-2: -1}
+    grid[2][1] = {-2: 1}
+    grid[1][2] = {-2: _HALF}
     for i in range(3, n):
-        grid[i][i] = FieldElement.from_laurent({0: Fraction(1)})
-    return ParamMatrix(n, tuple(tuple(row) for row in grid))
+        grid[i][i] = {0: 1}
+    return ParamMatrix.from_laurent(grid)
 
 
 #: Pole weights under which each canonical target is a fixed point.

@@ -33,10 +33,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import Algebra, InvariantVector, _stored
 from .canonical import CanonicalForm, Tag
 from .errors import CoefficientTooLarge, ParseError
-from .parser import parse_laurent, print_laurent, rational_text
-from .poly import MAX_COEFF_DIGITS, MAX_DIM, FieldElement
+from .parser import parse_laurent, print_terms, rational_text
+from .poly import MAX_COEFF_DIGITS, MAX_DIM
 from .recognize import RecognitionResult
-from .transport import ParamMatrix, Report, Witness
+from .transport import ParamMatrix, Report, Witness, _cleared
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 # a JSON string, or a run of digits outside every string
@@ -155,14 +155,19 @@ def algebra_from_dict(d: dict) -> Algebra:
 
 
 def family_to_dict(pm: ParamMatrix, output: str = "family") -> dict:
+    """Each nonzero entry P[i][j] / (L*t^s) of the stored form, written with
+    its coefficients c / L reduced by one gcd; ValueError on an entry that is
+    not Laurent."""
+    s, L, P = _cleared(pm)
     entries = []
-    for i, row in enumerate(pm.entries):
-        for j, e in enumerate(row):
-            if e:
-                entries.append(
-                    {"row": i + 1, "col": j + 1, "poly": print_laurent(e.to_laurent(), output)}
-                )
-    entries.sort(key=lambda it: (it["row"], it["col"]))
+    for i, row in enumerate(P):
+        for j, p in enumerate(row):
+            if p:
+                terms = []
+                for e in sorted(p, reverse=True):
+                    g = math.gcd(p[e], L)
+                    terms.append((e - s, p[e] // g, L // g))
+                entries.append({"row": i + 1, "col": j + 1, "poly": print_terms(terms, output)})
     return {"dim": pm.dim, "entries": entries}
 
 
@@ -183,15 +188,8 @@ def family_from_dict(d: dict) -> ParamMatrix:
                 raise ValueError(f"index {shown(idx)} out of range 1..{n}")
         if grid[i - 1][j - 1] is not None:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
-        grid[i - 1][j - 1] = FieldElement.from_laurent(parse_laurent(text))
-    zero = FieldElement.constant(0)
-    return ParamMatrix(
-        n,
-        tuple(
-            tuple(grid[i][j] if grid[i][j] is not None else zero for j in range(n))
-            for i in range(n)
-        ),
-    )
+        grid[i - 1][j - 1] = parse_laurent(text)
+    return ParamMatrix.from_laurent([[p or {} for p in row] for row in grid])
 
 
 def canonical_form_to_dict(form: CanonicalForm, output: str = "canonical form") -> dict:

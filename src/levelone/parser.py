@@ -150,16 +150,22 @@ def print_laurent(lp: dict, output: str = "Laurent polynomial") -> str:
     """Render a Laurent dict in decreasing exponent order; a coefficient
     with an integer past MAX_COEFF_DIGITS digits raises CoefficientTooLarge
     naming ``output``."""
-    if not lp:
+    return print_terms([(e, lp[e].numerator, lp[e].denominator)
+                        for e in sorted(lp, reverse=True)], output)
+
+
+def print_terms(terms, output: str = "Laurent polynomial") -> str:
+    """``print_laurent`` of the terms (exponent, p, q), each p/q * t^exponent
+    with p/q in lowest terms and q > 0, given in decreasing exponent order."""
+    if not terms:
         return "0"
     parts: list[str] = []
-    for e in sorted(lp, reverse=True):
-        c = lp[e]
-        body = _term_body(rational_text(abs(c.numerator), c.denominator, output), e)
+    for e, p, q in terms:
+        body = _term_body(rational_text(abs(p), q, output), e)
         if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if p < 0 else body)
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+            parts.append(f"- {body}" if p < 0 else f"+ {body}")
     return " ".join(parts)
 
 

@@ -8,11 +8,21 @@ again an algebra.  A Witness packages a family with a claimed limit, and
 ``verify_degeneration`` checks the claim bit-exactly.
 
 Families are Laurent: every entry is a Laurent polynomial in t, as the
-family grammar, the classifier and the builders make them.  One
-fraction-free kernel does the arithmetic: g = P / (L*t^s) with P over Z[t]
-(t^s the largest entry denominator), ``linalg.bareiss`` on [P | I] (the
-elimination behind ``mat_det`` and ``char_poly`` too) gives d = +-det P and
-R = d * P^-1 with no gcds, and the transported tensor is
+family grammar, the classifier and the builders make them.  A
+``ParamMatrix`` stores such a family only as its cleared form
+g = P / (L*t^s): P over Z[t], t^s the largest entry denominator and L the
+lcm of the reduced coefficient denominators.  The form is canonical, so
+``==`` compares it as it is.  The classifier builds it from the integer
+inverse of its frame, and ``jsonio``, ``families`` and ``random_family``
+from Laurent dicts; ``ParamMatrix(n, rows)`` clears FieldElement rows.
+Every reader below takes the form as stored.  ``entries`` is a view: it
+builds the FieldElement grid on each read and caches nothing, so a family
+never holds both forms.  Only ``invert`` can make a family with an entry
+that is not Laurent; that one keeps its FieldElement entries.
+
+One fraction-free kernel does the arithmetic: ``linalg.bareiss`` on
+[P | I] (the elimination behind ``mat_det`` and ``char_poly`` too) gives
+d = +-det P and R = d * P^-1 with no gcds, and the transported tensor is
 L*t^s * P.C.(R x R) / (cden * d^2) with C = cden * c the algebra's stored
 integer form, read column by column.  Limits are read off that integer
 numerator truncated at exponent 2*val(d) - s, after cancelling the power of
@@ -24,9 +34,11 @@ Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then
 g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
 t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
-b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  ``ParamMatrix.det``
-reads det m over Q.  ``transport_limit`` scales m to integers once, inverts
-that integer matrix (``linalg._inverse``, over one common denominator) and
+b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  Each row of P is
+then one power of t times an integer row, so m = M / L comes off P as an
+integer pair.  ``ParamMatrix.det`` reads det M over Z; any other family's
+det is d from ``bareiss`` on P alone.  ``transport_limit`` inverts M over
+Z (``linalg._inverse``, over one common denominator) and
 has the integer contraction ``algebra._contract`` form only the entries of b
 with e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
 e_k < e_i + e_j is a pole, and without poles the formed tensor, whose
@@ -77,9 +89,8 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import _int_matrix, _inverse_of, addmul, bareiss, mat_det
+from .linalg import _inverse_of, addmul, bareiss, mat_det
 from .poly import (
-    FE_ONE,
     FE_ZERO,
     MAX_DEGREE,
     FieldElement,
@@ -102,126 +113,181 @@ def _nested(f, grid, depth: int) -> tuple:
     return tuple(_nested(f, g, depth - 1) for g in grid)
 
 
-@dataclass(frozen=True)
 class ParamMatrix:
-    """n x n matrix over Q(t); column j holds the image of basis vector j."""
+    """n x n matrix over Q(t); column j holds the image of basis vector j.
 
-    dim: int
-    entries: tuple  # tuple of row tuples of FieldElement
+    A Laurent family, every family but some that ``invert`` makes, is stored
+    only as its cleared form (s, L, P): g = P / (L*t^s) with P a grid of
+    integer polynomials {exponent >= 0: nonzero int}, t^s the largest entry
+    denominator and L the lcm of the reduced coefficient denominators.  The
+    form is canonical, so ``==`` compares it structurally.  A family with an
+    entry that is not Laurent keeps its FieldElement entries.  ``entries``
+    is a view, built on each read, each entry as
+    ``FieldElement.from_laurent`` gives it.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.dim or any(
-            len(row) != self.dim for row in self.entries
-        ):
+    __slots__ = ("dim", "_form", "_entries")
+
+    def __init__(self, dim: int, entries):
+        """The family of a grid of FieldElement rows, cleared when every
+        entry is Laurent."""
+        if len(entries) != dim or any(len(row) != dim for row in entries):
             raise DimensionMismatch("entry grid does not match dim")
+        if all(len(e.den) == 1 for row in entries for e in row):  # den = t^k
+            self._set(dim, _clear([[e.to_laurent() for e in row] for row in entries]), None)
+        else:
+            self._set(dim, None, tuple(tuple(row) for row in entries))
+
+    def _set(self, dim, form, entries) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ParamMatrix is immutable")
+
+    @classmethod
+    def from_cleared(cls, s: int, L: int, P) -> "ParamMatrix":
+        """The family P / (L*t^s) of a form that is already canonical, P a
+        tuple of row tuples, taken as it is."""
+        obj = object.__new__(cls)
+        obj._set(len(P), (s, L, P), None)
+        return obj
+
+    @classmethod
+    def from_laurent(cls, rows) -> "ParamMatrix":
+        """The family of a grid of Laurent dicts {exponent: int or Fraction}."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise DimensionMismatch("entry grid does not match dim")
+        return cls.from_cleared(*_clear(rows))
 
     @classmethod
     def identity(cls, n: int) -> "ParamMatrix":
-        return cls(
-            n,
-            tuple(
-                tuple(FE_ONE if i == j else FE_ZERO for j in range(n))
-                for i in range(n)
-            ),
-        )
+        return cls.diagonal_powers([0] * n)
 
     @classmethod
     def diagonal_powers(cls, exponents) -> "ParamMatrix":
         """diag(t^e1, ..., t^en)."""
         exps = list(exponents)
-        n = len(exps)
-        return cls(
-            n,
-            tuple(
-                tuple(
-                    FieldElement.t_power(exps[i]) if i == j else FE_ZERO
-                    for j in range(n)
-                )
-                for i in range(n)
-            ),
-        )
+        s = max(0, -min(exps, default=0))
+        return cls.from_cleared(s, 1, tuple(
+            tuple({e + s: 1} if i == j else {} for j in range(len(exps)))
+            for i, e in enumerate(exps)))
 
     @classmethod
     def from_rational(cls, m: list) -> "ParamMatrix":
-        return cls(len(m), _nested(FieldElement.constant, m, 2))
+        return cls.from_laurent([[{0: c} for c in row] for row in m])
+
+    @property
+    def entries(self) -> tuple:
+        """Tuple of row tuples of FieldElement."""
+        if self._form is None:
+            return self._entries
+        s, L, P = self._form
+        return tuple(tuple(FieldElement.from_laurent({e - s: Fraction(c, L) for e, c in p.items()})
+                           for p in row) for row in P)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParamMatrix):
+            return NotImplemented
+        if self._form is not None and other._form is not None:
+            return self._form == other._form
+        return self.dim == other.dim and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"ParamMatrix(dim={self.dim}, entries={self.entries!r})"
 
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
         n = self.dim
+        a, b = self.entries, other.entries
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 acc = FE_ZERO
                 for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
+                    if a[i][k] and b[k][j]:
+                        acc = acc + a[i][k] * b[k][j]
                 row.append(acc)
             rows.append(tuple(row))
         return ParamMatrix(n, tuple(rows))
 
     def det(self) -> FieldElement:
-        """Determinant in Q(t): t^(sum e) * det m for a row-monomial family,
-        else sign * d / (L*t^s)^n from the fraction-free kernel."""
+        """Determinant in Q(t): t^(sum e) * det M / L^n for a row-monomial
+        family, else sign * d / (L*t^s)^n with d = sign * det P from
+        ``bareiss`` on P alone."""
+        n = self.dim
         rm = _row_monomial(self)
         if rm is not None:
-            e, m = rm
-            c = mat_det(m)
-            return FieldElement.from_laurent({sum(e): c}) if c else FE_ZERO
-        try:
-            ff = _FractionFree(self)
-        except SingularFamily:
+            e, (L, M) = rm
+            c = mat_det(M)
+            return FieldElement.from_laurent({sum(e): c / L**n}) if c else FE_ZERO
+        s, L, P = _cleared(self)
+        sign, d = bareiss([list(row) for row in P])
+        if not sign:
             return FE_ZERO
-        num = {e: Fraction(ff.sign * c) for e, c in ff.d.items()}
-        return FieldElement(num, {ff.s * self.dim: Fraction(ff.L ** self.dim)})
+        return FieldElement({e: Fraction(sign * c) for e, c in d.items()}, {s * n: Fraction(L**n)})
 
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
         return [[e.eval_at(t0) for e in row] for row in self.entries]
 
 
+def _clear(rows) -> tuple[int, int, tuple]:
+    """The canonical (s, L, P) of a grid of Laurent dicts: t^s the largest
+    entry denominator, L the lcm of the coefficient denominators."""
+    s = max(0, -min((e for row in rows for p in row for e in p), default=0))
+    L = math.lcm(*(c.denominator for row in rows for p in row for c in p.values()))
+    return s, L, tuple(tuple({e + s: c.numerator * (L // c.denominator)
+                              for e, c in p.items() if c} for p in row) for row in rows)
+
+
+def _cleared(g: ParamMatrix) -> tuple[int, int, tuple]:
+    """(s, L, P) with g = P / (L*t^s), as stored; ValueError on an entry that
+    is not Laurent."""
+    if g._form is None:
+        for row in g.entries:
+            for e in row:
+                e.to_laurent()  # raises at the first entry that is not Laurent
+    return g._form
+
+
 def _row_monomial(g: ParamMatrix):
-    """(e, m) with g = diag(t^e) * m and m rational, or None when some row
-    is not t^(e_i) times a rational row.
+    """(e, (L, M)) with g = diag(t^e) * M / L and M an integer matrix, or
+    None when g is not Laurent or some row of P is not one power of t times
+    an integer row.
 
-    A zero row gets e_i = 0 (m is then singular).  Raises DegreeOverflow
-    where the fraction-free kernel would: for an invertible m its
-    determinant has degree sum(e_i + s), t^s clearing the denominators.
+    A zero row gets e_i = 0 (M is then singular).  Raises DegreeOverflow
+    where the fraction-free kernel would: for an invertible M its
+    determinant has degree sum(e_i + low), t^low clearing the denominators
+    of diag(t^e).
     """
+    if g._form is None:
+        return None
+    s, L, P = g._form
     exps, rows = [], []
-    for row in g.entries:
+    for row in P:
         exp, out = None, []
-        for x in row:
-            if not x.num:
-                out.append(ZERO)
+        for p in row:
+            if not p:
+                out.append(0)
                 continue
-            if len(x.num) != 1 or len(x.den) != 1:
+            if len(p) != 1:
                 return None
-            ((en, c),) = x.num.items()
-            ((ed, cd),) = x.den.items()
-            if cd != 1 or (exp is not None and en - ed != exp):
+            ((e, c),) = p.items()
+            if exp is not None and e != exp:
                 return None
-            exp = en - ed
+            exp = e
             out.append(c)
-        exps.append(exp or 0)
+        exps.append(0 if exp is None else exp - s)
         rows.append(out)
-    s = max(0, -min(exps))
-    if sum(exps) + len(exps) * s > MAX_DEGREE and mat_det(rows):
+    low = max(0, -min(exps))
+    if sum(exps) + len(exps) * low > MAX_DEGREE and mat_det(rows):
         raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
-    return exps, rows
-
-
-def _cleared(g: ParamMatrix) -> tuple[int, int, list]:
-    """(s, L, P) with g = P / (L*t^s), P over Z[t] and t^s the largest entry
-    denominator; ValueError on an entry that is not Laurent."""
-    s = max(max(e.den) for row in g.entries for e in row)
-    cleared = [[e.to_laurent(s) for e in row] for row in g.entries]
-    L = math.lcm(*(c.denominator for row in cleared for p in row for c in p.values()))
-    return s, L, [[{e: c.numerator * L // c.denominator for e, c in p.items()} for p in row]
-                  for row in cleared]
+    return exps, (L, rows)
 
 
 class _FractionFree:
@@ -236,7 +302,7 @@ class _FractionFree:
     def __init__(self, g: ParamMatrix):
         n = self.dim = g.dim
         self.s, self.L, self.P = _cleared(g)
-        rows = [row + [{0: 1} if j == i else {} for j in range(n)]
+        rows = [[*row, *({0: 1} if j == i else {} for j in range(n))]
                 for i, row in enumerate(self.P)]
         self.sign, self.d = bareiss(rows)
         if not self.sign:
@@ -381,7 +447,6 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     rm = _row_monomial(g)
     if rm is not None:
         e, m = rm
-        m = _int_matrix(m)
         try:
             minv = _inverse_of(m)
         except SingularMatrix:
@@ -625,10 +690,10 @@ def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
                             lp[e] = s
                         else:
                             lp.pop(e, None)
-                    row.append(FieldElement.from_laurent(lp))
+                    row.append(lp)
                 else:
-                    row.append(FE_ZERO)
-            rows.append(tuple(row))
-        pm = ParamMatrix(n, tuple(rows))
+                    row.append({})
+            rows.append(row)
+        pm = ParamMatrix.from_laurent(rows)
         if pm.det():
             return pm

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -214,6 +215,35 @@ class TestEliminationCount:
                 assert calls == [n, n]
                 squares += 1
         assert squares
+
+
+class TestWitnessPath:
+    """The witness family is built from the frame's integer inverse and read
+    by the verifier as integers: no Fraction matrix on the way."""
+
+    def test_no_branch_converts_the_inverse_to_fractions(self, monkeypatch):
+        rng = random.Random(20)
+        inputs = [a for n in range(2, 6) for a in identity_inputs(n, rng)]
+
+        def refuse(*args):
+            raise AssertionError("classify converted a matrix between Z and Q")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("levelone"):
+                for attr in ("_fractions", "_int_matrix"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        branches = set()
+        for a in inputs:
+            w = classify(a)
+            branches.add(tuple(step.split(" ")[0] for step in w.branch_trace))
+        assert branches == {
+            ("Antisymmetric", "PairWitnessFound"),
+            ("Antisymmetric", "PairWitnessAbsent"),
+            ("SquareWitnessFound",),
+            ("SquareInSpan", "PairWitnessFound"),
+            ("SquareInSpan", "NuNormalization"),
+        }
 
 
 def identity_inputs(n, rng):

@@ -272,6 +272,26 @@ class TestClassify:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("name", ["pplus_n3", "n3minus_n4", "pminus_n4", "nu_n4_alpha_2_3",
+                                      "grid_n2", "random_n6_seed1", "random_n6_seed2",
+                                      "random_n6_seed3"])
+    def test_witness_matches_the_recorded_bytes(self, capsys, tmp_path, name):
+        # witnesses written before families were stored as P / (L*t^s)
+        recorded = FIXTURES / "witnesses"
+        algebra = recorded / f"{name}.algebra.json"
+        if name.startswith("random_"):
+            seed = name.rsplit("seed", 1)[1]
+            got = run(capsys, "random", "--kind", "algebra", "--dim", "6", "--seed", seed,
+                      "--non-abelian")
+            assert got == (0, algebra.read_text())
+        elif not algebra.exists():
+            algebra = Path(canonical_path(name))
+        out_file = tmp_path / "witness.json"
+        assert run(capsys, "classify", "--algebra", str(algebra), "--out", str(out_file))[0] == 0
+        want = recorded / f"{name}.witness.json"
+        assert out_file.read_bytes() == want.read_bytes()
+        assert main(["verify", "--algebra", str(algebra), "--witness", str(want)]) == 0
+
 
 class TestTransportCommand:
     def test_limit_prints_the_target(self, capsys):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -38,7 +39,7 @@ from levelone import (
 from levelone.cli import main
 from levelone.errors import DegreeOverflow, PoleAtPoint, SingularMatrix
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
-from levelone.jsonio import algebra_from_dict, algebra_to_dict, family_to_dict, save_path
+from levelone.jsonio import algebra_from_dict, algebra_to_dict, dumps, family_to_dict, save_path
 from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
 from levelone.transport import _cleared, _row_monomial
@@ -561,8 +562,9 @@ class TestRowMonomial:
         binomial = ParamMatrix(2, ((t + FE_ONE, FE_ZERO), (FE_ZERO, FE_ONE)))
         assert _row_monomial(mixed_row) is None
         assert _row_monomial(binomial) is None
-        assert _row_monomial(pplus_to_lambda2(3)) == ([-1, -2, -2], [
-            [F(1), F(0), F(0)], [F(-1, 2), F(1, 2), F(0)], [F(0), F(0), F(1)]])
+        # m = [[1, 0, 0], [-1/2, 1/2, 0], [0, 0, 1]] as the integer pair (2, 2m)
+        assert _row_monomial(pplus_to_lambda2(3)) == ([-1, -2, -2], (2, [
+            [2, 0, 0], [-1, 1, 0], [0, 0, 2]]))
 
     @pytest.mark.parametrize("exps", [[6000, 6000], [-1000, 5000, 5000]])
     def test_degree_budget_of_the_kernel_is_kept(self, exps):
@@ -606,6 +608,122 @@ class TestRowMonomial:
         code = main(["transport", "--algebra", str(alg), "--family", str(fam), "--limit"])
         assert code == 0
         assert algebra_from_dict(json.loads(capsys.readouterr().out)) == a
+
+
+def stored_form(grid):
+    """(s, L, P) of a grid of Laurent dicts, term by term: t^s the largest
+    entry denominator and L the lcm of the coefficient denominators."""
+    terms = [(e, F(c)) for row in grid for p in row for e, c in p.items()]
+    s = max([0] + [-e for e, _ in terms])
+    L = math.lcm(*(c.denominator for _, c in terms))
+    return s, L, tuple(tuple({e + s: int(F(c) * L) for e, c in p.items()} for p in row)
+                       for row in grid)
+
+
+@st.composite
+def laurent_grids(draw):
+    """A random n x n grid of Laurent dicts, n = 1..5, exponents within a
+    pole bound of 0..3, one or two terms an entry; singular ones too."""
+    n = draw(st.integers(1, 5))
+    bound = draw(st.integers(0, 3))
+    grid = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            p = {}
+            if draw(st.booleans()):
+                for e, c in draw(st.lists(st.tuples(st.integers(-bound, bound),
+                                                    nonzero_rationals), min_size=1, max_size=2)):
+                    p[e] = p.get(e, 0) + c
+            row.append({e: c for e, c in p.items() if c})
+        grid.append(row)
+    return grid
+
+
+class TestStoredForm:
+    """A Laurent family stores only its cleared form g = P / (L*t^s): built
+    from FieldElement rows or from that form, it is the same family to every
+    reader; a family with an entry that is not Laurent keeps its entries."""
+
+    POINTS = (F(0), F(1), F(-1), F(1, 2), F(-3, 2))
+
+    @staticmethod
+    def readings(g, a):
+        """Everything a reader sees of g: the entries' num/den dicts, det,
+        limit and values (stored forms or exception type and message), and
+        the family's JSON bytes."""
+        def stored(f):
+            x = outcome(f)
+            return x.integer_slices() if isinstance(x, Algebra) else x
+
+        return (tuple(tuple((e.num, e.den) for e in row) for row in g.entries),
+                outcome(g.det), stored(lambda: transport_limit(a, g)),
+                [stored(lambda: transport_at(a, g, t0)) for t0 in TestStoredForm.POINTS],
+                outcome(lambda: dumps(family_to_dict(g))))
+
+    def check_routes(self, g, a) -> bool:
+        """g, built from FieldElement rows, against the family built from its
+        integer form; True when g is Laurent."""
+        rows = g.entries
+        if not all(len(e.den) == 1 for row in rows for e in row):
+            # only invert makes such a family; its entries are kept as given
+            assert _row_monomial(g) is None
+            with pytest.raises(ValueError, match="^not a Laurent polynomial: "):
+                _cleared(g)
+            return False
+        grid = [[e.to_laurent() for e in row] for row in rows]
+        h = ParamMatrix.from_cleared(*stored_form(grid))
+        assert _cleared(g) == _cleared(h) == stored_form(grid)
+        assert g == h and h == g
+        assert [[(e.num, e.den) for e in row] for row in rows] == [
+            [(f.num, f.den) for f in map(FieldElement.from_laurent, row)] for row in grid]
+        assert self.readings(g, a) == self.readings(h, a)
+        return True
+
+    @given(laurent_grids(), st.booleans(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_both_construction_routes_read_alike(self, grid, inverted, seed):
+        n = len(grid)
+        g = ParamMatrix(n, tuple(tuple(FieldElement.from_laurent(p) for p in row)
+                                 for row in grid))
+        if inverted and n <= 4 and g.det():
+            g = invert(g)
+        self.check_routes(g, random_algebra(n, 0.5, seed, nonabelian=True))
+
+    def test_inverse_families_of_both_kinds(self):
+        # invert(g) is Laurent exactly when det g is a monomial
+        families = [random_family(3, 1, seed) for seed in range(4)]
+        families += [ParamMatrix.diagonal_powers([1, -2, 0]) @ families[0],
+                     ParamMatrix.diagonal_powers([2, 0, -1]), pplus_to_lambda2(3)]
+        kinds = [self.check_routes(invert(g), canon(Tag.NU, 3, F(2, 3))) for g in families]
+        assert any(kinds) and not all(kinds)
+
+    def test_entries_are_built_on_each_read(self):
+        g = pplus_to_lambda2(3)
+        assert g.entries == g.entries and g.entries is not g.entries
+        assert not hasattr(g, "__dict__")
+
+    def test_equality_is_structural_and_falls_back_to_the_entries(self):
+        g = random_family(3, 2, 5)
+        h = g @ ParamMatrix.identity(3)
+        assert h == g and h._form == g._form
+        assert g != g @ ParamMatrix.diagonal_powers([1, 0, 0])
+        # g @ g^-1 has unreduced quotients d/d on the diagonal: not Laurent
+        # as stored, yet equal to the identity in Q(t)
+        one = g @ invert(g)
+        assert one._form is None and one == ParamMatrix.identity(3)
+
+    def test_det_eliminates_p_alone(self):
+        # eliminating [P | I] forms the cofactor -t^10001, so invert raises;
+        # det eliminates P alone, whose minors stay within MAX_DEGREE
+        g = ParamMatrix(2, ((FE_ONE, fe("t^10001")), (FE_ZERO, FE_ONE)))
+        assert _row_monomial(g) is None
+        assert g.det() == FE_ONE
+        with pytest.raises(DegreeOverflow):
+            invert(g)
+        # a determinant past MAX_DEGREE still raises
+        with pytest.raises(DegreeOverflow):
+            ParamMatrix(2, ((fe("t^6000"), FE_ONE), (FE_ZERO, fe("1 + t^6000")))).det()
 
 
 def outcome(f):
