@@ -7,49 +7,53 @@ entry has non-negative valuation the entrywise limit at t = 0 exists and is
 again an algebra.  A Witness packages a family with a claimed limit, and
 ``verify_degeneration`` checks the claim bit-exactly.
 
-Families are Laurent: every entry is a Laurent polynomial in t, as the
-family grammar, the classifier and the builders make them.  A
-``ParamMatrix`` stores such a family only as its cleared form
-g = P / (L*t^s): P over Z[t], t^s the largest entry denominator and L the
-lcm of the reduced coefficient denominators.  The form is canonical, so
-``==`` compares it as it is.  The classifier builds it from the integer
-inverse of its frame, and ``jsonio``, ``families`` and ``random_family``
-from Laurent dicts; ``ParamMatrix(n, rows)`` clears FieldElement rows.
-Every reader below takes the form as stored.  ``entries`` is a view: it
-builds the FieldElement grid on each read and caches nothing, so a family
-never holds both forms.  Only ``invert`` can make a family with an entry
-that is not Laurent; that one keeps its FieldElement entries.
+A ``ParamMatrix`` stores every family one way, as g = P / D: P a grid of
+integer polynomials and D one nonzero integer polynomial.  A Laurent family,
+as the family grammar, the classifier and the builders make it, has
+D = L*t^s, t^s the largest entry denominator and L the lcm of the reduced
+coefficient denominators; that form is canonical, so ``==`` compares it as
+it is.  The classifier builds it from the integer inverse of its frame, and
+``jsonio``, ``families`` and ``random_family`` from Laurent dicts;
+``ParamMatrix(n, rows)`` clears Laurent FieldElement rows.  ``invert`` and
+``@`` work over Z[t] and store their result through one normalizer, which
+makes it canonical when D is one term.  ``entries`` is a view: it builds the
+FieldElement grid on each read and caches nothing.
+
+Every reader takes any family.  Near t = 0, D = L*t^s * u with s = val(D),
+L its lowest coefficient and u a unit with u(0) = 1, and a limit or a pole
+at t = 0 depends on D only through s and L: wherever a read-off below says
+L*t^s, D may stand in its place.
 
 One fraction-free kernel does the arithmetic: ``linalg.bareiss`` on
 [P | I] (the elimination behind ``mat_det`` and ``char_poly`` too) gives
 d = +-det P and R = d * P^-1 with no gcds, and the transported tensor is
-L*t^s * P.C.(R x R) / (cden * d^2) with C = cden * c the algebra's stored
+D * P.C.(R x R) / (cden * d^2) with C = cden * c the algebra's stored
 integer form, read column by column.  Limits are read off that integer
 numerator truncated at exponent 2*val(d) - s, after cancelling the power of
 t that R and d share.  ``transport`` and ``invert`` return these quotients
 unreduced: equal in Q(t) to the reduced ones, with only the power of t
-cancelled.  The kernel refuses an entry that is not Laurent (ValueError).
+cancelled.  ``ParamMatrix.det`` is sign * d / D^n from ``bareiss`` on P
+alone.
 
 Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then
 g^-1 = m^-1 diag(t^-e), so entry (k, i, j) of the transported tensor is
 t^(e_k - e_i - e_j) times entry (k, i, j) of the rational basis change
-b = m.c(m^-1 x, m^-1 y), and det g = t^(sum e) * det m.  Each row of P is
-then one power of t times an integer row, so m = M / L comes off P as an
-integer pair.  ``ParamMatrix.det`` reads det M over Z; any other family's
-det is d from ``bareiss`` on P alone.  ``transport_limit`` inverts M over
-Z (``linalg._inverse``, over one common denominator) and
-has the integer contraction ``algebra._contract`` form only the entries of b
-with e_k <= e_i + e_j, since the others vanish at t = 0: a nonzero one with
-e_k < e_i + e_j is a pole, and without poles the formed tensor, whose
-nonzero entries all have e_k = e_i + e_j, is the limit in its stored form.
-For a lambda2 witness, e = -(1, 2, ..., 2), that is n - 1 entries of n^3.
+b = m.c(m^-1 x, m^-1 y).  Each row of P is then one power of t times an
+integer row, so m = M / L comes off P as an integer pair.
+``transport_limit`` inverts M over Z (``linalg._inverse``, over one common
+denominator) and has the integer contraction ``algebra._contract`` form
+only the entries of b with e_k <= e_i + e_j, since the others vanish at
+t = 0: a nonzero one with e_k < e_i + e_j is a pole, and without poles the
+formed tensor, whose nonzero entries all have e_k = e_i + e_j, is the limit
+in its stored form.  For a lambda2 witness, e = -(1, 2, ..., 2), that is
+n - 1 entries of n^3.
 
 An algebra of scalar-action form, x*y = A(x) y + B(y) x for linear forms
 A and B (``algebra._scalar_action``: pminus, nu(alpha)), keeps that form
 under any family, with the forms A' = A.g^-1 and B' = B.g^-1:
 g(A(g^-1 x) g^-1 y) = A(g^-1 x) y.  So its limit needs only those two
-rows, L*t^s times A.P^-1 and B.P^-1, from one ``bareiss`` on
+rows, D times A.P^-1 and B.P^-1, from one ``bareiss`` on
 [P^T | A^T B^T] (one right-hand column when B is a multiple of A), and
 only the 2n^2 - n entries with k in {i, j} are read.  The read-off is
 gated on 2 * (sum of the row degrees of P) <= MAX_DEGREE: a minor of
@@ -62,29 +66,29 @@ scalar-action read-off, then the kernel; the last two build the limit
 straight in the stored integer form, over one common denominator.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
-rational basis change g(t0), so ``transport_at`` evaluates g = P / (L*t^s)
-at t0 = u/v over Z, as one integer matrix over one denominator, and hands
-it to the integer contraction; only at t0 = 0, the one pole a Laurent
-family can have, or at a root of det g does it evaluate the Q(t) tensor,
-whose entries then divide out the factors (t - t0) they share; each
-distinct denominator is evaluated once.
+rational basis change g(t0), so ``transport_at`` evaluates P and D at
+t0 = u/v over Z, as one integer matrix over one denominator, and hands it
+to the integer contraction; only at a root of D (t0 = 0 for a Laurent
+family with a pole) or of det g does it evaluate the Q(t) tensor, whose
+entries then divide out the factors (t - t0) they share; each distinct
+denominator is evaluated once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _contract, _integer_algebra, _scalar_action, apply_basis_change
+from .algebra import Algebra, _contract, _integer_algebra, _scalar_action
 from .canonical import CanonicalForm, construct
 from .errors import (
     DegreeOverflow,
     DimensionMismatch,
     NoLimit,
-    PoleAtPoint,
     PoleAtZero,
     SingularFamily,
     SingularMatrix,
@@ -116,32 +120,28 @@ def _nested(f, grid, depth: int) -> tuple:
 class ParamMatrix:
     """n x n matrix over Q(t); column j holds the image of basis vector j.
 
-    A Laurent family, every family but some that ``invert`` makes, is stored
-    only as its cleared form (s, L, P): g = P / (L*t^s) with P a grid of
-    integer polynomials {exponent >= 0: nonzero int}, t^s the largest entry
-    denominator and L the lcm of the reduced coefficient denominators.  The
-    form is canonical, so ``==`` compares it structurally.  A family with an
-    entry that is not Laurent keeps its FieldElement entries.  ``entries``
-    is a view, built on each read, each entry as
-    ``FieldElement.from_laurent`` gives it.
+    Every family is stored one way, as (D, P) with g = P / D: P a grid of
+    integer polynomials {exponent >= 0: nonzero int} and D one nonzero
+    integer polynomial.  A Laurent family has D = L*t^s, t^s the largest
+    entry denominator and L the lcm of the reduced coefficient
+    denominators; that form is canonical, so ``==`` compares it
+    structurally, and compares the entries when either D has more than one
+    term.  ``entries`` is a view, built on each read.
     """
 
-    __slots__ = ("dim", "_form", "_entries")
+    __slots__ = ("dim", "_form")
 
     def __init__(self, dim: int, entries):
-        """The family of a grid of FieldElement rows, cleared when every
-        entry is Laurent."""
+        """The family of a grid of FieldElement rows, each entry Laurent;
+        ValueError on one that is not."""
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise DimensionMismatch("entry grid does not match dim")
-        if all(len(e.den) == 1 for row in entries for e in row):  # den = t^k
-            self._set(dim, _clear([[e.to_laurent() for e in row] for row in entries]), None)
-        else:
-            self._set(dim, None, tuple(tuple(row) for row in entries))
+        s, L, P = _clear([[e.to_laurent() for e in row] for row in entries])
+        self._set({s: L}, P)
 
-    def _set(self, dim, form, entries) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_entries", entries)
+    def _set(self, D, P) -> None:
+        object.__setattr__(self, "dim", len(P))
+        object.__setattr__(self, "_form", (D, P))
 
     def __setattr__(self, *_):
         raise AttributeError("ParamMatrix is immutable")
@@ -151,7 +151,7 @@ class ParamMatrix:
         """The family P / (L*t^s) of a form that is already canonical, P a
         tuple of row tuples, taken as it is."""
         obj = object.__new__(cls)
-        obj._set(len(P), (s, L, P), None)
+        obj._set({s: L}, P)
         return obj
 
     @classmethod
@@ -161,6 +161,19 @@ class ParamMatrix:
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("entry grid does not match dim")
         return cls.from_cleared(*_clear(rows))
+
+    @classmethod
+    def _of(cls, D: dict, P) -> "ParamMatrix":
+        """The family P / D of integer polynomials, zero terms allowed in P:
+        canonical through ``from_laurent`` when D is one term, else stored
+        as given."""
+        if len(D) == 1:
+            ((e, c),) = D.items()
+            return cls.from_laurent([[{k - e: Fraction(x, c) for k, x in p.items() if x}
+                                      for p in row] for row in P])
+        obj = object.__new__(cls)
+        obj._set(D, tuple(tuple({k: x for k, x in p.items() if x} for p in row) for row in P))
+        return obj
 
     @classmethod
     def identity(cls, n: int) -> "ParamMatrix":
@@ -182,16 +195,20 @@ class ParamMatrix:
     @property
     def entries(self) -> tuple:
         """Tuple of row tuples of FieldElement."""
-        if self._form is None:
-            return self._entries
-        s, L, P = self._form
-        return tuple(tuple(FieldElement.from_laurent({e - s: Fraction(c, L) for e, c in p.items()})
+        D, P = self._form
+        if len(D) == 1:
+            ((s, L),) = D.items()
+            return tuple(tuple(FieldElement.from_laurent({e - s: Fraction(c, L)
+                                                          for e, c in p.items()})
+                               for p in row) for row in P)
+        den = {e: Fraction(c) for e, c in D.items()}
+        return tuple(tuple(FieldElement({e: Fraction(c) for e, c in p.items()}, dict(den))
                            for p in row) for row in P)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamMatrix):
             return NotImplemented
-        if self._form is not None and other._form is not None:
+        if len(self._form[0]) == len(other._form[0]) == 1:
             return self._form == other._form
         return self.dim == other.dim and self.entries == other.entries
 
@@ -199,41 +216,38 @@ class ParamMatrix:
         return f"ParamMatrix(dim={self.dim}, entries={self.entries!r})"
 
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
+        """(P / D) @ (Q / E) = P.Q / (D*E) over Z[t]."""
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
+        (D, P), (E, Q) = self._form, other._form
         n = self.dim
-        a, b = self.entries, other.entries
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = FE_ZERO
-                for k in range(n):
-                    if a[i][k] and b[k][j]:
-                        acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return ParamMatrix(n, tuple(rows))
+        PQ = [[{} for _ in range(n)] for _ in range(n)]
+        for i, k, j in itertools.product(range(n), repeat=3):
+            if P[i][k] and Q[k][j]:
+                addmul(PQ[i][j], P[i][k], Q[k][j], checked=False)
+        return ParamMatrix._of(_mul(D, E), PQ)
 
     def det(self) -> FieldElement:
-        """Determinant in Q(t): t^(sum e) * det M / L^n for a row-monomial
-        family, else sign * d / (L*t^s)^n with d = sign * det P from
+        """Determinant in Q(t): sign * d / D^n with d = sign * det P from
         ``bareiss`` on P alone."""
-        n = self.dim
-        rm = _row_monomial(self)
-        if rm is not None:
-            e, (L, M) = rm
-            c = mat_det(M)
-            return FieldElement.from_laurent({sum(e): c / L**n}) if c else FE_ZERO
-        s, L, P = _cleared(self)
+        D, P = self._form
         sign, d = bareiss([list(row) for row in P])
         if not sign:
             return FE_ZERO
-        return FieldElement({e: Fraction(sign * c) for e, c in d.items()}, {s * n: Fraction(L**n)})
+        Dn = functools.reduce(_mul, [D] * self.dim, {0: 1})
+        return FieldElement({e: Fraction(sign * c) for e, c in d.items()},
+                            {e: Fraction(c) for e, c in Dn.items()})
 
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
         return [[e.eval_at(t0) for e in row] for row in self.entries]
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """a*b over Z[t], zero terms dropped; no degree bound."""
+    acc = {}
+    addmul(acc, a, b, checked=False)
+    return {e: c for e, c in acc.items() if c}
 
 
 def _clear(rows) -> tuple[int, int, tuple]:
@@ -246,28 +260,23 @@ def _clear(rows) -> tuple[int, int, tuple]:
 
 
 def _cleared(g: ParamMatrix) -> tuple[int, int, tuple]:
-    """(s, L, P) with g = P / (L*t^s), as stored; ValueError on an entry that
-    is not Laurent."""
-    if g._form is None:
-        for row in g.entries:
-            for e in row:
-                e.to_laurent()  # raises at the first entry that is not Laurent
-    return g._form
+    """(s, L, P) with g = P / D and D = L*t^s + (higher terms): the lowest
+    term of D is all a read-off at t = 0 needs of it."""
+    D, P = g._form
+    s = min(D)
+    return s, D[s], P
 
 
 def _row_monomial(g: ParamMatrix):
-    """(e, (L, M)) with g = diag(t^e) * M / L and M an integer matrix, or
-    None when g is not Laurent or some row of P is not one power of t times
-    an integer row.
+    """(e, (L, M)) with g = diag(t^e) * M / (L*u) and M an integer matrix,
+    u = D / (L*t^s) a unit at t = 0 with u(0) = 1, or None when some row of
+    P is not one power of t times an integer row.
 
     A zero row gets e_i = 0 (M is then singular).  Raises DegreeOverflow
-    where the fraction-free kernel would: for an invertible M its
-    determinant has degree sum(e_i + low), t^low clearing the denominators
-    of diag(t^e).
+    where the fraction-free kernel would: for an invertible M, det P has
+    degree sum(e_i + s).
     """
-    if g._form is None:
-        return None
-    s, L, P = g._form
+    s, L, P = _cleared(g)
     exps, rows = [], []
     for row in P:
         exp, out = None, []
@@ -284,19 +293,18 @@ def _row_monomial(g: ParamMatrix):
             out.append(c)
         exps.append(0 if exp is None else exp - s)
         rows.append(out)
-    low = max(0, -min(exps))
-    if sum(exps) + len(exps) * low > MAX_DEGREE and mat_det(rows):
+    if sum(exps) + len(exps) * s > MAX_DEGREE and mat_det(rows):
         raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
     return exps, (L, rows)
 
 
 class _FractionFree:
-    """A Laurent family cleared to Z[t] and its fraction-free Gauss-Jordan.
+    """A family g = P / D over Z[t] and its fraction-free Gauss-Jordan.
 
-    g = P / (L*t^s) with P an integer polynomial matrix and t^s the largest
-    entry denominator.  ``linalg.bareiss`` on [P | I] leaves d = sign * det P
-    and R = d * P^-1; SingularFamily when det P = 0, DegreeOverflow on a
-    minor past MAX_DEGREE, ValueError on an entry that is not Laurent.
+    ``linalg.bareiss`` on [P | I] leaves d = sign * det P and
+    R = d * P^-1; s and L are the exponent and coefficient of D's lowest
+    term.  SingularFamily when det P = 0, DegreeOverflow on a minor past
+    MAX_DEGREE.
     """
 
     def __init__(self, g: ParamMatrix):
@@ -342,18 +350,11 @@ class _FractionFree:
                 for plane in num], cden
 
 
-def _over(ff: _FractionFree, den: dict):
-    """m -> the FieldElement L*t^s*m / den, for m over Z[t]."""
-    den = {e: Fraction(c) for e, c in den.items()}
-    return lambda m: FieldElement({e + ff.s: Fraction(c * ff.L) for e, c in m.items()},
-                                  dict(den))
-
-
 def invert(g: ParamMatrix) -> ParamMatrix:
-    """Exact inverse over Q(t), L*t^s*R/d unreduced; raises SingularFamily
-    when det = 0."""
+    """Exact inverse over Q(t): g^-1 = D * P^-1 = D*R / d, unreduced;
+    raises SingularFamily when det = 0."""
     ff = _FractionFree(g)
-    return ParamMatrix(g.dim, _nested(_over(ff, ff.d), ff.R, 2))
+    return ParamMatrix._of(ff.d, [[_mul(g._form[0], r) for r in row] for row in ff.R])
 
 
 @dataclass(frozen=True)
@@ -386,14 +387,15 @@ def embed_algebra(a: Algebra) -> ParamAlgebra:
 
 
 def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
-    """The transported tensor over Q(t), each entry L*t^s*N/(cden*d^2) with
+    """The transported tensor over Q(t), each entry D*N/(cden*d^2) with
     only the power of t cancelled."""
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
     ff = _FractionFree(g)
     num, cden = ff.contract(a)
-    den = poly_scale(poly_mul(ff.d, ff.d), cden)
-    return ParamAlgebra(a.dim, _nested(_over(ff, den), num, 3))
+    den = {e: Fraction(c) for e, c in poly_scale(poly_mul(ff.d, ff.d), cden).items()}
+    return ParamAlgebra(a.dim, _nested(lambda m: FieldElement(
+        {e: Fraction(c) for e, c in _mul(g._form[0], m).items()}, dict(den)), num, 3))
 
 
 def _limit(n: int, value) -> Algebra:
@@ -435,10 +437,11 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     MAX_DEGREE; no minor of either elimination, nor the kernel's read-off
     exponent, can pass MAX_DEGREE then, so both raise alike.
 
-    Any other g goes through the fraction-free numerator.  Entry (k, i, j)
-    is L*t^s*N/(cden*d^2) with N over Z[t], of valuation
-    val(N) + s - 2*val(d).  So a term of N below top = 2*val(d) - s
-    is a pole and the term at top gives the limit.  No term above top is
+    Any other g = P / D goes through the fraction-free numerator.  Entry
+    (k, i, j) is D*N/(cden*d^2) with N over Z[t], of valuation
+    val(N) + s - 2*val(d), where L*t^s is the lowest term of D.  So a term
+    of N below top = 2*val(d) - s is a pole and the term at top, times L,
+    gives the limit.  No term above top is
     formed, so for top < 0 every entry is 0.
     """
     if a.dim != g.dim:
@@ -490,7 +493,9 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
 
 def _scalar_action_limit(n: int, action: tuple, s: int, L: int, P: list) -> Algebra:
     """The limit at t = 0 of c^k_ij = (A_i [k = j] + B_j [k = i]) / D
-    transported by g = P / (L*t^s).
+    transported by g = P / (L*t^s*u), u a unit at t = 0 with u(0) = 1 (the
+    family's denominator is L*t^s*u); u moves no valuation and no lowest
+    coefficient, so it is left out below.
 
     g.c(g^-1 x, g^-1 y) = (A.g^-1 x) y / D + (B.g^-1 y) x / D, so the
     transported tensor has the same form with the rows A' = L*t^s*A.P^-1
@@ -559,40 +564,31 @@ def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     invertible.
 
     Each entry of transport(a, g) is a quotient whose denominator is a
-    product of the entry denominators of g and det g.  Where all of these
-    are nonzero at t0, evaluation commutes with the contraction, so the
-    value is apply_basis_change(a, g(t0)).  With g = P / (L*t^s) and
-    t0 = u/v, g(t0) is Q / den over Z: Q = v^D * P(t0) and
-    den = L * u^s * v^(D - s), D = max(s, deg P), signed so that den > 0.
-    A P of degree past MAX_DEGREE raises DegreeOverflow first, as the
-    limit does.  At a pole of g (t0 = 0 with s > 0) or a root of det g
-    (Q singular) the reduced tensor may still be regular, so there it is
-    built and evaluated, dividing out the shared factors (t - t0);
-    PoleAtPoint means it is not regular.  A family with an entry that is
-    not Laurent, which only ``invert`` makes, is evaluated entry by entry
-    and transported over Q, with the same fallback.
+    product of D and det P for g = P / D.  Where both are nonzero at t0,
+    evaluation commutes with the contraction, so the value is
+    apply_basis_change(a, g(t0)).  With t0 = u/v, g(t0) is Q / den over Z:
+    Q = v^top * P(t0) and den = v^top * D(t0), top the largest exponent of P
+    and D, signed so that den > 0.  A P of degree past MAX_DEGREE raises
+    DegreeOverflow first, as the limit does.  At a root of D (t0 = 0 for a
+    Laurent family with s > 0) or of det g (Q singular) the reduced tensor
+    may still be regular, so there it is built and evaluated, dividing out
+    the shared factors (t - t0); PoleAtPoint means it is not regular.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
     t0 = Fraction(t0)
-    try:
-        s, L, P = _cleared(g)
-    except ValueError:  # an entry that is not Laurent
-        try:
-            return apply_basis_change(a, g.eval_at(t0))
-        except (PoleAtPoint, SingularMatrix):
-            return transport(a, g).eval_at(t0)
+    D, P = g._form
     exps = {e for row in P for p in row for e in p}
-    top = max(exps, default=0)
-    if top > MAX_DEGREE:
+    if max(exps, default=0) > MAX_DEGREE:
         raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
-    top = max(top, s)
+    top = max(max(exps, default=0), max(D))
     u, v = t0.numerator, t0.denominator
-    den = L * u**s * v ** (top - s)
+    powers = {e: u**e * v ** (top - e) for e in exps | D.keys()}  # t^e at t0, times v^top
+    den = sum(c * powers[e] for e, c in D.items())
     if den:
         sign = -1 if den < 0 else 1
-        powers = {e: sign * u**e * v ** (top - e) for e in exps}  # t^e at t0, times v^top
-        m = (abs(den), [[sum(c * powers[e] for e, c in p.items()) for p in row] for row in P])
+        m = (abs(den), [[sign * sum(c * powers[e] for e, c in p.items()) for p in row]
+                        for row in P])
         try:
             return _contract(a, m, _inverse_of(m))
         except SingularMatrix:

@@ -1,9 +1,11 @@
+import hashlib
 import importlib
 import itertools
 import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -39,7 +41,8 @@ from levelone import (
 from levelone.cli import main
 from levelone.errors import DegreeOverflow, PoleAtPoint, SingularMatrix
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
-from levelone.jsonio import algebra_from_dict, algebra_to_dict, dumps, family_to_dict, save_path
+from levelone.jsonio import (algebra_from_dict, algebra_to_dict, dumps, family_from_dict,
+                             family_to_dict, load_path, save_path, witness_from_dict)
 from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
 from levelone.transport import _cleared, _row_monomial
@@ -53,6 +56,11 @@ transport_module = importlib.import_module("levelone.transport")
 
 def canon(tag, n, alpha=None):
     return construct(CanonicalForm(tag, n, alpha))
+
+
+def oracle():
+    """The sympy QQ(t) oracle of test_transport_oracle.py; skips without sympy."""
+    return pytest.importorskip("test_transport_oracle")
 
 
 class TestInvert:
@@ -313,17 +321,23 @@ class TestIntegerEvaluation:
             self.agree(a, g, t0, monkeypatch)
 
     def test_an_inverse_family_keeps_the_composition(self, monkeypatch):
-        # invert(g) has entries over det g; a non-Laurent one is evaluated
-        # entry by entry, and at a pole the Q(t) kernel refuses it
+        # invert(g) has entries over det g; one that is not Laurent is
+        # evaluated over Z as any other family, and the values are sympy's
         families = [random_family(3, 1, seed) for seed in range(8)]
         families += [ParamMatrix.diagonal_powers([1, -2, 0]) @ families[0],
                      ParamMatrix.diagonal_powers([2, 0, -1])]
         inverses = [invert(g) for g in families]
-        laurent = [h for h in inverses if all(len(e.den) == 1 for row in h.entries for e in row)]
-        assert laurent and len(laurent) < len(inverses)
+        others = [h for h in inverses if len(h._form[0]) > 1]
+        assert others and len(others) < len(inverses)
         a = canon(Tag.P_MINUS, 3)
-        outcomes = [self.agree(a, h, t0, monkeypatch) for h in inverses for t0 in INTEGER_POINTS]
-        assert any(isinstance(o, tuple) and o[0] is ValueError for o in outcomes)
+        for h in inverses:
+            for t0 in INTEGER_POINTS:
+                self.agree(a, h, t0, monkeypatch)
+        o = oracle()
+        for h in others:
+            tensor = o.oracle_tensor(a, h)
+            for t0 in INTEGER_POINTS:
+                assert o.ours_at(lambda: transport_at(a, h, t0)) == o.oracle_at(a, h, t0, tensor)
 
     @pytest.mark.parametrize("t0", [F(1), F(-1), F(1, 2), F(0)])
     def test_an_exponent_of_p_past_the_degree_bound_raises(self, t0):
@@ -536,16 +550,19 @@ class TestRowMonomial:
         def refuse(*args, **kwargs):
             raise AssertionError("the read-off formed the full tensor")
 
+        # transport.py does not import apply_basis_change, so only algebra's
+        # binding could be reached
+        assert not hasattr(transport_module, "apply_basis_change")
         with mock.patch.object(Algebra, "entries", refuse), \
-                mock.patch.object(algebra_module, "apply_basis_change", refuse), \
-                mock.patch.object(transport_module, "apply_basis_change", refuse):
+                mock.patch.object(algebra_module, "apply_basis_change", refuse):
             got = limit_outcome(lambda: transport_limit(a, g))
         assert got == want
 
     def test_read_off_of_a_witness_without_the_full_tensor(self, monkeypatch):
         a = canon(Tag.P_PLUS, 3)
         monkeypatch.setattr(Algebra, "entries", None)
-        monkeypatch.setattr(transport_module, "apply_basis_change", None)
+        monkeypatch.setattr(algebra_module, "apply_basis_change", None)
+        assert not hasattr(transport_module, "apply_basis_change")
         assert transport_limit(a, pplus_to_lambda2(3)) == canon(Tag.LAMBDA2, 3)
         with pytest.raises(NoLimit) as exc:
             transport_limit(canon(Tag.LAMBDA2, 3), ParamMatrix.diagonal_powers([1, 0, 0]))
@@ -641,9 +658,10 @@ def laurent_grids(draw):
 
 
 class TestStoredForm:
-    """A Laurent family stores only its cleared form g = P / (L*t^s): built
-    from FieldElement rows or from that form, it is the same family to every
-    reader; a family with an entry that is not Laurent keeps its entries."""
+    """Every family is stored as g = P / D over Z[t].  A Laurent one, with
+    D = L*t^s, is the same family to every reader whether it was built from
+    FieldElement rows or from that form; one that is not Laurent, which only
+    ``invert`` and ``@`` make, gets the answers of the sympy QQ(t) oracle."""
 
     POINTS = (F(0), F(1), F(-1), F(1, 2), F(-3, 2))
 
@@ -663,13 +681,14 @@ class TestStoredForm:
 
     def check_routes(self, g, a) -> bool:
         """g, built from FieldElement rows, against the family built from its
-        integer form; True when g is Laurent."""
+        integer form, or against sympy when g is not Laurent; True when g is
+        Laurent."""
         rows = g.entries
-        if not all(len(e.den) == 1 for row in rows for e in row):
-            # only invert makes such a family; its entries are kept as given
-            assert _row_monomial(g) is None
-            with pytest.raises(ValueError, match="^not a Laurent polynomial: "):
-                _cleared(g)
+        if len(g._form[0]) > 1:  # only invert and @ make such a family
+            assert not all(len(e.den) == 1 for row in rows for e in row)
+            oracle().agrees_with_sympy(a, g, self.POINTS)
+            with pytest.raises(ValueError, match="^not a Laurent family: "):
+                family_to_dict(g)
             return False
         grid = [[e.to_laurent() for e in row] for row in rows]
         h = ParamMatrix.from_cleared(*stored_form(grid))
@@ -708,10 +727,23 @@ class TestStoredForm:
         h = g @ ParamMatrix.identity(3)
         assert h == g and h._form == g._form
         assert g != g @ ParamMatrix.diagonal_powers([1, 0, 0])
-        # g @ g^-1 has unreduced quotients d/d on the diagonal: not Laurent
-        # as stored, yet equal to the identity in Q(t)
+        # g @ g^-1 is D*d*I / (D*d), stored over a denominator of several
+        # terms, compared entry by entry, and equal to the identity in Q(t)
         one = g @ invert(g)
-        assert one._form is None and one == ParamMatrix.identity(3)
+        assert len(one._form[0]) > 1
+        assert one == ParamMatrix.identity(3) and ParamMatrix.identity(3) == one
+        assert one != g and g != one
+        for a in (canon(Tag.LAMBDA2, 3), canon(Tag.NU, 3, F(2, 3)),
+                  random_algebra(3, 0.5, 5, nonabelian=True)):
+            oracle().agrees_with_sympy(a, one)
+
+    def test_rows_that_are_not_laurent_are_refused(self):
+        # ParamMatrix(n, rows) takes Laurent rows; invert and @ build the rest
+        one_over = FE_ONE / (FE_ONE + fe("t"))
+        with pytest.raises(ValueError, match="^not a Laurent polynomial: "):
+            ParamMatrix(2, ((one_over, FE_ZERO), (FE_ZERO, FE_ONE)))
+        g = invert(ParamMatrix(2, ((FE_ONE + fe("t"), FE_ZERO), (FE_ZERO, FE_ONE))))
+        assert g.entries == ((one_over, FE_ZERO), (FE_ZERO, FE_ONE))
 
     def test_det_eliminates_p_alone(self):
         # eliminating [P | I] forms the cofactor -t^10001, so invert raises;
@@ -724,6 +756,83 @@ class TestStoredForm:
         # a determinant past MAX_DEGREE still raises
         with pytest.raises(DegreeOverflow):
             ParamMatrix(2, ((fe("t^6000"), FE_ONE), (FE_ZERO, fe("1 + t^6000")))).det()
+
+
+class TestProductsAndInverses:
+    """``invert`` and ``@`` work over Z[t]; a product that equals a Laurent
+    family is answered by every reader, whatever its stored denominator."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_a_family_times_its_inverse_is_the_identity(self, seed):
+        g = random_family(3, 2, seed)
+        one = g @ invert(g)
+        assert one == ParamMatrix.identity(3)
+        assert (g @ ParamMatrix.identity(3))._form == g._form
+        for a in (canon(Tag.LAMBDA2, 3), canon(Tag.P_MINUS, 3), canon(Tag.NU, 3, F(2, 3))):
+            assert transport_limit(a, one) == a
+
+    def test_invert_and_matmul_build_no_field_element(self, monkeypatch):
+        pairs = [(random_family(n, 2, seed), random_family(n, 1, seed + 50))
+                 for n in (2, 3, 4) for seed in range(6)]
+        want = [(invert(g)._form, (g @ h)._form) for g, h in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a FieldElement was built")
+
+        monkeypatch.setattr(transport_module, "FieldElement", refuse)
+        assert [(invert(g)._form, (g @ h)._form) for g, h in pairs] == want
+
+
+# sha256 of the family_to_dict bytes of random_family(n, pole_bound, seed)
+# for n = 2..8, pole bound 0..3 and seeds 0..19, recorded before ``det``
+# (which decides each draw) eliminated P for every family
+RANDOM_FAMILY_DIGEST = "ea3aa48ed00b0743ef1eba004b390b6596124a339855e50b90fd58fc3d8b0579"
+
+# det of every bundled family and classify witness, recorded before the same
+# change
+FIXTURE_DETS = {
+    "fix_lambda2_n2": "t^-3", "fix_lambda2_n3": "t^-5", "fix_lambda2_n4": "t^-7",
+    "fix_lambda2_n5": "t^-9", "fix_lambda2_n6": "t^-11", "fix_lambda2_n7": "t^-13",
+    "fix_lambda2_n8": "t^-15", "fix_n3minus_n3": "t^-4", "fix_n3minus_n4": "t^-6",
+    "fix_n3minus_n5": "t^-8", "fix_n3minus_n6": "t^-10", "fix_n3minus_n7": "t^-12",
+    "fix_n3minus_n8": "t^-14", "fix_nu_n2": "t^-1", "fix_nu_n3": "t^-2",
+    "fix_nu_n4": "t^-3", "fix_nu_n5": "t^-4", "fix_nu_n6": "t^-5", "fix_nu_n7": "t^-6",
+    "fix_nu_n8": "t^-7", "fix_pminus_n2": "t^-1", "fix_pminus_n3": "t^-2",
+    "fix_pminus_n4": "t^-3", "fix_pminus_n5": "t^-4", "fix_pminus_n6": "t^-5",
+    "fix_pminus_n7": "t^-6", "fix_pminus_n8": "t^-7", "n3plus_to_lambda2_n3": "-1/2*t^-5",
+    "n3plus_to_lambda2_n4": "-1/2*t^-5", "n3plus_to_lambda2_n5": "-1/2*t^-5",
+    "n3plus_to_lambda2_n6": "-1/2*t^-5", "n3plus_to_lambda2_n7": "-1/2*t^-5",
+    "n3plus_to_lambda2_n8": "-1/2*t^-5", "pplus_to_lambda2_n2": "1/2*t^-3",
+    "pplus_to_lambda2_n3": "1/2*t^-5", "pplus_to_lambda2_n4": "1/2*t^-7",
+    "pplus_to_lambda2_n5": "1/2*t^-9", "pplus_to_lambda2_n6": "1/2*t^-11",
+    "pplus_to_lambda2_n7": "1/2*t^-13", "pplus_to_lambda2_n8": "1/2*t^-15",
+}
+WITNESS_DETS = {
+    "grid_n2": "1/2*t^-3", "n3minus_n4": "t^-6", "nu_n4_alpha_2_3": "t^-3",
+    "pminus_n4": "t^-3", "pplus_n3": "1/2*t^-5", "random_n6_seed1": "3/5*t^-11",
+    "random_n6_seed2": "2/9*t^-11", "random_n6_seed3": "-3/4*t^-11",
+}
+
+
+class TestPinnedDraws:
+    def test_random_family_draws_are_unchanged(self):
+        h = hashlib.sha256()
+        for n, pole_bound, seed in itertools.product(range(2, 9), range(4), range(20)):
+            h.update(dumps(family_to_dict(random_family(n, pole_bound, seed))).encode())
+        assert h.hexdigest() == RANDOM_FAMILY_DIGEST
+
+    def test_det_of_the_bundled_families_and_witnesses_is_unchanged(self):
+        root = Path(__file__).resolve().parent.parent / "fixtures"
+        got = {f.name.removesuffix(".family.json"): family_from_dict(load_path(str(f))).det()
+               for f in (root / "families").glob("*.family.json")}
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: f"FieldElement({v!r})" for k, v in FIXTURE_DETS.items()}
+        got = {f.name.removesuffix(".witness.json"):
+               witness_from_dict(load_path(str(f))).family.det()
+               for f in (root / "witnesses").glob("*.witness.json")}
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: f"FieldElement({v!r})" for k, v in WITNESS_DETS.items()}
 
 
 def outcome(f):
@@ -780,14 +889,22 @@ class TestScalarActionBranch:
                                               for j in range(n)) for i in range(n)))
         families = [random_family(n, rng.randint(1, 3), rng.randrange(10**6))
                     for _ in range(6)]
-        families += [singular, invert(families[0])]  # SingularFamily, not Laurent
+        inverse = invert(families[0])  # over det P, not a monomial
+        assert len(inverse._form[0]) > 1
+        families += [singular, inverse]
         cases = [(a, g) for a in scalar_action_inputs(n, rng) for g in families]
         assert all(transport_module._scalar_action(a) is not None for a, _ in cases)
         fast = [outcome(lambda: transport_limit(a, g)) for a, g in cases]
+        # the family that is not Laurent gets the answers of sympy
+        for a in scalar_action_inputs(n, random.Random(n)):
+            A, B, D = transport_module._scalar_action(a)
+            assert oracle().ours_limit(a, inverse) == oracle().oracle_scalar_limit(
+                [F(x, D) for x in A], [F(x, D) for x in B], inverse)
         monkeypatch.setattr(transport_module, "_scalar_action", lambda a: None)
         assert fast == [outcome(lambda: transport_limit(a, g)) for a, g in cases]
         kinds = {o if isinstance(o, Algebra) else o[0] for o in fast}
-        assert {NoLimit, SingularFamily, ValueError} <= {k for k in kinds if isinstance(k, type)}
+        assert {NoLimit, SingularFamily} <= {k for k in kinds if isinstance(k, type)}
+        assert ValueError not in kinds
         assert any(isinstance(o, Algebra) for o in fast)
 
     # outcomes pinned from the kernel, which answered every case before the

@@ -161,15 +161,50 @@ def test_some_inverses_have_non_monomial_denominators():
     assert any(len(e.den) > 1 for _, g in CASES for row in invert(g).entries for e in row)
 
 
-def test_a_family_that_is_not_laurent_is_refused():
-    """The kernel takes Laurent families only: the inverse of a family whose
-    det is not a monomial has entries over other denominators."""
-    a, g = next((a, g) for a, g in CASES
-                if any(len(e.den) > 1 for row in invert(g).entries for e in row))
-    h = invert(g)
-    for f in (lambda: transport_limit(a, h), lambda: transport(a, h), h.det):
-        with pytest.raises(ValueError, match="not a Laurent polynomial: FieldElement"):
-            f()
+def is_laurent(g: ParamMatrix) -> bool:
+    """Every entry of g, reduced, has a power of t for its denominator."""
+    return all(len(e.den) == 1 for row in g.entries for e in row)
+
+
+def agrees_with_sympy(a, g: ParamMatrix, points=(F(0), F(1), F(-1), F(1, 2), F(-3, 2))):
+    """Assert that the limit or its poles, the transported tensor, det g and
+    the values at ``points`` are the oracle's."""
+    tensor = oracle_tensor(a, g)
+    assert ours_limit(a, g) == read_limit(tensor)
+    assert {(k, i, j): to_k(x) for k, plane in enumerate(transport(a, g).constants)
+            for i, row in enumerate(plane) for j, x in enumerate(row) if x} == tensor
+    assert to_k(g.det()) == to_dm(g).det()
+    for t0 in points:
+        assert ours_at(lambda: transport_at(a, g, t0)) == oracle_at(a, g, t0, tensor)
+
+
+def not_laurent_cases():
+    """(algebra, family) pairs whose family is not Laurent: every invert(g)
+    of CASES whose det g is not a monomial, and the products of four of them
+    with a random Laurent family on either side."""
+    out = [(a, h) for a, h in ((a, invert(g)) for a, g in CASES) if not is_laurent(h)]
+    for seed, (a, h) in enumerate(out[:4]):
+        g = random_family(h.dim, 1, seed)
+        out += [(a, g @ h), (a, h @ g)]
+    return out
+
+
+NOT_LAURENT_CASES = not_laurent_cases()
+
+
+@pytest.mark.parametrize("a,h", NOT_LAURENT_CASES)
+def test_a_family_that_is_not_laurent_agrees_with_sympy(a, h):
+    """Every reader takes any family g = P / D: the inverse of a family whose
+    det is not a monomial has entries over other denominators, and so do its
+    products."""
+    assert not is_laurent(h)
+    agrees_with_sympy(a, h, AT_POINTS)
+
+
+def test_the_cases_that_are_not_laurent_reach_both_outcomes():
+    assert len(NOT_LAURENT_CASES) == 12 + 8
+    outcomes = [ours_limit(a, h)[0] is None for a, h in NOT_LAURENT_CASES]
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("a,g", CASES)
