@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled JSON fixtures (canonical algebras and families).
+"""Regenerate the bundled JSON fixtures (canonical algebras, families and
+the recognize golden bytes).
 
 Usage: python scripts/make_fixtures.py [fixtures-dir]
 
@@ -9,22 +10,43 @@ Writes, for dimensions up to 8:
   families/pplus_to_lambda2_n<k>.family.json
   families/n3plus_to_lambda2_n<k>.family.json
   families/fix_<name>_n<k>.family.json        diagonal fixed-point families
+  recognize/<form>.json                       each non-abelian canonical form
+                                              at n = 3 and 8 (nu at every
+                                              sample alpha), moved by a
+                                              seeded rational basis change,
+                                              and the anisotropic n3plus
+  recognize/<form>.recognize.json             ``recognize --json`` of each
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from levelone import CanonicalForm, Tag, construct
+from levelone import (
+    Algebra,
+    CanonicalForm,
+    Tag,
+    apply_basis_change,
+    construct,
+    random_invertible_matrix,
+    recognize,
+)
 from levelone.families import (
     FIXED_POINT_WEIGHTS,
     n3plus_to_lambda2,
     pplus_to_lambda2,
     scaling_family,
 )
-from levelone.jsonio import algebra_to_dict, family_to_dict, save_path
+from levelone.jsonio import (
+    algebra_to_dict,
+    dumps,
+    family_to_dict,
+    recognition_to_dict,
+    save_path,
+)
 
 MAX_DIM = 8
 NU_ALPHAS = [
@@ -83,7 +105,36 @@ def main(root: str) -> None:
                 str(fam / f"fix_{name}_n{n}.family.json"),
                 family_to_dict(scaling_family(weights_of(n))),
             )
+    write_recognize_golden(base / "recognize")
     print(f"fixtures written under {base}")
+
+
+def recognize_golden_inputs() -> dict:
+    """{name: algebra}: every non-abelian canonical form at n = 3 and 8,
+    moved by random_invertible_matrix(n, Random(f"recognize-golden:{name}"),
+    bound=2), and the anisotropic n3plus e1*e1 = e2*e2 = e3 as it is."""
+    forms = {}
+    for n in (3, 8):
+        for tag in (Tag.P_MINUS, Tag.P_PLUS, Tag.LAMBDA2, Tag.N3_MINUS, Tag.N3_PLUS):
+            forms[f"{tag.value}_n{n}"] = CanonicalForm(tag, n)
+        for alpha, label in NU_ALPHAS:
+            forms[f"nu_n{n}_alpha_{label}"] = CanonicalForm(Tag.NU, n, alpha)
+    out = {}
+    for name, form in forms.items():
+        rng = random.Random(f"recognize-golden:{name}")
+        g = random_invertible_matrix(form.dim, rng, bound=2)
+        out[name] = apply_basis_change(construct(form), g)
+    one = Fraction(1)
+    out["n3plus_anisotropic_n3"] = Algebra.from_entries(3, {(2, 0, 0): one, (2, 1, 1): one})
+    return out
+
+
+def write_recognize_golden(root: Path) -> None:
+    root.mkdir(parents=True, exist_ok=True)
+    for name, a in recognize_golden_inputs().items():
+        save_path(str(root / f"{name}.json"), algebra_to_dict(a))
+        with open(root / f"{name}.recognize.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(recognition_to_dict(recognize(a))))
 
 
 if __name__ == "__main__":

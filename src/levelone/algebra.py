@@ -26,7 +26,9 @@ integer columns over one denominator, divided by their gcd.
 
 ``_frame`` completes seed vectors to a frame and returns the frame's
 inverse from the same elimination; ``extend_basis`` is its basis, and the
-classifier's witnesses and the recognizer's isos are such inverses.
+classifier's witnesses are such inverses.  The recognizer writes its isos
+down from its integer reads instead, and its tests take ``_frame`` as the
+reference.
 
 ``_scalar_action`` decides in one read of the slices, in ints, whether the
 tensor is c^k_ij = a_i [k = j] + b_j [k = i] for linear forms a and b: the

@@ -6,9 +6,9 @@ subspace equality throughout the package.  Over Q there is one elimination,
 ``_echelon``: an integer Gauss-Jordan on integer rows, kept primitive.
 ``rref``, ``rank`` and ``nullspace`` read it on rows scaled to integers, and
 so does ``Subspace.contains`` (a rank); ``_kernel`` is the rref kernel basis
-read off an echelon, behind ``nullspace``.  ``_inverse`` reads the echelon of
-[a | I] for an integer matrix a as (den, rows), rows / den = a^-1 over the
-lcm of the pivots; ``mat_inverse`` is its Fraction view, and basis changes
+read off an echelon, behind ``nullspace`` and called nowhere else.
+``_inverse`` reads the echelon of [a | I] for an integer matrix a as
+(den, rows), rows / den = a^-1 over the lcm of the pivots; ``mat_inverse`` is its Fraction view, and basis changes
 and the row-monomial limit in ``transport`` take the integers as they are.
 ``algebra._frame`` (behind ``extend_basis``) eliminates its candidates once
 and reads both the chosen frame (the pivot columns) and the frame's inverse

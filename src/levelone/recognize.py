@@ -6,10 +6,11 @@ rational matrix realizing the isomorphism: the inverse of a frame on which
 the algebra has the canonical table.
 
 Every match is decided by one read of the stored integer slices
-C = cden * c, and its iso is built from that read, with no product,
-contraction or comparison against the canonical table.  Each read is an
-identity on the tensor that the tag's table satisfies in every basis, so no
-isomorphic input escapes it:
+C = cden * c, an identity on the tensor that the tag's table satisfies in
+every basis, so no isomorphic input escapes it.  Its iso, the inverse of
+the frame, is written down over Z from the integers of that read, with no
+product, contraction, comparison against the canonical table or
+elimination after the match:
 
 * pminus is x*y = phi(x) y - phi(y) x with phi != 0: ``algebra._scalar_action``
   returns (A, B, D) with B = -A != 0 and phi = A / D.  The frame is
@@ -23,37 +24,32 @@ isomorphic input escapes it:
   that passes has the shape for the phi read and some u, and its traces
   (n + 1 - 2 phi(u)) phi force phi(u) = 1.  The frame is u, then the basis
   of ker phi as for pminus: u*g = g*u = g, and g*g' = u*u = 0.
-* lambda2, n3minus and n3plus have dim A^2 = 1 and A*A^2 = A^2*A = 0: every
-  column is C[:, i, j] = B_ij z over Z for one primitive z, B is symmetric
-  or skew, and B z = 0, so x*y = (x^T B y) z with z in the radical of B.
-  One integer echelon of B gives its rank and the rref basis of its radical,
-  which completes each frame below: the seeds before it are independent
-  modulo the radical (their Gram block is invertible), and the radical has
-  dimension n - rank and holds z.  With b = B z_p / cden (z_p the first
-  nonzero entry of z) and z' = z / z_p, x*y = b(x, y) z'.
+* nu(alpha), n >= 2, is x*y = alpha phi(x) y + (1 - alpha) phi(y) x:
+  ``_scalar_action`` finds A parallel to S = A + B != 0, alpha = A_p / S_p
+  at the first p with S_p != 0 and phi = S / D.  The frame is the
+  idempotent e = e_p / phi(e_p) (x*x = phi(x) x), then its eigenspace
+  ker phi in the rref basis pivoting on p.  In dimension 1 a non-abelian
+  algebra is e1*e1 = c e1, nu with iso [[c]].
+  For these three, x = phi(x) f + sum_i (x - phi(x) f)_i g_i over i != q,
+  so row 0 of the iso is phi and the row of g_i is e_i^* - f_i phi.
+* lambda2, n3minus and n3plus have every column C[:, i, j] = B_ij z over Z
+  for one primitive z, B symmetric or skew and B z = 0, so x*y = (x^T B y) z
+  with z in the radical of B.  One integer echelon of B gives its rank and
+  the free columns of its radical, whose rref basis completes each frame
+  below.  With b = B z_p / cden (z_p the first nonzero entry of z) and
+  z' = z / z_p, x*y = b(x, y) z'.
   - lambda2, B symmetric of rank 1: frame (e_i, e_i*e_i, radical...) at the
-    first i with b_ii != 0; e_i*e_i = b_ii z' lies in the radical, so
-    e_i*e_i is the only nonzero product.
+    first i with b_ii != 0; e_i*e_i = b_ii z' is the only nonzero product.
   - n3minus, B skew of rank 2: frame (e_i, e_j / b_ij, z', radical...) at
     the first b_ij != 0 in row order: e_i * (e_j / b_ij) = z' = -(e_j / b_ij) * e_i.
   - n3plus, B symmetric of rank 2: a hyperbolic pair (w, v) of b, with
     b(w, w) = b(v, v) = 0 and b(w, v) = 1, gives the frame (w, v, z',
     radical...): w*v = v*w = z'.  The pair comes from a nonzero principal
-    2x2 minor of b; it exists over Q exactly when that minor's form is
-    isotropic over Q.
-
-Each frame's inverse is the iso.  For pminus and pplus it is written down:
-x = phi(x) f + sum_i (x - phi(x) f)_i g_i over i != q, so row 0 is phi and
-the row of g_i is e_i^* - f_i phi.  For the rank-one forms ``algebra._frame``
-reads the inverse off the echelon that chooses the frame.
-
-nu(alpha), n >= 2, is x*y = alpha phi(x) y + (1 - alpha) phi(y) x, so the
-algebra is nu(alpha) exactly when ``_scalar_action`` finds A parallel to
-S = A + B != 0; then alpha = A_p / S_p at the first p with S_p != 0 and
-phi = S / D.  The idempotent is e = e_p / phi(e_p) (e_p is the first
-candidate with a nonzero square, as x*x = phi(x) x) and its joint eigenspace
-is ker phi, so the iso is the inverse of the frame (e, ker phi).  In
-dimension 1 a non-abelian algebra is e1*e1 = c e1, nu with iso [[c]].
+    2x2 minor of B; it exists over Q exactly when -det of the minor is a
+    square.  Otherwise (e.g. the form x^2 + y^2) the algebra is n3plus only
+    over the algebraic closure: the tag is reported without an iso.
+  The seed coefficients of x solve a Gram system of B, and the rest of x is
+  in the radical, read at its free columns (``_rank_one_inverse``).
 
 Skew input is read for pminus, then for n3minus; commutative input for
 lambda2/n3plus, then pplus, then nu(1/2), the one commutative nu; other
@@ -62,11 +58,6 @@ and the checks of the full normalization (A^2, the scalar action of a
 complement vector on it, the idempotent's spectrum and eigenspace) run only
 to name what fails; an input passing all of them would have the pminus,
 pplus or nu shape, which its read accepts.
-
-One case is decided only up to isomorphism over the algebraic closure: a
-commutative algebra whose rank-2 symmetric product form has no rational
-isotropic vector (e.g. the form x^2 + y^2) is reported with the n3plus tag
-but without an iso matrix, since none exists over Q.
 """
 
 from __future__ import annotations
@@ -80,8 +71,6 @@ from . import linalg
 from .algebra import (
     Algebra,
     Subspace,
-    Vector,
-    _frame,
     _scalar_action,
     derived_subspace,
     deterministic_candidates,
@@ -89,7 +78,6 @@ from .algebra import (
     proportionality,
     rebase,  # noqa: F401  (perfbench/test_perfbench.py reads this binding)
     unit_vector,
-    vec_add,
     vec_is_zero,
     vec_scale,
 )
@@ -155,10 +143,9 @@ def _read_pminus(a: Algebra) -> RecognitionResult | None:
     if not any(A) or any(x + y for x, y in zip(A, B)):
         return None
     p = next(i for i, x in enumerate(A) if x)
-    f = [ZERO] * a.dim
-    f[p] = Fraction(D, A[p])
+    q = max(i for i, x in enumerate(A) if x)
     return _recognized(CanonicalForm(Tag.P_MINUS, a.dim),
-                       _line_frame_inverse(A, D, f))
+                       _line_frame_inverse(A, D, _unit(a.dim, p, D), A[p], q))
 
 
 def _read_pplus(a: Algebra) -> RecognitionResult | None:
@@ -205,25 +192,31 @@ def _read_pplus(a: Algebra) -> RecognitionResult | None:
                 got[k] = scale * c
             if got != want:
                 return None
-    u = [Fraction(m * cden * w, 2 * tp2) if w else ZERO for w in W]
-    return _recognized(CanonicalForm(Tag.P_PLUS, n), _line_frame_inverse(T, m * cden, u))
+    q = max(i for i, t in enumerate(T) if t)
+    return _recognized(CanonicalForm(Tag.P_PLUS, n), _line_frame_inverse(
+        T, m * cden, [m * cden * w for w in W], 2 * tp2, q))
 
 
-def _line_frame_inverse(A: list, D: int, f: list) -> list:
-    """The inverse of the frame (f, g_i for i != q) with phi = A / D,
-    phi(f) = 1 and g_i = e_i - (A_i / A_q) e_q the rref basis of ker phi,
-    q the last index with A_q != 0: row 0 is phi and the row of g_i is
-    e_i^* - f_i phi."""
-    n = len(A)
-    q = max(i for i, x in enumerate(A) if x)
-    phi = [Fraction(x, D) if x else ZERO for x in A]
-    rows = [phi]
-    for i in range(n):
+def _unit(n: int, i: int, c: int = 1) -> list:
+    return [c if k == i else 0 for k in range(n)]
+
+
+def _row(nums: list, den: int) -> list:
+    return [Fraction(x, den) if x else ZERO for x in nums]
+
+
+def _line_frame_inverse(A: list, D: int, F: list, fd: int, q: int) -> list:
+    """The inverse of the frame (f, g_i for i != q) over Z, with phi = A / D,
+    f = F / fd, phi(f) = 1 and g_i = e_i - (A_i / A_q) e_q the rref basis of
+    ker phi pivoting on q (A_q != 0): row 0 is phi and the row of g_i is
+    e_i^* - f_i phi = (fd D e_i - F_i A) / (fd D)."""
+    den = fd * D
+    rows = [_row(A, D)]
+    for i, fi in enumerate(F):
         if i != q:
-            row = [ONE if k == i else ZERO for k in range(n)]
-            if f[i]:
-                row = [r - f[i] * x for r, x in zip(row, phi)]
-            rows.append(row)
+            nums = [-fi * x for x in A] if fi else [0] * len(A)
+            nums[i] += den
+            rows.append(_row(nums, den))
     return rows
 
 
@@ -299,88 +292,96 @@ def _read_rank_one(a: Algebra) -> RecognitionResult | None:
         skew = True
     else:
         return None
-    work, pivots = linalg._echelon([list(row) for row in B if any(row)])
+    _, pivots = linalg._echelon([list(row) for row in B if any(row)])
     r = len(pivots)
-    radical = linalg._kernel(work, pivots, n)
-    s = Fraction(z0, cden)  # b = s B is the product form on z' = z / z0
-    z = [ZERO] * n
+    Z, dz = [0] * n, z0  # z' = Z / dz
     for k, c in zs:
-        z[k] = Fraction(c, z0)
+        Z[k] = c
+    # the seeds outside the radical, each as (S, d) for S / d over Z
     if skew:
         if r != 2:
             return _not_canonical(f"skew product form has rank {r}, need 2")
         i, j = next((i, j) for i in range(n) for j in range(n) if B[i][j])
-        seeds = [unit_vector(n, i), vec_scale(unit_vector(n, j), 1 / (s * B[i][j])), z]
+        seeds = [(_unit(n, i), 1), (_unit(n, j, cden), z0 * B[i][j])]
         tag = Tag.N3_MINUS
     elif r == 1:
         i = next(i for i in range(n) if B[i][i])
-        seeds = [unit_vector(n, i), vec_scale(z, s * B[i][i])]
+        seeds = [(_unit(n, i), 1)]
+        Z, dz = [B[i][i] * c for c in Z], cden  # e_i * e_i = b_ii z'
         tag = Tag.LAMBDA2
     elif r == 2:  # B z = 0 with z != 0, so n >= 3
-        seeds = _hyperbolic_pair(B, s)
+        seeds = _hyperbolic_pair(B, z0, cden)
         if seeds is None:
-            return _recognized(
-                CanonicalForm(Tag.N3_PLUS, n),
-                None,
-                "recognized over the algebraic closure only: the rank-2 "
-                "symmetric form has no rational isotropic vector",
-            )
-        seeds.append(z)
+            return _recognized(CanonicalForm(Tag.N3_PLUS, n), None, "recognized over the "
+                               "algebraic closure only: the rank-2 symmetric form has no "
+                               "rational isotropic vector")
         tag = Tag.N3_PLUS
     else:
         return _not_canonical(f"symmetric product form has rank {r} in dimension {n}")
-    _, inv = _frame(n, seeds, pool=radical)
-    return _recognized(CanonicalForm(tag, n), linalg._fractions(inv))
+    return _recognized(CanonicalForm(tag, n), _rank_one_inverse(B, pivots, seeds, Z, dz))
 
 
-def _form_value(b: list, x: Vector, y: Vector) -> Fraction:
-    total = ZERO
-    for i, xi in enumerate(x):
-        if xi:
-            row = b[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    total += xi * row[j] * yj
-    return total
+def _rank_one_inverse(B: list, pivots: list, seeds: list, Z: list, dz: int) -> list:
+    """The inverse over Z of the frame: the seeds S_a / d_a outside the
+    radical of B, zeta = Z / dz in it, then the rref radical basis k_f (1 at
+    the free column f of B's echelon) less k_r', r' the last free f with
+    Z_f != 0, as ``algebra._frame`` would choose it.
 
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _hyperbolic_pair(B: list, s: Fraction) -> list | None:
-    """[w, v] with b(w, w) = b(v, v) = 0 and b(w, v) = 1 for the rank-2
-    symmetric form b = s B, or None when b has no rational isotropic vector."""
+    x = sum_a c_a S_a / d_a + y with B y = 0, so U_a = S_a^T B gives
+    U x = H (c / d) for the Gram block H_ab = U_a S_b.  H is invertible: if
+    H c = 0, B sum_b c_b S_b is orthogonal to the seeds and to the radical,
+    so sum_b c_b S_b is in the radical, and c = 0 as the seeds are
+    independent modulo it.  With V = adj(H) U, c_a = d_a V_a x / det H and
+    y_f = Y_f x / det H, Y_f = det H e_f - sum_a S_a[f] V_a; y = c_zeta zeta
+    + sum c_f k_f gives c_zeta = dz y_r' / Z_r', c_f = y_f - Z_f y_r' / Z_r'.
+    """
     n = len(B)
-    i, j = next(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if B[i][i] * B[j][j] - B[i][j] * B[i][j]
-    )
-    u, v = unit_vector(n, i), unit_vector(n, j)
-    p, q, r = s * B[i][i], s * B[i][j], s * B[j][j]
-    if p == 0:
-        w = u
-    elif r == 0:
-        w = v
+    S = [sa for sa, _ in seeds]
+    U = [[sum(x * B[k][c] for k, x in enumerate(sa) if x) for c in range(n)] for sa in S]
+    H = [[sum(x * y for x, y in zip(u, sb) if y) for sb in S] for u in U]
+    if len(S) == 1:
+        det, V = H[0][0], U
     else:
-        root = _sqrt_fraction(q * q - p * r)
-        if root is None:
+        (h11, h12), (h21, h22) = H
+        det = h11 * h22 - h12 * h21
+        V = [[h22 * x - h12 * y for x, y in zip(*U)], [h11 * y - h21 * x for x, y in zip(*U)]]
+    rows = [_row([d * x for x in v], det) for (_, d), v in zip(seeds, V)]
+    Y = {f: [det * (k == f) - sum(sa[f] * v[k] for sa, v in zip(S, V)) for k in range(n)]
+         for f in range(n) if f not in pivots}
+    rp = max(f for f in Y if Z[f])
+    den, zr, yr = det * Z[rp], Z[rp], Y.pop(rp)
+    rows.append(_row([dz * x for x in yr], den))
+    rows.extend(_row([zr * x - Z[f] * y for x, y in zip(yf, yr)], den) for f, yf in Y.items())
+    return rows
+
+
+def _hyperbolic_pair(B: list, z0: int, cden: int) -> list | None:
+    """[(W, dw), (V, dv)]: w = W / dw and v = V / dv with b(w, w) = b(v, v) = 0
+    and b(w, v) = 1 for b = s B, s = z0 / cden, or None when b has no rational
+    isotropic vector.  At the first nonzero principal minor (i, j), w is e_i
+    or e_j if B_ii or B_jj is 0, else x e_i + e_j, x = (-B_ij + sign(s) R) / B_ii
+    and R^2 = B_ij^2 - B_ii B_jj, rational exactly when that integer is a
+    square; v = v1 - b(v1, v1) w / 2, v1 = e_k / b(w, e_k), k = i unless that is 0.
+    """
+    n = len(B)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                if B[i][i] * B[j][j] - B[i][j] * B[i][j])
+    if B[i][i] == 0 or B[j][j] == 0:
+        W, dw = _unit(n, i if B[i][i] == 0 else j), 1
+    else:
+        delta = B[i][j] * B[i][j] - B[i][i] * B[j][j]
+        root = isqrt(delta) if delta > 0 else -1
+        if root * root != delta:
             return None
-        w = vec_add(vec_scale(u, (-q + root) / p), v)
-
-    def value(x, y):
-        return s * _form_value(B, x, y)
-
-    partner = u if value(w, u) else v
-    v1 = vec_scale(partner, 1 / value(w, partner))
-    return [w, vec_add(v1, vec_scale(w, -value(v1, v1) / 2))]
+        W, dw = _unit(n, j, B[i][i]), B[i][i]
+        W[i] = -B[i][j] + (root if z0 > 0 else -root)
+    WB = [sum(x * B[m][c] for m, x in enumerate(W) if x) for c in range(n)]
+    k = i if WB[i] else j
+    P = WB[k]
+    V = [-B[k][k] * x for x in W]
+    V[k] += 2 * P
+    # b(w, e_k) = s P / dw, so v = cden dw (2 P e_k - B_kk W) / (2 z0 P^2)
+    return [(W, dw), ([cden * dw * x for x in V], 2 * z0 * P * P)]
 
 
 # -- the nu family --------------------------------------------------------
@@ -408,13 +409,10 @@ def _read_nu(a: Algebra) -> RecognitionResult | None:
     p = next((i for i, x in enumerate(s) if x), None)
     if p is None or any(x * s[p] != A[p] * y for x, y in zip(A, s)):
         return None
-    # x*y = alpha phi(x) y + (1 - alpha) phi(y) x with phi = s / D, so
-    # x*x = phi(x) x: e_p is the first candidate with a nonzero square,
-    # e = e_p / phi(e_p) the idempotent and ker phi its eigenspace
-    e = vec_scale(unit_vector(n, p), Fraction(D, s[p]))
-    _, inv = _frame(n, [e], pool=linalg.nullspace([s]))
+    # phi = s / D; the idempotent e = e_p / phi(e_p) = D e_p / s_p, and the
+    # rref basis of its eigenspace ker phi pivots on p
     form = CanonicalForm(Tag.NU, n, Fraction(A[p], s[p]))
-    return _recognized(form, linalg._fractions(inv))
+    return _recognized(form, _line_frame_inverse(s, D, _unit(n, p, D), s[p], p))
 
 
 def _name_nu_failure(a: Algebra) -> RecognitionResult:

@@ -93,7 +93,7 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import _inverse_of, addmul, bareiss, mat_det
+from .linalg import _exact_div, _inverse_of, addmul, bareiss, mat_det
 from .poly import (
     FE_ZERO,
     MAX_DEGREE,
@@ -165,8 +165,14 @@ class ParamMatrix:
     @classmethod
     def _of(cls, D: dict, P) -> "ParamMatrix":
         """The family P / D of integer polynomials, zero terms allowed in P:
-        canonical through ``from_laurent`` when D is one term, else stored
-        as given."""
+        canonical through ``from_laurent`` when D is one term or divides
+        every entry of P exactly (the quotients over 1), else stored as
+        given."""
+        if len(D) > 1:
+            try:
+                P, D = [[_exact_div(p, D) for p in row] for row in P], {0: 1}
+            except ArithmeticError:
+                pass
         if len(D) == 1:
             ((e, c),) = D.items()
             return cls.from_laurent([[{k - e: Fraction(x, c) for k, x in p.items() if x}

@@ -403,6 +403,15 @@ class TestTransportCommand:
         want = moved.with_name(moved.name.replace(".json", ".recognize.json"))
         assert got == (0, want.read_text())
 
+    @pytest.mark.parametrize(
+        "moved", sorted(p for p in (FIXTURES / "recognize").glob("*.json")
+                        if not p.name.endswith(".recognize.json")),
+        ids=lambda p: p.stem)
+    def test_recognize_matches_the_golden_bytes(self, capsys, moved):
+        # the bytes were recorded before the isos were written down in ints
+        got = run(capsys, "recognize", "--algebra", str(moved), "--json")
+        assert got == (0, moved.with_suffix(".recognize.json").read_text())
+
     @pytest.mark.parametrize("at", ["1", "-1", "1/2"])
     def test_at_refuses_an_exponent_past_the_degree_bound(self, capsys, tmp_path, at):
         # the cleared numerator of diag(t^k, 1) has degree k; past MAX_DEGREE

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from levelone import (
     recognize,
 )
 from levelone import linalg
-from levelone.algebra import _scalar_action
+from levelone.algebra import _scalar_action, extend_basis
 from levelone.linalg import char_poly, mat_identity, mat_inverse
 from levelone.poly import poly_mul, poly_pow
 
@@ -372,8 +373,9 @@ def canonical_forms(ns):
 def test_a_match_contracts_nothing(monkeypatch, n):
     """Every canonical form, moved, is recognized with its iso by its read
     alone: no contraction, rebase, A^2, product zero test or comparison
-    against the canonical table.  Then, independently of how recognize found
-    it, the iso carries the input onto the canonical table."""
+    against the canonical table, and no elimination after the read (at most
+    one echelon, that of the rank-one forms' B).  Then, independently of how
+    recognize found it, the iso carries the input onto the canonical table."""
     algebra_mod = importlib.import_module("levelone.algebra")
     canonical_mod = importlib.import_module("levelone.canonical")
     module = importlib.import_module("levelone.recognize")
@@ -381,14 +383,21 @@ def test_a_match_contracts_nothing(monkeypatch, n):
               for form in canonical_forms([n]) for seed in range(3)]
 
     def unread(*args):
-        raise AssertionError("a match needs no contraction and no A^2")
+        raise AssertionError("a match needs no contraction, A^2 or second elimination")
 
     for owner, name in ((algebra_mod, "_contract"), (algebra_mod, "rebase"),
                         (module, "rebase"), (algebra_mod, "derived_subspace"),
                         (module, "derived_subspace"), (module, "products_vanish"),
-                        (canonical_mod, "construct")):
+                        (canonical_mod, "construct"), (algebra_mod, "_frame"),
+                        (linalg, "nullspace"), (linalg, "_kernel"), (linalg, "_inverse")):
         monkeypatch.setattr(owner, name, unread)
-    got = [recognize(a) for _, a in inputs]
+    echelon, echelons = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: echelons.append(1) or echelon(*args))
+    got = []
+    for _, a in inputs:
+        echelons.clear()
+        got.append(recognize(a))
+        assert len(echelons) <= 1, got[-1].form
     monkeypatch.undo()
     for (form, a), res in zip(inputs, got):
         assert res.form == form, res.reason
@@ -497,6 +506,96 @@ def test_scalar_line_iso_is_the_normalization_frame(tag, n):
         frame = [tuple(xi / c for xi in x), *square.basis]
         want = mat_inverse([[v[i] for v in frame] for i in range(n)])
         assert [list(row) for row in recognize(a).iso] == want
+
+
+def _old_hyperbolic_pair(b: list) -> list:
+    """The hyperbolic pair of a rank-2 symmetric form as the frame seeds
+    were built over Q: from the first nonzero principal 2x2 minor."""
+    n = len(b)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                if b[i][i] * b[j][j] - b[i][j] ** 2)
+    unit = [tuple(F(int(k == m)) for m in range(n)) for k in range(n)]
+
+    def value(x, y):
+        return sum(x[k] * b[k][m] * y[m] for k in range(n) for m in range(n))
+
+    def comb(c, x, d, y):
+        return tuple(c * xk + d * yk for xk, yk in zip(x, y))
+
+    p, q, r = b[i][i], b[i][j], b[j][j]
+    if p == 0 or r == 0:
+        w = unit[i] if p == 0 else unit[j]
+    else:
+        d = q * q - p * r
+        root = F(math.isqrt(d.numerator), math.isqrt(d.denominator))
+        assert root * root == d
+        w = comb((-q + root) / p, unit[i], 1, unit[j])
+    partner = unit[i] if value(w, unit[i]) else unit[j]
+    v1 = comb(1 / value(w, partner), partner, 0, w)
+    return [w, comb(1, v1, -value(v1, v1) / 2, w)]
+
+
+def _old_frame(a) -> tuple:
+    """(seeds, pool) of the nu or rank-one frame, built over Q the way the
+    recognizer built it before its iso was written down in ints."""
+    n = a.dim
+    c = a.constants
+    action = _scalar_action(a)
+    if action is not None and any(x + y for x, y in zip(action[0], action[1])):
+        A, B, D = action
+        s = [x + y for x, y in zip(A, B)]
+        p = next(i for i, x in enumerate(s) if x)
+        e = tuple(F(D, s[p]) if k == p else F(0) for k in range(n))
+        return [e], linalg.nullspace([s])
+    # x*y = b(x, y) z' with z' = z / z_p: b is the slice of c at p
+    col = next([c[k][i][j] for k in range(n)] for i in range(n) for j in range(n)
+               if any(c[k][i][j] for k in range(n)))
+    p = next(k for k, x in enumerate(col) if x)
+    z = tuple(x / col[p] for x in col)
+    b = [list(row) for row in c[p]]
+    unit = [tuple(F(int(k == m)) for m in range(n)) for k in range(n)]
+    if all(b[i][j] == -b[j][i] for i in range(n) for j in range(n)):
+        i, j = next((i, j) for i in range(n) for j in range(n) if b[i][j])
+        seeds = [unit[i], tuple(x / b[i][j] for x in unit[j]), z]
+    elif linalg.rank(b) == 1:
+        i = next(i for i in range(n) if b[i][i])
+        seeds = [unit[i], tuple(b[i][i] * x for x in z)]
+    else:
+        seeds = [*_old_hyperbolic_pair(b), z]
+    return seeds, linalg.nullspace(b)
+
+
+@pytest.mark.parametrize("form", [
+    form for form in canonical_forms(range(2, 9))
+    if form.tag in (Tag.LAMBDA2, Tag.N3_MINUS, Tag.N3_PLUS, Tag.NU)],
+    ids=lambda form: form.describe().replace(" ", "_"))
+def test_frame_iso_is_the_inverse_of_the_old_frame(form):
+    """The nu and rank-one isos, written down in ints, equal the inverse of
+    the frame that ``extend_basis`` completes from the same seeds and pool."""
+    n = form.dim
+    for seed in range(3):
+        a = moved(form.tag, n, form.alpha, seed=seed)
+        seeds, pool = _old_frame(a)
+        frame = extend_basis(n, seeds, pool)
+        want = mat_inverse([[v[i] for v in frame] for i in range(n)])
+        assert [list(row) for row in recognize(a).iso] == want
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_diagonal_n3plus_iso_is_the_inverse_of_the_old_frame(n):
+    """n3plus given as c x^2 - c k^2 y^2, moved, so that the hyperbolic
+    pair's minor has both diagonal entries nonzero and its root is taken,
+    with either sign of the product form's scale."""
+    for c, k in ((F(1), F(1)), (F(-2, 3), F(3, 2)), (F(5), F(2, 7))):
+        table = Algebra.from_entries(n, {(n - 1, 0, 0): c, (n - 1, 1, 1): -c * k * k})
+        for seed in range(4):
+            a = apply_basis_change(table, random_invertible_matrix(n, random.Random(seed)))
+            seeds, pool = _old_frame(a)
+            frame = extend_basis(n, seeds, pool)
+            want = mat_inverse([[v[i] for v in frame] for i in range(n)])
+            res = recognize(a)
+            assert res.form == CanonicalForm(Tag.N3_PLUS, n)
+            assert [list(row) for row in res.iso] == want
 
 
 def test_the_rank_one_read_needs_a_symmetric_or_skew_form():

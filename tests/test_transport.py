@@ -86,6 +86,21 @@ class TestInvert:
         g = random_family(3, 2, seed)
         assert g @ invert(g) == ParamMatrix.identity(3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_laurent_product_is_stored_canonically(self, n):
+        # D divides every entry of P, so g @ g^-1 is stored over 1 and writes
+        identity = family_to_dict(ParamMatrix.identity(n))
+        for seed in range(10):
+            g = random_family(n, 2, seed)
+            assert family_to_dict(g @ invert(g)) == identity
+
+    def test_a_product_that_is_not_laurent_is_refused(self):
+        g = random_family(3, 2, 5)
+        ginv = invert(g)
+        assert len(ginv._form[0]) > 1
+        with pytest.raises(ValueError, match="not a Laurent family"):
+            family_to_dict(ginv @ ginv)
+
     def test_singular_family_raises(self):
         t = FieldElement.t_power(1)
         rows = ((t, t), (t, t))
@@ -727,15 +742,17 @@ class TestStoredForm:
         h = g @ ParamMatrix.identity(3)
         assert h == g and h._form == g._form
         assert g != g @ ParamMatrix.diagonal_powers([1, 0, 0])
-        # g @ g^-1 is D*d*I / (D*d), stored over a denominator of several
-        # terms, compared entry by entry, and equal to the identity in Q(t)
-        one = g @ invert(g)
-        assert len(one._form[0]) > 1
-        assert one == ParamMatrix.identity(3) and ParamMatrix.identity(3) == one
-        assert one != g and g != one
+        # g @ (g^-1 @ diag(t^-1, 1, 1)) is D*d*diag(1, t, t) / (D*d*t): D*d*t
+        # does not divide the (0, 0) entry, so it is stored over a denominator
+        # of several terms, compared entry by entry, and equal in Q(t)
+        t_inv = ParamMatrix.diagonal_powers([-1, 0, 0])
+        prod = g @ (invert(g) @ t_inv)
+        assert len(prod._form[0]) > 1
+        assert prod == t_inv and t_inv == prod
+        assert prod != g and g != prod
         for a in (canon(Tag.LAMBDA2, 3), canon(Tag.NU, 3, F(2, 3)),
                   random_algebra(3, 0.5, 5, nonabelian=True)):
-            oracle().agrees_with_sympy(a, one)
+            oracle().agrees_with_sympy(a, prod)
 
     def test_rows_that_are_not_laurent_are_refused(self):
         # ParamMatrix(n, rows) takes Laurent rows; invert and @ build the rest
