@@ -26,17 +26,17 @@ integer columns over one denominator, divided by their gcd.
 
 ``_frame`` completes seed vectors to a frame and returns the frame's
 inverse from the same elimination; ``extend_basis`` is its basis, and the
-classifier's witnesses are such inverses.  The recognizer writes its isos
-down from its integer reads instead, and its tests take ``_frame`` as the
-reference.
+classifier's lambda2 and n3minus witnesses are such inverses.  The pminus
+and nu witnesses and the recognizer's isos are written down from integer
+reads instead, and their tests take ``_frame`` as the reference.
 
 ``_scalar_action`` decides in one read of the slices, in ints, whether the
 tensor is c^k_ij = a_i [k = j] + b_j [k = i] for linear forms a and b: the
 scalar-action shape of nu(alpha) (a = alpha phi, b = (1 - alpha) phi) and
 of pminus (b = -a).  It is the identity behind every product staying in the
 plane of its factors (n >= 3), and, on the symmetrised tensor, behind every
-square staying on its line (n >= 2); the classifier reads the normalized
-pminus and nu tables off its (A, B, D), and the recognizer the pminus and
+square staying on its line (n >= 2); the classifier writes its pminus and
+nu frame inverses down from its (A, B, D), and the recognizer its pminus and
 nu matches.
 """
 
@@ -62,10 +62,6 @@ Vector = tuple
 
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def vec_scale(x: Vector, c: Fraction) -> Vector:

@@ -42,17 +42,17 @@ witness, so nothing is drawn at random and there is no fallback.  The
 square search checks the identity once its n basis vectors, which find
 most witnesses, found none.  Each branch's premise follows from the
 identities, so the branches build their frames without re-checking it;
-``verify_degeneration`` still checks every emitted witness exactly.  The
-pminus and nu branches read what they need of the normalized table (the
-leads on e1, the scalar) off the identity's (A, B, D), so no branch
-contracts the tensor.
+``verify_degeneration`` still checks every emitted witness exactly.
 
-Every branch ends in a frame, read off one integer echelon with its
-inverse (den, rows) over Z, and pole weights w.  ``_assemble`` stores the
-family diag(t^-w) * rows / den straight in the cleared form P / (L*t^s)
-of ``transport.ParamMatrix``, canonical after one gcd, and the verifier's
-row-monomial read-off takes the integers back off P.  No Fraction matrix
-and no FieldElement is built between the frame and the verdict.
+Every branch ends in the inverse (den, rows) over Z of a frame, and pole
+weights w.  The lambda2 and n3minus frames are read off one integer echelon
+with their inverse; the pminus and nu inverses are written down from the
+identity's (A, B, D), so those branches run no elimination.  ``_assemble``
+stores the family diag(t^-w) * rows / den straight in the cleared form
+P / (L*t^s) of ``transport.ParamMatrix``, canonical after one gcd, and the
+verifier's row-monomial read-off takes the integers back off P.  No
+Fraction matrix and no FieldElement is built between the frame and the
+verdict.
 """
 
 from __future__ import annotations
@@ -69,14 +69,9 @@ from .algebra import (
     _deterministic_candidates,
     _frame,
     _scalar_action,
-    extend_basis,
     proportionality,
     rebase,  # noqa: F401  (perfbench/test_perfbench.py reads this binding)
-    unit_vector,
-    vec_add,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .canonical import CanonicalForm, Tag
 from .errors import AbelianInput, SearchExhausted
@@ -115,7 +110,7 @@ def span_witness_search(a: Algebra, mode: str):
         hit = _find_square(a)
         return hit and hit[0]
     if mode == "pair":
-        return _find_pair(a)
+        return _find_pair(a, _scalar_action(a))
     raise ValueError(f"unknown search mode {mode!r}")
 
 
@@ -155,11 +150,12 @@ def _find_square(a: Algebra):
     return None
 
 
-def _find_pair(a: Algebra):
+def _find_pair(a: Algebra, read: tuple | None):
     """(x, y) for the first ordered pair on the pair grid whose product
     leaves their plane; None at once when the tensor has the scalar-action
-    form, which in dimension >= 3 is every product staying in its plane."""
-    if a.dim < 3 or _scalar_action(a) is not None:
+    form (``read``, its ``_scalar_action``), which in dimension >= 3 is
+    every product staying in its plane."""
+    if a.dim < 3 or read is not None:
         return None
     grid = _pair_grid(a.dim)
     for ix, x in enumerate(grid):
@@ -198,25 +194,20 @@ def _assemble(inv: tuple, weights: list, tag: Tag, trace: list, alpha=None) -> W
 
 def _attempt(a: Algebra) -> Witness:
     n = a.dim
-    if a.is_anticommutative():
-        trace = ["Antisymmetric"]
-        pair = _find_pair(a)
-        if pair is not None:
-            return _n3minus_branch(a, pair, trace)
-        trace.append("PairWitnessAbsent")
-        return _pminus_branch(a, trace)
-    sq = _find_square(a)
-    if sq is not None:
+    skew = a.is_anticommutative()
+    if not skew and (sq := _find_square(a)) is not None:
         x, square = sq
-        trace = [f"SquareWitnessFound x={_fmt(x)}"]
         _, inv = _frame(n, [x, square])
+        trace = [f"SquareWitnessFound x={_fmt(x)}"]
         return _assemble(inv, [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
-    trace = ["SquareInSpan"]
-    pair = _find_pair(a)
+    trace = ["Antisymmetric" if skew else "SquareInSpan"]
+    read = _scalar_action(a)
+    pair = _find_pair(a, read)
     if pair is not None:
         return _n3minus_branch(a, pair, trace)
-    trace.append("NuNormalization")
-    return _nu_branch(a, trace)
+    if skew:
+        return _pminus_branch(read, trace + ["PairWitnessAbsent"])
+    return _nu_branch(a, read, trace + ["NuNormalization"])
 
 
 def _n3minus_branch(a: Algebra, pair: tuple, trace: list) -> Witness:
@@ -232,62 +223,39 @@ def _n3minus_branch(a: Algebra, pair: tuple, trace: list) -> Witness:
                      trace)
 
 
-def _pminus_branch(a: Algebra, trace: list) -> Witness:
-    """All products of an anticommutative algebra stay in the plane of their
-    factors, so x*y = phi(y) x - phi(x) y: normalize e1*ei = ei and scale
-    everything but e1 down."""
-    n = a.dim
-    # the first nonzero product of basis vectors; off the diagonal, as a skew
-    # tensor has no nonzero square
-    i, j = min((i, j) for _, i, j in a.entries())
-    p = a.basis_product(i, j)
-    if p[j]:
-        first, second = i, j
-        q = p
-    else:
-        first, second = j, i
-        q = a.basis_product(j, i)
-    g2, g1 = q[second], q[first]
-    b1 = vec_scale(unit_vector(n, first), 1 / g2)
-    b2 = vec_add(unit_vector(n, second), vec_scale(b1, g1))
-    basis, _ = _frame(n, [b1, b2])
-    # x*y = phi(x) y - phi(y) x with phi = A / D and phi(b1) = 1, so b1 * f
-    # has lead -phi(f) on b1
-    A, _, D = _scalar_action(a)
-    absorbed = [basis[0], basis[1]]
-    for f in basis[2:]:
-        lead = -sum(x * y for x, y in zip(A, f)) / D
-        absorbed.append(vec_add(f, vec_scale(basis[0], lead)))
-    _, minv = _frame(n, absorbed)
-    return _assemble(minv, [0] + [1] * (n - 1), Tag.P_MINUS, trace)
+def _unit_row(n: int, i: int, c: int) -> list:
+    return [c if k == i else 0 for k in range(n)]
 
 
-def _nu_branch(a: Algebra, trace: list) -> Witness:
-    """Every square on its line, every product in its plane: idempotent
-    normalization onto the scalar-action table.
+def _pminus_branch(read: tuple, trace: list) -> Witness:
+    """Every product of an anticommutative algebra stays in the plane of its
+    factors: x*y = phi(x) y - phi(y) x with (A, -A, D) = ``read``,
+    phi = A / D.  For p the first index with A_p != 0, the frame
+    (D e_p / A_p, then e_i - (A_i / A_p) e_p for i != p) normalizes
+    e1*ei = ei, and its inverse is phi, then e_i^* for i != p."""
+    A, _, D = read
+    n = len(A)
+    p = next(i for i, x in enumerate(A) if x)
+    rows = [A] + [_unit_row(n, i, D) for i in range(n) if i != p]
+    return _assemble((D, rows), [0] + [1] * (n - 1), Tag.P_MINUS, trace)
 
-    A non-anticommutative algebra has a nonzero square among the basis
-    vectors and their pairwise sums, and each nonzero square is a multiple
-    of its vector."""
-    n = a.dim
-    x, s = next((x, s) for x in _deterministic_candidates(n)
-                if not vec_is_zero(s := a.product(x, x)))
-    b1 = vec_scale(x, 1 / proportionality(s, x))
-    idem: list[Vector] = []
-    null: list[Vector] = []
-    for w in extend_basis(n, [b1])[1:]:
-        s = a.product(w, w)
-        if vec_is_zero(s):
-            null.append(w)
-        else:
-            idem.append(vec_scale(w, 1 / proportionality(s, w)))
-    # squares on their lines give b1*w + w*b1 = b1 + w for an idempotent w and
-    # w for w*w = 0, so b1*f + f*b1 = f for every f after b1 below
-    final = [b1] + [vec_sub(w, b1) for w in idem] + null
-    _, minv = _frame(n, final)
-    alpha = None
-    if n >= 2:
-        # x*y = a(x) y + b(y) x with a = A / D, so b1 * f has a(b1) on f
-        A, _, D = _scalar_action(a)
-        alpha = sum(x * y for x, y in zip(A, b1)) / D
-    return _assemble(minv, [0] + [1] * (n - 1), Tag.NU, trace, alpha)
+
+def _nu_branch(a: Algebra, read: tuple | None, trace: list) -> Witness:
+    """Every square on its line, every product in its plane: x*y =
+    (A(x) y + B(y) x) / D with (A, B, D) = ``read``, and x*x = phi(x) x for
+    phi = s / D, s = A + B != 0 (the algebra is not anticommutative).  For
+    p the first index with s_p != 0 the frame is the idempotent
+    b1 = D e_p / s_p, then D e_i / s_i - b1 for i != p with s_i != 0, then
+    e_i for s_i = 0; its inverse is phi, then s_i e_i^* / D, then e_i^*,
+    and alpha = A(b1) / D.  Dimension 1 has no read: the frame is e1 / c
+    for e1*e1 = c e1."""
+    if read is None:
+        ((_, c),) = a._slices[(0, 0)]
+        return _assemble((a._cden, [[c]]), [0], Tag.NU, trace)
+    A, B, D = read
+    n = len(A)
+    s = [x + y for x, y in zip(A, B)]
+    p = next(i for i, x in enumerate(s) if x)
+    rows = [s] + [_unit_row(n, i, s[i]) for i in range(n) if i != p and s[i]]
+    rows += [_unit_row(n, i, D) for i in range(n) if not s[i]]
+    return _assemble((D, rows), [0] + [1] * (n - 1), Tag.NU, trace, Fraction(A[p], s[p]))

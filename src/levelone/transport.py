@@ -16,8 +16,8 @@ it is.  The classifier builds it from the integer inverse of its frame, and
 ``jsonio``, ``families`` and ``random_family`` from Laurent dicts;
 ``ParamMatrix(n, rows)`` clears Laurent FieldElement rows.  ``invert`` and
 ``@`` work over Z[t] and store their result through one normalizer, which
-makes it canonical when D is one term.  ``entries`` is a view: it builds the
-FieldElement grid on each read and caches nothing.
+makes it canonical whenever it is a Laurent family.  ``entries`` is a view:
+it builds the FieldElement grid on each read and caches nothing.
 
 Every reader takes any family.  Near t = 0, D = L*t^s * u with s = val(D),
 L its lowest coefficient and u a unit with u(0) = 1, and a limit or a pole
@@ -165,12 +165,16 @@ class ParamMatrix:
     @classmethod
     def _of(cls, D: dict, P) -> "ParamMatrix":
         """The family P / D of integer polynomials, zero terms allowed in P:
-        canonical through ``from_laurent`` when D is one term or divides
-        every entry of P exactly (the quotients over 1), else stored as
-        given."""
+        canonical through ``from_laurent`` when D is one term, or when
+        D = c t^k M, c its content and k its valuation, and M divides every
+        entry of P exactly (the quotients over c t^k); else stored as given.
+        A Laurent family is always caught: M is primitive and prime to t, so
+        by Gauss's lemma M divides P over Z exactly when P / D is Laurent."""
         if len(D) > 1:
+            k, c = min(D), math.gcd(*D.values())
+            M = {e - k: x // c for e, x in D.items()}
             try:
-                P, D = [[_exact_div(p, D) for p in row] for row in P], {0: 1}
+                P, D = [[_exact_div(p, M) for p in row] for row in P], {k: c}
             except ArithmeticError:
                 pass
         if len(D) == 1:
@@ -574,8 +578,8 @@ def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     evaluation commutes with the contraction, so the value is
     apply_basis_change(a, g(t0)).  With t0 = u/v, g(t0) is Q / den over Z:
     Q = v^top * P(t0) and den = v^top * D(t0), top the largest exponent of P
-    and D, signed so that den > 0.  A P of degree past MAX_DEGREE raises
-    DegreeOverflow first, as the limit does.  At a root of D (t0 = 0 for a
+    and D, signed so that den > 0.  A top past MAX_DEGREE (a high power of
+    t in P or a common pole of that order in D) raises DegreeOverflow first.  At a root of D (t0 = 0 for a
     Laurent family with s > 0) or of det g (Q singular) the reduced tensor
     may still be regular, so there it is built and evaluated, dividing out
     the shared factors (t - t0); PoleAtPoint means it is not regular.
@@ -585,9 +589,9 @@ def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     t0 = Fraction(t0)
     D, P = g._form
     exps = {e for row in P for p in row for e in p}
-    if max(exps, default=0) > MAX_DEGREE:
-        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
     top = max(max(exps, default=0), max(D))
+    if top > MAX_DEGREE:
+        raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
     u, v = t0.numerator, t0.denominator
     powers = {e: u**e * v ** (top - e) for e in exps | D.keys()}  # t^e at t0, times v^top
     den = sum(c * powers[e] for e, c in D.items())

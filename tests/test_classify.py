@@ -2,9 +2,12 @@ import importlib
 import random
 import sys
 from fractions import Fraction as F
+from operator import mul
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from levelone import (
     AbelianInput,
@@ -22,7 +25,15 @@ from levelone import (
     unit_vector,
     verify_degeneration,
 )
-from levelone.algebra import _scalar_action
+from levelone.algebra import (
+    _frame,
+    _scalar_action,
+    extend_basis,
+    proportionality,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+)
 from levelone.errors import SearchExhausted
 from levelone.jsonio import witness_to_dict
 from levelone.linalg import rank
@@ -215,6 +226,110 @@ class TestEliminationCount:
                 assert calls == [n, n]
                 squares += 1
         assert squares
+
+
+class TestScalarActionBranches:
+    """pminus and nu witnesses are written down from the one scalar-action
+    read that decides their branch: no frame and no elimination runs before
+    the verifier's."""
+
+    @pytest.mark.parametrize("form", [
+        CanonicalForm(Tag.NU, 1), CanonicalForm(Tag.P_MINUS, 2), CanonicalForm(Tag.NU, 2, F(2, 3)),
+        CanonicalForm(Tag.P_MINUS, 3), CanonicalForm(Tag.NU, 3, F(0)),
+        CanonicalForm(Tag.NU, 5, F(1)), CanonicalForm(Tag.P_MINUS, 8),
+        CanonicalForm(Tag.NU, 8, F(-3))], ids=CanonicalForm.describe)
+    def test_one_read_and_only_the_verifiers_elimination(self, monkeypatch, form):
+        n = form.dim
+        a = apply_basis_change(construct(form),
+                               random_invertible_matrix(n, random.Random(n), bound=2))
+        want = witness_to_dict(classify(a))
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("symmetrised", False)))
+                return f(*args, **kwargs)
+            return wrapper
+
+        originals = {name: getattr(importlib.import_module(module), name) for module, name in [
+            ("levelone.algebra", "_frame"), ("levelone.algebra", "extend_basis"),
+            ("levelone.algebra", "_scalar_action"), ("levelone.linalg", "_echelon")]}
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("levelone"):
+                for name, f in originals.items():
+                    if getattr(module, name, None) is f:
+                        monkeypatch.setattr(module, name, counted(name, f))
+        assert witness_to_dict(classify(a)) == want
+        assert not [c for c in calls if c[0] in ("_frame", "extend_basis")]
+        assert calls.count(("_echelon", False)) == 1
+        assert calls.count(("_scalar_action", False)) == 1
+
+    @given(st.integers(1, 8), st.sampled_from(["skew", "parallel", "a zero", "general"]),
+           st.data())
+    @settings(max_examples=120)
+    def test_the_witness_is_the_frame_construction_it_replaced(self, n, kind, data):
+        def forms():
+            return data.draw(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n,
+                                      max_size=n))
+
+        A = forms()
+        if kind == "skew":
+            B = [-x for x in A]
+        elif kind == "parallel":
+            lam = data.draw(st.fractions(-3, 3, max_denominator=3))
+            B = [lam * x for x in A]
+        elif kind == "a zero":
+            A, B = [F(0)] * n, A
+        else:
+            B = forms()
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                table[(j, i, j)] = table.get((j, i, j), 0) + A[i]
+                table[(i, i, j)] = table.get((i, i, j), 0) + B[j]
+        a = Algebra.from_entries(n, {key: v for key, v in table.items() if v})
+        assume(not a.is_abelian())
+        seed = data.draw(st.integers(0, 2**32))
+        a = apply_basis_change(a, random_invertible_matrix(n, random.Random(seed), bound=2))
+        w = classify(a)
+        assert w.target.tag in (Tag.P_MINUS, Tag.NU)
+        old = frame_construction(a, w.target.tag)
+        assert (w.family, w.target) == (old.family, old.target)
+
+
+def frame_construction(a, tag):
+    """The pminus or nu witness as it was built before it was read off the
+    identity: Fraction frames completed by ``_frame`` and ``extend_basis``,
+    each inverted by an elimination."""
+    n = a.dim
+    if tag is Tag.P_MINUS:
+        i, j = min((i, j) for _, i, j in a.entries())
+        p = a.basis_product(i, j)
+        first, second, q = (i, j, p) if p[j] else (j, i, a.basis_product(j, i))
+        b1 = vec_scale(unit_vector(n, first), 1 / q[second])
+        b2 = vec_add(unit_vector(n, second), vec_scale(b1, q[first]))
+        basis, _ = _frame(n, [b1, b2])
+        A, _, D = _scalar_action(a)
+        absorbed = basis[:2] + [vec_add(f, vec_scale(basis[0], -sum(map(mul, A, f)) / D))
+                                for f in basis[2:]]
+        _, inv = _frame(n, absorbed)
+        return classify_mod._assemble(inv, [0] + [1] * (n - 1), tag, [])
+    x, s = next((x, s) for x in deterministic_candidates(n)
+                if not vec_is_zero(s := a.product(x, x)))
+    b1 = vec_scale(x, 1 / proportionality(s, x))
+    idem, null = [], []
+    for w in extend_basis(n, [b1])[1:]:
+        s = a.product(w, w)
+        if vec_is_zero(s):
+            null.append(w)
+        else:
+            idem.append(vec_scale(w, 1 / proportionality(s, w)))
+    _, inv = _frame(n, [b1] + [vec_add(w, vec_scale(b1, -1)) for w in idem] + null)
+    alpha = None
+    if n >= 2:
+        A, _, D = _scalar_action(a)
+        alpha = sum(map(mul, A, b1)) / D
+    return classify_mod._assemble(inv, [0] + [1] * (n - 1), tag, [], alpha)
 
 
 class TestWitnessPath:

@@ -272,11 +272,14 @@ class TestClassify:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("name", ["pplus_n3", "n3minus_n4", "pminus_n4", "nu_n4_alpha_2_3",
-                                      "grid_n2", "random_n6_seed1", "random_n6_seed2",
-                                      "random_n6_seed3"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name.removesuffix(".algebra.json")
+                       for p in (FIXTURES / "witnesses").glob("*.algebra.json")))
     def test_witness_matches_the_recorded_bytes(self, capsys, tmp_path, name):
-        # witnesses written before families were stored as P / (L*t^s)
+        # the pplus_n3, n3minus_n4, pminus_n4, nu_n4_alpha_2_3, grid_n2 and
+        # random witnesses were written before families were stored as
+        # P / (L*t^s), the moved pminus, nu and scalar_action ones before
+        # their frame inverses were written down from the scalar-action read
         recorded = FIXTURES / "witnesses"
         algebra = recorded / f"{name}.algebra.json"
         if name.startswith("random_"):
@@ -284,8 +287,6 @@ class TestClassify:
             got = run(capsys, "random", "--kind", "algebra", "--dim", "6", "--seed", seed,
                       "--non-abelian")
             assert got == (0, algebra.read_text())
-        elif not algebra.exists():
-            algebra = Path(canonical_path(name))
         out_file = tmp_path / "witness.json"
         assert run(capsys, "classify", "--algebra", str(algebra), "--out", str(out_file))[0] == 0
         want = recorded / f"{name}.witness.json"
@@ -414,20 +415,22 @@ class TestTransportCommand:
 
     @pytest.mark.parametrize("at", ["1", "-1", "1/2"])
     def test_at_refuses_an_exponent_past_the_degree_bound(self, capsys, tmp_path, at):
-        # the cleared numerator of diag(t^k, 1) has degree k; past MAX_DEGREE
-        # --at exits 2 before evaluating, as --limit does (it exited 0 here)
-        def transported(k):
-            fam = tmp_path / f"t{k}.family.json"
+        # the cleared numerator of diag(t^k, 1) has degree k, and t^-k * I is
+        # I / t^k; past MAX_DEGREE --at exits 2 before evaluating, as --limit
+        # does (a pole of order 10^7 would take minutes to evaluate)
+        def transported(diagonal):
+            fam = tmp_path / "family.json"
             fam.write_text(json.dumps({"dim": 2, "entries": [
-                {"row": 1, "col": 1, "poly": f"t^{k}"}, {"row": 2, "col": 2, "poly": "1"}]}))
+                {"row": i, "col": i, "poly": p} for i, p in enumerate(diagonal, 1)]}))
             return main(["transport", "--algebra", canonical_path("pminus_n2"),
                          "--family", str(fam), f"--at={at}"])
 
-        assert transported(10_000) == 0
-        capsys.readouterr()
-        assert transported(10_001) == 2
-        assert capsys.readouterr().err == "error: exponent beyond +/-10000\n"
-        assert transported(2_000_000) == 2
+        for shape in (lambda k: (f"t^{k}", "1"), lambda k: (f"t^-{k}", f"t^-{k}")):
+            assert transported(shape(10_000)) == 0
+            capsys.readouterr()
+            assert transported(shape(10_001)) == 2
+            assert capsys.readouterr().err == "error: exponent beyond +/-10000\n"
+            assert transported(shape(10_000_000)) == 2
 
 
 class TestRandomCommand:

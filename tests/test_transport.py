@@ -94,6 +94,17 @@ class TestInvert:
             g = random_family(n, 2, seed)
             assert family_to_dict(g @ invert(g)) == identity
 
+    def test_a_laurent_product_sharing_part_of_its_denominator_is_canonical(self):
+        # D = c t^k M with M dividing P: the product is stored over c t^k
+        g = random_family(3, 2, 5)
+        shifted = ParamMatrix.diagonal_powers([-1, 0, 0])
+        product = g @ (invert(g) @ shifted)
+        assert product._form == shifted._form == ({1: 1}, (({0: 1}, {}, {}),
+                                                           ({}, {1: 1}, {}),
+                                                           ({}, {}, {1: 1})))
+        assert family_to_dict(product) == family_to_dict(shifted)
+        assert family_to_dict(product)["entries"][0]["poly"] == "t^-1"
+
     def test_a_product_that_is_not_laurent_is_refused(self):
         g = random_family(3, 2, 5)
         ginv = invert(g)
@@ -364,8 +375,13 @@ class TestIntegerEvaluation:
             for exps in ([10_000, 0], [-10_000, 0]):
                 g = ParamMatrix.diagonal_powers(exps)
                 assert transport_at(a, g, t0) == composed_at(a, g, t0)
-        # a common pole leaves P constant: the bound is on P, not on s
-        assert transport_at(a, ParamMatrix.diagonal_powers([-20_000, -20_000]), F(1)) == a
+        # the bound is on P and on the common pole s alike, as evaluating a
+        # pole of order 10^7 takes minutes: t^-10000 * I at t0 = 1 is the
+        # algebra itself, and past the bound it raises
+        assert transport_at(a, ParamMatrix.diagonal_powers([-10_000, -10_000]), F(1)) == a
+        for k in (10_001, 20_000, 10_000_000):
+            with pytest.raises(DegreeOverflow, match=r"^exponent beyond \+/-10000$"):
+                transport_at(a, ParamMatrix.diagonal_powers([-k, -k]), t0)
 
 
 class TestLimits:
@@ -742,13 +758,14 @@ class TestStoredForm:
         h = g @ ParamMatrix.identity(3)
         assert h == g and h._form == g._form
         assert g != g @ ParamMatrix.diagonal_powers([1, 0, 0])
-        # g @ (g^-1 @ diag(t^-1, 1, 1)) is D*d*diag(1, t, t) / (D*d*t): D*d*t
-        # does not divide the (0, 0) entry, so it is stored over a denominator
-        # of several terms, compared entry by entry, and equal in Q(t)
-        t_inv = ParamMatrix.diagonal_powers([-1, 0, 0])
-        prod = g @ (invert(g) @ t_inv)
-        assert len(prod._form[0]) > 1
-        assert prod == t_inv and t_inv == prod
+        # (g @ g)^-1 @ g is g^-1 stored over (det g)^2 times a power of t;
+        # the numerator holds only one factor det g, so no exact division
+        # clears it: it is stored over a denominator of several terms,
+        # compared entry by entry, and equal in Q(t)
+        g_inv = invert(g)
+        prod = invert(g @ g) @ g
+        assert len(prod._form[0]) > 1 and prod._form != g_inv._form
+        assert prod == g_inv and g_inv == prod
         assert prod != g and g != prod
         for a in (canon(Tag.LAMBDA2, 3), canon(Tag.NU, 3, F(2, 3)),
                   random_algebra(3, 0.5, 5, nonabelian=True)):
@@ -826,9 +843,17 @@ FIXTURE_DETS = {
     "pplus_to_lambda2_n7": "1/2*t^-13", "pplus_to_lambda2_n8": "1/2*t^-15",
 }
 WITNESS_DETS = {
-    "grid_n2": "1/2*t^-3", "n3minus_n4": "t^-6", "nu_n4_alpha_2_3": "t^-3",
-    "pminus_n4": "t^-3", "pplus_n3": "1/2*t^-5", "random_n6_seed1": "3/5*t^-11",
+    "grid_n2": "1/2*t^-3", "n3minus_n4": "t^-6", "nu_n1": "-1/2", "nu_n2_alpha_0": "-1/2*t^-1",
+    "nu_n2_alpha_1": "-1/2*t^-1", "nu_n2_alpha_1_2": "-1/2*t^-1",
+    "nu_n2_alpha_2_3": "-1/4*t^-1", "nu_n2_alpha_m3": "t^-1", "nu_n3_alpha_0": "-3/8*t^-2",
+    "nu_n3_alpha_1": "6*t^-2", "nu_n3_alpha_1_2": "-5/16*t^-2", "nu_n3_alpha_2_3": "3/2*t^-2",
+    "nu_n3_alpha_m3": "-t^-2", "nu_n4_alpha_2_3": "t^-3", "nu_n8_alpha_0": "1620*t^-7",
+    "nu_n8_alpha_1": "-1367692506432*t^-7", "nu_n8_alpha_1_2": "t^-7",
+    "nu_n8_alpha_2_3": "-8828663495670165/8192*t^-7", "nu_n8_alpha_m3": "-130560*t^-7",
+    "pminus_n2": "-t^-1", "pminus_n3": "5*t^-2", "pminus_n4": "t^-3",
+    "pminus_n8": "-61/2*t^-7", "pplus_n3": "1/2*t^-5", "random_n6_seed1": "3/5*t^-11",
     "random_n6_seed2": "2/9*t^-11", "random_n6_seed3": "-3/4*t^-11",
+    "scalar_action_n4": "-3*t^-3",
 }
 
 
