@@ -23,7 +23,12 @@ Writes, for dimensions up to 8:
                                               forms (pminus, nu, one tensor
                                               x*y = a(x) y + b(y) x with a, b
                                               not proportional) moved by a
-                                              seeded rational basis change
+                                              seeded rational basis change;
+                                              then lambda2 branch inputs whose
+                                              square witness is e_p, e_p + e_q
+                                              and 2 e_p + e_q at n = 3 and 8,
+                                              moved n3minus at n = 8 and a
+                                              non-skew n3minus input
   witnesses/<name>.witness.json               ``classify --out`` of each
 """
 
@@ -160,7 +165,15 @@ def witness_golden_inputs() -> dict:
     random_invertible_matrix(n, Random(f"witness-golden:{name}"), bound=2):
     pminus at n = 2, 3 and 8, nu at n = 1 and at n = 2, 3 and 8 for every
     sample alpha, and x*y = a(x) y + b(y) x at n = 4 with a = (2, 0, 1, -1),
-    b = (1, 1, -1, 1), which takes nu's branch without being nu."""
+    b = (1, 1, -1, 1), which takes nu's branch without being nu.
+
+    Then the square and pair branches, each drawn from
+    Random(f"witness-golden:{name}"): at n = 3 and 8, lambda2 moved
+    (square witness e_1), a tensor with every e_i*e_i = 0 (witness
+    e_1 + e_2) and ``doubled_square_algebra`` (witness 2 e_p + e_q); n3minus
+    at n = 8 moved; and at n = 5 the n3minus tensor plus the symmetric part
+    x*y + y*x = l(x) y + l(y) x, moved, whose squares stay on their lines
+    but whose e1*e2 leaves its plane."""
     out = {name: construct(form) for name, form in {
         "pplus_n3": CanonicalForm(Tag.P_PLUS, 3),
         "n3minus_n4": CanonicalForm(Tag.N3_MINUS, 4),
@@ -184,10 +197,49 @@ def witness_golden_inputs() -> dict:
             entries[(j, i, j)] = Fraction(a[i])
             entries[(i, i, j)] = entries.get((i, i, j), 0) + b[j]
     moved["scalar_action_n4"] = Algebra.from_entries(4, entries)
+    for n in (3, 8):
+        moved[f"lambda2_n{n}"] = construct(CanonicalForm(Tag.LAMBDA2, n))
+    moved["n3minus_n8"] = construct(CanonicalForm(Tag.N3_MINUS, 8))
+    rng = random.Random("witness-golden:n3minus_on_lines_n5")
+    lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(5)]
+    entries = {(2, 0, 1): one, (2, 1, 0): -one}
+    for i in range(5):
+        for j in range(5):
+            entries[(j, i, j)] = entries.get((j, i, j), 0) + lam[i] / 2
+            entries[(i, i, j)] = entries.get((i, i, j), 0) + lam[j] / 2
+    moved["n3minus_on_lines_n5"] = Algebra.from_entries(5, entries)
     for name, alg in moved.items():
         rng = random.Random(f"witness-golden:{name}")
         out[name] = apply_basis_change(alg, random_invertible_matrix(alg.dim, rng, bound=2))
+    for n in (3, 8):
+        rng = random.Random(f"witness-golden:square_sum_n{n}")
+        out[f"square_sum_n{n}"] = Algebra.from_entries(n, {
+            (k, i, j): Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3))
+            for k in range(n) for i in range(n) for j in range(n)
+            if i != j and rng.random() < 0.5})
+        rng = random.Random(f"witness-golden:square_doubled_n{n}")
+        out[f"square_doubled_n{n}"] = doubled_square_algebra(n, (n // 3, n - 1), rng)
     return out
+
+
+def doubled_square_algebra(n: int, pq: tuple, rng: random.Random) -> Algebra:
+    """A tensor whose squares on the basis vectors and their pairwise sums
+    stay on their lines while (2 e_p + e_q)^2 does not, for pq = (p, q),
+    p < q: e_i*e_i = l_i e_i, and e_i*e_j + e_j*e_i = a e_i + b e_j for
+    i < j with a = l_j - l_i + b, which keeps (e_i + e_j)^2 on its line;
+    b = l_i keeps (2 e_i + e_j)^2 on its line too, and b = l_p + 1 at pq
+    does not.  Each pair also gets a random skew part."""
+    lam = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    entries = {(i, i, i): lam[i] for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = lam[i] + ((i, j) == pq)
+            sym = {i: lam[j] - lam[i] + b, j: b}
+            for k in range(n):
+                skew = Fraction(rng.randint(-2, 2)) if rng.random() < 0.4 else 0
+                entries[(k, i, j)] = (sym.get(k, 0) + skew) / 2
+                entries[(k, j, i)] = (sym.get(k, 0) - skew) / 2
+    return Algebra.from_entries(n, {key: v for key, v in entries.items() if v})
 
 
 def write_witness_golden(root: Path) -> None:

@@ -853,7 +853,11 @@ WITNESS_DETS = {
     "pminus_n2": "-t^-1", "pminus_n3": "5*t^-2", "pminus_n4": "t^-3",
     "pminus_n8": "-61/2*t^-7", "pplus_n3": "1/2*t^-5", "random_n6_seed1": "3/5*t^-11",
     "random_n6_seed2": "2/9*t^-11", "random_n6_seed3": "-3/4*t^-11",
-    "scalar_action_n4": "-3*t^-3",
+    "scalar_action_n4": "-3*t^-3", "lambda2_n3": "-1/9*t^-5",
+    "lambda2_n8": "-1/122018*t^-15", "n3minus_n8": "2/969*t^-14",
+    "n3minus_on_lines_n5": "1/6*t^-8", "square_doubled_n3": "1/2*t^-5",
+    "square_doubled_n8": "1/2*t^-15", "square_sum_n3": "-1/2*t^-5",
+    "square_sum_n8": "2/3*t^-15",
 }
 
 
