@@ -2,7 +2,9 @@
 """Sweep the classifier over seed-pinned random non-abelian algebras.
 
 Every witness is re-verified exactly; the script exits nonzero on the first
-failure.  Example:
+failure.  It prints the targets and entry branches seen, and one sha256 over
+the JSON of every witness (``jsonio.dumps(witness_to_dict(w))``, in sweep
+order), which pins the witness bytes.  Example:
 
     python scripts/classify_sweep.py --count 1000 --dims 2,3,4,5,6
 """
@@ -10,11 +12,13 @@ failure.  Example:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from collections import Counter
 
 from levelone import ClassifierConfig, classify, random_algebra, verify_degeneration
+from levelone.jsonio import dumps, witness_to_dict
 
 
 def main() -> int:
@@ -29,6 +33,7 @@ def main() -> int:
     densities = [float(x) for x in args.densities.split(",")]
     targets: Counter = Counter()
     traces: Counter = Counter()
+    digest = hashlib.sha256()
     t0 = time.time()
     for idx in range(args.count):
         n = dims[idx % len(dims)]
@@ -40,12 +45,14 @@ def main() -> int:
         if not report.passed:
             print(f"FAIL at seed {seed}: {report.diagnostics}", file=sys.stderr)
             return 1
+        digest.update(dumps(witness_to_dict(w)).encode())
         targets[w.target.tag.value] += 1
         traces[w.branch_trace[0].split(" ")[0]] += 1
     dt = time.time() - t0
     print(f"{args.count} algebras classified and re-verified in {dt:.1f}s")
     print("targets:", dict(sorted(targets.items())))
     print("entry branches:", dict(sorted(traces.items())))
+    print("witness sha256:", digest.hexdigest())
     return 0
 
 

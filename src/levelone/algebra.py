@@ -25,10 +25,10 @@ The limits ``transport`` reads off Z[t] are stored by ``_integer_algebra``:
 integer columns over one denominator, divided by their gcd.
 
 ``_frame`` completes seed vectors to a frame and returns the frame's
-inverse from the same elimination; ``extend_basis`` is its basis, and the
-classifier's lambda2 and n3minus witnesses are such inverses.  The pminus
-and nu witnesses and the recognizer's isos are written down from integer
-reads instead, and their tests take ``_frame`` as the reference.
+inverse from the same elimination; ``extend_basis`` is its basis.  The
+classifier's witnesses and the recognizer's isos are such inverses, written
+down from integer reads instead, and their tests take ``_frame`` as the
+reference.
 
 ``_scalar_action`` decides in one read of the slices, in ints, whether the
 tensor is c^k_ij = a_i [k = j] + b_j [k = i] for linear forms a and b: the

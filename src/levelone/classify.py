@@ -38,48 +38,50 @@ points of distinct slope):
     basis vectors, their pairwise sums, then 2 e_p + e_q for p != q.
 
 The searches sweep these lists in that order and stop at the first
-witness, so nothing is drawn at random and there is no fallback.  The
-square search checks the identity once its n basis vectors, which find
-most witnesses, found none.  Each branch's premise follows from the
-identities, so the branches build their frames without re-checking it;
+witness, so nothing is drawn at random and there is no fallback.  Both run
+over Z: a basis vector's square is a stored column, every other candidate
+is squared or multiplied in ints (``algebra._pair_products``), and the
+line and plane tests are integer minors.  The square search reads the
+identity once its n basis vectors, which find most witnesses, found none:
+first the tensor's, which implies the symmetrised one and which the pair
+search and the pminus and nu branches then reuse, and the symmetrised one
+only when it fails.  Each branch's premise follows from the identities, so
+the branches build their frames without re-checking it;
 ``verify_degeneration`` still checks every emitted witness exactly.
 
 Every branch ends in the inverse (den, rows) over Z of a frame, and pole
-weights w.  The lambda2 and n3minus frames are read off one integer echelon
-with their inverse; the pminus and nu inverses are written down from the
-identity's (A, B, D), so those branches run no elimination.  ``_assemble``
-stores the family diag(t^-w) * rows / den straight in the cleared form
-P / (L*t^s) of ``transport.ParamMatrix``, canonical after one gcd, and the
-verifier's row-monomial read-off takes the integers back off P.  No
-Fraction matrix and no FieldElement is built between the frame and the
-verdict.
+weights w; no branch runs an elimination.  The lambda2 and n3minus frames
+are their k = 2 or 3 seeds completed by basis vectors, and their inverses
+are written down from the adjugate of a k x k block of the seeds
+(``_frame_inverse``); the pminus and nu inverses are written down from the
+identity's (A, B, D).  ``_assemble`` stores the family diag(t^-w) *
+rows / den straight in the cleared form P / (L*t^s) of
+``transport.ParamMatrix``, canonical after one gcd, and the verifier's
+row-monomial read-off takes the integers back off P, in the one
+elimination of the op.  No Fraction matrix and no FieldElement is built
+between the frame and the verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .algebra import (
     Algebra,
     Vector,
     _deterministic_candidates,
-    _frame,
+    _pair_products,
     _scalar_action,
-    proportionality,
     rebase,  # noqa: F401  (perfbench/test_perfbench.py reads this binding)
-    vec_is_zero,
 )
 from .canonical import CanonicalForm, Tag
 from .errors import AbelianInput, SearchExhausted
 from .transport import ParamMatrix, Witness, verify_degeneration
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,13 @@ def classify(a: Algebra, cfg: ClassifierConfig | None = None) -> Witness:
 def span_witness_search(a: Algebra, mode: str):
     """A vector whose square leaves its line (``"square"``) or an ordered
     pair whose product leaves its plane (``"pair"``), the first on the
-    grid; None exactly when there is none."""
+    grid; None exactly when there is none.  Vectors come as Fractions."""
     if mode == "square":
-        hit = _find_square(a)
-        return hit and hit[0]
+        hit = _find_square(a)[0]
+        return hit and tuple(map(Fraction, hit[0]))
     if mode == "pair":
-        return _find_pair(a, _scalar_action(a))
+        hit = _find_pair(a, _scalar_action(a))
+        return hit and tuple(tuple(map(Fraction, v)) for v in hit[:2])
     raise ValueError(f"unknown search mode {mode!r}")
 
 
@@ -118,56 +121,146 @@ def span_witness_search(a: Algebra, mode: str):
 
 
 def _pair_grid(n: int) -> tuple:
-    """Basis vectors, then pairwise sums e_i + e_j (i < j)."""
-    return _deterministic_candidates(n)
+    """Basis vectors, then pairwise sums e_i + e_j (i < j), over Z."""
+    return _integer_candidates(n)
 
 
 def _square_grid(n: int):
     """The pair grid, then 2 e_p + e_q for ordered p != q."""
-    yield from _deterministic_candidates(n)
+    yield from _integer_candidates(n)
     for p in range(n):
         for q in range(n):
             if q != p:
-                yield tuple(TWO if k == p else ONE if k == q else ZERO for k in range(n))
+                yield tuple(2 if k == p else 1 if k == q else 0 for k in range(n))
 
 
-def _find_square(a: Algebra):
-    """(x, x*x) for the first x on the square grid whose square leaves its
-    line.
+@functools.cache
+def _integer_candidates(n: int) -> tuple:
+    """``algebra.deterministic_candidates`` over Z, built once per n."""
+    return tuple(tuple(map(int, v)) for v in _deterministic_candidates(n))
 
-    Past the n basis vectors, which find most witnesses, the sweep stops
-    when the symmetrised tensor has the scalar-action form: every square
-    then stays on its line."""
-    n = a.dim
-    if n < 2:
-        return None
-    for idx, x in enumerate(_square_grid(n)):
-        if idx == n and _scalar_action(a, symmetrised=True) is not None:
-            return None
-        s = a.product(x, x)
-        if not vec_is_zero(s) and proportionality(s, x) is None:
-            return x, s
-    return None
+
+def _find_square(a: Algebra) -> tuple:
+    """(hit, read): hit = (x, S) for the first x on the square grid whose
+    square x*x = S / cden leaves its line, S over Z, or None; read is
+    ``_scalar_action(a)`` when the sweep read it, else None.
+
+    A basis vector's square is the column (i, i), which leaves the line of
+    e_i when it has an entry off row i.  Past the n basis vectors, which
+    find most witnesses, the sweep reads the tensor's scalar-action form,
+    then, only when it has none, the symmetrised tensor's: either form keeps
+    every square on its line, and the sweep stops.  Every other candidate is
+    squared in ints, and S is on the line of x exactly when
+    S_k x_p = S_p x_k for p the first index with x_p != 0."""
+    n, slices = a.dim, a._slices
+    grid = _square_grid(n)
+    for i, x in enumerate(itertools.islice(grid, n)):
+        hits = slices.get((i, i), ())
+        if any(k != i for k, _ in hits):
+            square = [0] * n
+            for k, c in hits:
+                square[k] = c
+            return (x, square), None
+    read = _scalar_action(a)
+    if read is None and n > 1 and _scalar_action(a, symmetrised=True) is None:
+        for x in grid:
+            square = next(_pair_products(a, [x], [x]))
+            p = next(i for i, v in enumerate(x) if v)
+            if any(s * x[p] != square[p] * v for s, v in zip(square, x)):
+                return (x, square), None
+    return None, read
 
 
 def _find_pair(a: Algebra, read: tuple | None):
-    """(x, y) for the first ordered pair on the pair grid whose product
-    leaves their plane; None at once when the tensor has the scalar-action
-    form (``read``, its ``_scalar_action``), which in dimension >= 3 is
-    every product staying in its plane."""
+    """(x, y, P) for the first ordered pair on the pair grid whose product
+    x*y = P / cden leaves their plane, P over Z; None at once when the
+    tensor has the scalar-action form (``read``, its ``_scalar_action``),
+    which in dimension >= 3 is every product staying in its plane."""
     if a.dim < 3 or read is not None:
         return None
     grid = _pair_grid(a.dim)
-    for ix, x in enumerate(grid):
-        for iy, y in enumerate(grid):
-            if ix == iy:
-                continue
-            p = a.product(x, y)
-            if vec_is_zero(p):
-                continue
-            if linalg.rank([list(x), list(y), list(p)]) == 3:
-                return x, y
+    m = len(grid)
+    for idx, prod in enumerate(_pair_products(a, grid, grid)):
+        ix, iy = divmod(idx, m)
+        if ix != iy and _leaves_plane(grid[ix], grid[iy], prod):
+            return grid[ix], grid[iy], prod
     return None
+
+
+def _leaves_plane(x: Vector, y: Vector, p: list) -> bool:
+    """Whether the integer vector p is off the plane of the independent x
+    and y.  For a the first index with x_a != 0 and b the first with
+    m = x_a y_b - x_b y_a != 0, Cramer's rule on the coordinates a, b puts
+    p in the plane exactly when m p = u x + v y with u = p_a y_b - p_b y_a
+    and v = x_a p_b - x_b p_a."""
+    a = next(i for i, v in enumerate(x) if v)
+    xa, ya, pa = x[a], y[a], p[a]
+    b, m = next((b, m) for b in range(len(x)) if (m := xa * y[b] - x[b] * ya))
+    u, v = pa * y[b] - p[b] * ya, xa * p[b] - x[b] * pa
+    return any(m * pc != u * xc + v * yc for xc, yc, pc in zip(x, y, p))
+
+
+def _frame_inverse(seeds: list, dens: list) -> tuple[int, list]:
+    """(den, rows) over Z for the inverse of the frame ``algebra._frame``
+    completes k = 2 or 3 independent seeds x_s = X_s / d_s (X_s over Z,
+    ``seeds``; d_s, ``dens``) to: the seeds, then e_j in increasing j for
+    the j outside a set J of k rows.
+
+    e_j joins the frame unless it depends on the seeds and the earlier e's,
+    that is unless row j of X = (X_0 ... X_(k-1)) is independent of the
+    rows below it; so J is picked from the bottom: the last nonzero row,
+    then each time the last earlier row independent of those picked (a
+    2 x 2 minor for k = 2, a cross or triple product for k = 3).  With
+    delta = det X_J and its adjugate, the inverse over delta has
+    d_s adj(X_J)[s] at the columns J for seed s, and for j outside J delta
+    at column j and -X[j] adj(X_J) at the columns J; everything is negated
+    when delta < 0, so that den > 0."""
+    rows = list(zip(*seeds))  # X, one row per coordinate
+    n = len(rows)
+    j_last = _last_row(rows, n, any)
+    r_last = rows[j_last]
+    if len(seeds) == 2:
+        c, d = r_last
+        j = _last_row(rows, j_last, lambda r: r[0] * d - r[1] * c)
+        a, b = rows[j]
+        picked, delta, adj = (j, j_last), a * d - b * c, [(d, -c), (-b, a)]
+    else:
+        j1 = _last_row(rows, j_last, lambda r: any(_cross(r, r_last)))
+        r1 = rows[j1]
+        adj0 = _cross(r1, r_last)
+        j0 = _last_row(rows, j1, lambda r: _dot(r, adj0))
+        r0 = rows[j0]
+        picked, delta = (j0, j1, j_last), _dot(r0, adj0)
+        adj = [adj0, _cross(r_last, r0), _cross(r0, r1)]
+    if delta < 0:
+        delta, adj = -delta, [[-x for x in col] for col in adj]
+    out = []
+    for s, ds in enumerate(dens):
+        row = [0] * n
+        for j, col in zip(picked, adj):
+            row[j] = ds * col[s]
+        out.append(row)
+    for j, r in enumerate(rows):
+        if j not in picked:
+            row = [0] * n
+            row[j] = delta
+            for jj, col in zip(picked, adj):
+                row[jj] = -_dot(r, col)
+            out.append(row)
+    return delta, out
+
+
+def _last_row(rows: list, stop: int, test) -> int:
+    """The last index j < stop with test(rows[j])."""
+    return next(j for j in reversed(range(stop)) if test(rows[j]))
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 def _fmt(v: Vector) -> str:
@@ -195,13 +288,13 @@ def _assemble(inv: tuple, weights: list, tag: Tag, trace: list, alpha=None) -> W
 def _attempt(a: Algebra) -> Witness:
     n = a.dim
     skew = a.is_anticommutative()
-    if not skew and (sq := _find_square(a)) is not None:
-        x, square = sq
-        _, inv = _frame(n, [x, square])
+    hit, read = (None, _scalar_action(a)) if skew else _find_square(a)
+    if hit is not None:
+        x, square = hit
         trace = [f"SquareWitnessFound x={_fmt(x)}"]
-        return _assemble(inv, [1] + [2] * (n - 1), Tag.LAMBDA2, trace)
+        return _assemble(_frame_inverse([x, square], [1, a._cden]), [1] + [2] * (n - 1),
+                         Tag.LAMBDA2, trace)
     trace = ["Antisymmetric" if skew else "SquareInSpan"]
-    read = _scalar_action(a)
     pair = _find_pair(a, read)
     if pair is not None:
         return _n3minus_branch(a, pair, trace)
@@ -211,16 +304,15 @@ def _attempt(a: Algebra) -> Witness:
 
 
 def _n3minus_branch(a: Algebra, pair: tuple, trace: list) -> Witness:
-    """The product x*y escapes the plane of x and y.
+    """The product x*y = P / cden escapes the plane of x and y.
 
     Either the algebra is anticommutative, or its squares stay on their
     lines and polarization gives y*x = -x*y modulo the plane; either way
     that is exactly what survives the (1, 1, 2, ..., 2) scaling."""
-    x, y = pair
+    x, y, prod = pair
     trace.append(f"PairWitnessFound x={_fmt(x)} y={_fmt(y)}")
-    _, inv = _frame(a.dim, [x, y, a.product(x, y)])
-    return _assemble(inv, [1, 1] + [2] * (a.dim - 2), Tag.N3_MINUS,
-                     trace)
+    inv = _frame_inverse([x, y, prod], [1, 1, a._cden])
+    return _assemble(inv, [1, 1] + [2] * (a.dim - 2), Tag.N3_MINUS, trace)
 
 
 def _unit_row(n: int, i: int, c: int) -> list:

@@ -10,10 +10,13 @@ read off an echelon, behind ``nullspace`` and called nowhere else.
 ``_inverse`` reads the echelon of [a | I] for an integer matrix a as
 (den, rows), rows / den = a^-1 over the lcm of the pivots; ``mat_inverse`` is its Fraction view, and basis changes
 and the row-monomial limit in ``transport`` take the integers as they are.
-``algebra._frame`` (behind ``extend_basis``) eliminates its candidates once
-and reads both the chosen frame (the pivot columns) and the frame's inverse
-(the identity block, each row over its pivot) off the same echelon.  Only
-output entries are built as Fractions.
+``algebra._frame`` (behind the public ``extend_basis``) eliminates its
+candidates once and reads both the chosen frame (the pivot columns) and the
+frame's inverse (the identity block, each row over its pivot) off the same
+echelon; no library operation calls it, as the classifier's and the
+recognizer's frame inverses are written down from their reads, and the
+tests take it as their reference.  Only output entries are built as
+Fractions.
 
 The one other elimination is ``bareiss``, a fraction-free Gauss-Jordan over
 Z[t] that works in place.  ``mat_det`` runs it on the row-scaled integer

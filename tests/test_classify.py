@@ -27,6 +27,7 @@ from levelone import (
 )
 from levelone.algebra import (
     _frame,
+    _pair_products,
     _scalar_action,
     extend_basis,
     proportionality,
@@ -36,10 +37,9 @@ from levelone.algebra import (
 )
 from levelone.errors import SearchExhausted
 from levelone.jsonio import witness_to_dict
-from levelone.linalg import rank
+from levelone.linalg import _fractions, rank
 
 classify_mod = importlib.import_module("levelone.classify")
-linalg_mod = importlib.import_module("levelone.linalg")
 
 
 def canon(tag, n, alpha=None):
@@ -201,21 +201,58 @@ class TestSoundnessSample:
         assert len(traces) >= 2
 
 
+def count_calls(monkeypatch, names):
+    """Wrap the levelone functions named by (module, name) wherever a
+    levelone module binds them; the returned list gets (name, args, kwargs)
+    for every call."""
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return f(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(importlib.import_module(module), name) for module, name in names}
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("levelone"):
+            for name, f in originals.items():
+                if getattr(module, name, None) is f:
+                    monkeypatch.setattr(module, name, counted(name, f))
+    return calls
+
+
+FRAME_AND_ECHELON = [("levelone.algebra", "_frame"), ("levelone.algebra", "extend_basis"),
+                     ("levelone.linalg", "_echelon")]
+
+
+def only_the_verifiers_elimination(calls, n):
+    """No frame was built, and the one elimination had the verifier's n rows."""
+    assert not [c for c in calls if c[0] in ("_frame", "extend_basis")]
+    assert [len(args[0]) for name, args, _ in calls if name == "_echelon"] == [n]
+
+
+def non_skew_n3minus(n, rng):
+    """n3minus plus the symmetric part x*y + y*x = l(x) y + l(y) x, moved: its
+    squares stay on their lines, and e1*e2 leaves its plane."""
+    lam = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    entries = {(2, 0, 1): F(1), (2, 1, 0): F(-1)}
+    for i in range(n):
+        for j in range(n):
+            entries[(j, i, j)] = entries.get((j, i, j), 0) + lam[i] / 2
+            entries[(i, i, j)] = entries.get((i, i, j), 0) + lam[j] / 2
+    a = Algebra.from_entries(n, {key: v for key, v in entries.items() if v})
+    return apply_basis_change(a, random_invertible_matrix(n, rng, bound=2))
+
+
 class TestEliminationCount:
-    """A square witness takes one integer elimination for its frame and the
-    frame's inverse, and one in the verifier, which inverts the family's
-    rational part itself."""
+    """A square or pair witness is written down from the adjugate of its
+    seeds' block: the one integer elimination of the op is the verifier's,
+    which inverts the family's rational part itself."""
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_a_lambda2_witness_costs_two_eliminations(self, monkeypatch, n):
-        calls = []
-        echelon = linalg_mod._echelon
-
-        def counted(rows):
-            calls.append(len(rows))
-            return echelon(rows)
-
-        monkeypatch.setattr(linalg_mod, "_echelon", counted)
+    def test_a_lambda2_witness_costs_one_elimination(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, FRAME_AND_ECHELON)
         squares = 0
         for seed in range(6):
             a = random_algebra(n, (0.15, 0.4, 0.8)[seed % 3], seed=seed, nonabelian=True)
@@ -223,15 +260,80 @@ class TestEliminationCount:
             w = classify(a, ClassifierConfig(seed=seed))
             if w.branch_trace[0].startswith("SquareWitnessFound"):
                 assert w.target.tag is Tag.LAMBDA2
-                assert calls == [n, n]
+                only_the_verifiers_elimination(calls, n)
                 squares += 1
         assert squares
+
+    @pytest.mark.parametrize("skew", [True, False], ids=["Antisymmetric", "SquareInSpan"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_an_n3minus_witness_costs_one_elimination(self, monkeypatch, n, skew):
+        rng = random.Random(f"n3minus:{n}")
+        if skew:
+            a = apply_basis_change(canon(Tag.N3_MINUS, n),
+                                   random_invertible_matrix(n, rng, bound=2))
+        else:
+            a = non_skew_n3minus(n, rng)
+        calls = count_calls(monkeypatch, FRAME_AND_ECHELON)
+        w = classify(a)
+        assert w.target.tag is Tag.N3_MINUS
+        assert w.branch_trace[0] == ("Antisymmetric" if skew else "SquareInSpan")
+        only_the_verifiers_elimination(calls, n)
+
+
+class TestFrameInverse:
+    """``_frame_inverse`` writes down, from a k x k adjugate, the inverse
+    that ``algebra._frame`` reads off an echelon for the same seeds."""
+
+    @staticmethod
+    def coordinates(data, n, near):
+        """An integer vector, mostly zeros, optionally plus multiples of the
+        ``near`` vectors, so that rows of the seed matrix vanish or depend on
+        the rows below them."""
+        v = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n, max_size=n))
+        for u in near:
+            c = data.draw(st.integers(-2, 2))
+            v = [x + c * y for x, y in zip(v, u)]
+        return v
+
+    @staticmethod
+    def check(n, seeds, dens):
+        rational = [[F(x, d) for x in seed] for seed, d in zip(seeds, dens)]
+        assume(rank(rational) == len(seeds))
+        got = classify_mod._frame_inverse(seeds, dens)
+        assert got[0] > 0
+        assert _fractions(got) == _fractions(_frame(n, rational)[1])
+
+    @given(st.integers(2, 8), st.data())
+    @settings(max_examples=300)
+    def test_a_square_seed_pair(self, n, data):
+        x = data.draw(st.sampled_from(list(classify_mod._square_grid(n))))
+        near = data.draw(st.sampled_from([[], [x]]))
+        self.check(n, [x, self.coordinates(data, n, near)], [1, data.draw(st.integers(1, 12))])
+
+    @given(st.integers(3, 8), st.data())
+    @settings(max_examples=300)
+    def test_a_pair_seed_triple(self, n, data):
+        grid = classify_mod._pair_grid(n)
+        x, y = data.draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2, unique=True))
+        near = data.draw(st.sampled_from([[], [x], [x, y]]))
+        self.check(n, [x, y, self.coordinates(data, n, near)],
+                   [1, 1, data.draw(st.integers(1, 12))])
+
+    @given(st.integers(3, 8), st.data())
+    @settings(max_examples=100)
+    def test_the_witness_triples_of_random_algebras(self, n, data):
+        a = random_algebra(n, data.draw(st.sampled_from([0.1, 0.3, 0.6])),
+                           data.draw(st.integers(0, 2**31)))
+        grid = classify_mod._pair_grid(n)
+        x, y = data.draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2, unique=True))
+        prod = next(_pair_products(a, [x], [y]))
+        self.check(n, [x, y, prod], [1, 1, a.integer_slices()[0]])
 
 
 class TestScalarActionBranches:
     """pminus and nu witnesses are written down from the one scalar-action
     read that decides their branch: no frame and no elimination runs before
-    the verifier's."""
+    the verifier's, and no symmetrised read."""
 
     @pytest.mark.parametrize("form", [
         CanonicalForm(Tag.NU, 1), CanonicalForm(Tag.P_MINUS, 2), CanonicalForm(Tag.NU, 2, F(2, 3)),
@@ -243,26 +345,12 @@ class TestScalarActionBranches:
         a = apply_basis_change(construct(form),
                                random_invertible_matrix(n, random.Random(n), bound=2))
         want = witness_to_dict(classify(a))
-        calls = []
-
-        def counted(name, f):
-            def wrapper(*args, **kwargs):
-                calls.append((name, kwargs.get("symmetrised", False)))
-                return f(*args, **kwargs)
-            return wrapper
-
-        originals = {name: getattr(importlib.import_module(module), name) for module, name in [
-            ("levelone.algebra", "_frame"), ("levelone.algebra", "extend_basis"),
-            ("levelone.algebra", "_scalar_action"), ("levelone.linalg", "_echelon")]}
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("levelone"):
-                for name, f in originals.items():
-                    if getattr(module, name, None) is f:
-                        monkeypatch.setattr(module, name, counted(name, f))
+        calls = count_calls(monkeypatch,
+                            FRAME_AND_ECHELON + [("levelone.algebra", "_scalar_action")])
         assert witness_to_dict(classify(a)) == want
-        assert not [c for c in calls if c[0] in ("_frame", "extend_basis")]
-        assert calls.count(("_echelon", False)) == 1
-        assert calls.count(("_scalar_action", False)) == 1
+        only_the_verifiers_elimination(calls, n)
+        assert [kw.get("symmetrised", False)
+                for name, _, kw in calls if name == "_scalar_action"] == [False]
 
     @given(st.integers(1, 8), st.sampled_from(["skew", "parallel", "a zero", "general"]),
            st.data())
@@ -421,6 +509,22 @@ class TestIdentities:
                 kinds.add((on_lines, planar))
         assert kinds == {(True, True), (True, False), (False, False)}
 
+    def test_the_integer_sweeps_find_the_fraction_sweeps_witnesses(self):
+        """The sweeps square and multiply over Z; the same grids swept with
+        Fraction products, lines and ranks find the same first witnesses."""
+        rng = random.Random("fraction sweeps")
+        for a in [a for n in range(2, 6) for a in identity_inputs(n, rng)]:
+            n = a.dim
+            pairs = deterministic_candidates(n)
+            doubled = [vec_add(vec_scale(unit_vector(n, p), F(2)), unit_vector(n, q))
+                       for p in range(n) for q in range(n) if p != q]
+            square = next((x for x in pairs + doubled if not vec_is_zero(s := a.product(x, x))
+                           and proportionality(s, x) is None), None)
+            pair = next(((x, y) for x in pairs for y in pairs
+                         if x != y and rank([x, y, a.product(x, y)]) == 3), None)
+            assert span_witness_search(a, "square") == square
+            assert span_witness_search(a, "pair") == (pair if n >= 3 else None)
+
     @pytest.mark.parametrize("tag,alpha", [(Tag.NU, F(2, 3)), (Tag.NU, F(-3)),
                                            (Tag.P_MINUS, None)])
     def test_scalar_action_forms_never_sweep(self, monkeypatch, tag, alpha):
@@ -444,6 +548,25 @@ class TestIdentities:
         assert witness_to_dict(classify(a)) == want
         assert read == deterministic_candidates(n)[:len(read)] and len(read) <= n + 1
         assert pair_grids == []
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_squares_on_their_lines_stop_the_square_sweep(self, monkeypatch, n):
+        """Squares on their lines but a product off its plane: the square
+        search reads the basis vectors, then both identities, and stops."""
+        a = non_skew_n3minus(n, random.Random(n))
+        read = []
+        square_grid = classify_mod._square_grid
+
+        def counted(n):
+            for v in square_grid(n):
+                read.append(v)
+                yield v
+
+        monkeypatch.setattr(classify_mod, "_square_grid", counted)
+        w = classify_and_check(a)
+        assert [step.split(" ")[0] for step in w.branch_trace] == [
+            "SquareInSpan", "PairWitnessFound"]
+        assert read == deterministic_candidates(n)[:n]
 
 
 class TestGrids:

@@ -279,7 +279,10 @@ class TestClassify:
         # the pplus_n3, n3minus_n4, pminus_n4, nu_n4_alpha_2_3, grid_n2 and
         # random witnesses were written before families were stored as
         # P / (L*t^s), the moved pminus, nu and scalar_action ones before
-        # their frame inverses were written down from the scalar-action read
+        # their frame inverses were written down from the scalar-action read,
+        # and the lambda2, square_* and n3minus_n8 / n3minus_on_lines ones
+        # before the square search ran over Z and the lambda2 and n3minus
+        # inverses were written down from the seeds' adjugate
         recorded = FIXTURES / "witnesses"
         algebra = recorded / f"{name}.algebra.json"
         if name.startswith("random_"):
