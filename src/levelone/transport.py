@@ -25,15 +25,17 @@ at t = 0 depends on D only through s and L: wherever a read-off below says
 L*t^s, D may stand in its place.
 
 One fraction-free kernel does the arithmetic: ``linalg.bareiss`` on
-[P | I] (the elimination behind ``mat_det`` and ``char_poly`` too) gives
-d = +-det P and R = d * P^-1 with no gcds, and the transported tensor is
-D * P.C.(R x R) / (cden * d^2) with C = cden * c the algebra's stored
-integer form, read column by column.  Limits are read off that integer
-numerator truncated at exponent 2*val(d) - s, after cancelling the power of
-t that R and d share.  ``transport`` and ``invert`` return these quotients
-unreduced: equal in Q(t) to the reduced ones, with only the power of t
-cancelled.  ``ParamMatrix.det`` is sign * d / D^n from ``bareiss`` on P
-alone.
+[P | I] (the elimination behind ``mat_det`` and ``char_poly`` too, run as
+one integer elimination of the values at t = 2^k) gives d = +-det P and
+R = d * P^-1 with no gcds.  The sign of d follows the pivots; every read
+below takes d with R, d^2 or sign * d, so none depends on it.  The
+transported tensor is D * P.C.(R x R) / (cden * d^2) with C = cden * c the
+algebra's stored integer form, read column by column.  Limits are read off
+that integer numerator truncated at exponent 2*val(d) - s, after cancelling
+the power of t that R and d share.  ``transport`` and ``invert`` return
+these quotients unreduced: equal in Q(t) to the reduced ones, with only the
+power of t cancelled.  ``ParamMatrix.det`` is sign * d / D^n from
+``bareiss`` on P alone.
 
 Many families, every classifier witness and bundled fixture family among
 them, are row-monomial: g = diag(t^e) * m with m rational.  Then

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from levelone import CanonicalForm, Tag, construct
+from levelone import CanonicalForm, Tag, construct, linalg
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
 from levelone.poly import MAX_COEFF_DIGITS, MAX_DIM
@@ -385,6 +385,45 @@ class TestTransportCommand:
                   "--family", str(fam), "--limit", "--json")
         want = FIXTURES / "limits" / f"random_n4_pb2_seed{seed}.{name}.limit.json"
         assert got == (code, want.read_text())
+
+    @pytest.mark.parametrize("dim,seed,algebra", [
+        (8, 3, "lambda2_n8"), (8, 1, "random_n8_seed1"), (12, 4, "random_n12_seed4")])
+    def test_kernel_limit_of_a_random_family_matches_the_recorded_bytes(
+            self, capsys, tmp_path, dim, seed, algebra):
+        # general algebras under general families: the fraction-free kernel
+        fam, alg = tmp_path / "g.family.json", tmp_path / "a.algebra.json"
+        assert main(["random", "--kind", "family", "--dim", str(dim), "--pole-bound", "2",
+                     "--seed", str(seed), "--out", str(fam)]) == 0
+        if algebra.startswith("random"):
+            assert main(["random", "--kind", "algebra", "--dim", str(dim), "--seed", str(seed),
+                         "--non-abelian", "--out", str(alg)]) == 0
+        else:
+            alg = canonical_path(algebra)
+        got = run(capsys, "transport", "--algebra", str(alg), "--family", str(fam),
+                  "--limit", "--json")
+        want = FIXTURES / "limits" / f"random_n{dim}_pb2_seed{seed}.{algebra}.limit.json"
+        assert got == (0, want.read_text())
+
+    @pytest.mark.parametrize("name,code,out", [
+        ("pminus_n8", 1, "no limit at t=0; entries with poles: (2, 1, 2), (2, 2, 1), (3, 1, 3),"
+                         " (3, 3, 1), (4, 1, 4), (4, 4, 1), (5, 1, 5), (5, 5, 1), ...\n"),
+        ("lambda2_n8", 0, '{\n  "dim": 8,\n  "products": []\n}\n')])
+    def test_huge_coefficients_at_high_degree_are_not_packed(self, capsys, tmp_path,
+                                                             monkeypatch, name, code, out):
+        # diag(c*t^1200) + t*e_11 with a 4000-digit c: packed at t = 2^k, an
+        # entry would take about 10^9 bits, so the elimination runs term by term
+        def refuse(*args):
+            raise AssertionError("packed an elimination past the bit budget")
+
+        monkeypatch.setattr(linalg, "_bareiss_packed", refuse)
+        c = 10**3999 + 7
+        entries = [{"row": i, "col": i, "poly": f"{c}*t^1200"} for i in range(1, 9)]
+        entries[0]["poly"] += " + t"
+        fam = tmp_path / "g.family.json"
+        fam.write_text(json.dumps({"dim": 8, "entries": entries}))
+        got = run(capsys, "transport", "--algebra", canonical_path(name), "--family", str(fam),
+                  "--limit")
+        assert got == (code, out)
 
     @pytest.mark.parametrize("at,tag", [("1/2", "1_2"), ("-3/2", "m3_2")])
     @pytest.mark.parametrize("seed", [1, 6])
