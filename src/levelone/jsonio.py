@@ -38,9 +38,12 @@ from .poly import MAX_COEFF_DIGITS, MAX_DIM
 from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness, _cleared
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
+# ASCII digits only, to the end of the text: str.isdigit and int() also take
+# other Unicode digits, and $ a trailing newline
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 # a JSON string, or a run of digits outside every string
-_STRING_OR_DIGITS = re.compile(r'"(?:[^"\\]|\\.)*"|\d+')
+_STRING_OR_DIGITS = re.compile(r'"(?:[^"\\]|\\.)*"|[0-9]+')
 
 
 def _rational_pair(text: str) -> tuple[int, int]:
@@ -64,9 +67,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_integer(text: str) -> int:
-    """int(text), with a literal of more than MAX_COEFF_DIGITS digits
-    refused as CoefficientTooLarge before int() sees it."""
-    digits = sum(map(str.isdigit, text))
+    """The integer of a "[+-]digits" literal, with a literal of more than
+    MAX_COEFF_DIGITS digits refused as CoefficientTooLarge before int()
+    sees it."""
+    if not _INTEGER_RE.match(text):
+        raise ValueError(f"bad integer literal: {shown(text)} (expected [+-]digits)")
+    digits = len(text.lstrip("+-"))
     if digits > MAX_COEFF_DIGITS:
         raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
     return int(text)

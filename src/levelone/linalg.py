@@ -24,8 +24,8 @@ matrix, ``char_poly`` on t*I - den*a, the family kernel of ``transport``
 on [P | I] and its scalar-action read-off on [P^T | A^T B^T].  It
 eliminates the values at t = 2^k as integers (Kronecker substitution), k
 large enough that each value stands for one polynomial, and unpacks only
-what its callers read; past a bit budget on those values it runs term by
-term on the polynomials.
+what its callers read; past a bit budget on those values, or on sparse
+input of high degree, it runs term by term on the polynomials.
 """
 
 from __future__ import annotations
@@ -249,13 +249,22 @@ def _exact_div(a: dict, b: dict) -> dict:
 #: the row degrees and 2^k the base.  Every call of the benchmark workloads
 #: stays within 323 bits, and the kernel [P | I] of a general family of
 #: dimension 8 to 16 with pole bound 2 within 1 080 to 5 888, where a limit
-#: runs 3.5 to 26 times faster packed.  Sparse input of high degree is the
-#: other way round: [P | I] for P = diag(t^200, ..., t^200, 1 + t) of
-#: dimension 8 (14 020 bits) takes 22 ms packed and 0.35 ms term by term,
-#: and diag(c*t^1200) with a 4000-digit c (about 10^9 bits) does not finish
-#: packed in 300 s.  2^14 keeps the general families packed and leaves
-#: diag(t^4000, t^4000, 1 + t) (24 006 bits) to the dict loop.
+#: runs 3.5 to 26 times faster packed.  diag(c*t^1200) with a 4000-digit c
+#: (about 10^9 bits) does not finish packed in 300 s.  2^14 keeps the
+#: general families packed and leaves diag(t^4000, t^4000, 1 + t) (24 006
+#: bits) to the dict loop.
 _PACK_BITS = 1 << 14
+
+#: The largest D per nonzero term of [B | X] that ``bareiss`` packs.  A
+#: packed value pays for every power of t up to its degree, the dict loop
+#: only for the terms there are, so sparse input of high degree runs term by
+#: term even inside the bit budget: [P | I] for P = diag(t^200, ..., t^200,
+#: 1 + t) of dimension 8 (D = 1 401 over 17 terms) takes 25 ms packed and
+#: 0.47 ms term by term, and diag(t^1000, t^1000, 1 + t) (D = 2 001 over 7)
+#: 5.2 ms against 0.05 ms.  Packing and the dict loop cost about the same
+#: near 4 to 8; every call of the benchmark workloads stays below 3, and a
+#: general family below 1.
+_PACK_DEGREE_PER_TERM = 4
 
 
 def bareiss(rows: list) -> tuple[int, dict]:
@@ -274,33 +283,36 @@ def bareiss(rows: list) -> tuple[int, dict]:
     norms.  With k = W.bit_length() + 1, t -> 2^k maps these polynomials
     one to one onto the integers (balanced base-2^k digits give them back),
     and it is a ring map, so each exact division over Z[t] is one exact
-    integer division.  When D <= MAX_DEGREE and (D + 1) * k <= _PACK_BITS
-    the elimination runs on those integers (``_bareiss_packed``) and no
-    minor can pass MAX_DEGREE; otherwise ``_bareiss_dicts`` runs term by
-    term and raises DegreeOverflow on a minor past MAX_DEGREE.
+    integer division.  When D <= MAX_DEGREE, (D + 1) * k <= _PACK_BITS and
+    D <= _PACK_DEGREE_PER_TERM * T, T the number of nonzero terms of
+    [B | X], the elimination runs on those integers (``_bareiss_packed``)
+    and no minor can pass MAX_DEGREE; otherwise ``_bareiss_dicts`` runs term
+    by term and raises DegreeOverflow on a minor past MAX_DEGREE.
     """
-    D, k = _packing(rows)
-    if D <= MAX_DEGREE and (D + 1) * k <= _PACK_BITS:
+    D, k, T = _packing(rows)
+    if D <= MAX_DEGREE and (D + 1) * k <= _PACK_BITS and D <= _PACK_DEGREE_PER_TERM * T:
         return _bareiss_packed(rows, k)
     return _bareiss_dicts(rows)
 
 
-def _packing(rows: list) -> tuple[int, int]:
-    """(D, k) of rows [B | X] for ``bareiss``: D the sum of the row degrees
-    and k = W.bit_length() + 1, W the product over the rows of
-    max(1, sum of |coefficients| in the row)."""
-    D, W = 0, 1
+def _packing(rows: list) -> tuple[int, int, int]:
+    """(D, k, T) of rows [B | X] for ``bareiss``: D the sum of the row
+    degrees, k = W.bit_length() + 1, W the product over the rows of
+    max(1, sum of |coefficients| in the row), and T the number of nonzero
+    terms."""
+    D, W, T = 0, 1, 0
     for row in rows:
         deg, l1 = 0, 0
         for p in row:
             if p:
                 deg = max(deg, max(p))
+                T += len(p)
                 for c in p.values():
                     l1 += abs(c)
         D += deg
         if l1 > 1:
             W *= l1
-    return D, W.bit_length() + 1
+    return D, W.bit_length() + 1, T
 
 
 def _bareiss_packed(rows: list, k: int) -> tuple[int, dict]:

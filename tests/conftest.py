@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from levelone import Algebra, FieldElement, random_invertible_matrix
 from levelone.parser import parse_laurent
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # exact arithmetic has occasional slow examples; wall-clock deadlines only
 # add flakiness here
@@ -67,3 +71,11 @@ def fe(text: str) -> FieldElement:
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+def subprocess_env() -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, for a
+    subprocess that imports levelone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env

@@ -126,7 +126,9 @@ def test_criterion_3_classifier_soundness_sweep():
 
 def test_criterion_4_rigidity_of_pminus_and_nu():
     """Existing limits of p_n^- recognize as p_n^- or abelian; of nu_n(2/3)
-    as nu(2/3) or abelian - the orbit closures contain nothing else."""
+    as nu(2/3) or abelian - the orbit closures contain nothing else.  The
+    draws include every one of ``scripts/rigidity_sweep.py --dims 3,4
+    --count 60``: random_family(n, i % 3, seed=n*1000 + i), for more i and n."""
     t0 = time.time()
     total = 0
     for n in (3, 4, 5):

@@ -24,10 +24,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-sympy = pytest.importorskip("sympy")
-
-from levelone import (  # noqa: E402
+from levelone import (
     Algebra,
     CanonicalForm,
     Subspace,
@@ -44,9 +43,9 @@ from levelone import (  # noqa: E402
     subspace_product,
     unit_vector,
 )
-from levelone.algebra import _frame, _scalar_action, product_form, products_vanish  # noqa: E402
-from levelone.errors import BadDimension, SingularMatrix  # noqa: E402
-from levelone.linalg import (  # noqa: E402
+from levelone.algebra import _frame, _scalar_action, product_form, products_vanish
+from levelone.errors import BadDimension, SingularMatrix
+from levelone.linalg import (
     _int_matrix,
     _inverse,
     char_poly,

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,12 +10,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from levelone import CanonicalForm, Tag, construct, linalg
+from levelone import CanonicalForm, Tag, construct, linalg, recognize
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
 from levelone.poly import MAX_COEFF_DIGITS, MAX_DIM
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from conftest import ROOT, subprocess_env
+
+FIXTURES = ROOT / "fixtures"
 
 
 def canonical_path(name: str) -> str:
@@ -60,16 +64,25 @@ class TestCanonical:
         code, _ = run(capsys, "canonical", "--name", "n3plus", "--dim", "2")
         assert code == 2
 
+    def test_nu_matches_the_fixture_bytes(self, capsys, tmp_path):
+        argv = ["canonical", "--name", "nu", "--dim", "4", "--alpha", "2/3"]
+        want = Path(canonical_path("nu_n4_alpha_2_3")).read_text()
+        assert run(capsys, *argv) == (0, want)
+        out = tmp_path / "nu.json"
+        assert run(capsys, *argv, "--out", str(out)) == (0, "")
+        assert out.read_text() == want
+
 
 class TestVerify:
-    def test_bundled_pplus_family_passes(self, capsys):
-        code, _ = run(
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_bundled_pplus_family_passes(self, capsys, n):
+        code, out = run(
             capsys, "verify",
-            "--algebra", canonical_path("pplus_n5"),
-            "--family", family_path("pplus_to_lambda2_n5"),
-            "--target-canonical", "lambda2:5",
+            "--algebra", canonical_path(f"pplus_n{n}"),
+            "--family", family_path(f"pplus_to_lambda2_n{n}"),
+            "--target-canonical", f"lambda2:{n}",
         )
-        assert code == 0
+        assert (code, out) == (0, "PASS\n")
 
     def test_wrong_claim_fails(self, capsys):
         code, out = run(
@@ -256,21 +269,28 @@ class TestClassify:
         a = algebra_from_dict(json.loads(Path(canonical_path("n3minus_n4")).read_text()))
         assert verify_degeneration(a, w).passed
 
-    def test_reruns_are_byte_identical(self, capsys, tmp_path):
+    @pytest.mark.parametrize("source", ["random", "pplus_n3"])
+    def test_reruns_are_byte_identical(self, capsys, tmp_path, source):
+        # --seed is accepted for compatibility and has no effect
         algebra = tmp_path / "a.json"
-        first, second = tmp_path / "w1.json", tmp_path / "w2.json"
-        code, _ = run(
-            capsys, "random", "--dim", "4", "--density", "0.4",
-            "--seed", "11", "--non-abelian", "--out", str(algebra),
-        )
-        assert code == 0
-        for out_file in (first, second):
+        if source == "random":
             code, _ = run(
-                capsys, "classify", "--algebra", str(algebra),
-                "--seed", "5", "--out", str(out_file),
+                capsys, "random", "--dim", "4", "--density", "0.4",
+                "--seed", "11", "--non-abelian", "--out", str(algebra),
             )
             assert code == 0
-        assert first.read_bytes() == second.read_bytes()
+        else:
+            algebra = canonical_path(source)
+        written = []
+        for seed in ("5", "5", "0"):
+            out_file = tmp_path / "w.json"
+            code, _ = run(
+                capsys, "classify", "--algebra", str(algebra),
+                "--seed", seed, "--out", str(out_file),
+            )
+            assert code == 0
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1] == written[2]
 
     @pytest.mark.parametrize(
         "name", sorted(p.name.removesuffix(".algebra.json")
@@ -328,16 +348,51 @@ class TestTransportCommand:
         assert doc["limit"] is None
         assert [2, 1, 1] in doc["poles"]
 
-    def test_specialize_at_point(self, capsys):
+    @pytest.mark.parametrize("at", ["1", "1/2"])
+    def test_specialize_at_point(self, capsys, at):
+        # g(t0) is invertible, so the result is pplus in another basis
         code, out = run(
             capsys, "transport",
             "--algebra", canonical_path("pplus_n3"),
             "--family", family_path("pplus_to_lambda2_n3"),
-            "--at", "1",
+            "--at", at,
         )
         assert code == 0
         got = algebra_from_dict(json.loads(out))
-        assert not got.is_abelian()
+        assert recognize(got).form == CanonicalForm(Tag.P_PLUS, 3)
+
+    # at t = 1 a root of det g: diag(1, t - 1) and diag(1, (t - 1)^2), and
+    # the second with a t above the diagonal
+    ROOT_OF_DET = {
+        "lin": [{"row": 1, "col": 1, "poly": "1"}, {"row": 2, "col": 2, "poly": "t - 1"}],
+        "sq": [{"row": 1, "col": 1, "poly": "1"}, {"row": 2, "col": 2, "poly": "t^2 - 2*t + 1"}],
+    }
+    ROOT_OF_DET["tri"] = ROOT_OF_DET["sq"] + [{"row": 1, "col": 2, "poly": "t"}]
+
+    @pytest.mark.parametrize("algebra,family,want", [
+        ("pminus_n2", "lin", "pminus_n2"), ("lambda2_n2", "lin", "abelian_n2"),
+        ("pminus_n2", "sq", "pminus_n2"), ("pminus_n2", "tri", None)])
+    def test_at_a_root_of_det(self, capsys, tmp_path, algebra, family, want):
+        # at a root of det g the entries divide out their common (t - 1);
+        # with the t above the diagonal an entry keeps a pole there
+        fam = tmp_path / "g.family.json"
+        fam.write_text(json.dumps({"dim": 2, "entries": self.ROOT_OF_DET[family]}))
+        code = main(["transport", "--algebra", canonical_path(algebra), "--family", str(fam),
+                     "--at", "1"])
+        captured = capsys.readouterr()
+        if want is None:
+            assert (code, captured.out) == (3, "")
+            assert captured.err == "error: denominator vanishes at t = 1\n"
+        else:
+            assert (code, captured.out) == (0, Path(canonical_path(want)).read_text())
+
+    def test_at_of_nu_is_recognized_with_its_alpha(self, capsys, tmp_path):
+        moved = tmp_path / "moved.json"
+        moved.write_text(run(capsys, "transport", "--algebra", canonical_path("nu_n3_alpha_2_3"),
+                             "--family", family_path("pplus_to_lambda2_n3"), "--at", "2")[1])
+        code, out = run(capsys, "recognize", "--algebra", str(moved), "--json")
+        assert code == 0
+        assert json.loads(out)["form"] == {"tag": "nu", "dim": 3, "alpha": "2/3"}
 
     def test_pole_at_point_is_domain_error(self, capsys, tmp_path):
         # det = t - 1 vanishes at the evaluation point
@@ -377,7 +432,8 @@ class TestTransportCommand:
     @pytest.mark.parametrize("name", ["pminus_n4", "nu_n4_alpha_2_3"])
     def test_limit_of_a_random_family_matches_the_recorded_bytes(self, capsys, tmp_path,
                                                                  seed, code, name):
-        # families that are not row-monomial: the scalar-action read-off
+        # families that are not row-monomial take the scalar-action read-off
+        # on pminus and nu; the bytes were recorded before it existed
         fam = tmp_path / "g.family.json"
         assert main(["random", "--kind", "family", "--dim", "4", "--pole-bound", "2",
                      "--seed", str(seed), "--out", str(fam)]) == 0
@@ -390,7 +446,9 @@ class TestTransportCommand:
         (8, 3, "lambda2_n8"), (8, 1, "random_n8_seed1"), (12, 4, "random_n12_seed4")])
     def test_kernel_limit_of_a_random_family_matches_the_recorded_bytes(
             self, capsys, tmp_path, dim, seed, algebra):
-        # general algebras under general families: the fraction-free kernel
+        # general algebras under general families take the fraction-free
+        # kernel; the bytes were recorded before its elimination was packed
+        # into integers
         fam, alg = tmp_path / "g.family.json", tmp_path / "a.algebra.json"
         assert main(["random", "--kind", "family", "--dim", str(dim), "--pole-bound", "2",
                      "--seed", str(seed), "--out", str(fam)]) == 0
@@ -425,12 +483,29 @@ class TestTransportCommand:
                   "--limit")
         assert got == (code, out)
 
+    def test_sparse_family_of_high_degree_is_not_packed(self, capsys, tmp_path, monkeypatch):
+        # diag(t^1000, t^1000, 1 + t): inside the bit budget, but the kernel's
+        # [P | I] has 2 001 powers of t over 7 terms, so it runs term by term
+        def refuse(*args):
+            raise AssertionError("packed sparse input of high degree")
+
+        monkeypatch.setattr(linalg, "_bareiss_packed", refuse)
+        fam = tmp_path / "g.family.json"
+        fam.write_text(json.dumps({"dim": 3, "entries": [
+            {"row": 1, "col": 1, "poly": "t^1000"}, {"row": 2, "col": 2, "poly": "t^1000"},
+            {"row": 3, "col": 3, "poly": "1 + t"}]}))
+        got = run(capsys, "transport", "--algebra", canonical_path("lambda2_n3"),
+                  "--family", str(fam), "--limit", "--json")
+        assert got == (1, '{\n  "limit": null,\n  "poles": [\n    [\n      2,\n      1,\n'
+                          '      1\n    ]\n  ]\n}\n')
+
     @pytest.mark.parametrize("at,tag", [("1/2", "1_2"), ("-3/2", "m3_2")])
     @pytest.mark.parametrize("seed", [1, 6])
     @pytest.mark.parametrize("name", ["pminus_n4", "nu_n4_alpha_2_3"])
     def test_at_of_a_random_family_matches_the_recorded_bytes(self, capsys, tmp_path,
                                                               at, tag, seed, name):
-        # g(t0) evaluated over Z; seed 1 has an odd pole order, so at -3/2
+        # g(t0) evaluated over Z; the bytes were recorded with the rational
+        # evaluation it replaced.  Seed 1 has an odd pole order, so at -3/2
         # the common denominator of g(t0) changes sign
         fam = tmp_path / "g.family.json"
         assert main(["random", "--kind", "family", "--dim", "4", "--pole-bound", "2",
@@ -451,6 +526,7 @@ class TestTransportCommand:
                         if not p.name.endswith(".recognize.json")),
         ids=lambda p: p.stem)
     def test_recognize_matches_the_golden_bytes(self, capsys, moved):
+        # every recognized tag, moved, and the anisotropic n3plus (no iso);
         # the bytes were recorded before the isos were written down in ints
         got = run(capsys, "recognize", "--algebra", str(moved), "--json")
         assert got == (0, moved.with_suffix(".recognize.json").read_text())
@@ -473,6 +549,27 @@ class TestTransportCommand:
             assert transported(shape(10_001)) == 2
             assert capsys.readouterr().err == "error: exponent beyond +/-10000\n"
             assert transported(shape(10_000_000)) == 2
+
+
+class TestRecognizeCommand:
+    # an idempotent e1 whose left multiplication has eigenvalues 1, 1/2, 1/3:
+    # no nu(alpha) has that spectrum
+    SPECTRUM = {"dim": 3, "products": [
+        {"left": 1, "right": 1, "result": 1, "coeff": "1"},
+        {"left": 1, "right": 2, "result": 2, "coeff": "1/2"},
+        {"left": 1, "right": 3, "result": 3, "coeff": "1/3"},
+        {"left": 2, "right": 1, "result": 2, "coeff": "1/2"},
+        {"left": 3, "right": 1, "result": 3, "coeff": "2/3"},
+    ]}
+
+    def test_wrong_spectrum_is_not_recognized(self, capsys, tmp_path):
+        algebra = tmp_path / "a.json"
+        algebra.write_text(json.dumps(self.SPECTRUM))
+        code, out = run(capsys, "recognize", "--algebra", str(algebra), "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "recognized": False,
+            "reason": "left multiplication by the idempotent has the wrong spectrum"}
 
 
 class TestRandomCommand:
@@ -800,6 +897,39 @@ class TestMalformedInputs:
         assert main(["recognize", "--algebra", str(tmp_path / "a.json")]) == 2
         assert capsys.readouterr().err == "error: index <integer of 4000 digits> out of range 1..2\n"
 
+    @pytest.mark.parametrize("coeff", ["\u0663", "\u0661/\u0662", "3\n", "1/2\n"])
+    def test_a_rational_takes_ascii_digits_and_nothing_after(self, capsys, tmp_path, coeff):
+        """Arabic-Indic 3 and 1/2, and a trailing newline, are not int[/uint]:
+        str.isdigit and a $ anchor would let the 3 and the newline in."""
+        (tmp_path / "a.json").write_text(json.dumps({"dim": 2, "products": [
+            {"left": 1, "right": 1, "result": 2, "coeff": coeff}]}))
+        assert main(["recognize", "--algebra", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad rational literal: ")
+
+    def test_a_laurent_string_takes_ascii_digits(self, capsys, tmp_path):
+        family = tmp_path / "g.json"
+        family.write_text(json.dumps({"dim": 1, "entries": [
+            {"row": 1, "col": 1, "poly": "\u0663*t"}]}))
+        code = main(["transport", "--algebra", canonical_path("abelian_n1"),
+                     "--family", str(family), "--limit"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unexpected character")
+
+    @pytest.mark.parametrize("flag,literal", [
+        ("--dim", "1_000"), ("--dim", " 7 "), ("--seed", "\uff13"), ("--seed", "7\n"),
+        ("--pole-bound", "1.0")])
+    def test_an_integer_flag_takes_ascii_digits_only(self, capsys, flag, literal):
+        """int() would read 1_000, " 7 " and fullwidth 3."""
+        argv = {"--dim": "3", "--seed": "1", "--pole-bound": "1", flag: literal}
+        code = main(["random", "--kind", "family", *(x for kv in argv.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: bad integer literal: {literal!r} (expected [+-]digits)\n"
+
+    def test_a_signed_integer_flag_is_read(self, capsys):
+        assert main(["random", "--dim", "+3", "--seed", "-4"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 3
+
     @pytest.mark.parametrize("command", ["canonical --name abelian", "random --seed 0"])
     def test_dimension_flag_past_the_cap(self, capsys, command):
         code = main(command.split() + ["--dim", str(MAX_DIM + 1)])
@@ -863,6 +993,118 @@ class TestParserReuse:
         monkeypatch.setattr(levelone.cli, "cmd_recognize", lambda args: seen.append(args) or 3)
         assert main(argv) == 3
         assert [args.algebra for args in seen] == [argv[2]]
+
+
+# -- the console entry point ---------------------------------------------------
+#
+# Each case runs ``python -m levelone.cli``, which goes through ``entry()``,
+# in a subprocess with a 20 s timeout: the cases that must stay fast, and one
+# case per exit code.  The installed ``levelone`` script is the same
+# ``entry()``; only its wiring in pyproject.toml is left to CI.
+
+
+def _written(tmp_path: Path, name: str, argv: list) -> str:
+    """The path of a file that ``main(argv + ["--out", path])`` wrote."""
+    path = str(tmp_path / name)
+    assert main([*argv, "--out", path]) == 0
+    return path
+
+
+def _family(tmp_path: Path, entries: list, dim: int) -> str:
+    path = tmp_path / "g.family.json"
+    path.write_text(json.dumps({"dim": dim, "entries": entries}))
+    return str(path)
+
+
+def _kernel_case(dim: int, seed: int, algebra: str):
+    """A general family on a general algebra: the fraction-free kernel."""
+    def case(tmp_path):
+        fam = _written(tmp_path, "g.family.json", ["random", "--kind", "family", "--dim",
+                                                   str(dim), "--pole-bound", "2", "--seed",
+                                                   str(seed)])
+        alg = canonical_path(algebra)
+        if algebra.startswith("random"):
+            alg = _written(tmp_path, "a.algebra.json", ["random", "--kind", "algebra", "--dim",
+                                                        str(dim), "--seed", str(seed),
+                                                        "--non-abelian"])
+        want = FIXTURES / "limits" / f"random_n{dim}_pb2_seed{seed}.{algebra}.limit.json"
+        return (["transport", "--algebra", alg, "--family", fam, "--limit", "--json"],
+                (0, want.read_bytes(), b""))
+    return case
+
+
+def _at_past_the_bound(*diagonal: str):
+    """An exponent of the cleared family past 10000 is refused before
+    evaluating, and so is a common pole past 10000 (t^-10000000 ran for
+    minutes)."""
+    def case(tmp_path):
+        fam = _family(tmp_path, [{"row": i, "col": i, "poly": p}
+                                 for i, p in enumerate(diagonal, 1)], 2)
+        return (["transport", "--algebra", canonical_path("pminus_n2"), "--family", fam,
+                 "--at", "1/2"], (2, b"", b"error: exponent beyond +/-10000\n"))
+    return case
+
+
+def _huge_case(name: str, code: int, out: bytes):
+    """diag(c*t^1200) + t*e_11 with a 4000-digit c is eliminated term by
+    term: packed at t = 2^k an entry would take about 10^9 bits."""
+    def case(tmp_path):
+        c = 10**3999 + 7
+        entries = [{"row": i, "col": i, "poly": f"{c}*t^1200"} for i in range(1, 9)]
+        entries[0]["poly"] += " + t"
+        return (["transport", "--algebra", canonical_path(name),
+                 "--family", _family(tmp_path, entries, 8), "--limit"], (code, out, b""))
+    return case
+
+
+def _recognize_case(doc: dict, code: int, out: bytes, err: bytes):
+    def case(tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        return ["recognize", "--algebra", str(path)], (code, out, err)
+    return case
+
+
+ENTRY_CASES = {
+    "kernel lambda2_n8": _kernel_case(8, 3, "lambda2_n8"),
+    "kernel random_n8_seed1": _kernel_case(8, 1, "random_n8_seed1"),
+    "kernel random_n12_seed4": _kernel_case(12, 4, "random_n12_seed4"),
+    "random density 0": lambda tmp_path: (
+        ["random", "--kind", "algebra", "--dim", "3", "--seed", "1", "--density", "0",
+         "--non-abelian"],
+        (2, b"", b"error: a non-abelian draw at n = 3 and density 0.0 has chance 0 < 0.001\n")),
+    "at t^2000000": _at_past_the_bound("t^2000000", "1"),
+    "at t^-10000000": _at_past_the_bound("t^-10000000", "t^-10000000"),
+    "huge pminus_n8": _huge_case(
+        "pminus_n8", 1, b"no limit at t=0; entries with poles: (2, 1, 2), (2, 2, 1), (3, 1, 3),"
+                        b" (3, 3, 1), (4, 1, 4), (4, 4, 1), (5, 1, 5), (5, 5, 1), ...\n"),
+    "huge lambda2_n8": _huge_case("lambda2_n8", 0, b'{\n  "dim": 8,\n  "products": []\n}\n'),
+    "exit 0": lambda tmp_path: (
+        ["canonical", "--name", "nu", "--dim", "4", "--alpha", "2/3"],
+        (0, Path(canonical_path("nu_n4_alpha_2_3")).read_bytes(), b"")),
+    "exit 1": _recognize_case(TestRecognizeCommand.SPECTRUM, 1, b"not canonical: left "
+                              b"multiplication by the idempotent has the wrong spectrum\n", b""),
+    "exit 2": _recognize_case({"dim": 2, "products": 5}, 2, b"",
+                              b"error: 'products' must be a list of objects\n"),
+    "exit 3": lambda tmp_path: (
+        ["classify", "--algebra", canonical_path("abelian_n4")],
+        (3, b"", b"error: every product is zero; nothing to classify\n")),
+    "--out": lambda tmp_path: (
+        ["classify", "--algebra", str(FIXTURES / "witnesses" / "pplus_n3.algebra.json"),
+         "--out", str(tmp_path / "w.json")],
+        (0, b"", b"classified onto lambda2 dim 3; witness verified\n")),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_the_console_entry_point(tmp_path, case):
+    argv, want = ENTRY_CASES[case](tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "levelone.cli", *argv], capture_output=True,
+                          timeout=20, env=subprocess_env(), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    if case == "--out":
+        want = FIXTURES / "witnesses" / "pplus_n3.witness.json"
+        assert (tmp_path / "w.json").read_bytes() == want.read_bytes()
 
 
 # -- hostile JSON ---------------------------------------------------------------

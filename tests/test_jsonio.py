@@ -52,7 +52,9 @@ CANONICAL = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "canon
 
 # -- the Fraction path, as the reader was before it read integers -------------
 
-OLD_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
+# in ASCII digits to the end of the text: the Fraction path read "١٢" as 12
+# and let "1\n" through
+OLD_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\Z")
 
 
 def fraction_literal(text) -> F:

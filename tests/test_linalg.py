@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from levelone import DegreeOverflow, SingularMatrix
+from levelone import DegreeOverflow, SingularMatrix, linalg
 from levelone.linalg import (
     _bareiss_dicts,
     _bareiss_packed,
@@ -183,6 +184,24 @@ def test_past_the_bound_bareiss_is_the_dict_loop(rows):
     assert eliminated(bareiss, rows) == eliminated(_bareiss_dicts, rows)
 
 
+@pytest.mark.parametrize("n,deg", [(8, 200), (3, 1000)])
+def test_sparse_input_of_high_degree_is_not_packed(monkeypatch, n, deg):
+    # [P | I] for P = diag(t^deg, ..., t^deg, 1 + t): inside the bit budget,
+    # but with far more powers of t than terms (ms packed, us term by term)
+    diagonal = [{deg: 1}] * (n - 1) + [{0: 1, 1: 1}]
+    rows = [[diagonal[i] if j == i else {} for j in range(n)]
+            + [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
+    D, k, T = _packing(rows)
+    assert (D + 1) * k <= linalg._PACK_BITS and D > linalg._PACK_DEGREE_PER_TERM * T
+    want = eliminated(_bareiss_dicts, rows)
+
+    def refuse(*args):
+        raise AssertionError("packed sparse input of high degree")
+
+    monkeypatch.setattr(linalg, "_bareiss_packed", refuse)
+    assert eliminated(bareiss, rows) == want
+
+
 @pytest.mark.parametrize("second,raises", [(5000, False), (5001, True)])
 def test_degree_overflow_on_the_determinant_at_the_bound(second, raises):
     # diag(t^5000, t^second): D = 10000 and 10001, det of degree D
@@ -193,7 +212,6 @@ def test_degree_overflow_on_the_determinant_at_the_bound(second, raises):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_bareiss_gives_the_sympy_determinant_and_adjugate(seed):
-    sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
     rng = random.Random(seed)
     n = 1 + seed % 4

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import hypothesis.strategies as st
+import sympy
 from hypothesis import given, settings
 
 from levelone import DegreeOverflow, FieldElement, PoleAtPoint, PoleAtZero
@@ -153,7 +154,6 @@ class TestUnreducedQuotients:
            st.integers(0, 3))
     @settings(max_examples=100)
     def test_agree_with_sympy(self, p, q, r, m, m2, c, k, same, p2, q2, m3, m4):
-        sympy = pytest.importorskip("sympy")
         t = sympy.symbols("t")
         field = sympy.QQ.frac_field(t)
 

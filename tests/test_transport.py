@@ -47,6 +47,7 @@ from levelone.linalg import mat_det
 from levelone.poly import FE_ONE, FE_ZERO, FieldElement
 from levelone.transport import _cleared, _row_monomial
 
+import test_transport_oracle as oracle  # the sympy QQ(t) oracle
 from conftest import algebras, fe, nonzero_rationals
 
 # ``levelone.transport`` is also the name of a function the package exports
@@ -56,11 +57,6 @@ transport_module = importlib.import_module("levelone.transport")
 
 def canon(tag, n, alpha=None):
     return construct(CanonicalForm(tag, n, alpha))
-
-
-def oracle():
-    """The sympy QQ(t) oracle of test_transport_oracle.py; skips without sympy."""
-    return pytest.importorskip("test_transport_oracle")
 
 
 class TestInvert:
@@ -359,11 +355,11 @@ class TestIntegerEvaluation:
         for h in inverses:
             for t0 in INTEGER_POINTS:
                 self.agree(a, h, t0, monkeypatch)
-        o = oracle()
         for h in others:
-            tensor = o.oracle_tensor(a, h)
+            tensor = oracle.oracle_tensor(a, h)
             for t0 in INTEGER_POINTS:
-                assert o.ours_at(lambda: transport_at(a, h, t0)) == o.oracle_at(a, h, t0, tensor)
+                assert (oracle.ours_at(lambda: transport_at(a, h, t0))
+                        == oracle.oracle_at(a, h, t0, tensor))
 
     @pytest.mark.parametrize("t0", [F(1), F(-1), F(1, 2), F(0)])
     def test_an_exponent_of_p_past_the_degree_bound_raises(self, t0):
@@ -717,7 +713,7 @@ class TestStoredForm:
         rows = g.entries
         if len(g._form[0]) > 1:  # only invert and @ make such a family
             assert not all(len(e.den) == 1 for row in rows for e in row)
-            oracle().agrees_with_sympy(a, g, self.POINTS)
+            oracle.agrees_with_sympy(a, g, self.POINTS)
             with pytest.raises(ValueError, match="^not a Laurent family: "):
                 family_to_dict(g)
             return False
@@ -769,7 +765,7 @@ class TestStoredForm:
         assert prod != g and g != prod
         for a in (canon(Tag.LAMBDA2, 3), canon(Tag.NU, 3, F(2, 3)),
                   random_algebra(3, 0.5, 5, nonabelian=True)):
-            oracle().agrees_with_sympy(a, prod)
+            oracle.agrees_with_sympy(a, prod)
 
     def test_rows_that_are_not_laurent_are_refused(self):
         # ParamMatrix(n, rows) takes Laurent rows; invert and @ build the rest
@@ -944,7 +940,7 @@ class TestScalarActionBranch:
         # the family that is not Laurent gets the answers of sympy
         for a in scalar_action_inputs(n, random.Random(n)):
             A, B, D = transport_module._scalar_action(a)
-            assert oracle().ours_limit(a, inverse) == oracle().oracle_scalar_limit(
+            assert oracle.ours_limit(a, inverse) == oracle.oracle_scalar_limit(
                 [F(x, D) for x in A], [F(x, D) for x in B], inverse)
         monkeypatch.setattr(transport_module, "_scalar_action", lambda a: None)
         assert fast == [outcome(lambda: transport_limit(a, g)) for a, g in cases]

@@ -12,12 +12,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from sympy import QQ, symbols
+from sympy.polys.matrices import DomainMatrix
 
-sympy = pytest.importorskip("sympy")
-from sympy import QQ, symbols  # noqa: E402
-from sympy.polys.matrices import DomainMatrix  # noqa: E402
-
-from levelone import (  # noqa: E402
+from levelone import (
     Algebra,
     CanonicalForm,
     ClassifierConfig,
@@ -37,9 +36,9 @@ from levelone import (  # noqa: E402
     transport_at,
     transport_limit,
 )
-from levelone.families import scaling_family  # noqa: E402
-from levelone.poly import FieldElement  # noqa: E402
-from levelone.transport import _row_monomial  # noqa: E402
+from levelone.families import scaling_family
+from levelone.poly import FieldElement
+from levelone.transport import _row_monomial
 
 # ``levelone.transport`` is also the name of a function the package exports
 transport_module = importlib.import_module("levelone.transport")
