@@ -341,25 +341,27 @@ def _scalar_action(a: Algebra, symmetrised: bool = False) -> tuple | None:
     if n < 2:
         return None
     u, w = [0] * n, [0] * n
-    cols = []
+    cols = []  # (i, j, C[i][i][j], C[j][i][j])
     for (i, j), hits in _symmetrised(a._slices) if symmetrised else a._slices.items():
+        ci = cj = 0
         for k, c in hits:
             if k == j:
                 u[i] += c
+                cj = c
             if k == i:
                 w[j] += c
+                ci = c
             elif k != j:
                 return None
-        cols.append((i, j, hits))
+        cols.append((i, j, ci, cj))
     A = [n * x - y for x, y in zip(u, w)]
     B = [n * y - x for x, y in zip(u, w)]
     m = n * n - 1
-    for i, j, hits in cols:
-        col = dict(hits)
+    for i, j, ci, cj in cols:
         if i == j:
-            if m * col.get(i, 0) != A[i] + B[i]:
+            if m * ci != A[i] + B[i]:
                 return None
-        elif m * col.get(j, 0) != A[i] or m * col.get(i, 0) != B[j]:
+        elif m * cj != A[i] or m * ci != B[j]:
             return None
     return A, B, m * a._cden
 

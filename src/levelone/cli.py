@@ -14,7 +14,8 @@ canonical.  Exit codes are a stable contract:
 All commands are deterministic given their flags; randomness enters only
 through the --seed of ``random``.  Integer flags are read by
 ``jsonio.parse_integer``, so a literal past the digit bound fails like any
-other integer input.
+other integer input, and --density by ``jsonio.parse_decimal``, ASCII
+digits only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .jsonio import (
     family_to_dict,
     invariants_to_dict,
     load_path,
+    parse_decimal,
     parse_integer,
     parse_rational,
     recognition_to_dict,
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seed-deterministic random inputs")
     p.add_argument("--kind", choices=("algebra", "family"), default="algebra")
     p.add_argument("--dim", required=True)
-    p.add_argument("--density", type=float, default=0.4, help="algebra kind only")
+    p.add_argument("--density", default="0.4", help="algebra kind only")
     p.add_argument("--pole-bound", default="1", help="family kind only")
     p.add_argument("--seed", required=True)
     p.add_argument("--non-abelian", action="store_true")
@@ -238,8 +240,9 @@ def cmd_transport(args) -> int:
 def cmd_random(args) -> int:
     n = check_dimension(parse_integer(args.dim))
     seed = parse_integer(args.seed)
+    density = parse_decimal(args.density)
     if args.kind == "algebra":
-        a = random_algebra(n, args.density, seed, args.non_abelian)
+        a = random_algebra(n, density, seed, args.non_abelian)
         _emit(algebra_to_dict(a), args.out)
     else:
         pm = random_family(n, parse_integer(args.pole_bound), seed)

@@ -42,6 +42,7 @@ from .transport import ParamMatrix, Report, Witness, _cleared
 # other Unicode digits, and $ a trailing newline
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z")
 # a JSON string, or a run of digits outside every string
 _STRING_OR_DIGITS = re.compile(r'"(?:[^"\\]|\\.)*"|[0-9]+')
 
@@ -76,6 +77,15 @@ def parse_integer(text: str) -> int:
     if digits > MAX_COEFF_DIGITS:
         raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS)
     return int(text)
+
+
+def parse_decimal(text: str) -> float:
+    """The float of a "[+-]digits[.digits]" literal (".5" and "5." too);
+    float() would also take other Unicode digits, exponents, "inf", "nan",
+    underscores and surrounding blanks."""
+    if not _DECIMAL_RE.match(text):
+        raise ValueError(f"bad decimal literal: {shown(text)} (expected [+-]digits[.digits])")
+    return float(text)
 
 
 def shown(value) -> str:

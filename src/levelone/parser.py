@@ -5,7 +5,9 @@
     tpart  := 't' ['^' int]
     coeff  := int ['/' uint]
 
-Whitespace is insignificant, a bare ``t`` means t^1 and an omitted
+The ASCII blanks (space, tab, CR, LF) are insignificant; any other
+character outside the grammar, another whitespace character included, is a
+``ParseError`` at its position.  A bare ``t`` means t^1 and an omitted
 coefficient means 1.  ``print_laurent`` emits terms in decreasing exponent
 order in the same grammar, so ``parse_laurent(print_laurent(p)) == p``.
 """
@@ -19,6 +21,7 @@ from .errors import CoefficientTooLarge, ParseError
 from .poly import MAX_COEFF_DIGITS
 
 _DIGITS = set("0123456789")
+_BLANKS = set(" \t\r\n")  # str.isspace would also take \x1c and other Unicode spaces
 
 
 class _Tokens:
@@ -31,7 +34,7 @@ class _Tokens:
         n = len(text)
         while i < n:
             ch = text[i]
-            if ch.isspace():
+            if ch in _BLANKS:
                 i += 1
                 continue
             if ch in _DIGITS:

@@ -51,12 +51,21 @@ elimination after the match:
   The seed coefficients of x solve a Gram system of B, and the rest of x is
   in the radical, read at its free columns (``_rank_one_inverse``).
 
-Skew input is read for pminus, then for n3minus; commutative input for
-lambda2/n3plus, then pplus, then nu(1/2), the one commutative nu; other
-input for nu.  When its reads fail, the algebra matches no canonical form,
-and the checks of the full normalization (A^2, the scalar action of a
-complement vector on it, the idempotent's spectrum and eigenspace) run only
-to name what fails; an input passing all of them would have the pminus,
+After the abelian test (and in dimension 1 the nu case) the reads run as
+one chain, with no symmetry scan ahead of them: the scalar-action read
+(pminus or nu from the same (A, B, D)), then the rank-one read (lambda2,
+n3minus, n3plus, or the rank of B that matches none), then the pplus read.
+The order changes no verdict, iso or reason, as at most one read gives a
+verdict on any tensor: each accepts exactly the tensors of its tags, a skew
+scalar action has B = -A (pminus) and a commutative one A = B (nu(1/2)),
+the rank-one shape is nilpotent while pminus, nu and pplus are not, and
+pplus has neither the scalar-action nor the rank-one shape.  When every
+read fails, the algebra matches no canonical form, and only then do the
+symmetry scans run, to choose which normalization names what fails:
+anticommutative input that of pminus (A^2, the scalar action of a
+complement vector on it), commutative input that of pplus and then the
+idempotent's, other input the idempotent's (its spectrum and eigenspace).
+An input passing all of a normalization's checks would have the pminus,
 pplus or nu shape, which its read accepts.
 """
 
@@ -113,12 +122,21 @@ def recognize(a: Algebra) -> RecognitionResult:
     n = a.dim
     if a.is_abelian():
         return _recognized(CanonicalForm(Tag.ABELIAN, n), linalg.mat_identity(n))
+    if n == 1:  # e1*e1 = c e1 with c != 0: nu, iso [[c]]
+        cden, slices = a.integer_slices()
+        ((_, c),) = slices[(0, 0)]
+        return _recognized(CanonicalForm(Tag.NU, 1), [[Fraction(c, cden)]])
+    return (_read_scalar_action(a) or _read_rank_one(a) or _read_pplus(a)
+            or _name_failure(a))
+
+
+def _name_failure(a: Algebra) -> RecognitionResult:
+    """Why an algebra that no read accepts, n >= 2, is not canonical."""
     if a.is_anticommutative():
-        return _read_pminus(a) or _read_rank_one(a) or _name_skew_failure(a)
+        return _name_skew_failure(a)
     if a.is_commutative():
-        return (_read_rank_one(a) or _read_pplus(a) or _read_nu(a)
-                or _name_commutative_failure(a))
-    return _try_nu(a)
+        return _name_commutative_failure(a)
+    return _name_nu_failure(a)
 
 
 def alpha_of(a: Algebra) -> Fraction:
@@ -131,21 +149,32 @@ def alpha_of(a: Algebra) -> Fraction:
     return res.form.alpha
 
 
-# -- the scalar-line forms (pminus, pplus) ----------------------------------
+# -- the scalar-action and scalar-line forms (pminus, nu, pplus) ------------
 
 
-def _read_pminus(a: Algebra) -> RecognitionResult | None:
-    """pminus with its iso when ``_scalar_action`` gives B = -A != 0, else None."""
+def _read_scalar_action(a: Algebra) -> RecognitionResult | None:
+    """pminus or nu with its iso when ``_scalar_action`` gives (A, B, D) with
+    B = -A != 0 (pminus) or A parallel to S = A + B != 0 (nu), else None."""
     action = _scalar_action(a)
     if action is None:
         return None
     A, B, D = action
-    if not any(A) or any(x + y for x, y in zip(A, B)):
-        return None
-    p = next(i for i, x in enumerate(A) if x)
-    q = max(i for i, x in enumerate(A) if x)
-    return _recognized(CanonicalForm(Tag.P_MINUS, a.dim),
-                       _line_frame_inverse(A, D, _unit(a.dim, p, D), A[p], q))
+    n = a.dim
+    S = [x + y for x, y in zip(A, B)]
+    p = next((i for i, x in enumerate(S) if x), None)
+    if p is not None:
+        if any(x * S[p] != A[p] * y for x, y in zip(A, S)):
+            return None
+        # phi = S / D; the idempotent e = e_p / phi(e_p) = D e_p / S_p, and
+        # the rref basis of its eigenspace ker phi pivots on p
+        form = CanonicalForm(Tag.NU, n, Fraction(A[p], S[p]))
+        return _recognized(form, _line_frame_inverse(S, D, _unit(n, p, D), S[p], p))
+    support = [i for i, x in enumerate(A) if x]  # B = -A
+    if not support:
+        return None  # the zero tensor
+    p, q = support[0], support[-1]
+    return _recognized(CanonicalForm(Tag.P_MINUS, n),
+                       _line_frame_inverse(A, D, _unit(n, p, D), A[p], q))
 
 
 def _read_pplus(a: Algebra) -> RecognitionResult | None:
@@ -202,7 +231,7 @@ def _unit(n: int, i: int, c: int = 1) -> list:
 
 
 def _row(nums: list, den: int) -> list:
-    return [Fraction(x, den) if x else ZERO for x in nums]
+    return [ONE if x == den else Fraction(x, den) if x else ZERO for x in nums]
 
 
 def _line_frame_inverse(A: list, D: int, F: list, fd: int, q: int) -> list:
@@ -279,9 +308,15 @@ def _read_rank_one(a: Algebra) -> RecognitionResult | None:
     zs = tuple((k, c // g) for k, c in first)
     z0 = zs[0][1]
     B = [[0] * n for _ in range(n)]
+    columns = {}  # m -> the column m z
     for (i, j), hits in slices.items():
         m, rem = divmod(hits[0][1], z0)
-        if rem or hits != tuple((k, m * c) for k, c in zs):
+        if rem:
+            return None
+        col = columns.get(m)
+        if col is None:
+            col = columns[m] = tuple((k, m * c) for k, c in zs)
+        if hits != col:
             return None
         B[i][j] = m
     if any(sum(row[k] * c for k, c in zs) for row in B):
@@ -384,35 +419,7 @@ def _hyperbolic_pair(B: list, z0: int, cden: int) -> list | None:
     return [(W, dw), ([cden * dw * x for x in V], 2 * z0 * P * P)]
 
 
-# -- the nu family --------------------------------------------------------
-
-
-def _try_nu(a: Algebra) -> RecognitionResult:
-    return _read_nu(a) or _name_nu_failure(a)
-
-
-def _read_nu(a: Algebra) -> RecognitionResult | None:
-    """nu with its iso when the tensor is x*y = alpha phi(x) y +
-    (1 - alpha) phi(y) x, or any non-abelian tensor in dimension 1; else None."""
-    n = a.dim
-    if n == 1:
-        cden, slices = a.integer_slices()
-        if not slices:
-            return None
-        ((_, c),) = slices[(0, 0)]
-        return _recognized(CanonicalForm(Tag.NU, 1), [[Fraction(c, cden)]])
-    action = _scalar_action(a)
-    if action is None:
-        return None
-    A, B, D = action
-    s = [x + y for x, y in zip(A, B)]
-    p = next((i for i, x in enumerate(s) if x), None)
-    if p is None or any(x * s[p] != A[p] * y for x, y in zip(A, s)):
-        return None
-    # phi = s / D; the idempotent e = e_p / phi(e_p) = D e_p / s_p, and the
-    # rref basis of its eigenspace ker phi pivots on p
-    form = CanonicalForm(Tag.NU, n, Fraction(A[p], s[p]))
-    return _recognized(form, _line_frame_inverse(s, D, _unit(n, p, D), s[p], p))
+# -- the nu normalization, run only to name a failure -----------------------
 
 
 def _name_nu_failure(a: Algebra) -> RecognitionResult:

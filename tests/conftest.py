@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from levelone import Algebra, FieldElement, random_invertible_matrix
@@ -79,3 +81,61 @@ def subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
+
+
+# -- the outcomes of this session's test modules ----------------------------
+
+#: The test that reads the outcomes below; it is run last.
+LAST = "test_criterion_7_property_suites_green"
+
+
+class ModuleOutcomes:
+    """A plugin recording what this session ran of each test module, keyed by
+    its resolved path: the items selected to run, the items finished, the
+    node ids that failed, and the modules of which an item was deselected."""
+
+    def __init__(self):
+        self.module_of: dict = {}  # node id -> module path
+        self.selected: Counter = Counter()
+        self.finished: Counter = Counter()
+        self.failed: defaultdict = defaultdict(list)
+        self.partial: set = set()
+
+    def failures(self, path) -> list | None:
+        """The failed node ids of the module at ``path``, or None when this
+        session has not run the whole module."""
+        path = Path(path).resolve()
+        selected = self.selected[path]
+        if not selected or path in self.partial or self.finished[path] < selected:
+            return None
+        return self.failed[path]
+
+    @pytest.hookimpl(trylast=True)
+    def pytest_collection_modifyitems(self, items):
+        items.sort(key=lambda item: item.name == LAST)  # stable: only LAST moves
+
+    def pytest_deselected(self, items):
+        self.partial.update(item.path.resolve() for item in items)
+
+    def pytest_collection_finish(self, session):
+        for item in session.items:
+            path = self.module_of[item.nodeid] = item.path.resolve()
+            self.selected[path] += 1
+
+    def pytest_runtest_logreport(self, report):
+        path = self.module_of.get(report.nodeid)
+        if path is None:
+            return
+        if report.failed:
+            self.failed[path].append(report.nodeid)
+        if report.when == "teardown":
+            self.finished[path] += 1
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(ModuleOutcomes(), "module-outcomes")
+
+
+@pytest.fixture
+def module_outcomes(request) -> ModuleOutcomes:
+    return request.config.pluginmanager.get_plugin("module-outcomes")

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from levelone import CanonicalForm, Tag, construct, linalg, recognize
+from levelone import CanonicalForm, Tag, construct, linalg, random_algebra, recognize
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
 from levelone.poly import MAX_COEFF_DIGITS, MAX_DIM
@@ -914,6 +914,39 @@ class TestMalformedInputs:
                      "--family", str(family), "--limit"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: unexpected character")
+
+    @pytest.mark.parametrize("poly", ["t\x1c+ 2", "t +\u00a02"])
+    def test_a_laurent_string_takes_ascii_blanks_only(self, capsys, tmp_path, poly):
+        """str.isspace would skip the file separator and the no-break space."""
+        family = tmp_path / "g.json"
+        family.write_text(json.dumps({"dim": 1, "entries": [
+            {"row": 1, "col": 1, "poly": poly}]}))
+        code = main(["transport", "--algebra", canonical_path("abelian_n1"),
+                     "--family", str(family), "--limit"])
+        bad = next(ch for ch in poly if ch.isspace() and ch != " ")
+        position = poly.index(bad)
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: unexpected character at position {position} (near {bad!r})\n")
+
+    @pytest.mark.parametrize("kind,literal", [
+        ("algebra", "\u0660.\u0665"), ("algebra", "1e-1"), ("algebra", "inf"),
+        ("algebra", "nan"), ("algebra", "1_0"), ("algebra", " 0.5"), ("algebra", "0.5\n"),
+        ("algebra", "."), ("family", "\u0660.\u0665")])
+    def test_the_density_flag_takes_ascii_decimals_only(self, capsys, kind, literal):
+        """float() would read Arabic-Indic 0.5, 1e-1, inf, nan, 1_0 and the
+        blanks around a literal."""
+        code = main(["random", "--kind", kind, "--dim", "3", "--seed", "1",
+                     "--density", literal])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: bad decimal literal: {literal!r} (expected [+-]digits[.digits])\n")
+
+    @pytest.mark.parametrize("literal", ["0.5", ".5", "1.", "+0.25", "00.40"])
+    def test_an_ascii_decimal_density_draws_as_its_float(self, capsys, literal):
+        assert main(["random", "--dim", "3", "--seed", "1", "--density", literal]) == 0
+        drawn = algebra_from_dict(json.loads(capsys.readouterr().out))
+        assert drawn == random_algebra(3, float(literal), 1)
 
     @pytest.mark.parametrize("flag,literal", [
         ("--dim", "1_000"), ("--dim", " 7 "), ("--seed", "\uff13"), ("--seed", "7\n"),

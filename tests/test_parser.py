@@ -27,10 +27,19 @@ PARSE_ERRORS = {
     "2**t": (2, "expected 't' after '*' at position 2 (near '*')"),
     "t^-": (3, "expected an integer exponent at position 3"),
     "- -1": (2, "expected a coefficient or 't' at position 2 (near '-')"),
+    # whitespace other than the ASCII blanks (space, tab, CR, LF)
+    "t\x1c+ 2": (1, "unexpected character at position 1 (near '\\x1c')"),
+    "t +\u00a02": (3, "unexpected character at position 3 (near '\\xa0')"),
+    "\u20032*t": (0, "unexpected character at position 0 (near '\\u2003')"),
+    "1 +\x0bt": (3, "unexpected character at position 3 (near '\\x0b')"),
+    "t\x0c": (1, "unexpected character at position 1 (near '\\x0c')"),
 }
 
 
 class TestParse:
+    def test_the_ascii_blanks_are_insignificant(self):
+        assert parse_laurent(" 1/2*t\t+\r\n t^-1 \n") == {1: F(1, 2), -1: F(1)}
+
     def test_literal_past_the_digit_bound(self):
         ok = "1" * MAX_COEFF_DIGITS
         at_bound = "0" * (MAX_COEFF_DIGITS - 1)

@@ -3,7 +3,9 @@ import math
 import random
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from levelone import (
     Algebra,
@@ -331,7 +333,9 @@ def test_the_nu_identity_accepts_no_skew_tensor():
     it is pminus, not nu, and the nu search says so."""
     module = importlib.import_module("levelone.recognize")
     for n in (2, 3, 5):
-        res = module._try_nu(moved(Tag.P_MINUS, n, seed=n))
+        a = moved(Tag.P_MINUS, n, seed=n)
+        assert module._read_scalar_action(a).form == CanonicalForm(Tag.P_MINUS, n)
+        res = module._name_nu_failure(a)
         assert res.form is None
         assert res.reason == "no vector with a nonzero square in the sweep"
 
@@ -348,11 +352,11 @@ def test_independent_scalar_actions_are_not_nu():
     assert res.reason == "joint eigenspace of the idempotent actions has dimension 0, need 1"
 
 
-# -- the integer reads: pminus, pplus and the rank-one forms ------------------
+# -- the integer reads: the scalar action, pplus and the rank-one forms -------
 
 
 READS = {  # each read and the tags it names
-    "_read_pminus": {Tag.P_MINUS},
+    "_read_scalar_action": {Tag.P_MINUS, Tag.NU},
     "_read_pplus": {Tag.P_PLUS},
     "_read_rank_one": {Tag.LAMBDA2, Tag.N3_MINUS, Tag.N3_PLUS},
 }
@@ -372,10 +376,11 @@ def canonical_forms(ns):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_a_match_contracts_nothing(monkeypatch, n):
     """Every canonical form, moved, is recognized with its iso by its read
-    alone: no contraction, rebase, A^2, product zero test or comparison
-    against the canonical table, and no elimination after the read (at most
-    one echelon, that of the rank-one forms' B).  Then, independently of how
-    recognize found it, the iso carries the input onto the canonical table."""
+    alone: no symmetry scan, contraction, rebase, A^2, product zero test or
+    comparison against the canonical table, and no elimination after the
+    read (at most one echelon, that of the rank-one forms' B).  Then,
+    independently of how recognize found it, the iso carries the input onto
+    the canonical table."""
     algebra_mod = importlib.import_module("levelone.algebra")
     canonical_mod = importlib.import_module("levelone.canonical")
     module = importlib.import_module("levelone.recognize")
@@ -383,13 +388,15 @@ def test_a_match_contracts_nothing(monkeypatch, n):
               for form in canonical_forms([n]) for seed in range(3)]
 
     def unread(*args):
-        raise AssertionError("a match needs no contraction, A^2 or second elimination")
+        raise AssertionError("a match needs no symmetry scan, contraction, A^2 or "
+                             "second elimination")
 
     for owner, name in ((algebra_mod, "_contract"), (algebra_mod, "rebase"),
                         (module, "rebase"), (algebra_mod, "derived_subspace"),
                         (module, "derived_subspace"), (module, "products_vanish"),
                         (canonical_mod, "construct"), (algebra_mod, "_frame"),
-                        (linalg, "nullspace"), (linalg, "_kernel"), (linalg, "_inverse")):
+                        (linalg, "nullspace"), (linalg, "_kernel"), (linalg, "_inverse"),
+                        (Algebra, "is_commutative"), (Algebra, "is_anticommutative")):
         monkeypatch.setattr(owner, name, unread)
     echelon, echelons = linalg._echelon, []
     monkeypatch.setattr(linalg, "_echelon", lambda *args: echelons.append(1) or echelon(*args))
@@ -402,6 +409,87 @@ def test_a_match_contracts_nothing(monkeypatch, n):
     for (form, a), res in zip(inputs, got):
         assert res.form == form, res.reason
         assert apply_basis_change(a, [list(row) for row in res.iso]) == construct(form)
+
+
+def symmetry_keyed(a):
+    """recognize as it dispatched by a symmetry scan ahead of its reads: skew
+    input read for pminus, then the rank-one forms; commutative input for
+    the rank-one forms, then pplus, then nu; other input for nu alone; each
+    chain ending in the failure naming of its symmetry.  Built from the same
+    private reads, as the reference for the one chain recognize runs."""
+    module = importlib.import_module("levelone.recognize")
+    n = a.dim
+
+    def scalar_action(tag):
+        res = module._read_scalar_action(a)
+        return res if res is not None and res.form.tag is tag else None
+
+    def nu():
+        if n > 1:
+            return scalar_action(Tag.NU)
+        cden, slices = a.integer_slices()
+        ((_, c),) = slices[(0, 0)]
+        return module._recognized(CanonicalForm(Tag.NU, 1), [[F(c, cden)]])
+
+    if a.is_abelian():
+        return module._recognized(CanonicalForm(Tag.ABELIAN, n), mat_identity(n))
+    if a.is_anticommutative():
+        return (scalar_action(Tag.P_MINUS) or module._read_rank_one(a)
+                or module._name_skew_failure(a))
+    if a.is_commutative():
+        return (module._read_rank_one(a) or module._read_pplus(a) or nu()
+                or module._name_commutative_failure(a))
+    return nu() or module._name_nu_failure(a)
+
+
+EQUIVALENCE_FORMS = [CanonicalForm(Tag.NU, 1)] + [
+    form for form in canonical_forms(range(1, 9)) if form.tag is not Tag.NU
+] + [CanonicalForm(Tag.NU, n, alpha) for n in range(2, 9)
+     for alpha in (F(0), F(1), F(1, 2), F(2, 3), F(-3), F(7))]
+
+
+@st.composite
+def recognize_inputs(draw):
+    """A moved canonical form at n = 1..8, one of its single-entry
+    perturbations, a moved input of REASONS, or a random_algebra draw, as
+    drawn or symmetrised to a commutative or a skew tensor."""
+    kind = draw(st.sampled_from(["moved", "perturbed", "failure", "random", "commutative",
+                                 "skew"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "failure":
+        n, entries, _ = draw(st.sampled_from(REASONS))
+        return apply_basis_change(Algebra.from_entries(n, entries),
+                                  random_invertible_matrix(n, rng))
+    if kind in ("moved", "perturbed"):
+        form = draw(st.sampled_from(EQUIVALENCE_FORMS))
+        a = apply_basis_change(construct(form), random_invertible_matrix(form.dim, rng))
+        if kind == "perturbed":
+            a = next(single_entry_perturbations(a, rng, 4), a)
+        return a
+    n = draw(st.integers(1 if kind == "random" else 2, 6))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    a = random_algebra(n, density, rng.randrange(2**31), nonabelian=True)
+    if kind == "random":
+        return a
+    sign = 1 if kind == "commutative" else -1
+    entries = a.entries()
+    return Algebra.from_entries(n, {(k, i, j): entries.get((k, i, j), 0)
+                                    + sign * entries.get((k, j, i), 0)
+                                    for k, i, j in entries})
+
+
+@settings(max_examples=400)
+@given(recognize_inputs())
+def test_one_chain_of_reads_matches_the_symmetry_keyed_dispatch(a):
+    """Running the reads as one chain, with the symmetry scans only naming a
+    failure, changes no verdict, iso or reason; and at most one read gives a
+    verdict on any tensor, which is why the order of the chain is free."""
+    module = importlib.import_module("levelone.recognize")
+    assert recognize(a) == symmetry_keyed(a)
+    if a.dim > 1:
+        verdicts = [read(a) for read in (module._read_scalar_action, module._read_rank_one,
+                                         module._read_pplus)]
+        assert sum(v is not None for v in verdicts) <= 1, verdicts
 
 
 @pytest.mark.parametrize("read", sorted(READS))
@@ -465,7 +553,7 @@ def test_each_read_rejects_a_perturbation_of_its_forms(read):
                 continue
             want = invariant_vector(construct(form))
             for seed in range(2):
-                a = moved(form.tag, n, seed=seed)
+                a = moved(form.tag, n, form.alpha, seed=seed)
                 rng = random.Random(f"{read}:{form.describe()}:{seed}")
                 for b in single_entry_perturbations(a, rng, 8):
                     if invariant_vector(b) == want:
