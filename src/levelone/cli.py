@@ -36,7 +36,6 @@ from .errors import (
 )
 from .jsonio import (
     algebra_from_dict,
-    algebra_to_dict,
     canonical_form_from_dict,
     check_dimension,
     dumps,
@@ -48,7 +47,7 @@ from .jsonio import (
     parse_integer,
     parse_rational,
     recognition_to_dict,
-    report_to_dict,
+    report_document,
     save_path,
     shown,
     witness_from_dict,
@@ -72,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "degeneration witnesses and the level-one canonical forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # {name: its parser}, for main's one parse
 
     p = sub.add_parser("verify", help="check a degeneration witness exactly")
     p.add_argument("--algebra", required=True, help="algebra JSON file")
@@ -147,13 +147,18 @@ def parse_canonical_spec(spec: str) -> CanonicalForm:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad target spec {shown(spec)}, want name:dim[:alpha]")
-    tag = Tag(parts[0])
+    try:
+        tag = Tag(parts[0])
+    except ValueError:
+        raise ValueError(f"bad canonical tag {shown(parts[0])} in target spec") from None
     dim = parse_integer(parts[1])
     alpha = parse_rational(parts[2]) if len(parts) == 3 else None
     return CanonicalForm(tag, dim, alpha)
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc, out: str | None) -> None:
+    """Write a document for ``dumps`` (an Algebra value too) to the file
+    ``out``, or to stdout."""
     if out:
         save_path(out, doc)
     else:
@@ -173,7 +178,7 @@ def cmd_verify(args) -> int:
         witness = Witness(family, target)
     report = verify_degeneration(a, witness, up_to_iso=args.up_to_iso)
     if args.json:
-        sys.stdout.write(dumps(report_to_dict(report)))
+        sys.stdout.write(dumps(report_document(report)))
     else:
         print(report.summary())
     return 0 if report.passed else 1
@@ -222,7 +227,7 @@ def cmd_transport(args) -> int:
     a = algebra_from_dict(load_path(args.algebra))
     family = family_from_dict(load_path(args.family))
     if args.at is not None:
-        _emit(algebra_to_dict(transport_at(a, family, parse_rational(args.at))), None)
+        _emit(transport_at(a, family, parse_rational(args.at)), None)
         return 0
     try:
         limit = transport_limit(a, family)
@@ -233,7 +238,7 @@ def cmd_transport(args) -> int:
         else:
             print(str(exc))
         return 1
-    _emit(algebra_to_dict(limit), None)
+    _emit(limit, None)
     return 0
 
 
@@ -243,7 +248,7 @@ def cmd_random(args) -> int:
     density = parse_decimal(args.density)
     if args.kind == "algebra":
         a = random_algebra(n, density, seed, args.non_abelian)
-        _emit(algebra_to_dict(a), args.out)
+        _emit(a, args.out)
     else:
         pm = random_family(n, parse_integer(args.pole_bound), seed)
         _emit(family_to_dict(pm), args.out)
@@ -253,13 +258,30 @@ def cmd_random(args) -> int:
 def cmd_canonical(args) -> int:
     alpha = parse_rational(args.alpha) if args.alpha is not None else None
     form = CanonicalForm(Tag(args.name), check_dimension(parse_integer(args.dim)), alpha)
-    _emit(algebra_to_dict(construct(form)), args.out)
+    _emit(construct(form), args.out)
     return 0
+
+
+def _parse_argv(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parse: argv that starts
+    with a known command is read by that command's parser alone, and its
+    leftovers are refused by the top-level parser, as the nested parse
+    does.  Anything else (no command, help, an unknown command, a leading
+    "--") goes to the top-level parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
         if hasattr(args, "check"):
             args.check(args)
     except SystemExit as exc:

@@ -17,9 +17,13 @@ recursive writer, with strings escaped by ``json``'s own C escaper.
 
 Algebras are read and written in the integer stored form (cden, slices) of
 ``Algebra``: each "p[/q]" literal is read as two ints, and each coefficient
-is written as C/cden reduced by one gcd, with no Fraction in between.  An
-integer of an output that has more than MAX_COEFF_DIGITS digits raises
-CoefficientTooLarge naming the output, as one of the input does.
+is written as C/cden reduced by one gcd, with no Fraction in between.  A
+document handed to ``dumps`` may hold an Algebra itself, which is written
+from that form with no dict in between.  An integer of an output that has
+more than MAX_COEFF_DIGITS digits raises CoefficientTooLarge naming the
+output, as one of the input does.  A family is read straight into the
+cleared integer form (s, L, P) of ``ParamMatrix``: each entry is read by
+``parser.laurent_pairs`` as its terms summed in reduced int pairs.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Algebra, InvariantVector, _stored
 from .canonical import CanonicalForm, Tag
-from .errors import CoefficientTooLarge, ParseError
-from .parser import parse_laurent, print_terms, rational_text
+from .errors import CoefficientTooLarge
+from .parser import laurent_pairs, print_terms, rational_text
 from .poly import MAX_COEFF_DIGITS, MAX_DIM
 from .recognize import RecognitionResult
 from .transport import ParamMatrix, Report, Witness, _cleared
@@ -131,14 +135,18 @@ def _entry_list(d: dict, key: str) -> list:
 
 
 def algebra_to_dict(a: Algebra) -> dict:
+    return {"dim": a.dim, "products": [{"left": i, "right": j, "result": k, "coeff": coeff}
+                                       for i, j, k, coeff in _products(a)]}
+
+
+def _products(a: Algebra):
+    """(left, right, result, coeff literal) of each nonzero product, 1-based
+    and in sorted (left, right) order: C/cden reduced by one gcd."""
     cden, slices = a.integer_slices()
-    products = []
     for (i, j), hits in sorted(slices.items()):
         for k, c in hits:
             g = math.gcd(c, cden)
-            products.append({"left": i + 1, "right": j + 1, "result": k + 1,
-                             "coeff": rational_text(c // g, cden // g, "algebra")})
-    return {"dim": a.dim, "products": products}
+            yield i + 1, j + 1, k + 1, rational_text(c // g, cden // g, "algebra")
 
 
 def algebra_from_dict(d: dict) -> Algebra:
@@ -190,10 +198,14 @@ def family_to_dict(pm: ParamMatrix, output: str = "family") -> dict:
 
 
 def family_from_dict(d: dict) -> ParamMatrix:
+    """The family of a document, read straight into the canonical (s, L, P)
+    of ``ParamMatrix.from_laurent``: each entry's terms summed as reduced
+    int pairs, with no Fraction in between."""
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("family JSON needs a 'dim' field")
     n = check_dimension(d["dim"])
     grid = [[None] * n for _ in range(n)]
+    low, dens = 0, set()
     for item in _entry_list(d, "entries"):
         try:
             i, j, text = item["row"], item["col"], item["poly"]
@@ -206,8 +218,15 @@ def family_from_dict(d: dict) -> ParamMatrix:
                 raise ValueError(f"index {shown(idx)} out of range 1..{n}")
         if grid[i - 1][j - 1] is not None:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
-        grid[i - 1][j - 1] = parse_laurent(text)
-    return ParamMatrix.from_laurent([[p or {} for p in row] for row in grid])
+        terms = laurent_pairs(text)
+        grid[i - 1][j - 1] = terms
+        if terms:
+            low = min(low, *terms)
+            dens.update(q for _, q in terms.values())
+    s, L = -low, math.lcm(*dens)
+    return ParamMatrix.from_cleared(s, L, tuple(
+        tuple({e + s: p * (L // q) for e, (p, q) in terms.items()} if terms else {}
+              for terms in row) for row in grid))
 
 
 def canonical_form_to_dict(form: CanonicalForm, output: str = "canonical form") -> dict:
@@ -251,12 +270,16 @@ def witness_from_dict(d: dict) -> Witness:
     return Witness(family, target, tuple(trace))
 
 
+def report_document(r: Report) -> dict:
+    """The report as a document for ``dumps``, its limit the Algebra itself."""
+    return {"pass": r.passed, "limit": r.limit, "diagnostics": list(r.diagnostics)}
+
+
 def report_to_dict(r: Report) -> dict:
-    return {
-        "pass": r.passed,
-        "limit": algebra_to_dict(r.limit) if r.limit is not None else None,
-        "diagnostics": list(r.diagnostics),
-    }
+    doc = report_document(r)
+    if r.limit is not None:
+        doc["limit"] = algebra_to_dict(r.limit)
+    return doc
 
 
 def recognition_to_dict(res: RecognitionResult) -> dict:
@@ -289,10 +312,11 @@ def invariants_to_dict(iv: InvariantVector) -> dict:
 # -- files -------------------------------------------------------------------
 
 
-def dumps(obj: dict) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, for
-    a document of dicts with str keys, lists, str, int, bool and None; any
-    other type raises TypeError."""
+def dumps(obj) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte, for
+    a document of dicts with str keys, lists, str, int, bool, None and
+    Algebra values, doc being the document with each Algebra a replaced by
+    algebra_to_dict(a); any other type raises TypeError."""
     return _text(obj, "\n") + "\n"
 
 
@@ -319,8 +343,26 @@ def _text(x, nl: str) -> str:
     if type(x) is list:
         if not x:
             return "[]"
-        return "[" + inner + ("," + inner).join([_text(v, inner) for v in x]) + nl + "]"
+        items = []
+        for v in x:  # scalars inline here too: an iso is rows of them
+            scalar = _SCALARS.get(type(v))
+            items.append(scalar(v) if scalar else _text(v, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if type(x) is Algebra:
+        return _algebra_text(x, nl)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _algebra_text(a: Algebra, nl: str) -> str:
+    """_text(algebra_to_dict(a), nl), written from the stored form: the
+    keys in sorted order, coeff, left, result, right in each product."""
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    products = [f'{{{i3}"coeff": "{coeff}",{i3}"left": {i},{i3}"result": {k},'
+                f'{i3}"right": {j}{i2}}}' for i, j, k, coeff in _products(a)]
+    body = "[" + i2 + ("," + i2).join(products) + i1 + "]" if products else "[]"
+    return f'{{{i1}"dim": {a.dim},{i1}"products": {body}{nl}}}'
 
 
 def load_path(path: str) -> dict:
@@ -344,6 +386,9 @@ def load_path(path: str) -> dict:
         raise CoefficientTooLarge(digits, MAX_COEFF_DIGITS) from None
 
 
-def save_path(path: str, obj: dict) -> None:
+def save_path(path: str, obj) -> None:
+    """Write ``dumps(obj)`` to the file; an output that cannot be written
+    (an integer past the digit bound) raises before the file is opened."""
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)

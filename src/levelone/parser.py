@@ -8,8 +8,11 @@
 The ASCII blanks (space, tab, CR, LF) are insignificant; any other
 character outside the grammar, another whitespace character included, is a
 ``ParseError`` at its position.  A bare ``t`` means t^1 and an omitted
-coefficient means 1.  ``print_laurent`` emits terms in decreasing exponent
-order in the same grammar, so ``parse_laurent(print_laurent(p)) == p``.
+coefficient means 1.  ``laurent_terms`` reads a text in one pass into its
+terms as ints, ``laurent_pairs`` sums them as reduced int pairs, and
+``parse_laurent`` is that sum as a dict of Fractions.
+``print_laurent`` emits terms in decreasing exponent order in the same
+grammar, so ``parse_laurent(print_laurent(p)) == p``.
 """
 
 from __future__ import annotations
@@ -20,133 +23,162 @@ from fractions import Fraction
 from .errors import CoefficientTooLarge, ParseError
 from .poly import MAX_COEFF_DIGITS
 
-_DIGITS = set("0123456789")
-_BLANKS = set(" \t\r\n")  # str.isspace would also take \x1c and other Unicode spaces
+_BLANKS = frozenset(" \t\r\n")  # str.isspace would also take \x1c and other Unicode spaces
+_OPERATORS = frozenset("+-*/^")
 
 
-class _Tokens:
-    """Single-pass tokenizer; integers are unsigned, signs are operators."""
+def laurent_terms(text: str) -> list:
+    """The terms of ``text`` in the order written, each (exponent, p, q) in
+    ints for the term p/q * t^exponent: p carries the term's sign, and p and
+    q > 0 are the literals as written, so p/q may be unreduced or zero.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (kind, text, position)
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch in _BLANKS:
-                i += 1
-                continue
-            if ch in _DIGITS:
-                j = i
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                if j - i > MAX_COEFF_DIGITS:  # int() would refuse it
-                    raise CoefficientTooLarge(j - i, MAX_COEFF_DIGITS)
-                self.items.append(("int", text[i:j], i))
-                i = j
-            elif ch == "t":
-                self.items.append(("t", "t", i))
-                i += 1
-            elif ch in "+-*/^":
-                self.items.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError("unexpected character", i, ch)
-        self.items.append(("end", "", n))
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.items[self.pos]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.items[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}", tok[2], tok[1])
-        self.pos += 1
-        return tok
-
-
-def parse_laurent(text: str) -> dict:
-    """Parse ``text`` into a Laurent dict {exponent: Fraction}, zeros dropped."""
-    toks = _Tokens(text)
-    if toks.peek()[0] == "end":
+    A character outside the grammar, or a digit run of more than
+    MAX_COEFF_DIGITS digits, anywhere in the text is reported ahead of any
+    grammar error: a grammar error is raised only once the rest of the text
+    has been checked for both."""
+    n = len(text)
+    i = 0
+    while i < n and text[i] in _BLANKS:
+        i += 1
+    if i == n:
         raise ParseError("empty input", 0)
-    out: dict[int, Fraction] = {}
+    terms = []
     sign = 1
-    if toks.peek()[0] == "-":
-        toks.take("-")
+    if text[i] == "-":
         sign = -1
-    _accumulate(out, toks, sign)
-    while toks.peek()[0] != "end":
-        kind, tok_text, pos = toks.peek()
-        if kind == "+":
-            toks.take("+")
-            _accumulate(out, toks, 1)
-        elif kind == "-":
-            toks.take("-")
-            _accumulate(out, toks, -1)
+        i += 1
+        while i < n and text[i] in _BLANKS:
+            i += 1
+    while True:
+        ch = text[i] if i < n else ""
+        p = q = 1
+        if "0" <= ch <= "9":
+            j = _digits_end(text, i, n)
+            p = int(text[i:j])
+            while j < n and text[j] in _BLANKS:
+                j += 1
+            if j < n and text[j] == "/":
+                i = j + 1
+                while i < n and text[i] in _BLANKS:
+                    i += 1
+                j = _digits_end(text, i, n)
+                if j == i:
+                    _refuse(text, i, "expected an unsigned denominator")
+                q = int(text[i:j])
+                if not q:
+                    _refuse(text, i, "zero denominator")
+                while j < n and text[j] in _BLANKS:
+                    j += 1
+            i = j
+            ch = text[i] if i < n else ""
+            if ch == "*":
+                i += 1
+                while i < n and text[i] in _BLANKS:
+                    i += 1
+                ch = text[i] if i < n else ""
+                if ch != "t":
+                    _refuse(text, i, "expected 't' after '*'")
+        elif ch != "t":
+            _refuse(text, i, "expected a coefficient or 't'")
+        e = 0
+        if ch == "t":
+            e = 1
+            i += 1
+            while i < n and text[i] in _BLANKS:
+                i += 1
+            if i < n and text[i] == "^":
+                i += 1
+                while i < n and text[i] in _BLANKS:
+                    i += 1
+                ch = text[i] if i < n else ""
+                if ch == "-" or ch == "+":
+                    if ch == "-":
+                        e = -1
+                    i += 1
+                    while i < n and text[i] in _BLANKS:
+                        i += 1
+                j = _digits_end(text, i, n)
+                if j == i:
+                    _refuse(text, i, "expected an integer exponent")
+                e *= int(text[i:j])
+                i = j
+                while i < n and text[i] in _BLANKS:
+                    i += 1
+        terms.append((e, sign * p, q))
+        if i == n:
+            return terms
+        ch = text[i]
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
         else:
-            raise ParseError("expected '+', '-' or end of input", pos, tok_text)
+            _refuse(text, i, "expected '+', '-' or end of input")
+        i += 1
+        while i < n and text[i] in _BLANKS:
+            i += 1
+
+
+def _digits_end(text: str, i: int, n: int) -> int:
+    """The end of the run of ASCII digits at i, i itself when there is
+    none; CoefficientTooLarge for a run that int() would refuse."""
+    j = i
+    while j < n and "0" <= text[j] <= "9":
+        j += 1
+    if j - i > MAX_COEFF_DIGITS:
+        raise CoefficientTooLarge(j - i, MAX_COEFF_DIGITS)
+    return j
+
+
+def _refuse(text: str, i: int, message: str):
+    """Raise the grammar error ``message`` at the token that starts at i,
+    unless a character outside the grammar or an over-long digit run comes
+    at or after i: then that error, the first of them."""
+    n = len(text)
+    token = ""
+    if i < n:
+        ch = text[i]
+        if "0" <= ch <= "9":
+            token = text[i:_digits_end(text, i, n)]
+        elif ch == "t" or ch in _OPERATORS:
+            token = ch
+        else:
+            raise ParseError("unexpected character", i, ch)
+    j = i + len(token)
+    while j < n:
+        ch = text[j]
+        if "0" <= ch <= "9":
+            j = _digits_end(text, j, n)
+        elif ch == "t" or ch in _OPERATORS or ch in _BLANKS:
+            j += 1
+        else:
+            raise ParseError("unexpected character", j, ch)
+    raise ParseError(message, i, token)
+
+
+def laurent_pairs(text: str) -> dict:
+    """The Laurent dict of ``text`` in ints, {exponent: (p, q)} with p/q in
+    lowest terms and q > 0: the terms of ``laurent_terms`` summed in the
+    order written, a zero sum dropped."""
+    out: dict = {}
+    for e, p, q in laurent_terms(text):
+        if e in out:
+            p0, q0 = out[e]
+            p, q = p * q0 + p0 * q, q * q0
+        if p:
+            if q != 1:
+                g = math.gcd(p, q)
+                p, q = p // g, q // g
+            out[e] = (p, q)
+        else:
+            out.pop(e, None)
     return out
 
 
-def _accumulate(out: dict, toks: _Tokens, sign: int) -> None:
-    """Add the next term, sign * num/den * t^exp, to out; a Fraction is
-    added only when the exponent repeats, and a zero sum is dropped."""
-    num, den, exp = _term(toks)
-    coeff = Fraction(sign * num, den)
-    if exp in out:
-        coeff += out[exp]
-    if coeff:
-        out[exp] = coeff
-    else:
-        out.pop(exp, None)
-
-
-def _term(toks: _Tokens) -> tuple[int, int, int]:
-    """(num, den, exp) of the next term, num/den its unsigned coefficient."""
-    kind, text, pos = toks.peek()
-    if kind == "t":
-        return 1, 1, _tpart(toks)
-    if kind != "int":
-        raise ParseError("expected a coefficient or 't'", pos, text)
-    num = int(toks.take("int")[1])
-    den = 1
-    if toks.peek()[0] == "/":
-        toks.take("/")
-        dk, dt, dp = toks.peek()
-        if dk != "int":
-            raise ParseError("expected an unsigned denominator", dp, dt)
-        den = int(toks.take("int")[1])
-        if den == 0:
-            raise ParseError("zero denominator", dp, dt)
-    if toks.peek()[0] == "*":
-        toks.take("*")
-        k, t, p = toks.peek()
-        if k != "t":
-            raise ParseError("expected 't' after '*'", p, t)
-        return num, den, _tpart(toks)
-    if toks.peek()[0] == "t":
-        return num, den, _tpart(toks)
-    return num, den, 0
-
-
-def _tpart(toks: _Tokens) -> int:
-    toks.take("t")
-    if toks.peek()[0] != "^":
-        return 1
-    toks.take("^")
-    sign = 1
-    if toks.peek()[0] == "-":
-        toks.take("-")
-        sign = -1
-    elif toks.peek()[0] == "+":
-        toks.take("+")
-    kind, text, pos = toks.peek()
-    if kind != "int":
-        raise ParseError("expected an integer exponent", pos, text)
-    return sign * int(toks.take("int")[1])
+def parse_laurent(text: str) -> dict:
+    """Parse ``text`` into a Laurent dict {exponent: Fraction}, zeros
+    dropped: the Fraction view of ``laurent_pairs``."""
+    return {e: Fraction(p, q) for e, (p, q) in laurent_pairs(text).items()}
 
 
 def print_laurent(lp: dict, output: str = "Laurent polynomial") -> str:

@@ -703,5 +703,5 @@ def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
                     row.append({})
             rows.append(row)
         pm = ParamMatrix.from_laurent(rows)
-        if pm.det():
+        if bareiss([list(row) for row in pm._form[1]])[0]:  # det P != 0
             return pm

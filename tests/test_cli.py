@@ -133,6 +133,17 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tag, shown", [
+        ("x" * 5000, "'" + "x" * 59 + "... <5002 characters>"),
+        ("lambda", "'lambda'"),
+    ])
+    def test_a_bad_target_tag_is_named_short(self, capsys, tag, shown):
+        code = main(["verify", "--algebra", canonical_path("pminus_n3"),
+                     "--family", family_path("fix_pminus_n3"),
+                     "--target-canonical", f"{tag}:3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad canonical tag {shown} in target spec\n"
+
 
 # squares stay on their lines (x*x = x_1 x), but e1*e2 = e2/2 + e3 leaves the
 # plane of e1 and e2: the classifier's mixed-product branch onto n3minus
@@ -827,6 +838,19 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_an_algebra_past_the_digit_bound_is_named_and_not_written(self, capsys, tmp_path):
+        """alpha = -(10^4300 - 1) fits the bound, but nu's 1 - alpha does not."""
+        out = tmp_path / "nu.json"
+        code = main(["canonical", "--name", "nu", "--dim", "2",
+                     "--alpha=-" + "9" * MAX_COEFF_DIGITS, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: cannot write the algebra: integer of "
+                                f"{MAX_COEFF_DIGITS + 1} digits exceeds the bound of "
+                                f"{MAX_COEFF_DIGITS} digits\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_coefficient_at_the_digit_bound_is_read(self, capsys, tmp_path):
         big = "7" * MAX_COEFF_DIGITS
         family = tmp_path / "g.json"
@@ -1016,6 +1040,74 @@ class TestParserReuse:
             assert reused == fresh
         assert levelone.cli.build_parser() is parser
         assert [code for code, _ in fresh] == [0, 0, 0, 0, 1, 0, 2, 0]
+
+    # argv that argparse refuses, answers with help, or reads in a spelling of
+    # its own; each command's required options in turn
+    ARGV_CASES = [
+        ["verify", "--family", family_path("fix_pminus_n3"), "--target-canonical", "pminus:3"],
+        ["classify"],
+        ["classify", "--out", "x.json"],
+        ["recognize", "--json"],
+        ["invariants"],
+        ["transport", "--algebra", canonical_path("pplus_n3"), "--limit"],
+        ["transport", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3")],
+        ["random", "--seed", "1"],
+        ["random", "--dim", "3"],
+        ["canonical", "--dim", "3"],
+        ["canonical", "--name", "nu"],
+        # leftovers
+        ["recognize", "--algebra", canonical_path("lambda2_n3"), "extra"],
+        ["canonical", "--name", "nu", "--dim", "3", "--bogus", "-x", "y"],
+        ["invariants", "--algebra", canonical_path("lambda2_n3"), "--", "z"],
+        # spellings
+        ["recognize", "--alg", canonical_path("n3minus_n4"), "--js"],
+        ["recognize", f"--algebra={canonical_path('lambda2_n3')}"],
+        ["transport", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3"), "--at=-3/2"],
+        ["transport", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3"), "--at", "-3/2"],
+        # help and no command
+        *([command, "-h"] for command in
+          ("verify", "classify", "recognize", "invariants", "transport", "random", "canonical")),
+        ["transport", "--help", "--limit"],
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        [],
+        ["frobnicate"],
+        ["frobnicate", "--algebra", "x"],
+        ["--", "recognize", "--algebra", canonical_path("lambda2_n3")],
+        ["--algebra", "x", "recognize"],
+        # the verify source checks
+        ["verify", "--algebra", canonical_path("pplus_n3"), "--witness", "w.json",
+         "--family", family_path("pplus_to_lambda2_n3")],
+        ["verify", "--algebra", canonical_path("pplus_n3"), "--target-canonical", "lambda2:3"],
+        ["verify", "--algebra", canonical_path("pplus_n3"),
+         "--family", family_path("pplus_to_lambda2_n3")],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(
+        Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv) or "empty")
+    def test_a_command_parser_answers_as_the_nested_parse(self, capsys, monkeypatch, argv):
+        """main(argv) gives the exit code, stdout and stderr it gives when the
+        whole argv goes through the top-level parser's nested parse."""
+        import levelone.cli
+
+        got = (main(argv), *capsys.readouterr())
+        monkeypatch.setattr(levelone.cli, "_parse_argv",
+                            lambda argv: levelone.cli.build_parser().parse_args(argv))
+        want = (main(argv), *capsys.readouterr())
+        assert got == want
+        assert got[0] in (0, 2)
+
+    def test_a_command_parser_reads_the_namespace_of_the_nested_parse(self):
+        import levelone.cli
+
+        argv = ["transport", "--alg", "a.json", "--family=f.json", "--at", "1/2", "--json"]
+        parsed = levelone.cli._parse_argv(argv)
+        assert vars(parsed) == vars(levelone.cli.build_parser().parse_args(argv))
+        assert parsed.command == "transport" and parsed.algebra == "a.json"
 
     def test_a_handler_rebound_after_the_first_call_is_used(self, capsys, monkeypatch):
         import levelone.cli

@@ -22,6 +22,8 @@ from levelone import (
     classify,
     construct,
     invariant_vector,
+    parse_laurent,
+    random_algebra,
     random_family,
     random_invertible_matrix,
     transport_limit,
@@ -33,12 +35,14 @@ from levelone.jsonio import (
     algebra_to_dict,
     check_dimension,
     dumps,
+    family_from_dict,
     family_to_dict,
     format_rational,
     invariants_to_dict,
     load_path,
     parse_rational,
     recognition_to_dict,
+    report_document,
     report_to_dict,
     shown,
     witness_to_dict,
@@ -47,6 +51,7 @@ from levelone.poly import MAX_COEFF_DIGITS
 from levelone.recognize import RecognitionResult, recognize
 from levelone.transport import Witness
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CANONICAL = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "canonical")
                    .glob("*.algebra.json"))
 
@@ -319,3 +324,131 @@ class TestDumps:
     def test_another_type_raises_type_error(self, doc):
         with pytest.raises(TypeError):
             dumps(doc)
+
+
+class TestAlgebraValues:
+    """``dumps`` writes an Algebra inside a document from its stored form, as
+    the stdlib encoder writes its ``algebra_to_dict`` form."""
+
+    @staticmethod
+    def fixture_algebras() -> dict:
+        """Every algebra document under fixtures/, read, by its path."""
+        out = {}
+        for path in sorted(FIXTURES.rglob("*.json")):
+            doc = load_path(str(path))
+            if isinstance(doc, dict) and "products" in doc:
+                out[str(path.relative_to(FIXTURES))] = algebra_from_dict(doc)
+        return out
+
+    def test_every_fixture_algebra(self):
+        algebras = self.fixture_algebras()
+        assert len(algebras) == 146  # canonical, witnesses, at, limits and recognize
+        for a in algebras.values():
+            assert dumps(a) == stdlib_dumps(algebra_to_dict(a))
+
+    @given(st.integers(1, 8), st.integers(0, 2**31), st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+           st.booleans())
+    @settings(max_examples=200, derandomize=True)
+    def test_random_algebras_top_level_and_nested(self, n, seed, density, moved):
+        a = random_algebra(n, density, seed)
+        if moved:  # denominators other than 1
+            a = apply_basis_change(a, random_invertible_matrix(n, random.Random(seed), bound=3))
+        plain = algebra_to_dict(a)
+        assert dumps(a) == stdlib_dumps(plain)
+        doc = {"limit": a, "list": [a, {"z": [a]}], "pass": True}
+        assert dumps(doc) == stdlib_dumps({"limit": plain, "list": [plain, {"z": [plain]}],
+                                           "pass": True})
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_the_zero_algebra(self, n):
+        zero = Algebra.from_entries(n, {})
+        assert dumps(zero) == stdlib_dumps({"dim": n, "products": []})
+        assert dumps([zero]) == stdlib_dumps([{"dim": n, "products": []}])
+
+    def test_the_verify_report(self):
+        pminus, lambda2 = (construct(CanonicalForm(tag, 3)) for tag in (Tag.P_MINUS, Tag.LAMBDA2))
+        reports = [
+            verify_degeneration(pminus, Witness(ParamMatrix.identity(3),
+                                                CanonicalForm(Tag.LAMBDA2, 3))),
+            verify_degeneration(pminus, Witness(ParamMatrix.identity(3),
+                                                CanonicalForm(Tag.P_MINUS, 3))),
+            verify_degeneration(lambda2, Witness(ParamMatrix.diagonal_powers([0, -1, 0]),
+                                                 CanonicalForm(Tag.LAMBDA2, 3))),
+        ]
+        assert [r.limit is None for r in reports] == [False, False, True]
+        for r in reports:
+            assert dumps(report_document(r)) == stdlib_dumps(report_to_dict(r))
+
+    def test_an_output_past_the_digit_bound_names_the_algebra(self):
+        a = Algebra.from_entries(2, {(1, 0, 0): F(-7, 10**MAX_COEFF_DIGITS * 10)})
+        for doc in (a, {"limit": a}, [a]):
+            with pytest.raises(CoefficientTooLarge, match=f"^cannot write the algebra: integer "
+                               f"of {MAX_COEFF_DIGITS + 2} digits exceeds the bound"):
+                dumps(doc)
+
+
+# -- families --------------------------------------------------------------------
+
+
+def laurent_route(d: dict) -> ParamMatrix:
+    """The family of a valid document as it was read: each entry through
+    parse_laurent's Fractions, then cleared by ParamMatrix.from_laurent."""
+    n = d["dim"]
+    grid = [[{} for _ in range(n)] for _ in range(n)]
+    for item in d["entries"]:
+        grid[item["row"] - 1][item["col"] - 1] = parse_laurent(item["poly"])
+    return ParamMatrix.from_laurent(grid)
+
+
+def stored(g: ParamMatrix):
+    """The stored form with each entry's key order."""
+    D, P = g._form
+    return D, P, [[list(p) for p in row] for row in P]
+
+
+@st.composite
+def written_terms(draw):
+    """One term p/q*t^e, unreduced, zero or padded."""
+    p = draw(st.integers(0, 12) | st.integers(0, 10**25))
+    q = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 12, 10**18]))
+    e = draw(st.integers(-4, 4))
+    return f"{p}/{q}*t^{e}" if q != 1 or draw(st.booleans()) else f"{p}*t^{e}"
+
+
+@st.composite
+def family_documents(draw):
+    """A family with entries whose exponents repeat and whose sums cancel."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), unique=True,
+                          max_size=n * n))
+    entries = []
+    for i, j in cells:
+        terms = draw(st.lists(written_terms(), min_size=1, max_size=5))
+        if draw(st.booleans()):  # a term and its negative
+            terms.append(draw(st.sampled_from(terms)))
+            text = " + ".join(terms[:-1]) + " - " + terms[-1]
+        else:
+            text = " ".join(draw(st.sampled_from(["+", "-"])) + " " + t for t in terms)
+            text = text.removeprefix("+ ")
+        entries.append({"row": i, "col": j, "poly": text})
+    return {"dim": n, "entries": entries}
+
+
+class TestFamilyReader:
+    """family_from_dict clears the terms in ints straight into the stored form
+    that the Fraction route (parse_laurent, then from_laurent) gives."""
+
+    @given(family_documents())
+    @settings(max_examples=300, derandomize=True)
+    def test_written_terms_clear_as_their_fractions(self, doc):
+        assert stored(family_from_dict(doc)) == stored(laurent_route(doc))
+
+    def test_random_and_fixture_families(self):
+        docs = [load_path(str(path)) for path in sorted(FIXTURES.glob("families/*.json"))]
+        docs += [load_path(str(path))["family"]
+                 for path in sorted(FIXTURES.glob("witnesses/*.witness.json"))]
+        docs += [family_to_dict(random_family(n, pole_bound, seed))
+                 for n in range(1, 7) for pole_bound in range(4) for seed in range(6)]
+        assert len(docs) == 40 + 36 + 144
+        for doc in docs:
+            assert stored(family_from_dict(doc)) == stored(laurent_route(doc))

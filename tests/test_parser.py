@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from levelone import ParseError, parse_laurent, print_laurent
+from levelone.parser import laurent_terms
 from levelone.errors import CoefficientTooLarge
 from levelone.poly import MAX_COEFF_DIGITS
 
@@ -154,3 +155,164 @@ class TestPrint:
     @given(laurent_polys(min_exp=-8, max_exp=8, max_terms=6))
     def test_round_trip(self, lp):
         assert parse_laurent(print_laurent(lp)) == lp
+
+
+# -- the token-list parser the scanner replaced ---------------------------------
+#
+# A copy of the recursive-descent parser over a token list that
+# ``laurent_terms`` replaced: the tokenizer reads the whole text first, so a
+# character outside the grammar or an over-long digit run anywhere in it is
+# reported ahead of any grammar error.
+
+
+class TokenList:
+    def __init__(self, text: str):
+        self.items = []  # (kind, text, position)
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch in " \t\r\n":
+                i += 1
+            elif ch in "0123456789":
+                j = i
+                while j < n and text[j] in "0123456789":
+                    j += 1
+                if j - i > MAX_COEFF_DIGITS:
+                    raise CoefficientTooLarge(j - i, MAX_COEFF_DIGITS)
+                self.items.append(("int", text[i:j], i))
+                i = j
+            elif ch == "t" or ch in "+-*/^":
+                self.items.append((ch, ch, i))
+                i += 1
+            else:
+                raise ParseError("unexpected character", i, ch)
+        self.items.append(("end", "", n))
+        self.pos = 0
+
+    def peek(self):
+        return self.items[self.pos]
+
+    def take(self, kind: str):
+        tok = self.items[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}", tok[2], tok[1])
+        self.pos += 1
+        return tok
+
+
+def token_list_parse(text: str) -> dict:
+    toks = TokenList(text)
+    if toks.peek()[0] == "end":
+        raise ParseError("empty input", 0)
+    out: dict = {}
+    sign = 1
+    if toks.peek()[0] == "-":
+        toks.take("-")
+        sign = -1
+    while True:
+        num, den, exp = token_list_term(toks)
+        coeff = F(sign * num, den) + out.get(exp, 0)
+        if coeff:
+            out[exp] = coeff
+        else:
+            out.pop(exp, None)
+        kind, tok_text, pos = toks.peek()
+        if kind == "end":
+            return out
+        if kind not in "+-":
+            raise ParseError("expected '+', '-' or end of input", pos, tok_text)
+        toks.take(kind)
+        sign = 1 if kind == "+" else -1
+
+
+def token_list_term(toks: TokenList):
+    kind, text, pos = toks.peek()
+    if kind == "t":
+        return 1, 1, token_list_tpart(toks)
+    if kind != "int":
+        raise ParseError("expected a coefficient or 't'", pos, text)
+    num, den = int(toks.take("int")[1]), 1
+    if toks.peek()[0] == "/":
+        toks.take("/")
+        dk, dt, dp = toks.peek()
+        if dk != "int":
+            raise ParseError("expected an unsigned denominator", dp, dt)
+        den = int(toks.take("int")[1])
+        if den == 0:
+            raise ParseError("zero denominator", dp, dt)
+    if toks.peek()[0] == "*":
+        toks.take("*")
+        k, t, p = toks.peek()
+        if k != "t":
+            raise ParseError("expected 't' after '*'", p, t)
+        return num, den, token_list_tpart(toks)
+    if toks.peek()[0] == "t":
+        return num, den, token_list_tpart(toks)
+    return num, den, 0
+
+
+def token_list_tpart(toks: TokenList) -> int:
+    toks.take("t")
+    if toks.peek()[0] != "^":
+        return 1
+    toks.take("^")
+    sign = 1
+    if toks.peek()[0] in "+-":
+        sign = -1 if toks.take(toks.peek()[0])[0] == "-" else 1
+    kind, text, pos = toks.peek()
+    if kind != "int":
+        raise ParseError("expected an integer exponent", pos, text)
+    return sign * int(toks.take("int")[1])
+
+
+def parse_outcome(parse, text: str):
+    """The dict's items in order, or the error's type, message, position and
+    token."""
+    try:
+        return list(parse(text).items())
+    except ParseError as exc:
+        return ParseError, str(exc), exc.position, exc.token
+    except CoefficientTooLarge as exc:
+        return CoefficientTooLarge, str(exc)
+
+
+LONG_RUN = "7" * (MAX_COEFF_DIGITS + 1)
+# the grammar's alphabet, the ASCII blanks, other whitespace, a stray letter
+# and digit runs, one past the bound
+PIECES = list("0123456789t+-*/^") + [" ", "\t", "\r", "\n", "\x1c", " ", "x",
+                                      "12", "t^-", "1/2*t^", LONG_RUN, "0" + LONG_RUN]
+
+
+@st.composite
+def mutated_polys(draw):
+    """A written poly with up to three pieces inserted, deleted or replaced."""
+    text = draw(written_polys())[0]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(PIECES))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:k] + (piece if draw(st.booleans()) else "") + text[k + cut:]
+    return text
+
+
+class TestScannerAgainstTheTokenList:
+    @given(st.lists(st.sampled_from(PIECES), max_size=14).map("".join) | mutated_polys())
+    @settings(max_examples=800, derandomize=True)
+    def test_same_outcome_as_the_token_list_parser(self, text):
+        assert parse_outcome(parse_laurent, text) == parse_outcome(token_list_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        "t 2 x",             # a grammar error, then a stray letter
+        "1/0 + \x1c",        # a zero denominator, then other whitespace
+        f"t t {LONG_RUN}",   # a grammar error, then a digit run past the bound
+        f"x {LONG_RUN}",     # the first lexical error wins
+        f"{LONG_RUN} x",
+        "",
+        " \t",
+    ] + list(PARSE_ERRORS))
+    def test_a_lexical_error_anywhere_comes_first(self, text):
+        assert parse_outcome(parse_laurent, text) == parse_outcome(token_list_parse, text)
+
+    def test_terms_are_the_literals_as_written(self):
+        assert laurent_terms(" -2/4*t^-1 + 0*t - t + 3") == [(-1, -2, 4), (1, 0, 1),
+                                                              (1, -1, 1), (0, 3, 1)]
