@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -10,7 +12,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from levelone import CanonicalForm, Tag, construct, linalg, random_algebra, recognize
+from levelone import (
+    CanonicalForm,
+    Tag,
+    construct,
+    linalg,
+    random_algebra,
+    recognize,
+    transport,
+)
 from levelone.cli import main
 from levelone.jsonio import algebra_from_dict, algebra_to_dict, save_path
 from levelone.poly import MAX_COEFF_DIGITS, MAX_DIM
@@ -525,6 +535,39 @@ class TestTransportCommand:
                   "--family", str(fam), f"--at={at}")
         want = FIXTURES / "at" / f"random_n4_pb2_seed{seed}.{name}.at_{tag}.json"
         assert got == (0, want.read_text())
+
+    # sha256 over every fixture family x every fixture algebra document of its
+    # dimension x AT_POINTS of "<family> <algebra> <t0> <exit code>\n",
+    # stdout and stderr; recorded while Q(t) still had its field arithmetic
+    AT_POINTS = ("0", "1", "-1", "1/2", "-3/2")
+    AT_DIGEST = "c3cbfff602e400818c2a4e2387c1ffc8cb976c6739a8245df013733d59a86d21"
+
+    def test_at_of_every_fixture_pair_matches_the_pinned_digest(self, capsys, monkeypatch):
+        # t0 = 0 is a root of D for most fixture families, so this also covers
+        # the Q(t) tensor that transport_at falls back to there
+        module = importlib.import_module("levelone.transport")
+        fallbacks = []
+        monkeypatch.setattr(module, "transport",
+                            lambda a, g: fallbacks.append(g) or transport(a, g))
+        dims = {}
+        for path in sorted(FIXTURES.rglob("*.json")):
+            doc = json.loads(path.read_text())
+            if isinstance(doc, dict) and ("products" in doc or path.parent.name == "families"):
+                dims[path] = doc["dim"]
+        families = [p for p in dims if p.parent.name == "families"]
+        algebras = [p for p in dims if p.parent.name != "families"]
+        h, codes = hashlib.sha256(), set()
+        for fam in families:
+            for alg in (p for p in algebras if dims[p] == dims[fam]):
+                for at in self.AT_POINTS:
+                    code = main(["transport", "--algebra", str(alg), "--family", str(fam),
+                                 f"--at={at}"])
+                    out, err = capsys.readouterr()
+                    codes.add(code)
+                    h.update(f"{fam.name} {alg.relative_to(FIXTURES)} {at} {code}\n".encode())
+                    h.update(out.encode() + b"\0" + err.encode() + b"\0")
+        assert codes == {0, 3} and fallbacks
+        assert h.hexdigest() == self.AT_DIGEST
 
     def test_recognize_of_a_moved_algebra_matches_the_recorded_bytes(self, capsys):
         moved = FIXTURES / "at" / "random_n4_pb2_seed1.nu_n4_alpha_2_3.at_1_2.json"

@@ -7,7 +7,15 @@ import sympy
 from hypothesis import given, settings
 
 from levelone import DegreeOverflow, FieldElement, PoleAtPoint, PoleAtZero
-from levelone.poly import poly_eval, poly_mul, poly_pow, poly_scale, poly_shift, poly_sub
+from levelone.poly import (
+    poly_eval,
+    poly_gcd,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    poly_shift,
+    poly_sub,
+)
 
 from conftest import (
     fe,
@@ -219,3 +227,37 @@ class TestPolyEval:
         assert poly_eval({}, F(3)) == 0
         assert poly_eval({0: F(7, 2)}, F(-5)) == F(7, 2)
         assert poly_eval({-1: F(1, 2), 2: F(-3)}, F(-2, 3)) == F(-3, 4) - F(4, 3)
+
+
+class TestPolyGcd:
+    """poly_gcd against sympy's gcd over QQ, normalised to the monic one."""
+
+    @staticmethod
+    def oracle(a, b):
+        t = sympy.symbols("t")
+
+        def to_qq(p):
+            return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * t**e
+                                   for e, c in p.items()), sympy.Integer(0)), t, domain=sympy.QQ)
+
+        g = sympy.gcd(to_qq(a), to_qq(b))
+        if g.is_zero:
+            return {}
+        return {m[0]: F(int(c.numerator), int(c.denominator)) for m, c in g.monic().terms()}
+
+    @given(ordinary_polys, ordinary_polys, ordinary_polys,
+           st.sampled_from(["both", "first", "none"]))
+    @settings(max_examples=200)
+    def test_agrees_with_sympy(self, f, h, c, shared):
+        # a common factor c makes most gcds non-trivial; "none" draws a, b
+        # apart, and every strategy draws the zero and constant polynomials
+        a = poly_mul(f, c) if shared != "none" else f
+        b = poly_mul(h, c) if shared == "both" else h
+        assert poly_gcd(a, b) == poly_gcd(b, a) == self.oracle(a, b)
+
+    @pytest.mark.parametrize("a,b", [
+        ({}, {}), ({}, {0: F(3)}), ({0: F(-2, 3)}, {}), ({0: F(5)}, {0: F(7, 2)}),
+        ({}, {1: F(2), 0: F(2)}), ({2: F(1), 0: F(-1)}, {1: F(3), 0: F(-3)}),
+    ])
+    def test_zero_and_constant_cases(self, a, b):
+        assert poly_gcd(a, b) == self.oracle(a, b)
