@@ -104,19 +104,6 @@ def classify(a: Algebra, cfg: ClassifierConfig | None = None) -> Witness:
     return witness
 
 
-def span_witness_search(a: Algebra, mode: str):
-    """A vector whose square leaves its line (``"square"``) or an ordered
-    pair whose product leaves its plane (``"pair"``), the first on the
-    grid; None exactly when there is none.  Vectors come as Fractions."""
-    if mode == "square":
-        hit = _find_square(a)[0]
-        return hit and tuple(map(Fraction, hit[0]))
-    if mode == "pair":
-        hit = _find_pair(a, _scalar_action(a))
-        return hit and tuple(tuple(map(Fraction, v)) for v in hit[:2])
-    raise ValueError(f"unknown search mode {mode!r}")
-
-
 # -- candidate grids ---------------------------------------------------------
 
 

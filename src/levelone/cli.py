@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .algebra import invariant_vector, random_algebra
@@ -61,6 +62,12 @@ from .transport import (
     transport_limit,
     verify_degeneration,
 )
+
+
+#: What argparse reads as a negative number, not an option, when it stands
+#: as a value: its own -digits and -digits.digits, and the -p/q of --at and
+#: --alpha, so that "--at -3/2" reads as "--at=-3/2" does.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-[0-9]+/[0-9]+$")
 
 
 @functools.cache
@@ -126,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="rational scalar, nu only")
     p.add_argument("--out")
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's, on 3.10 to 3.13
     return parser
 
 

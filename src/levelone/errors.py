@@ -78,7 +78,3 @@ class SearchExhausted(RuntimeError):
     The candidate grids are complete and each branch's premise follows from
     the scalar-action identities, so this signals a defect, not bad luck;
     the message carries the verifier's diagnostics."""
-
-
-class NotNu(ValueError):
-    """The algebra does not carry the idempotent scalar-action structure."""

@@ -1,11 +1,16 @@
-"""Exact scalar arithmetic: Q[t], Laurent polynomials and the field Q(t).
+"""Exact scalar arithmetic: Q[t], Laurent polynomials and Q(t) quotients.
 
 A polynomial is a sparse dict mapping exponent to a nonzero Fraction; the
 zero polynomial is the empty dict.  Ordinary polynomials keep exponents
->= 0, Laurent polynomials may use negative exponents.  An element of Q(t)
-is a numerator/denominator pair of ordinary polynomials with monic
-denominator that share no power of t.  No polynomial gcd is taken, so the
-pair need not be reduced: a Laurent polynomial keeps the one form num/t^s,
+>= 0, Laurent polynomials may use negative exponents.
+
+``FieldElement`` is the view of an element of Q(t) that the system reads:
+the unreduced quotient num/den of two ordinary polynomials, with monic
+den and no power of t in common.  ``transport()`` and
+``ParamMatrix.entries`` build it; it is evaluated, compared, negated and
+printed, and the t -> 0 read-offs take its valuation.  It has no field
+arithmetic: every limit and witness is computed over Z and Z[t].  No
+polynomial gcd is taken, so a Laurent polynomial keeps the one form num/t^s,
 equality cross-multiplies, and evaluation at t0 first divides out the
 factors (t - t0) that num and den share.
 
@@ -52,36 +57,8 @@ def poly_ord(p: Poly):
     return min(p) if p else math.inf
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, ZERO) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_neg(a: Poly) -> Poly:
     return {e: -c for e, c in a.items()}
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, ZERO) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
 
 
 def poly_scale(a: Poly, c: Fraction) -> Poly:
@@ -158,74 +135,30 @@ def _divide_linear(p: Poly, t0: Fraction) -> Poly:
     return q
 
 
-# poly_gcd and its helpers below have no caller in the package, since Q(t)
-# elements stay unreduced: they are kept only because perfbench/tracer.py wraps
-# poly.poly_gcd by name, and can go with the next change to the benchmark.
-def _int_primitive(p: Poly) -> dict:
-    """Rescale to an integer polynomial with content 1 (sign kept)."""
-    if not p:
-        return {}
-    den_lcm = 1
-    for c in p.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = {e: c.numerator * (den_lcm // c.denominator) for e, c in p.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    return {e: v // g for e, v in ints.items()}
-
-
-def _int_prem(a: dict, b: dict) -> dict:
-    """Primitive pseudo-remainder of integer polynomials."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        nr: dict = {}
-        for e, c in r.items():
-            nr[e] = c * lb
-        for e, c in b.items():
-            k = e + dr - db
-            nr[k] = nr.get(k, 0) - lr * c
-        r = {e: v for e, v in nr.items() if v}
-        if r:
-            g = 0
-            for v in r.values():
-                g = math.gcd(g, v)
-            if g > 1:
-                r = {e: v // g for e, v in r.items()}
-    return r
-
-
-def poly_monic(p: Poly) -> Poly:
-    if not p:
-        return {}
-    lc = p[max(p)]
-    if lc == 1:
-        return dict(p)
-    return {e: c / lc for e, c in p.items()}
-
-
+# No code in the package calls poly_gcd: Q(t) quotients stay unreduced.  It
+# is kept because perfbench/tracer.py wraps poly.poly_gcd by name, and a
+# traced benchmark run fails on a binding it cannot find.
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[t], via a primitive remainder sequence over Z."""
-    if not a:
-        return poly_monic(b)
-    if not b:
-        return poly_monic(a)
-    x, y = _int_primitive(a), _int_primitive(b)
-    while y:
-        x, y = y, _int_prem(x, y)
-    return poly_monic({e: Fraction(c) for e, c in x.items()})
+    """Monic gcd in Q[t] by Euclid's algorithm; {} when a = b = 0."""
+    while b:
+        r, top = dict(a), max(b)
+        while r and (k := max(r) - top) >= 0:  # r -= q t^k b cancels r's lead
+            q = r[k + top] / b[top]
+            for e, c in b.items():
+                if s := r.get(e + k, ZERO) - q * c:
+                    r[e + k] = s
+                else:
+                    del r[e + k]
+        a, b = b, r
+    lc = a[max(a)] if a else ONE
+    return {e: c / lc for e, c in a.items()}
 
 
 class FieldElement:
-    """An element of Q(t): num/den with monic den, no power of t in common
-    and no other common factor cancelled.
+    """An element of Q(t) as the unreduced quotient num/den: monic den, no
+    power of t in common and no other common factor cancelled.
 
-    Instances are immutable; all operations return fresh values.  Equality
-    is num * den' == num' * den.
+    Instances are immutable.  Equality is num * den' == num' * den.
     """
 
     __slots__ = ("num", "den")
@@ -258,66 +191,23 @@ class FieldElement:
         return cls._raw(poly_const(c), dict(POLY_ONE))
 
     @classmethod
-    def t_power(cls, k: int) -> "FieldElement":
-        """The monomial t^k, k possibly negative."""
-        if k >= 0:
-            return cls._raw({k: ONE}, dict(POLY_ONE))
-        return cls._raw({0: ONE}, {-k: ONE})
-
-    @classmethod
     def from_laurent(cls, lp: Poly) -> "FieldElement":
         """lp * t^s / t^s, s the order of the pole of lp at t = 0."""
         s = max(0, -min(lp, default=0))
         return cls._raw(poly_shift(lp, s), {s: ONE})
 
-    # -- predicates and views ------------------------------------------
+    # -- views, sign and comparison -------------------------------------
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def to_laurent(self, shift: int = 0) -> Poly:
-        """Return the Laurent dict of t^shift * self; fails unless den is a
-        pure power of t."""
+    def to_laurent(self) -> Poly:
+        """The Laurent dict of self; fails unless den is a pure power of t."""
         if len(self.den) != 1:  # den is monic: a lone term is t^e
             raise ValueError(f"not a Laurent polynomial: {self!r}")
-        return poly_shift(self.num, shift - max(self.den))
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.den == other.den:
-            return FieldElement(poly_add(self.num, other.num), dict(self.den))
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return FieldElement(num, poly_mul(self.den, other.den))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
+        return poly_shift(self.num, -max(self.den))
 
     def __neg__(self) -> "FieldElement":
         return FieldElement._raw(poly_neg(self.num), dict(self.den))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not self.num or not other.num:
-            return FieldElement._raw({}, dict(POLY_ONE))
-        return FieldElement(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        if not other.num:
-            raise ZeroDivisionError("division by zero in Q(t)")
-        if not self.num:
-            return FieldElement._raw({}, dict(POLY_ONE))
-        return FieldElement(
-            poly_mul(self.num, other.den), poly_mul(self.den, other.num)
-        )
-
-    def inverse(self) -> "FieldElement":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero in Q(t)")
-        return FieldElement(dict(self.den), dict(self.num))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
@@ -378,4 +268,3 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 FE_ZERO = FieldElement._raw({}, dict(POLY_ONE))
-FE_ONE = FieldElement._raw(dict(POLY_ONE), dict(POLY_ONE))

@@ -91,7 +91,6 @@ from .algebra import (
     vec_scale,
 )
 from .canonical import CanonicalForm, Tag
-from .errors import NotNu
 from .poly import poly_mul, poly_pow
 
 ZERO = Fraction(0)
@@ -137,16 +136,6 @@ def _name_failure(a: Algebra) -> RecognitionResult:
     if a.is_commutative():
         return _name_commutative_failure(a)
     return _name_nu_failure(a)
-
-
-def alpha_of(a: Algebra) -> Fraction:
-    """The scalar of the nu family, a basis-change invariant."""
-    res = recognize(a)
-    if res.form is None or res.form.tag is not Tag.NU:
-        raise NotNu(f"algebra is not of nu type: {res.reason or res.form.describe()}")
-    if res.form.alpha is None:
-        raise NotNu("the 1-dimensional idempotent algebra carries no scalar")
-    return res.form.alpha
 
 
 # -- the scalar-action and scalar-line forms (pminus, nu, pplus) ------------

@@ -39,12 +39,7 @@ nonzero_laurent_polys = laurent_polys().filter(bool)
 
 @st.composite
 def field_elements(draw):
-    num = draw(laurent_polys())
-    den = draw(nonzero_laurent_polys)
-    return FieldElement.from_laurent(num) / FieldElement.from_laurent(den)
-
-
-nonzero_field_elements = field_elements().filter(bool)
+    return FieldElement(draw(laurent_polys()), draw(nonzero_laurent_polys))
 
 
 @st.composite

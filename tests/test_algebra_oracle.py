@@ -39,11 +39,11 @@ from levelone import (
     random_algebra,
     rebase,
     recognize,
-    span_witness_search,
     subspace_product,
     unit_vector,
 )
 from levelone.algebra import _frame, _scalar_action, product_form, products_vanish
+from levelone.classify import _find_pair, _find_square
 from levelone.errors import BadDimension, SingularMatrix
 from levelone.linalg import (
     _int_matrix,
@@ -546,18 +546,18 @@ def test_scalar_action_identity_matches_sympy(n):
     for idx, a in enumerate(inputs):
         on_line, in_plane = square_and_plane_stay(a)
         assert (_scalar_action(a, symmetrised=True) is not None) == on_line
-        x = span_witness_search(a, "square")
-        assert (x is None) == on_line
+        hit = _find_square(a)[0]
+        assert (hit is None) == on_line
         action = _scalar_action(a)
         if n >= 3:
             assert (action is not None) == in_plane
-            assert (span_witness_search(a, "pair") is None) == in_plane
+            assert (_find_pair(a, action) is None) == in_plane
         if action is not None:
             A, B, D = action
             assert a == scalar_action_table(n, [F(x, D) for x in A], [F(x, D) for x in B])
         if idx >= len(inputs) - 5:  # column_shifted
-            assert x not in deterministic_candidates(n)
-            assert sorted(x) == [0] * (n - 2) + [1, 2]
+            assert hit[0] not in deterministic_candidates(n)
+            assert sorted(hit[0]) == [0] * (n - 2) + [1, 2]
         seen.add((on_line, action is not None))
     # at n = 2 squares on their lines make the tensor planar: its skew part
     # e1*e2 = -e2*e1 = v is a_1 e2 - a_2 e1 for a = (v_2, -v_1)

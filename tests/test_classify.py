@@ -21,7 +21,6 @@ from levelone import (
     deterministic_candidates,
     random_algebra,
     random_invertible_matrix,
-    span_witness_search,
     unit_vector,
     verify_degeneration,
 )
@@ -46,6 +45,19 @@ def canon(tag, n, alpha=None):
     return construct(CanonicalForm(tag, n, alpha))
 
 
+def square_witness(a):
+    """The first x on the square grid whose square leaves its line, or None."""
+    hit = classify_mod._find_square(a)[0]
+    return hit and hit[0]
+
+
+def pair_witness(a):
+    """The first ordered pair on the pair grid whose product leaves their
+    plane, or None."""
+    hit = classify_mod._find_pair(a, classify_mod._scalar_action(a))
+    return hit and hit[:2]
+
+
 def classify_and_check(a, seed=0):
     w = classify(a, ClassifierConfig(seed=seed))
     report = verify_degeneration(a, w)
@@ -56,12 +68,12 @@ def classify_and_check(a, seed=0):
 class TestSearch:
     def test_n3minus_pair_found_on_basis(self):
         a = canon(Tag.N3_MINUS, 3)
-        got = span_witness_search(a, "pair")
+        got = pair_witness(a)
         assert got == (unit_vector(3, 0), unit_vector(3, 1))
 
     def test_pplus_square_found_on_pairwise_sum(self):
         a = canon(Tag.P_PLUS, 3)
-        x = span_witness_search(a, "square")
+        x = square_witness(a)
         assert x == (F(1), F(1), F(0))
         sq = a.product(x, x)
         assert sq == (F(0), F(2), F(0))  # 2*e2, off the line of e1 + e2
@@ -69,13 +81,13 @@ class TestSearch:
 
     def test_nu_has_no_witnesses(self):
         a = canon(Tag.NU, 3, F(2, 3))
-        assert span_witness_search(a, "square") is None
-        assert span_witness_search(a, "pair") is None
+        assert square_witness(a) is None
+        assert pair_witness(a) is None
 
     def test_every_returned_pair_is_rank_three(self):
         for seed in range(8):
             a = random_algebra(4, 0.4, seed=seed, nonabelian=True)
-            got = span_witness_search(a, "pair")
+            got = pair_witness(a)
             if got is not None:
                 x, y = got
                 assert rank([list(x), list(y), list(a.product(x, y))]) == 3
@@ -494,12 +506,11 @@ class TestIdentities:
         rng = random.Random("identities")
         inputs = [a for n in range(2, 7) for a in identity_inputs(n, rng)]
         assert len(inputs) >= 700
-        new = [(span_witness_search(a, "square"), span_witness_search(a, "pair"))
-               for a in inputs]
+        new = [(square_witness(a), pair_witness(a)) for a in inputs]
         monkeypatch.setattr(classify_mod, "_scalar_action", lambda *args, **kw: None)
         kinds = set()
         for a, got in zip(inputs, new):
-            old = (span_witness_search(a, "square"), span_witness_search(a, "pair"))
+            old = (square_witness(a), pair_witness(a))
             assert got == old
             on_lines = _scalar_action(a, symmetrised=True) is not None
             planar = _scalar_action(a) is not None
@@ -522,8 +533,8 @@ class TestIdentities:
                            and proportionality(s, x) is None), None)
             pair = next(((x, y) for x in pairs for y in pairs
                          if x != y and rank([x, y, a.product(x, y)]) == 3), None)
-            assert span_witness_search(a, "square") == square
-            assert span_witness_search(a, "pair") == (pair if n >= 3 else None)
+            assert square_witness(a) == square
+            assert pair_witness(a) == (pair if n >= 3 else None)
 
     @pytest.mark.parametrize("tag,alpha", [(Tag.NU, F(2, 3)), (Tag.NU, F(-3)),
                                            (Tag.P_MINUS, None)])

@@ -70,6 +70,16 @@ class TestCanonical:
         assert doc["recognized"] is True
         assert doc["form"] == {"tag": "nu", "dim": 2, "alpha": "1/2"}
 
+    def test_a_negative_alpha_reads_as_a_value(self, capsys):
+        # argparse takes only -digits and -digits.digits as values unless told
+        # otherwise; "--alpha -1/2" once exited 2 ("expected one argument")
+        argv = ["canonical", "--name", "nu", "--dim", "2"]
+        got = run(capsys, *argv, "--alpha", "-1/2")
+        assert got == run(capsys, *argv, "--alpha=-1/2")
+        assert got[0] == 0
+        assert algebra_from_dict(json.loads(got[1])) == construct(
+            CanonicalForm(Tag.NU, 2, F(-1, 2)))
+
     def test_bad_dimension_is_usage_error(self, capsys):
         code, _ = run(capsys, "canonical", "--name", "n3plus", "--dim", "2")
         assert code == 2
@@ -535,6 +545,14 @@ class TestTransportCommand:
                   "--family", str(fam), f"--at={at}")
         want = FIXTURES / "at" / f"random_n4_pb2_seed{seed}.{name}.at_{tag}.json"
         assert got == (0, want.read_text())
+
+    def test_a_negative_point_reads_as_a_value(self, capsys):
+        # "--at -3/2" once exited 2 ("expected one argument")
+        argv = ["transport", "--algebra", canonical_path("pplus_n3"),
+                "--family", family_path("pplus_to_lambda2_n3")]
+        got = run(capsys, *argv, "--at", "-3/2")
+        assert got == run(capsys, *argv, "--at=-3/2")
+        assert got[0] == 0 and got[1]
 
     # sha256 over every fixture family x every fixture algebra document of its
     # dimension x AT_POINTS of "<family> <algebra> <t0> <exit code>\n",

@@ -14,78 +14,83 @@ from levelone.poly import (
     poly_pow,
     poly_scale,
     poly_shift,
-    poly_sub,
 )
 
-from conftest import (
-    fe,
-    field_elements,
-    laurent_polys,
-    nonzero_field_elements,
-    nonzero_rationals,
-    small_rationals,
-)
+from conftest import fe, field_elements, laurent_polys, nonzero_rationals, small_rationals
 
-ONE = FieldElement.constant(1)
 ZERO = FieldElement.constant(0)
-T = FieldElement.t_power(1)
 
 
-class TestFieldArithmetic:
-    def test_common_denominator_collapses(self):
-        assert T / (T + ONE) + ONE / (T + ONE) == ONE
+def quo(num: dict, den: dict) -> FieldElement:
+    """num/den from dicts of int coefficients, for readable tests."""
+    return FieldElement({e: F(c) for e, c in num.items()}, {e: F(c) for e, c in den.items()})
 
-    def test_gcd_cancellation(self):
-        assert (T * T - ONE) / (T - ONE) == T + ONE
+
+class TestQuotientForm:
+    def test_equality_cross_multiplies(self):
+        # (t^2 - 1) / (t - 1) keeps its common factor and equals t + 1
+        x = quo({2: 1, 0: -1}, {1: 1, 0: -1})
+        assert x.num == {2: F(1), 0: F(-1)} and x.den == {1: F(1), 0: F(-1)}
+        assert x == fe("t + 1") and fe("t + 1") == x
+        assert x != fe("t - 1")
 
     def test_laurent_monomial_gets_monic_denominator(self):
         x = fe("1/2*t^-2")
         assert x.num == {0: F(1, 2)}
         assert x.den == {2: F(1)}
 
-    def test_division_by_zero(self):
+    def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            ONE / ZERO
-        with pytest.raises(ZeroDivisionError):
-            ZERO.inverse()
+            FieldElement({0: F(1)}, {})
+
+    def test_negation(self):
+        x = quo({0: 1, 2: -3}, {1: 1, 0: 2})
+        assert (-x).num == {0: F(-1), 2: F(3)} and (-x).den == x.den
+        assert -(-x) == x and -ZERO == ZERO
 
     def test_repr_of_a_quotient(self):
-        x = ONE / (T + ONE)
+        x = quo({0: 1}, {1: 1, 0: 1})
         assert repr(x) == "FieldElement('1' / 't + 1')"
         assert repr(fe("1/2*t^-2")) == "FieldElement('1/2*t^-2')"
         with pytest.raises(ValueError, match="not a Laurent polynomial: FieldElement"):
             x.to_laurent()
 
     def test_degree_guard(self):
-        big = FieldElement.t_power(6000)
         with pytest.raises(DegreeOverflow):
-            big * big
+            poly_mul({6000: F(1)}, {6000: F(1)})
+
+    @given(field_elements())
+    def test_invariants_hold(self, a):
+        assert a.den, "denominator never empty"
+        assert a.den[max(a.den)] == 1, "denominator is monic"
+        assert min(a.den) == 0 or min(a.num) == 0, "num and den share no power of t"
 
 
 class TestValuation:
     def test_examples(self):
-        assert (fe("t^2 + t^3") / fe("2*t")).valuation_at_zero() == 1
+        assert quo({2: 1, 3: 1}, {1: 2}).valuation_at_zero() == 1
         assert ZERO.valuation_at_zero() == math.inf
         assert fe("t^-1").valuation_at_zero() == -1
 
     @given(field_elements(), field_elements())
-    def test_additive_under_multiplication(self, f, g):
-        assert (f * g).valuation_at_zero() == (
+    def test_additive_over_products_of_quotients(self, f, g):
+        fg = FieldElement(poly_mul(f.num, g.num), poly_mul(f.den, g.den))
+        assert fg.valuation_at_zero() == (
             f.valuation_at_zero() + g.valuation_at_zero()
         )
 
 
 class TestEvaluation:
     def test_eval_at_zero_examples(self):
-        assert (fe("3*t^2 + t^5") / fe("t^2")).eval_at_zero() == 3
-        assert (T / (T + ONE)).eval_at_zero() == 0
+        assert quo({2: 3, 5: 1}, {2: 1}).eval_at_zero() == 3
+        assert quo({1: 1}, {1: 1, 0: 1}).eval_at_zero() == 0
         with pytest.raises(PoleAtZero):
             fe("t^-1").eval_at_zero()
 
     def test_eval_at_examples(self):
         assert fe("t^2 + 1").eval_at(F(2)) == 5
         with pytest.raises(PoleAtPoint):
-            (ONE / (T - ONE)).eval_at(F(1))
+            quo({0: 1}, {1: 1, 0: -1}).eval_at(F(1))
         assert fe("t^-1").eval_at(F(1, 2)) == 2
 
     @given(field_elements())
@@ -101,46 +106,16 @@ class TestEvaluation:
         if v == math.inf:
             return
         if v < 0:
-            f = f * FieldElement.t_power(-v)  # shift poles away, keep generality
+            f = FieldElement(poly_shift(f.num, -v), f.den)  # shift poles away
         f0 = f.eval_at_zero()
         d0 = f.den[0]
         n0 = f.num.get(0, F(0))
-        r = poly_shift(poly_sub(poly_scale(f.num, d0), poly_scale(f.den, n0)), -1)
-        big_r = sum((abs(c) for c in r.values()), F(0))
+        big_r = sum((abs(d0 * f.num.get(e, 0) - n0 * f.den.get(e, 0))
+                     for e in f.num.keys() | f.den.keys()), F(0))
         tail = sum((abs(c) for e, c in f.den.items() if e >= 1), F(0))
         k = max(10**6, int(2 * tail / abs(d0)) + 1)
         diff = abs(f.eval_at(F(1, k)) - f0)
         assert diff <= (2 * big_r / (d0 * d0)) / k
-
-
-class TestFieldAxioms:
-    @given(field_elements(), field_elements(), field_elements())
-    @settings(max_examples=60)
-    def test_associativity_and_distributivity(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-    @given(field_elements(), field_elements())
-    def test_commutativity(self, a, b):
-        assert a + b == b + a
-        assert a * b == b * a
-
-    @given(field_elements())
-    def test_additive_inverse(self, a):
-        assert a - a == ZERO
-        assert a + (-a) == ZERO
-
-    @given(nonzero_field_elements)
-    def test_multiplicative_inverse(self, a):
-        assert a * a.inverse() == ONE
-        assert a / a == ONE
-
-    @given(field_elements())
-    def test_invariants_hold(self, a):
-        assert a.den, "denominator never empty"
-        assert a.den[max(a.den)] == 1, "denominator is monic"
-        assert min(a.den) == 0 or min(a.num) == 0, "num and den share no power of t"
 
 
 ordinary_polys = laurent_polys(min_exp=0, max_exp=4)

@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from levelone import (
     Algebra,
     CanonicalForm,
-    NotNu,
     Tag,
-    alpha_of,
     apply_basis_change,
     construct,
     derived_subspace,
@@ -78,14 +76,14 @@ class TestExamples:
 
 class TestAlpha:
     def test_nu_zero(self):
-        assert alpha_of(canon(Tag.NU, 3, F(0))) == 0
+        assert recognize(canon(Tag.NU, 3, F(0))).form.alpha == 0
 
     def test_alpha_survives_basis_change_with_eigen_oracle(self):
         alpha = F(2, 3)
         a = moved(Tag.NU, 4, alpha, seed=11)
-        assert alpha_of(a) == alpha
-        # oracle: the idempotent's left action has char poly (x-1)(x-alpha)^3
         res = recognize(a)
+        assert res.form.alpha == alpha
+        # oracle: the idempotent's left action has char poly (x-1)(x-alpha)^3
         iso = [list(r) for r in res.iso]
         back = apply_basis_change(a, iso)
         e = tuple(F(1) if i == 0 else F(0) for i in range(4))
@@ -99,9 +97,9 @@ class TestAlpha:
         res = recognize(a)
         assert res.form == CanonicalForm(Tag.NU, 2, F(1, 2))
 
-    def test_alpha_of_rejects_others(self):
-        with pytest.raises(NotNu):
-            alpha_of(canon(Tag.LAMBDA2, 3))
+    def test_other_forms_carry_no_alpha(self):
+        form = recognize(canon(Tag.LAMBDA2, 3)).form
+        assert form.tag is Tag.LAMBDA2 and form.alpha is None
 
 
 class TestRoundTrip:

@@ -40,6 +40,8 @@ from levelone.families import scaling_family
 from levelone.poly import FieldElement
 from levelone.transport import _row_monomial
 
+from conftest import fe
+
 # ``levelone.transport`` is also the name of a function the package exports
 transport_module = importlib.import_module("levelone.transport")
 
@@ -240,8 +242,7 @@ def double_root_cases():
     families diag(1, (t - 1)^2) (regular) and [[1, t], [0, (t - 1)^2]] (a
     pole) on pminus."""
     rng = random.Random(20261020)
-    t, one, zero = (FieldElement.t_power(1), FieldElement.constant(1),
-                    FieldElement.constant(0))
+    t, one, zero = (fe("t"), fe("1"), fe("0"))
 
     def diag(xs):
         return ParamMatrix(len(xs), tuple(tuple(x if i == j else zero for j in range(len(xs)))
@@ -251,14 +252,14 @@ def double_root_cases():
     for idx in range(16):
         n = 2 + idx % 2
         r = (F(1), F(-1), F(1, 2), F(-3, 2))[idx % 4]
-        lin = t - FieldElement.constant(r)
-        g = random_family(n, idx % 3, rng.randrange(10**6)) @ diag([one] * (n - 1) + [lin * lin])
+        square = FieldElement({2: F(1), 1: -2 * r, 0: r * r})  # (t - r)^2
+        g = random_family(n, idx % 3, rng.randrange(10**6)) @ diag([one] * (n - 1) + [square])
         pool = [construct(CanonicalForm(Tag.P_MINUS, n)),
                 construct(CanonicalForm(Tag.LAMBDA2, n)),
                 random_algebra(n, 0.5, rng.randrange(10**6), nonabelian=True)]
         out.append((pool[idx % 3], g, r))
     pminus = construct(CanonicalForm(Tag.P_MINUS, 2))
-    sq = (t - one) * (t - one)
+    sq = fe("t^2 - 2*t + 1")
     out.append((pminus, diag([one, sq]), F(1)))
     out.append((pminus, ParamMatrix(2, ((one, t), (zero, sq))), F(1)))
     return out
@@ -363,9 +364,8 @@ def test_uniform_scaling_limit_is_abelian(n):
 
 
 def test_singular_family_raises_from_transport_limit():
-    t = FieldElement.t_power(1)
-    one = FieldElement.constant(1)
-    g = ParamMatrix(2, ((t, one), (t * t, t)))
+    t, one = fe("t"), fe("1")
+    g = ParamMatrix(2, ((t, one), (fe("t^2"), t)))
     assert not g.det()
     with pytest.raises(SingularFamily):
         transport_limit(construct(CanonicalForm(Tag.P_MINUS, 2)), g)
