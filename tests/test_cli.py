@@ -1259,6 +1259,9 @@ ENTRY_CASES = {
         ["random", "--kind", "algebra", "--dim", "3", "--seed", "1", "--density", "0",
          "--non-abelian"],
         (2, b"", b"error: a non-abelian draw at n = 3 and density 0.0 has chance 0 < 0.001\n")),
+    "random pole bound 100000": lambda tmp_path: (
+        ["random", "--kind", "family", "--dim", "64", "--pole-bound", "100000", "--seed", "1"],
+        (2, b"", b"error: exponent beyond +/-10000\n")),
     "at t^2000000": _at_past_the_bound("t^2000000", "1"),
     "at t^-10000000": _at_past_the_bound("t^-10000000", "t^-10000000"),
     "huge pminus_n8": _huge_case(

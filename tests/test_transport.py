@@ -822,6 +822,15 @@ class TestProductsAndInverses:
 # (which decides each draw) eliminated P for every family
 RANDOM_FAMILY_DIGEST = "ea3aa48ed00b0743ef1eba004b390b6596124a339855e50b90fd58fc3d8b0579"
 
+# sha256 of the dumps bytes of random_algebra(n, density, seed, nonabelian)
+# for n = 1..8, the densities of DRAW_DENSITIES, seeds 0..19 and both flags
+# (the draws that raise ValueError left out), and of the entry strings of
+# random_invertible_matrix(n, Random(seed), bound) for n = 1..8, bound 1..3
+# and seeds 0..19; both recorded while the draws still went through Fraction
+DRAW_DENSITIES = (0.05, 0.15, 0.4, 0.8, 1)
+RANDOM_ALGEBRA_DIGEST = "3db8ef3b30fe2752719bfe1f5f6050db8d450c30432cb0002bcdca6a29902a6c"
+RANDOM_MATRIX_DIGEST = "9c506812debe1447393f619ef486eac0fdb95dcf8466b602d683f8c5c952ecb7"
+
 # det of every bundled family and classify witness, recorded before the same
 # change
 FIXTURE_DETS = {
@@ -866,6 +875,24 @@ class TestPinnedDraws:
         for n, pole_bound, seed in itertools.product(range(2, 9), range(4), range(20)):
             h.update(dumps(family_to_dict(random_family(n, pole_bound, seed))).encode())
         assert h.hexdigest() == RANDOM_FAMILY_DIGEST
+
+    def test_random_algebra_draws_are_unchanged(self):
+        h = hashlib.sha256()
+        for n, density, seed, flag in itertools.product(range(1, 9), DRAW_DENSITIES, range(20),
+                                                         (False, True)):
+            try:
+                a = random_algebra(n, density, seed, flag)
+            except ValueError:
+                continue
+            h.update(dumps(a).encode())
+        assert h.hexdigest() == RANDOM_ALGEBRA_DIGEST
+
+    def test_random_invertible_matrix_draws_are_unchanged(self):
+        h = hashlib.sha256()
+        for n, bound, seed in itertools.product(range(1, 9), range(1, 4), range(20)):
+            m = random_invertible_matrix(n, random.Random(seed), bound)
+            h.update(dumps([[str(x) for x in row] for row in m]).encode())
+        assert h.hexdigest() == RANDOM_MATRIX_DIGEST
 
     def test_det_of_the_bundled_families_and_witnesses_is_unchanged(self):
         root = Path(__file__).resolve().parent.parent / "fixtures"
