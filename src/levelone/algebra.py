@@ -97,14 +97,15 @@ class Algebra:
     _slices: dict = field(hash=False)
 
     def __init__(self, dim: int, constants):
-        """The algebra of the dense table constants[k][i][j]."""
-        n = dim
+        """The algebra of the dense table constants[k][i][j], walked one
+        column c[:, i, j] at a time."""
+        n = _dimension(dim)
         if len(constants) != n or any(
             len(plane) != n or any(len(row) != n for row in plane) for plane in constants
         ):
             raise DimensionMismatch("structure tensor shape does not match dim")
-        _store(self, n, (((k, i, j), plane[i][j])
-                         for i in range(n) for j in range(n) for k, plane in enumerate(constants)))
+        _store(self, n, (((i, j), enumerate(col)) for i in range(n)
+                         for j, col in enumerate(zip(*(plane[i] for plane in constants)))))
 
     @classmethod
     def zero(cls, n: int) -> "Algebra":
@@ -113,11 +114,14 @@ class Algebra:
     @classmethod
     def from_entries(cls, n: int, entries: dict) -> "Algebra":
         """Build from {(k, i, j): coeff} with 0-based indices in 0..n-1."""
+        _dimension(n)
         for key in entries:
             if len(key) != 3 or not all(isinstance(x, int) and 0 <= x < n for x in key):
                 raise DimensionMismatch(f"entry index {key} outside 0..{n - 1}")
         ordered = sorted(entries.items(), key=lambda e: (e[0][1], e[0][2], e[0][0]))
-        return _store(object.__new__(cls), n, ordered)
+        return _store(object.__new__(cls), n, (
+            (ij, ((kij[0], v) for kij, v in hits))
+            for ij, hits in itertools.groupby(ordered, key=lambda e: e[0][1:])))
 
     @functools.cached_property
     def constants(self) -> tuple:
@@ -193,18 +197,29 @@ class Algebra:
         return powers[-1].dim == 0
 
 
-def _store(a: Algebra, n: int, entries) -> Algebra:
-    """Give ``a`` the stored form of the ((k, i, j), value) pairs, which come
-    in (i, j, k) order; zero values are skipped."""
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    nonzero = [(kij, q) for kij, v in entries
-               if v and (q := v if type(v) in (int, Fraction) else Fraction(v))]
-    cden = math.lcm(*(q.denominator for _, q in nonzero))
-    slices: dict = {}
-    for (k, i, j), q in nonzero:
-        slices.setdefault((i, j), []).append((k, q.numerator * (cden // q.denominator)))
-    return _stored(a, n, cden, {ij: tuple(hits) for ij, hits in slices.items()})
+def _dimension(n, least: int = 1) -> int:
+    """n itself when it is an int of at least ``least``; DimensionMismatch
+    otherwise, as for a bool, which is not a dimension."""
+    if type(n) is not int:
+        raise DimensionMismatch(f"dimension must be an int, got {n!r}")
+    if n < least:
+        raise DimensionMismatch(f"dimension must be at least {least}, got {n}")
+    return n
+
+
+def _store(a: Algebra, n: int, cols) -> Algebra:
+    """Give ``a`` the stored form of the columns ((i, j), ((k, value), ...)),
+    which come in (i, j) order with k increasing; zero values are skipped."""
+    _dimension(n)
+    ratios = []  # ((i, j), [(k, (p, q)), ...]) with value = p / q reduced
+    for ij, hits in cols:
+        col = [(k, (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio())
+               for k, v in hits if v]
+        if col:
+            ratios.append((ij, col))
+    cden = math.lcm(*(q for _, col in ratios for _, (_, q) in col))
+    return _stored(a, n, cden, {ij: tuple((k, p * (cden // q)) for k, (p, q) in col)
+                                for ij, col in ratios})
 
 
 def _stored(a: Algebra, n: int, cden: int, slices: dict) -> Algebra:
@@ -656,47 +671,55 @@ def random_algebra(
     the sample is redrawn until some entry is nonzero; a draw has one with
     chance 1 - (1 - density)^(n^3), and below MIN_NONZERO_CHANCE (more than
     a thousand expected draws, and none at all at density 0) ValueError is
-    raised instead.
+    raised instead.  An n that is not a positive int raises
+    DimensionMismatch, a ValueError.
+
+    The draws are made in (k, i, j) order, each value p/q reduced by one
+    gcd, and written straight into the stored form over the lcm of the q.
     """
-    if n < 1 or not 0 <= density <= 1:
-        raise ValueError("need n >= 1 and 0 <= density <= 1")
+    _dimension(n)
+    if not 0 <= density <= 1:
+        raise ValueError("need 0 <= density <= 1")
     if nonabelian and (chance := 1 - (1 - float(density)) ** n**3) < MIN_NONZERO_CHANCE:
         raise ValueError(f"a non-abelian draw at n = {n} and density {density} has chance "
                          f"{chance:.3g} < {MIN_NONZERO_CHANCE}")
     rng = random.Random(seed)
+    draw, choice, randint = rng.random, rng.choice, rng.randint
+    cells = list(itertools.product(range(n), repeat=2))
     while True:
-        entries = {}
+        cols = [[] for _ in cells]  # cols[i*n + j] = [(k, p, q), ...], k increasing
         for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if rng.random() < density:
-                        num = rng.choice((1, -1)) * rng.randint(1, 9)
-                        entries[(k, i, j)] = Fraction(num, rng.randint(1, 4))
-        if entries or not nonabelian:
-            return Algebra.from_entries(n, entries)
+            for col in cols:
+                if draw() < density:
+                    p = choice((1, -1)) * randint(1, 9)
+                    q = randint(1, 4)
+                    g = math.gcd(p, q)
+                    col.append((k, p // g, q // g))
+        cden = math.lcm(*(q for col in cols for _, _, q in col))
+        slices = {ij: tuple((k, p * (cden // q)) for k, p, q in col)
+                  for ij, col in zip(cells, cols) if col}
+        if slices or not nonabelian:
+            return _stored(object.__new__(Algebra), n, cden, slices)
 
 
 def random_invertible_matrix(n: int, rng: random.Random, bound: int = 3) -> list:
-    """Random invertible rational matrix, built as L * U * P so no rejection loop."""
-    lower = [
-        [
-            ONE
-            if i == j
-            else (Fraction(rng.randint(-bound, bound)) if i > j else ZERO)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    upper = [
-        [
-            Fraction(rng.choice((1, -1)) * rng.randint(1, bound))
-            if i == j
-            else (Fraction(rng.randint(-bound, bound)) if i < j else ZERO)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    """Random invertible rational matrix L * U * P, with L unit lower and U
+    upper triangular with a nonzero diagonal, so no rejection loop; P
+    permutes the columns.  L * U is formed over Z and each entry made a
+    Fraction once."""
+    _dimension(n, 0)
+    randint = rng.randint
+    lower = [[1 if i == j else randint(-bound, bound) if i > j else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.choice((1, -1)) * randint(1, bound) if i == j
+              else randint(-bound, bound) if i < j else 0 for j in range(n)]
+             for i in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)
-    pmat = [[ONE if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(linalg.mat_mul(lower, upper), pmat)
+    out = []
+    for i, row in enumerate(lower):
+        moved = [0] * n
+        for j, p in enumerate(perm):  # column j of L * U is column perm[j]
+            moved[p] = sum(row[k] * upper[k][j] for k in range(min(i, j) + 1))
+        out.append([Fraction(x) for x in moved])
+    return out

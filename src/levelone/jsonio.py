@@ -40,7 +40,7 @@ from .errors import CoefficientTooLarge
 from .parser import laurent_pairs, print_terms, rational_text
 from .poly import MAX_COEFF_DIGITS, MAX_DIM
 from .recognize import RecognitionResult
-from .transport import ParamMatrix, Report, Witness, _cleared
+from .transport import ParamMatrix, Report, Witness, _clear_pairs, _cleared
 
 # ASCII digits only, to the end of the text: str.isdigit and int() also take
 # other Unicode digits, and $ a trailing newline
@@ -200,12 +200,12 @@ def family_to_dict(pm: ParamMatrix, output: str = "family") -> dict:
 def family_from_dict(d: dict) -> ParamMatrix:
     """The family of a document, read straight into the canonical (s, L, P)
     of ``ParamMatrix.from_laurent``: each entry's terms summed as reduced
-    int pairs, with no Fraction in between."""
+    int pairs, with no Fraction in between, and cleared by
+    ``transport._clear_pairs``, as ``random_family`` clears its draws."""
     if not isinstance(d, dict) or "dim" not in d:
         raise ValueError("family JSON needs a 'dim' field")
     n = check_dimension(d["dim"])
     grid = [[None] * n for _ in range(n)]
-    low, dens = 0, set()
     for item in _entry_list(d, "entries"):
         try:
             i, j, text = item["row"], item["col"], item["poly"]
@@ -218,15 +218,8 @@ def family_from_dict(d: dict) -> ParamMatrix:
                 raise ValueError(f"index {shown(idx)} out of range 1..{n}")
         if grid[i - 1][j - 1] is not None:
             raise ValueError(f"duplicate family entry (row={i}, col={j})")
-        terms = laurent_pairs(text)
-        grid[i - 1][j - 1] = terms
-        if terms:
-            low = min(low, *terms)
-            dens.update(q for _, q in terms.values())
-    s, L = -low, math.lcm(*dens)
-    return ParamMatrix.from_cleared(s, L, tuple(
-        tuple({e + s: p * (L // q) for e, (p, q) in terms.items()} if terms else {}
-              for terms in row) for row in grid))
+        grid[i - 1][j - 1] = laurent_pairs(text)
+    return ParamMatrix.from_cleared(*_clear_pairs(grid))
 
 
 def canonical_form_to_dict(form: CanonicalForm, output: str = "canonical form") -> dict:

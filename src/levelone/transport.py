@@ -12,8 +12,9 @@ integer polynomials and D one nonzero integer polynomial.  A Laurent family,
 as the family grammar, the classifier and the builders make it, has
 D = L*t^s, t^s the largest entry denominator and L the lcm of the reduced
 coefficient denominators; that form is canonical, so ``==`` compares it as
-it is.  The classifier builds it from the integer inverse of its frame, and
-``jsonio``, ``families`` and ``random_family`` from Laurent dicts;
+it is.  The classifier builds it from the integer inverse of its frame,
+``jsonio`` and ``random_family`` from reduced int pairs through one
+clearing (``_clear_pairs``), and ``families`` from Laurent dicts;
 ``ParamMatrix(n, rows)`` clears Laurent FieldElement rows.  ``invert`` and
 ``@`` work over Z[t] and store their result through one normalizer, which
 makes it canonical whenever it is a Laurent family.  ``entries`` is a view:
@@ -85,7 +86,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _contract, _integer_algebra, _scalar_action
+from .algebra import Algebra, _contract, _dimension, _integer_algebra, _scalar_action
 from .canonical import CanonicalForm, construct
 from .errors import (
     DegreeOverflow,
@@ -263,12 +264,21 @@ def _mul(a: dict, b: dict) -> dict:
 
 
 def _clear(rows) -> tuple[int, int, tuple]:
-    """The canonical (s, L, P) of a grid of Laurent dicts: t^s the largest
-    entry denominator, L the lcm of the coefficient denominators."""
-    s = max(0, -min((e for row in rows for p in row for e in p), default=0))
-    L = math.lcm(*(c.denominator for row in rows for p in row for c in p.values()))
-    return s, L, tuple(tuple({e + s: c.numerator * (L // c.denominator)
-                              for e, c in p.items() if c} for p in row) for row in rows)
+    """The canonical (s, L, P) of a grid of Laurent dicts {exponent: int or
+    Fraction}."""
+    return _clear_pairs([[{e: c.as_integer_ratio() for e, c in p.items() if c} for p in row]
+                         for row in rows])
+
+
+def _clear_pairs(rows) -> tuple[int, int, tuple]:
+    """The canonical (s, L, P) of a grid of Laurent entries given in ints,
+    {exponent: (p, q)} with each p/q nonzero, in lowest terms and q > 0 (a
+    zero entry empty or None): t^s the largest entry denominator, L the lcm
+    of the q."""
+    s = max(0, -min((e for row in rows for p in row if p for e in p), default=0))
+    L = math.lcm(*(q for row in rows for p in row if p for _, q in p.values()))
+    return s, L, tuple(tuple({e + s: c * (L // q) for e, (c, q) in p.items()} if p else {}
+                             for p in row) for row in rows)
 
 
 def _cleared(g: ParamMatrix) -> tuple[int, int, tuple]:
@@ -675,33 +685,51 @@ def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
     """Seed-deterministic sparse Laurent family with det != 0.
 
     Entries draw one or two monomials with exponents in
-    [-pole_bound, pole_bound] and small rational coefficients; the matrix is
-    redrawn until it is invertible over Q(t).
+    [-pole_bound, pole_bound] and coefficients +-c/q, c in 1..3 and q in
+    1..2; the matrix is redrawn until it is invertible over Q(t).  The
+    coefficients are summed in halves, as ints, and cleared once into the
+    stored form; ``_det_nonzero`` decides each draw.
     """
+    _dimension(n, 0)
     if pole_bound < 0:
         raise ValueError("pole_bound must be >= 0")
     rng = random.Random(seed)
+    draw, choice, randint = rng.random, rng.choice, rng.randint
     while True:
         rows = []
-        for i in range(n):
+        for _ in range(n):
             row = []
-            for j in range(n):
-                if rng.random() < 0.65:
-                    lp: dict[int, Fraction] = {}
-                    for _ in range(rng.randint(1, 2)):
-                        e = rng.randint(-pole_bound, pole_bound)
-                        c = Fraction(
-                            rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(1, 2)
-                        )
-                        s = lp.get(e, ZERO) + c
-                        if s:
-                            lp[e] = s
+            for _ in range(n):
+                halves: dict = {}  # exponent: twice the coefficient
+                if draw() < 0.65:
+                    for _ in range(randint(1, 2)):
+                        e = randint(-pole_bound, pole_bound)
+                        h = halves.get(e, 0) + choice((1, -1)) * randint(1, 3) * (
+                            2 // randint(1, 2))
+                        if h:
+                            halves[e] = h
                         else:
-                            lp.pop(e, None)
-                    row.append(lp)
-                else:
-                    row.append({})
+                            halves.pop(e, None)
+                row.append({e: (h, 2) if h % 2 else (h // 2, 1) for e, h in halves.items()})
             rows.append(row)
-        pm = ParamMatrix.from_laurent(rows)
-        if bareiss([list(row) for row in pm._form[1]])[0]:  # det P != 0
-            return pm
+        s, L, P = _clear_pairs(rows)
+        if _det_nonzero(P):
+            return ParamMatrix.from_cleared(s, L, P)
+
+
+def _det_nonzero(P) -> bool:
+    """Whether det P != 0 for a grid P of integer polynomials.
+
+    When D, the sum of the row degrees of P, is at most MAX_DEGREE, one
+    ``bareiss`` of the integer matrix P(2) decides it if det P(2) != 0, as
+    evaluation is a ring map.  Otherwise (det P may have the factor t - 2,
+    or D is past MAX_DEGREE) ``bareiss`` runs on P over Z[t] as it always
+    did.  So DegreeOverflow is raised exactly where it was: no minor can
+    pass MAX_DEGREE while D is within it, and past it P(2) is not tried.
+    """
+    if sum(max((max(p) for p in row if p), default=0) for row in P) <= MAX_DEGREE:
+        values = [[{0: v} if (v := sum(c << e for e, c in p.items())) else {} for p in row]
+                  for row in P]
+        if bareiss(values)[0]:
+            return True
+    return bool(bareiss([list(row) for row in P])[0])

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -23,7 +24,8 @@ from levelone import (
     subspace_product,
     unit_vector,
 )
-from levelone.algebra import _contract
+from levelone.algebra import MIN_NONZERO_CHANCE, _contract
+from levelone.jsonio import dumps
 from levelone.linalg import _int_matrix, mat_inverse, mat_mul, mat_vec
 
 from conftest import algebras, invertible_matrices, small_rationals
@@ -254,6 +256,119 @@ class TestRandomAlgebra:
         assert random_algebra(2, 0.15, seed=3, nonabelian=True).entries() == {(1, 0, 1): F(8, 3)}
 
 
+def reference_random_algebra(n, density, seed, nonabelian=False):
+    """``random_algebra`` as it was written over Fraction: the entries of
+    the draw in (k, i, j) order, or ValueError."""
+    if n < 1 or not 0 <= density <= 1:
+        raise ValueError("need n >= 1 and 0 <= density <= 1")
+    if nonabelian and (chance := 1 - (1 - float(density)) ** n**3) < MIN_NONZERO_CHANCE:
+        raise ValueError(f"a non-abelian draw at n = {n} and density {density} has chance "
+                         f"{chance:.3g} < {MIN_NONZERO_CHANCE}")
+    rng = random.Random(seed)
+    while True:
+        entries = {}
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() < density:
+                        num = rng.choice((1, -1)) * rng.randint(1, 9)
+                        entries[(k, i, j)] = F(num, rng.randint(1, 4))
+        if entries or not nonabelian:
+            return entries
+
+
+def reference_stored_form(entries: dict) -> tuple:
+    """(cden, slices) of {(k, i, j): value} as the Fraction-based store made
+    it: the nonzero values in (i, j, k) order over the lcm of their
+    denominators."""
+    nonzero = [(kij, F(v)) for kij, v in sorted(
+        entries.items(), key=lambda e: (e[0][1], e[0][2], e[0][0])) if v]
+    cden = math.lcm(*(q.denominator for _, q in nonzero))
+    slices: dict = {}
+    for (k, i, j), q in nonzero:
+        slices.setdefault((i, j), []).append((k, q.numerator * (cden // q.denominator)))
+    return cden, [(ij, tuple(hits)) for ij, hits in slices.items()]
+
+
+def reference_random_invertible_matrix(n, rng, bound=3):
+    """``random_invertible_matrix`` as it was written: L * U * P over Fraction."""
+    lower = [[F(1) if i == j else (F(rng.randint(-bound, bound)) if i > j else F(0))
+              for j in range(n)] for i in range(n)]
+    upper = [[F(rng.choice((1, -1)) * rng.randint(1, bound)) if i == j
+              else (F(rng.randint(-bound, bound)) if i < j else F(0)) for j in range(n)]
+             for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pmat = [[F(1) if perm[i] == j else F(0) for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(lower, upper), pmat)
+
+
+def stored(a) -> tuple:
+    return a._cden, list(a._slices.items())
+
+
+draw_densities = st.sampled_from([0, 1]) | st.fractions(0, 1, max_denominator=50) | st.floats(0, 1)
+
+
+class TestDrawsInStoredForm:
+    """The generators draw straight into the stored form: the same draws,
+    slice order included, as the Fraction code they replace."""
+
+    @given(st.integers(1, 8), draw_densities, st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=300)
+    def test_random_algebra_matches_the_fraction_draws(self, n, density, seed, nonabelian):
+        try:
+            want = reference_random_algebra(n, density, seed, nonabelian)
+        except ValueError:
+            with pytest.raises(ValueError):
+                random_algebra(n, density, seed, nonabelian)
+            return
+        a = random_algebra(n, density, seed, nonabelian)
+        assert stored(a) == reference_stored_form(want)
+        assert a.entries() == want
+
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_random_invertible_matrix_matches_the_fraction_product(self, n, bound, seed):
+        m = random_invertible_matrix(n, random.Random(seed), bound)
+        assert m == reference_random_invertible_matrix(n, random.Random(seed), bound)
+        assert all(type(x) is F for row in m for x in row)
+
+
+class TestDimensionIsAnInt:
+    """A bool or a non-int dimension is refused by every constructor and
+    generator: True once stored as a dim was written out as invalid JSON."""
+
+    @pytest.mark.parametrize("dim", [True, False, 2.0, "2", None])
+    def test_constructors_refuse_it(self, dim):
+        with pytest.raises(DimensionMismatch, match="dimension must be an int"):
+            Algebra(dim, ((("1",),),))
+        with pytest.raises(DimensionMismatch, match="dimension must be an int"):
+            Algebra.from_entries(dim, {})
+        with pytest.raises(DimensionMismatch, match="dimension must be an int"):
+            Algebra.zero(dim)
+
+    @pytest.mark.parametrize("dim", [True, 2.0])
+    def test_generators_refuse_it(self, dim):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            random_algebra(dim, 1, 0)
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            random_invertible_matrix(dim, random.Random(0))
+
+    def test_a_dimension_below_one_is_refused(self):
+        for make in (lambda: Algebra(0, ()), lambda: Algebra.from_entries(0, {}),
+                     lambda: random_algebra(0, 1, 0), lambda: random_algebra(-1, 1, 0)):
+            with pytest.raises(DimensionMismatch, match="dimension must be at least 1"):
+                make()
+        with pytest.raises(ValueError, match="density"):
+            random_algebra(2, 2, 0)
+
+    def test_an_int_dimension_is_written_as_json(self):
+        a = random_algebra(1, 1, 0)
+        assert type(a.dim) is int
+        assert dumps(a).startswith('{\n  "dim": 1,')
+
+
 class TestCanonicalTables:
     def test_each_table_is_built_once_and_shared(self):
         """``construct`` is cached: equal forms give the one immutable table."""
@@ -302,6 +417,17 @@ class TestStoredForm:
         b = Algebra(a.dim, a.constants)
         assert b == a and hash(b) == hash(a)
         assert Algebra.from_entries(a.dim, a.entries()) == a
+
+    @given(tensors())
+    @settings(max_examples=150)
+    def test_both_constructors_match_the_fraction_store(self, a):
+        n, entries = a.dim, a.entries()
+        want = reference_stored_form(entries)
+        assert stored(Algebra.from_entries(n, entries)) == want
+        assert stored(Algebra(n, a.constants)) == want
+        ints = [[[int(v) if v.denominator == 1 else v for v in row] for row in plane]
+                for plane in a.constants]
+        assert stored(Algebra(n, ints)) == want
 
     @given(tensors(), tensors())
     @settings(max_examples=150)

@@ -43,8 +43,8 @@ from levelone.errors import DegreeOverflow, PoleAtPoint, SingularMatrix
 from levelone.families import n3plus_to_lambda2, pplus_to_lambda2, scaling_family
 from levelone.jsonio import (algebra_from_dict, algebra_to_dict, dumps, family_from_dict,
                              family_to_dict, load_path, save_path, witness_from_dict)
-from levelone.linalg import mat_det
-from levelone.poly import FE_ZERO, FieldElement
+from levelone.linalg import bareiss, mat_det
+from levelone.poly import FE_ZERO, MAX_DEGREE, FieldElement
 from levelone.transport import _cleared, _row_monomial
 
 import test_transport_oracle as oracle  # the sympy QQ(t) oracle
@@ -486,6 +486,100 @@ class TestRandomFamily:
     def test_always_invertible(self):
         for seed in range(10):
             assert random_family(2, 1, seed).det()
+
+    @given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_draws_match_the_fraction_draws(self, n, pole_bound, seed):
+        g = random_family(n, pole_bound, seed)
+        want, rows = reference_random_family(n, pole_bound, seed)
+        assert g._form == want._form
+        assert [[list(p.items()) for p in row] for row in g._form[1]] == [
+            [list(p.items()) for p in row] for row in want._form[1]]
+        assert transport_module._clear(rows) == stored_form(rows)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_a_dimension_that_is_not_an_int_is_refused(self, n):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            random_family(n, 1, 0)
+
+
+def reference_random_family(n, pole_bound, seed):
+    """``random_family`` as it was written over Fraction, cleared term by
+    term and decided by one Z[t] elimination: (the family, its Laurent
+    rows)."""
+    rng = random.Random(seed)
+    while True:
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                lp = {}
+                if rng.random() < 0.65:
+                    for _ in range(rng.randint(1, 2)):
+                        e = rng.randint(-pole_bound, pole_bound)
+                        c = F(rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(1, 2))
+                        if lp.get(e, 0) + c:
+                            lp[e] = lp.get(e, 0) + c
+                        else:
+                            lp.pop(e, None)
+                row.append(lp)
+            rows.append(row)
+        pm = ParamMatrix.from_cleared(*stored_form(rows))
+        if bareiss([list(row) for row in pm._form[1]])[0]:
+            return pm, rows
+
+
+def counted_bareiss(monkeypatch):
+    """The rows of every ``bareiss`` call ``transport`` makes, as passed."""
+    calls = []
+
+    def spy(rows):
+        calls.append([list(row) for row in rows])
+        return bareiss(rows)
+    monkeypatch.setattr(transport_module, "bareiss", spy)
+    return calls
+
+
+def poly_grid(*rows):
+    return tuple(tuple(dict(p) for p in row) for row in rows)
+
+
+class TestDetCertificate:
+    """``_det_nonzero``: det P(2) != 0 proves det P != 0 with one integer
+    elimination; anything else goes to the Z[t] elimination, which raises
+    DegreeOverflow exactly where ``bareiss`` does."""
+
+    def test_a_nonzero_value_at_two_decides_alone(self, monkeypatch):
+        calls = counted_bareiss(monkeypatch)
+        assert transport_module._det_nonzero(poly_grid([{1: 1}, {0: 3}], [{}, {2: 1, 0: -1}]))
+        assert len(calls) == 1 and all(set(p) <= {0} for row in calls[0] for p in row)
+
+    def test_a_det_with_the_factor_t_minus_2_reaches_the_fallback(self, monkeypatch):
+        # P = [[t, 1], [0, t - 2]]: det P = t (t - 2) != 0, but det P(2) = 0
+        calls = counted_bareiss(monkeypatch)
+        assert transport_module._det_nonzero(poly_grid([{1: 1}, {0: 1}], [{}, {0: -2, 1: 1}]))
+        assert len(calls) == 2
+        assert calls[0] == [[{0: 2}, {0: 1}], [{}, {}]]
+
+    def test_a_singular_family_is_refused_by_the_fallback(self, monkeypatch):
+        # P = [[1 + t, t], [2 + 2t, 2t]]: the rows are proportional
+        calls = counted_bareiss(monkeypatch)
+        P = poly_grid([{0: 1, 1: 1}, {1: 1}], [{0: 2, 1: 2}, {1: 2}])
+        assert not transport_module._det_nonzero(P)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("P, raises", [
+        # D = 12000: t^12000 - 1 is a minor past MAX_DEGREE
+        (poly_grid([{6000: 1}, {0: 1}], [{0: 1}, {6000: 1}]), True),
+        # D = 12000, but det P = t^6000 and every minor stays within it
+        (poly_grid([{6000: 1}, {6000: 1}], [{6000: 1}, {6000: 1, 0: 1}]), False),
+    ])
+    def test_past_max_degree_only_the_z_t_elimination_runs(self, monkeypatch, P, raises):
+        want = outcome(lambda: bareiss([list(row) for row in P])[0] != 0)
+        assert (want == (DegreeOverflow, f"exponent beyond +/-{MAX_DEGREE}")) == raises
+        calls = counted_bareiss(monkeypatch)
+        assert outcome(lambda: transport_module._det_nonzero(P)) == want
+        assert len(calls) == 1 and calls[0] == [list(row) for row in P]
 
 
 class TestClosedConditions:
