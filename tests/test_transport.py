@@ -925,6 +925,13 @@ DRAW_DENSITIES = (0.05, 0.15, 0.4, 0.8, 1)
 RANDOM_ALGEBRA_DIGEST = "3db8ef3b30fe2752719bfe1f5f6050db8d450c30432cb0002bcdca6a29902a6c"
 RANDOM_MATRIX_DIGEST = "9c506812debe1447393f619ef486eac0fdb95dcf8466b602d683f8c5c952ecb7"
 
+# sha256 over the (num, den) terms of every entry of invert(g), for g over
+# random_family(n, pole_bound, seed) with n = 2..4, pole bound 0..2 and seeds
+# 0..9, then diagonal_powers([-1, -2]) and pplus_to_lambda2(3); recorded
+# while invert still returned a ParamMatrix (51 of those 92 inverses are not
+# Laurent)
+INVERT_DIGEST = "4b78a09a20282fac1fca394acb1220eada64e8ffd19d9f0b28e09df0a03b5817"
+
 # det of every bundled family and classify witness, recorded before the same
 # change
 FIXTURE_DETS = {
@@ -987,6 +994,19 @@ class TestPinnedDraws:
             m = random_invertible_matrix(n, random.Random(seed), bound)
             h.update(dumps([[str(x) for x in row] for row in m]).encode())
         assert h.hexdigest() == RANDOM_MATRIX_DIGEST
+
+    def test_inverses_are_unchanged(self):
+        families = [random_family(n, pole_bound, seed) for n, pole_bound, seed
+                    in itertools.product(range(2, 5), range(3), range(10))]
+        families += [ParamMatrix.diagonal_powers([-1, -2]), pplus_to_lambda2(3)]
+        h = hashlib.sha256()
+        for g in families:
+            inv = invert(g)
+            for row in getattr(inv, "entries", inv):  # rows, or a family's entries
+                for x in row:
+                    h.update(repr([sorted((e, c.as_integer_ratio()) for e, c in p.items())
+                                   for p in (x.num, x.den)]).encode())
+        assert h.hexdigest() == INVERT_DIGEST
 
     def test_det_of_the_bundled_families_and_witnesses_is_unchanged(self):
         root = Path(__file__).resolve().parent.parent / "fixtures"
