@@ -180,10 +180,7 @@ def algebra_from_dict(d: dict) -> Algebra:
 
 def family_to_dict(pm: ParamMatrix, output: str = "family") -> dict:
     """Each nonzero entry P[i][j] / (L*t^s) of the stored form, written with
-    its coefficients c / L reduced by one gcd; ValueError on a family whose
-    denominator is not a monomial, which the grammar cannot write."""
-    if len(pm._form[0]) > 1:
-        raise ValueError("not a Laurent family: its denominator is not a monomial")
+    its coefficients c / L reduced by one gcd."""
     s, L, P = _cleared(pm)
     entries = []
     for i, row in enumerate(P):

@@ -7,23 +7,19 @@ entry has non-negative valuation the entrywise limit at t = 0 exists and is
 again an algebra.  A Witness packages a family with a claimed limit, and
 ``verify_degeneration`` checks the claim bit-exactly.
 
-A ``ParamMatrix`` stores every family one way, as g = P / D: P a grid of
-integer polynomials and D one nonzero integer polynomial.  A Laurent family,
-as the family grammar, the classifier and the builders make it, has
-D = L*t^s, t^s the largest entry denominator and L the lcm of the reduced
-coefficient denominators; that form is canonical, so ``==`` compares it as
-it is.  The classifier builds it from the integer inverse of its frame,
-``jsonio`` and ``random_family`` from reduced int pairs through one
-clearing (``_clear_pairs``), and ``families`` from Laurent dicts;
-``ParamMatrix(n, rows)`` clears Laurent FieldElement rows.  ``invert`` and
-``@`` work over Z[t] and store their result through one normalizer, which
-makes it canonical whenever it is a Laurent family.  ``entries`` is a view:
-it builds the FieldElement grid on each read and caches nothing.
-
-Every reader takes any family.  Near t = 0, D = L*t^s * u with s = val(D),
-L its lowest coefficient and u a unit with u(0) = 1, and a limit or a pole
-at t = 0 depends on D only through s and L: wherever a read-off below says
-L*t^s, D may stand in its place.
+A ``ParamMatrix`` holds a Laurent family, the only kind the family
+grammar, the classifier and the builders make, stored one way as
+g = P / D with D = L*t^s: P a grid of integer polynomials, t^s the largest
+entry denominator and L the lcm of the reduced coefficient denominators.
+That form is canonical, so ``==`` compares it as it is.  The classifier
+builds it from the integer inverse of its frame, ``jsonio`` and
+``random_family`` from reduced int pairs through one clearing
+(``_clear_pairs``), and ``families`` from Laurent dicts;
+``ParamMatrix(n, rows)`` clears Laurent FieldElement rows.  ``@`` works
+over Z[t] and is closed on Laurent families.  ``invert`` returns the rows
+of g^-1 over Q(t), which form a Laurent family exactly when det g is a
+monomial.  ``entries`` is a view: it builds the FieldElement grid on each
+read and caches nothing.
 
 One fraction-free kernel does the arithmetic: ``linalg.bareiss`` on
 [P | I] (the elimination behind ``mat_det`` and ``char_poly`` too, run as
@@ -69,17 +65,15 @@ scalar-action read-off, then the kernel; the last two build the limit
 straight in the stored integer form, over one common denominator.
 
 At a point t0 where g is regular and det g(t0) != 0, the family is just the
-rational basis change g(t0), so ``transport_at`` evaluates P and D at
-t0 = u/v over Z, as one integer matrix over one denominator, and hands it
-to the integer contraction; only at a root of D (t0 = 0 for a Laurent
-family with a pole) or of det g does it evaluate the Q(t) tensor, whose
-entries then divide out the factors (t - t0) they share; each distinct
-denominator is evaluated once.
+rational basis change g(t0), so ``transport_at`` evaluates P at t0 = u/v
+over Z, as one integer matrix over one denominator, and hands it to the
+integer contraction; only at t0 = 0 for a family with a pole (s > 0) or at
+a root of det g does it evaluate the Q(t) tensor, whose entries then divide
+out the factors (t - t0) they share.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -96,12 +90,11 @@ from .errors import (
     SingularFamily,
     SingularMatrix,
 )
-from .linalg import _exact_div, _inverse_of, addmul, bareiss, mat_det
+from .linalg import _inverse_of, addmul, bareiss, mat_det
 from .poly import (
     FE_ZERO,
     MAX_DEGREE,
     FieldElement,
-    poly_eval,
     poly_mul,
     poly_ord,
     poly_scale,
@@ -121,15 +114,14 @@ def _nested(f, grid, depth: int) -> tuple:
 
 
 class ParamMatrix:
-    """n x n matrix over Q(t); column j holds the image of basis vector j.
+    """n x n matrix of Laurent polynomials over Q; column j holds the image
+    of basis vector j.
 
-    Every family is stored one way, as (D, P) with g = P / D: P a grid of
-    integer polynomials {exponent >= 0: nonzero int} and D one nonzero
-    integer polynomial.  A Laurent family has D = L*t^s, t^s the largest
-    entry denominator and L the lcm of the reduced coefficient
-    denominators; that form is canonical, so ``==`` compares it
-    structurally, and compares the entries when either D has more than one
-    term.  ``entries`` is a view, built on each read.
+    Every family is stored one way, as ({s: L}, P) with g = P / (L*t^s): P
+    a grid of integer polynomials {exponent >= 0: nonzero int}, t^s the
+    largest entry denominator and L the lcm of the reduced coefficient
+    denominators.  That form is canonical, so ``==`` compares it
+    structurally.  ``entries`` is a view, built on each read.
     """
 
     __slots__ = ("dim", "_form")
@@ -166,29 +158,6 @@ class ParamMatrix:
         return cls.from_cleared(*_clear(rows))
 
     @classmethod
-    def _of(cls, D: dict, P) -> "ParamMatrix":
-        """The family P / D of integer polynomials, zero terms allowed in P:
-        canonical through ``from_laurent`` when D is one term, or when
-        D = c t^k M, c its content and k its valuation, and M divides every
-        entry of P exactly (the quotients over c t^k); else stored as given.
-        A Laurent family is always caught: M is primitive and prime to t, so
-        by Gauss's lemma M divides P over Z exactly when P / D is Laurent."""
-        if len(D) > 1:
-            k, c = min(D), math.gcd(*D.values())
-            M = {e - k: x // c for e, x in D.items()}
-            try:
-                P, D = [[_exact_div(p, M) for p in row] for row in P], {k: c}
-            except ArithmeticError:
-                pass
-        if len(D) == 1:
-            ((e, c),) = D.items()
-            return cls.from_laurent([[{k - e: Fraction(x, c) for k, x in p.items() if x}
-                                      for p in row] for row in P])
-        obj = object.__new__(cls)
-        obj._set(D, tuple(tuple({k: x for k, x in p.items() if x} for p in row) for row in P))
-        return obj
-
-    @classmethod
     def identity(cls, n: int) -> "ParamMatrix":
         return cls.diagonal_powers([0] * n)
 
@@ -208,59 +177,45 @@ class ParamMatrix:
     @property
     def entries(self) -> tuple:
         """Tuple of row tuples of FieldElement."""
-        D, P = self._form
-        if len(D) == 1:
-            ((s, L),) = D.items()
-            return tuple(tuple(FieldElement.from_laurent({e - s: Fraction(c, L)
-                                                          for e, c in p.items()})
-                               for p in row) for row in P)
-        den = {e: Fraction(c) for e, c in D.items()}
-        return tuple(tuple(FieldElement({e: Fraction(c) for e, c in p.items()}, dict(den))
+        s, L, P = _cleared(self)
+        return tuple(tuple(FieldElement.from_laurent({e - s: Fraction(c, L)
+                                                      for e, c in p.items()})
                            for p in row) for row in P)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamMatrix):
             return NotImplemented
-        if len(self._form[0]) == len(other._form[0]) == 1:
-            return self._form == other._form
-        return self.dim == other.dim and self.entries == other.entries
+        return self._form == other._form
 
     def __repr__(self) -> str:
         return f"ParamMatrix(dim={self.dim}, entries={self.entries!r})"
 
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
-        """(P / D) @ (Q / E) = P.Q / (D*E) over Z[t]."""
+        """(P / (L*t^s)) @ (Q / (M*t^r)) = P.Q / (L*M*t^(s+r)) over Z[t]."""
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
-        (D, P), (E, Q) = self._form, other._form
+        (s, L, P), (r, M, Q) = _cleared(self), _cleared(other)
         n = self.dim
         PQ = [[{} for _ in range(n)] for _ in range(n)]
         for i, k, j in itertools.product(range(n), repeat=3):
             if P[i][k] and Q[k][j]:
                 addmul(PQ[i][j], P[i][k], Q[k][j], checked=False)
-        return ParamMatrix._of(_mul(D, E), PQ)
+        return ParamMatrix.from_laurent([[{e - s - r: Fraction(c, L * M) for e, c in p.items()}
+                                          for p in row] for row in PQ])
 
     def det(self) -> FieldElement:
-        """Determinant in Q(t): sign * d / D^n with d = sign * det P from
-        ``bareiss`` on P alone."""
-        D, P = self._form
+        """Determinant in Q(t): sign * d / (L*t^s)^n with d = sign * det P
+        from ``bareiss`` on P alone."""
+        s, L, P = _cleared(self)
         sign, d = bareiss([list(row) for row in P])
         if not sign:
             return FE_ZERO
-        Dn = functools.reduce(_mul, [D] * self.dim, {0: 1})
         return FieldElement({e: Fraction(sign * c) for e, c in d.items()},
-                            {e: Fraction(c) for e, c in Dn.items()})
+                            {self.dim * s: Fraction(L**self.dim)})
 
     def eval_at(self, t0: Fraction) -> list:
         """Specialize to a rational matrix; raises PoleAtPoint on a pole."""
         return [[e.eval_at(t0) for e in row] for row in self.entries]
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """a*b over Z[t], zero terms dropped; no degree bound."""
-    acc = {}
-    addmul(acc, a, b, checked=False)
-    return {e: c for e, c in acc.items() if c}
 
 
 def _clear(rows) -> tuple[int, int, tuple]:
@@ -282,17 +237,15 @@ def _clear_pairs(rows) -> tuple[int, int, tuple]:
 
 
 def _cleared(g: ParamMatrix) -> tuple[int, int, tuple]:
-    """(s, L, P) with g = P / D and D = L*t^s + (higher terms): the lowest
-    term of D is all a read-off at t = 0 needs of it."""
+    """(s, L, P) with g = P / (L*t^s)."""
     D, P = g._form
-    s = min(D)
-    return s, D[s], P
+    ((s, L),) = D.items()
+    return s, L, P
 
 
 def _row_monomial(g: ParamMatrix):
-    """(e, (L, M)) with g = diag(t^e) * M / (L*u) and M an integer matrix,
-    u = D / (L*t^s) a unit at t = 0 with u(0) = 1, or None when some row of
-    P is not one power of t times an integer row.
+    """(e, (L, M)) with g = diag(t^e) * M / L and M an integer matrix, or
+    None when some row of P is not one power of t times an integer row.
 
     A zero row gets e_i = 0 (M is then singular).  Raises DegreeOverflow
     where the fraction-free kernel would: for an invertible M, det P has
@@ -321,12 +274,12 @@ def _row_monomial(g: ParamMatrix):
 
 
 class _FractionFree:
-    """A family g = P / D over Z[t] and its fraction-free Gauss-Jordan.
+    """A family g = P / (L*t^s) over Z[t] and its fraction-free
+    Gauss-Jordan.
 
     ``linalg.bareiss`` on [P | I] leaves d = sign * det P and
-    R = d * P^-1; s and L are the exponent and coefficient of D's lowest
-    term.  SingularFamily when det P = 0, DegreeOverflow on a minor past
-    MAX_DEGREE.
+    R = d * P^-1.  SingularFamily when det P = 0, DegreeOverflow on a minor
+    past MAX_DEGREE.
     """
 
     def __init__(self, g: ParamMatrix):
@@ -372,11 +325,15 @@ class _FractionFree:
                 for plane in num], cden
 
 
-def invert(g: ParamMatrix) -> ParamMatrix:
-    """Exact inverse over Q(t): g^-1 = D * P^-1 = D*R / d, unreduced;
-    raises SingularFamily when det = 0."""
+def invert(g: ParamMatrix) -> tuple:
+    """Exact inverse over Q(t) as a tuple of FieldElement row tuples:
+    g^-1 = L*t^s * P^-1 = L*t^s*R / d, unreduced; raises SingularFamily when
+    det = 0.  ``ParamMatrix(n, invert(g))`` is the inverse family when det g
+    is a monomial, and a ValueError otherwise."""
     ff = _FractionFree(g)
-    return ParamMatrix._of(ff.d, [[_mul(g._form[0], r) for r in row] for row in ff.R])
+    den = {e: Fraction(c) for e, c in ff.d.items()}
+    return tuple(tuple(FieldElement({e + ff.s: Fraction(ff.L * c) for e, c in r.items()},
+                                    dict(den)) for r in row) for row in ff.R)
 
 
 @dataclass(frozen=True)
@@ -387,20 +344,8 @@ class ParamAlgebra:
     constants: tuple  # constants[k][i][j], FieldElement
 
     def eval_at(self, t0: Fraction) -> Algebra:
-        """Each entry at t0, every distinct denominator evaluated once."""
-        t0 = Fraction(t0)
-        dens = {}
-
-        def value(e: FieldElement) -> Fraction:
-            if not e.num:
-                return ZERO
-            key = tuple((k, c.numerator, c.denominator) for k, c in e.den.items())
-            d = dens.get(key)
-            if d is None:
-                d = dens[key] = poly_eval(e.den, t0)
-            return poly_eval(e.num, t0) / d if d else e.eval_at(t0)
-
-        return Algebra(self.dim, _nested(value, self.constants, 3))
+        """Each entry at t0; PoleAtPoint where one has a pole there."""
+        return Algebra(self.dim, _nested(lambda e: e.eval_at(t0), self.constants, 3))
 
 
 def embed_algebra(a: Algebra) -> ParamAlgebra:
@@ -409,7 +354,7 @@ def embed_algebra(a: Algebra) -> ParamAlgebra:
 
 
 def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
-    """The transported tensor over Q(t), each entry D*N/(cden*d^2) with
+    """The transported tensor over Q(t), each entry L*t^s*N/(cden*d^2) with
     only the power of t cancelled."""
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
@@ -417,7 +362,7 @@ def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
     num, cden = ff.contract(a)
     den = {e: Fraction(c) for e, c in poly_scale(poly_mul(ff.d, ff.d), cden).items()}
     return ParamAlgebra(a.dim, _nested(lambda m: FieldElement(
-        {e: Fraction(c) for e, c in _mul(g._form[0], m).items()}, dict(den)), num, 3))
+        {e + ff.s: Fraction(ff.L * c) for e, c in m.items()}, dict(den)), num, 3))
 
 
 def _limit(n: int, value) -> Algebra:
@@ -459,12 +404,11 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
     MAX_DEGREE; no minor of either elimination, nor the kernel's read-off
     exponent, can pass MAX_DEGREE then, so both raise alike.
 
-    Any other g = P / D goes through the fraction-free numerator.  Entry
-    (k, i, j) is D*N/(cden*d^2) with N over Z[t], of valuation
-    val(N) + s - 2*val(d), where L*t^s is the lowest term of D.  So a term
-    of N below top = 2*val(d) - s is a pole and the term at top, times L,
-    gives the limit.  No term above top is
-    formed, so for top < 0 every entry is 0.
+    Any other g = P / (L*t^s) goes through the fraction-free numerator.
+    Entry (k, i, j) is L*t^s*N/(cden*d^2) with N over Z[t], of valuation
+    val(N) + s - 2*val(d).  So a term of N below top = 2*val(d) - s is a
+    pole and the term at top, times L, gives the limit.  No term above top
+    is formed, so for top < 0 every entry is 0.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
@@ -477,15 +421,15 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
         except SingularMatrix:
             raise SingularFamily(SINGULAR) from None
         b = _contract(a, m, minv, e)
-        poles = sorted((k + 1, i + 1, j + 1) for (i, j), hits in b.integer_slices()[1].items()
-                       for k, _ in hits if e[k] < e[i] + e[j])
+        poles = [(k + 1, i + 1, j + 1) for (i, j), hits in b.integer_slices()[1].items()
+                 for k, _ in hits if e[k] < e[i] + e[j]]
         if poles:
             raise NoLimit(poles)
         return b
     action = _scalar_action(a)
     if action is not None:
         s, L, P = _cleared(g)
-        if 2 * sum(max((max(p) for p in row if p), default=0) for row in P) <= MAX_DEGREE:
+        if 2 * _row_degree_sum(P) <= MAX_DEGREE:
             return _scalar_action_limit(n, action, s, L, P)
     ff = _FractionFree(g)
     # every entry of R = d * P^-1, and so d = (R.P)[0][0], is a multiple of
@@ -509,15 +453,13 @@ def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
         if hits:
             cols[(i, j)] = tuple(hits)
     if poles:
-        raise NoLimit(sorted(poles))
+        raise NoLimit(poles)
     return _integer_algebra(n, cden * ff.d[vd] ** 2, cols)
 
 
 def _scalar_action_limit(n: int, action: tuple, s: int, L: int, P: list) -> Algebra:
     """The limit at t = 0 of c^k_ij = (A_i [k = j] + B_j [k = i]) / D
-    transported by g = P / (L*t^s*u), u a unit at t = 0 with u(0) = 1 (the
-    family's denominator is L*t^s*u); u moves no valuation and no lowest
-    coefficient, so it is left out below.
+    transported by g = P / (L*t^s).
 
     g.c(g^-1 x, g^-1 y) = (A.g^-1 x) y / D + (B.g^-1 y) x / D, so the
     transported tensor has the same form with the rows A' = L*t^s*A.P^-1
@@ -586,27 +528,28 @@ def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     invertible.
 
     Each entry of transport(a, g) is a quotient whose denominator is a
-    product of D and det P for g = P / D.  Where both are nonzero at t0,
-    evaluation commutes with the contraction, so the value is
+    product of L*t^s and det P for g = P / (L*t^s).  Where both are nonzero
+    at t0, evaluation commutes with the contraction, so the value is
     apply_basis_change(a, g(t0)).  With t0 = u/v, g(t0) is Q / den over Z:
-    Q = v^top * P(t0) and den = v^top * D(t0), top the largest exponent of P
-    and D, signed so that den > 0.  A top past MAX_DEGREE (a high power of
-    t in P or a common pole of that order in D) raises DegreeOverflow first.  At a root of D (t0 = 0 for a
-    Laurent family with s > 0) or of det g (Q singular) the reduced tensor
-    may still be regular, so there it is built and evaluated, dividing out
-    the shared factors (t - t0); PoleAtPoint means it is not regular.
+    Q = v^top * P(t0) and den = L * u^s * v^(top - s), top the largest
+    exponent of P and s, signed so that den > 0.  A top past MAX_DEGREE (a
+    high power of t in P or a pole of that order) raises DegreeOverflow
+    first.  At t0 = 0 with s > 0, or at a root of det g (Q singular), the
+    reduced tensor may still be regular, so there it is built and
+    evaluated, dividing out the shared factors (t - t0); PoleAtPoint means
+    it is not regular.
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
     t0 = Fraction(t0)
-    D, P = g._form
+    s, L, P = _cleared(g)
     exps = {e for row in P for p in row for e in p}
-    top = max(max(exps, default=0), max(D))
+    top = max(max(exps, default=0), s)
     if top > MAX_DEGREE:
         raise DegreeOverflow(f"exponent beyond +/-{MAX_DEGREE}")
     u, v = t0.numerator, t0.denominator
-    powers = {e: u**e * v ** (top - e) for e in exps | D.keys()}  # t^e at t0, times v^top
-    den = sum(c * powers[e] for e, c in D.items())
+    powers = {e: u**e * v ** (top - e) for e in exps}  # t^e at t0, times v^top
+    den = L * u**s * v ** (top - s)
     if den:
         sign = -1 if den < 0 else 1
         m = (abs(den), [[sign * sum(c * powers[e] for e, c in p.items()) for p in row]
@@ -717,6 +660,12 @@ def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
             return ParamMatrix.from_cleared(s, L, P)
 
 
+def _row_degree_sum(P) -> int:
+    """The sum of the row degrees of a grid P of integer polynomials, a zero
+    row counting 0: a bound on the degree of every minor of P."""
+    return sum(max((max(p) for p in row if p), default=0) for row in P)
+
+
 def _det_nonzero(P) -> bool:
     """Whether det P != 0 for a grid P of integer polynomials.
 
@@ -727,7 +676,7 @@ def _det_nonzero(P) -> bool:
     did.  So DegreeOverflow is raised exactly where it was: no minor can
     pass MAX_DEGREE while D is within it, and past it P(2) is not tried.
     """
-    if sum(max((max(p) for p in row if p), default=0) for row in P) <= MAX_DEGREE:
+    if _row_degree_sum(P) <= MAX_DEGREE:
         values = [[{0: v} if (v := sum(c << e for e, c in p.items())) else {} for p in row]
                   for row in P]
         if bareiss(values)[0]:
