@@ -170,6 +170,35 @@ def test_det_and_inverse_agree_with_sympy(a, g):
     assert to_dm(invert(g)) == dm.inv()
 
 
+def sympy_inverse_is_laurent(g: ParamMatrix) -> bool:
+    """Every reduced entry of g^-1 over QQ(t) has a power of t for its
+    denominator."""
+    return all(len(x.denom.terms()) == 1 for row in to_dm(g.entries).inv().to_list()
+               for x in row)
+
+
+@pytest.mark.parametrize("a,g", CASES)
+def test_the_inverse_is_a_family_exactly_when_sympy_finds_it_laurent(a, g):
+    """ParamMatrix(n, invert(g)) is the inverse family, read by every kernel
+    as sympy reads g^-1, when g^-1 is Laurent, and is refused otherwise."""
+    if not sympy_inverse_is_laurent(g):
+        with pytest.raises(ValueError, match="^not a Laurent polynomial: "):
+            ParamMatrix(g.dim, invert(g))
+        return
+    h = ParamMatrix(g.dim, invert(g))
+    assert to_dm(h.entries) == to_dm(g.entries).inv()
+    assert g @ h == ParamMatrix.identity(g.dim)
+    tensor = oracle_tensor(a, h)
+    assert ours_limit(a, h) == read_limit(tensor)
+    for t0 in AT_POINTS:
+        assert ours_at(lambda: transport_at(a, h, t0)) == oracle_at(a, h, t0, tensor)
+
+
+def test_the_inverse_cases_reach_both_kinds():
+    kinds = [sympy_inverse_is_laurent(g) for _, g in CASES]
+    assert any(kinds) and not all(kinds)
+
+
 @pytest.mark.parametrize("a,g", CASES)
 def test_limit_or_poles_agree_with_sympy(a, g):
     assert ours_limit(a, g) == oracle_limit(a, g)
