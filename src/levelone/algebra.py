@@ -7,7 +7,11 @@ are bilinear by construction.  Vectors are tuples of Fractions.
 
 ``Algebra`` stores the tensor once, sparse and over Z, as the nonzero
 columns C[:, i, j] of C = cden * c, cden the lcm of the entry denominators;
-the dense table of Fractions is a view built on first use.  Equality, the predicates and the kernels
+the dense table of Fractions is a view built on first use.  The entries
+(k, C[k][i][j]) are hash-consed: each one with k < 64 and |C| <= 255 is
+taken from one table, ``_SHARED``, so that equal entries of all algebras are
+one tuple.  Every builder of the stored form shares its entries as it forms
+them.  Equality, the predicates and the kernels
 (``Algebra.product``, ``apply_basis_change``, ``rebase``,
 ``subspace_product`` and its zero test ``products_vanish``, the
 multiplication matrices) read the stored form,
@@ -56,6 +60,30 @@ from .errors import DimensionMismatch, SingularMatrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: The stored entries (k, c) that are shared: those with k < 64 and
+#: |c| <= 255.  No entry has c = 0, so the table never holds more than
+#: 64 * 510 = 32 640 tuples, about 3.5 MiB, whatever the input; larger
+#: entries stay private tuples.
+_SHARED_BOUND = (64, 255)
+
+
+class _Entries(dict):
+    """The shared entries, (k, c) -> the one tuple (k, c).
+
+    ``_SHARED[k, c]`` is the stored entry (k, c): the table's tuple when it
+    lies inside _SHARED_BOUND, entered on first use, and a private tuple
+    otherwise.  A hit costs one dict lookup and no Python call."""
+
+    def __missing__(self, x: tuple) -> tuple:
+        k, c = x
+        kb, cb = _SHARED_BOUND
+        if k < kb and -cb <= c <= cb:
+            self[x] = x
+        return x
+
+
+_SHARED = _Entries()
 
 Vector = tuple
 
@@ -125,7 +153,11 @@ class Algebra:
 
     @functools.cached_property
     def constants(self) -> tuple:
-        """The dense table constants[k][i][j] of Fractions, built on first use."""
+        """The dense table constants[k][i][j] of Fractions, built on first use.
+
+        The table is cached on the algebra and stays there for the
+        algebra's lifetime: n^3 Fractions, which the stored form does not
+        hold."""
         n = self.dim
         table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for (k, i, j), v in self.entries().items():
@@ -218,7 +250,7 @@ def _store(a: Algebra, n: int, cols) -> Algebra:
         if col:
             ratios.append((ij, col))
     cden = math.lcm(*(q for _, col in ratios for _, (_, q) in col))
-    return _stored(a, n, cden, {ij: tuple((k, p * (cden // q)) for k, (p, q) in col)
+    return _stored(a, n, cden, {ij: tuple(_SHARED[k, p * (cden // q)] for k, (p, q) in col)
                                 for ij, col in ratios})
 
 
@@ -547,7 +579,7 @@ def _contract(a: Algebra, g: tuple, h: tuple, e=None) -> Algebra:
     cols = []
     for ij, col in zip(pairs, itertools.zip_longest(*out, fillvalue=0)):
         if any(col):
-            cols.append((ij, tuple((k, v // g) for k, v in enumerate(col) if v)))
+            cols.append((ij, tuple(_SHARED[k, v // g] for k, v in enumerate(col) if v)))
     return _stored(object.__new__(Algebra), n, den // g, dict(sorted(cols)))
 
 
@@ -559,8 +591,7 @@ def _integer_algebra(n: int, den: int, cols: dict) -> Algebra:
     g = math.gcd(den, *(c for hits in cols.values() for _, c in hits))
     if den < 0:
         g = -g
-    if g != 1:
-        cols = {ij: tuple((k, c // g) for k, c in hits) for ij, hits in cols.items()}
+    cols = {ij: tuple(_SHARED[k, c // g] for k, c in hits) for ij, hits in cols.items()}
     return _stored(object.__new__(Algebra), n, den // g, cols)
 
 
@@ -676,6 +707,8 @@ def random_algebra(
 
     The draws are made in (k, i, j) order, each value p/q reduced by one
     gcd, and written straight into the stored form over the lcm of the q.
+    The entries are shared (``_SHARED_BOUND``): every stored value has
+    |c| <= 9 * 12, so each entry is the table's tuple unless k >= 64.
     """
     _dimension(n)
     if not 0 <= density <= 1:
@@ -686,6 +719,7 @@ def random_algebra(
     rng = random.Random(seed)
     draw, choice, randint = rng.random, rng.choice, rng.randint
     cells = list(itertools.product(range(n), repeat=2))
+    shared = _SHARED
     while True:
         cols = [[] for _ in cells]  # cols[i*n + j] = [(k, p, q), ...], k increasing
         for k in range(n):
@@ -696,8 +730,13 @@ def random_algebra(
                     g = math.gcd(p, q)
                     col.append((k, p // g, q // g))
         cden = math.lcm(*(q for col in cols for _, _, q in col))
-        slices = {ij: tuple((k, p * (cden // q)) for k, p, q in col)
-                  for ij, col in zip(cells, cols) if col}
+        slices = {}
+        for ij, col in zip(cells, cols):
+            if col:
+                hits = []
+                for k, p, q in col:
+                    hits.append(shared[k, p * (cden // q)])
+                slices[ij] = tuple(hits)
         if slices or not nonabelian:
             return _stored(object.__new__(Algebra), n, cden, slices)
 

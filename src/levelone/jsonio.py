@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import Algebra, InvariantVector, _stored
+from .algebra import _SHARED, Algebra, InvariantVector, _stored
 from .canonical import CanonicalForm, Tag
 from .errors import CoefficientTooLarge
 from .parser import laurent_pairs, print_terms, rational_text
@@ -170,7 +170,7 @@ def algebra_from_dict(d: dict) -> Algebra:
     cden = math.lcm(*(q for _, (_, q) in nonzero))
     slices: dict = {}
     for (i, j, k), (p, q) in nonzero:
-        slices.setdefault((i - 1, j - 1), []).append((k - 1, p * (cden // q)))
+        slices.setdefault((i - 1, j - 1), []).append(_SHARED[k - 1, p * (cden // q)])
     return _stored(object.__new__(Algebra), n, cden,
                    {ij: tuple(hits) for ij, hits in slices.items()})
 

@@ -12,8 +12,6 @@ import zlib
 from fractions import Fraction as F
 from pathlib import Path
 
-import pytest
-
 from levelone import (
     Algebra,
     CanonicalForm,

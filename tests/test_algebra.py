@@ -11,6 +11,7 @@ from levelone import (
     Algebra,
     CanonicalForm,
     DimensionMismatch,
+    ParamMatrix,
     Subspace,
     Tag,
     apply_basis_change,
@@ -18,17 +19,24 @@ from levelone import (
     derived_subspace,
     ideal_powers,
     invariant_vector,
+    limit_at_zero,
     random_algebra,
     random_invertible_matrix,
     rebase,
     subspace_product,
+    transport,
+    transport_limit,
     unit_vector,
 )
-from levelone.algebra import MIN_NONZERO_CHANCE, _contract
+from levelone.algebra import (MIN_NONZERO_CHANCE, _SHARED, _SHARED_BOUND, _contract,
+                              _scalar_action)
+from levelone.families import pplus_to_lambda2
 from levelone.jsonio import dumps
 from levelone.linalg import _int_matrix, mat_inverse, mat_mul, mat_vec
+from levelone.poly import FE_ZERO, FieldElement
+from levelone.transport import _row_monomial
 
-from conftest import algebras, invertible_matrices, small_rationals
+from conftest import algebras, fe, invertible_matrices, small_rationals
 
 
 def canon(tag, n, alpha=None):
@@ -526,3 +534,121 @@ class TestBoundedContraction:
         assert bounded.entries() == {
             (k, i, j): v for (k, i, j), v in full.entries().items() if e[k] <= e[i] + e[j]}
         assert list(bounded.entries()) == sorted(bounded.entries(), key=lambda x: x[1:])
+
+
+# -- shared entries ------------------------------------------------------------
+
+
+def entry_tuples(a) -> list:
+    """Every stored entry (k, c) of the algebra, as the objects it holds."""
+    return [x for hits in a._slices.values() for x in hits]
+
+
+def in_bound(x) -> bool:
+    kb, cb = _SHARED_BOUND
+    return x[0] < kb and abs(x[1]) <= cb
+
+
+def assert_shared(a):
+    """Each in-bound entry of ``a`` is the table's tuple; no other is in the table."""
+    for x in entry_tuples(a):
+        if in_bound(x):
+            assert _SHARED.get(x) is x
+        else:
+            assert x not in _SHARED
+
+
+def binomial_family(n: int) -> ParamMatrix:
+    """diag(1 + t, 1, ..., 1): not row-monomial, with limit I at t = 0."""
+    one = FieldElement.constant(1)
+    return ParamMatrix(n, tuple(tuple(fe("1 + t") if i == j == 0 else one if i == j
+                                      else FE_ZERO for j in range(n)) for i in range(n)))
+
+
+#: Entries on both sides of the bound, at n = 3 and, for k past 64, at n = 70.
+MIXED_ENTRIES = {(0, 0, 1): 7, (2, 1, 1): F(-255, 4), (1, 2, 0): 10**12, (2, 2, 2): F(3, 8)}
+WIDE_ENTRIES = {(69, 0, 1): 3, (63, 1, 0): -255, (64, 5, 5): 1, (0, 69, 69): 256}
+
+
+def built_by_each_builder():
+    """(label, algebra) from every builder of the stored form."""
+    nu = construct(CanonicalForm(Tag.NU, 3, F(2, 3)))
+    lam = construct(CanonicalForm(Tag.LAMBDA2, 3))
+    shear = [[F(1), F(2), F(0)], [F(0), F(1), F(0)], [F(0), F(-1), F(1)]]
+    bent = binomial_family(3)
+    assert _row_monomial(pplus_to_lambda2(3)) is not None and _row_monomial(bent) is None
+    assert _scalar_action(nu) is not None and _scalar_action(lam) is None
+    return [
+        ("random_algebra", random_algebra(4, 0.5, seed=5, nonabelian=True)),
+        ("random_algebra n = 70", random_algebra(70, 1e-4, seed=2, nonabelian=True)),
+        ("Algebra(n, table)", Algebra(3, Algebra.from_entries(3, MIXED_ENTRIES).constants)),
+        ("from_entries", Algebra.from_entries(3, MIXED_ENTRIES)),
+        ("from_entries n = 70", Algebra.from_entries(70, WIDE_ENTRIES)),
+        ("zero", Algebra.zero(3)),
+        ("construct", nu),
+        ("limit_at_zero", limit_at_zero(transport(lam, bent))),
+        ("apply_basis_change", apply_basis_change(nu, shear)),
+        ("rebase", rebase(lam, [tuple(row) for row in shear])[0]),
+        ("row-monomial limit", transport_limit(construct(CanonicalForm(Tag.P_PLUS, 3)),
+                                               pplus_to_lambda2(3))),
+        ("scalar-action limit", transport_limit(nu, bent)),
+        ("kernel limit", transport_limit(lam, bent)),
+    ]
+
+
+class TestSharedEntries:
+    """Equal stored entries (k, c) inside the bound are one tuple across all
+    algebras, whichever builder made them; the others stay private."""
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=label)
+                                   for label, a in built_by_each_builder()])
+    def test_every_builder_shares_its_in_bound_entries(self, a):
+        assert_shared(a)
+        assert a == Algebra.from_entries(a.dim, a.entries())
+
+    def test_the_builders_hold_entries_on_both_sides_of_the_bound(self):
+        held = [x for _, a in built_by_each_builder() for x in entry_tuples(a)]
+        assert any(map(in_bound, held)) and not all(map(in_bound, held))
+        # 10**12 is stored over MIXED_ENTRIES' cden = 8
+        assert {x for x in held if not in_bound(x)} >= {(1, 8 * 10**12), (69, 3), (64, 1),
+                                                         (0, 256)}
+
+    @given(st.sampled_from([1, 3, 64, 65, 70]), st.data())
+    @settings(max_examples=100)
+    def test_entries_past_the_bound_build_the_same_algebra(self, n, data):
+        idx = st.integers(0, n - 1)
+        value = (st.integers(-300, 300) | st.integers(-10**20, 10**20)
+                 | st.fractions(-10**4, 10**4, max_denominator=300))
+        entries = data.draw(st.dictionaries(st.tuples(idx, idx, idx), value, max_size=12))
+        a = Algebra.from_entries(n, entries)
+        assert stored(a) == reference_stored_form(entries)
+        assert_shared(a)
+        assert len(_SHARED) <= 32640
+        assert all(in_bound(x) for x in _SHARED)
+
+    def test_the_table_stops_at_its_largest_size(self):
+        kb, cb = _SHARED_BOUND
+        n = 64
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        # every in-bound value once, each (k, c) in its own column c + cb
+        full = Algebra.from_entries(n, {(k, *cells[c + cb]): c for k in range(kb)
+                                        for c in range(-cb, cb + 1) if c})
+        assert_shared(full)
+        assert len(_SHARED) == kb * 2 * cb == 32640  # every k, every c but 0
+        before = dict(_SHARED)
+        past = Algebra.from_entries(70, {(k, i, 0): v for k in (0, 63, 64, 69)
+                                         for i, v in enumerate((256, -256, 10**9))})
+        assert_shared(past)
+        assert _SHARED == before
+
+    def test_a_fixed_draw_set_holds_one_object_per_value(self):
+        """The classify workload's shape: 2 016 draws, n = 2..8, three
+        densities; its distinct entry objects are its distinct values."""
+        rng = random.Random("shared entries")
+        draws = [random_algebra(n, d, rng.randrange(2**31), nonabelian=True)
+                 for n in range(2, 9) for d in (0.15, 0.4, 0.8) for _ in range(96)]
+        assert len(draws) == 2016
+        objects = {id(x): x for a in draws for x in entry_tuples(a)}
+        values = set(objects.values())
+        assert len(objects) == len(values)
+        assert all(in_bound(x) and _SHARED.get(x) is x for x in values)

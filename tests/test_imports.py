@@ -1,10 +1,11 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module imports is read in that module: the package's
+modules, the tests and the scripts.
 
 No linter runs on this repository, so this stands in for the unused-import
 rule (F401): a deletion that leaves an import behind fails here.  An import
 kept on purpose, for a caller that reads the binding from outside, carries
 ``# noqa: F401`` on its line.  ``__init__.py`` re-exports what it imports
-and is exempt.
+and is exempt.  The benchmark under ``perfbench/`` is not scanned.
 """
 
 import ast
@@ -13,7 +14,9 @@ import pytest
 
 from conftest import ROOT
 
-MODULES = sorted(p for p in (ROOT / "src" / "levelone").glob("*.py") if p.name != "__init__.py")
+MODULES = [*sorted(p for p in (ROOT / "src" / "levelone").glob("*.py")
+                   if p.name != "__init__.py"),
+           *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

@@ -29,6 +29,7 @@ from levelone import (
     transport_limit,
     verify_degeneration,
 )
+from levelone.algebra import _SHARED, _SHARED_BOUND
 from levelone.errors import CoefficientTooLarge
 from levelone.jsonio import (
     algebra_from_dict,
@@ -192,6 +193,25 @@ class TestReader:
                 parse_rational(text)
         else:
             assert parse_rational(text) == want
+
+    def test_in_bound_entries_are_the_shared_tuples(self):
+        """Each stored entry (k, c) with k and |c| inside the shared bound is
+        the one tuple every algebra holds for it; the others stay private."""
+        kb, cb = _SHARED_BOUND
+        coeffs = {(1, 1, 1): "3/2", (1, 2, 64): f"-{cb}/2", (2, 1, 64): "1/2",
+                  (3, 3, 3): f"-{cb + 2}/2", (64, 64, 3): "10000000000000", (64, 1, 1): "1"}
+        doc = {"dim": 64, "products": [{"left": i, "right": j, "result": k, "coeff": c}
+                                       for (i, j, k), c in coeffs.items()]}
+        a = algebra_from_dict(doc)
+        held = [x for hits in a._slices.values() for x in hits]
+        assert sorted(held) == [(0, 2), (0, 3), (2, -cb - 2), (2, 20000000000000),
+                                (63, -cb), (63, 1)]
+        for x in held:
+            if x[0] < kb and abs(x[1]) <= cb:
+                assert _SHARED.get(x) is x
+            else:
+                assert x not in _SHARED
+        assert a == Algebra.from_entries(64, a.entries())
 
     def test_the_digit_bound_holds_in_numerator_and_denominator(self):
         at = "7" * MAX_COEFF_DIGITS

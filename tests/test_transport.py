@@ -35,7 +35,6 @@ from levelone import (
     transport,
     transport_at,
     transport_limit,
-    unit_vector,
     verify_degeneration,
 )
 from levelone.cli import main
@@ -169,7 +168,7 @@ class TestTransport:
     def test_action_law_through_specialization(self, a, seed):
         rng = random.Random(seed)
         from levelone import random_invertible_matrix
-        from levelone.linalg import mat_det, mat_mul
+        from levelone.linalg import mat_det
 
         g = random_family(a.dim, 1, seed)
         h = random_invertible_matrix(a.dim, rng)

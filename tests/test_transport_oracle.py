@@ -12,7 +12,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-import sympy
 from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
