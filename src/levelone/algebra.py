@@ -692,23 +692,42 @@ def _deterministic_candidates(n: int) -> tuple:
 MIN_NONZERO_CHANCE = 1e-3
 
 
+def _below(getrandbits, w: int) -> int:
+    """A draw from range(w), w >= 1, from the bound ``getrandbits`` of a
+    ``random.Random``: r = getrandbits(k) with k = w.bit_length(), drawn
+    again until r < w.  This is the stdlib's own ``_randbelow``, so
+    ``a + _below(g, b - a + 1)`` gives the value, and leaves the rng in the
+    state, of ``randint(a, b)``, and ``seq[_below(g, len(seq))]`` those of
+    ``choice(seq)``.  Python promises only ``random()``'s sequence across
+    versions, not how ``randint``, ``choice`` or ``shuffle`` derive theirs.
+    At w = 0 it never ends: callers check their bounds first."""
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r
+
+
 def random_algebra(
     n: int, density: float, seed: int, nonabelian: bool = False
 ) -> Algebra:
     """Seed-deterministic sparse random tensor with small rational entries.
 
-    Each entry is nonzero with probability ``density``; values have
-    numerators in [-9, 9] and denominators in [1, 4].  With ``nonabelian``
-    the sample is redrawn until some entry is nonzero; a draw has one with
-    chance 1 - (1 - density)^(n^3), and below MIN_NONZERO_CHANCE (more than
-    a thousand expected draws, and none at all at density 0) ValueError is
+    The draws come from ``rng = random.Random(seed)`` through ``random()``
+    and ``_below`` alone, entry by entry in (k, i, j) order: an entry is
+    nonzero when ``random() < density``, and is then s * p / q, drawn in
+    that order: s = (1, -1)[_below(2)], p = 1 + _below(9) in 1..9 and
+    q = 1 + _below(4) in 1..4, so never 0.  With ``nonabelian`` the sample
+    is redrawn until some entry is nonzero; a draw has one with chance
+    1 - (1 - density)^(n^3), and below MIN_NONZERO_CHANCE (more than a
+    thousand expected draws, and none at all at density 0) ValueError is
     raised instead.  An n that is not a positive int raises
     DimensionMismatch, a ValueError.
 
-    The draws are made in (k, i, j) order, each value p/q reduced by one
-    gcd, and written straight into the stored form over the lcm of the q.
-    The entries are shared (``_SHARED_BOUND``): every stored value has
-    |c| <= 9 * 12, so each entry is the table's tuple unless k >= 64.
+    Each value p/q is reduced by one gcd and written straight into the
+    stored form over the lcm of the q.  The entries are shared
+    (``_SHARED_BOUND``): every stored value has |c| <= 9 * 12, so each
+    entry is the table's tuple unless k >= 64.
     """
     _dimension(n)
     if not 0 <= density <= 1:
@@ -717,7 +736,7 @@ def random_algebra(
         raise ValueError(f"a non-abelian draw at n = {n} and density {density} has chance "
                          f"{chance:.3g} < {MIN_NONZERO_CHANCE}")
     rng = random.Random(seed)
-    draw, choice, randint = rng.random, rng.choice, rng.randint
+    draw, bits, below = rng.random, rng.getrandbits, _below
     cells = list(itertools.product(range(n), repeat=2))
     shared = _SHARED
     while True:
@@ -725,8 +744,8 @@ def random_algebra(
         for k in range(n):
             for col in cols:
                 if draw() < density:
-                    p = choice((1, -1)) * randint(1, 9)
-                    q = randint(1, 4)
+                    p = (1, -1)[below(bits, 2)] * (1 + below(bits, 9))
+                    q = 1 + below(bits, 4)
                     g = math.gcd(p, q)
                     col.append((k, p // g, q // g))
         cden = math.lcm(*(q for col in cols for _, _, q in col))
@@ -745,16 +764,30 @@ def random_invertible_matrix(n: int, rng: random.Random, bound: int = 3) -> list
     """Random invertible rational matrix L * U * P, with L unit lower and U
     upper triangular with a nonzero diagonal, so no rejection loop; P
     permutes the columns.  L * U is formed over Z and each entry made a
-    Fraction once."""
+    Fraction once.
+
+    The draws come from the caller's ``random.Random`` through ``_below``
+    alone, which goes on drawing from it after: row by row, each entry of L
+    below the diagonal is -bound + _below(2*bound + 1), then row by row U,
+    a diagonal entry (1, -1)[_below(2)] * (1 + _below(bound)) and one above
+    it as L's.  Last, a Fisher-Yates shuffle of P's columns swaps i with
+    _below(i + 1) for i from n - 1 down to 1.  These are the values, and
+    the rng's state after, of ``randint``, ``choice`` and ``shuffle``.  A
+    bound that is not an int of at least 1, a bool included, raises
+    ValueError."""
     _dimension(n, 0)
-    randint = rng.randint
-    lower = [[1 if i == j else randint(-bound, bound) if i > j else 0 for j in range(n)]
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound must be an int >= 1, got {bound!r}")
+    bits, below, width = rng.getrandbits, _below, 2 * bound + 1
+    lower = [[1 if i == j else -bound + below(bits, width) if i > j else 0 for j in range(n)]
              for i in range(n)]
-    upper = [[rng.choice((1, -1)) * randint(1, bound) if i == j
-              else randint(-bound, bound) if i < j else 0 for j in range(n)]
+    upper = [[(1, -1)[below(bits, 2)] * (1 + below(bits, bound)) if i == j
+              else -bound + below(bits, width) if i < j else 0 for j in range(n)]
              for i in range(n)]
     perm = list(range(n))
-    rng.shuffle(perm)
+    for i in range(n - 1, 0, -1):
+        j = below(bits, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
     out = []
     for i, row in enumerate(lower):
         moved = [0] * n

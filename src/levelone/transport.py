@@ -80,7 +80,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _contract, _dimension, _integer_algebra, _scalar_action
+from .algebra import (Algebra, _below, _contract, _dimension, _integer_algebra,
+                      _scalar_action)
 from .canonical import CanonicalForm, construct
 from .errors import (
     DegreeOverflow,
@@ -627,17 +628,22 @@ def verify_degeneration(a: Algebra, w: Witness, up_to_iso: bool = False) -> Repo
 def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
     """Seed-deterministic sparse Laurent family with det != 0.
 
-    Entries draw one or two monomials with exponents in
-    [-pole_bound, pole_bound] and coefficients +-c/q, c in 1..3 and q in
-    1..2; the matrix is redrawn until it is invertible over Q(t).  The
-    coefficients are summed in halves, as ints, and cleared once into the
-    stored form; ``_det_nonzero`` decides each draw.
+    The draws come from ``rng = random.Random(seed)`` through ``random()``
+    and ``algebra._below`` alone, entry by entry in row order: an entry is
+    nonzero when ``random() < 0.65``, and then draws 1 + _below(2)
+    monomials, each with the exponent -pole_bound + _below(2*pole_bound + 1)
+    and the coefficient (1, -1)[_below(2)] * (1 + _below(3)) / (1 + _below(2)),
+    so +-c/q with c in 1..3 and q in 1..2; the matrix is redrawn until it
+    is invertible over Q(t).  The coefficients are summed in halves, as
+    ints, and cleared once into the stored form; ``_det_nonzero`` decides
+    each draw.  A pole_bound that is not an int of at least 0, a bool
+    included, raises ValueError.
     """
     _dimension(n, 0)
-    if pole_bound < 0:
-        raise ValueError("pole_bound must be >= 0")
+    if type(pole_bound) is not int or pole_bound < 0:
+        raise ValueError(f"pole_bound must be an int >= 0, got {pole_bound!r}")
     rng = random.Random(seed)
-    draw, choice, randint = rng.random, rng.choice, rng.randint
+    draw, bits, below, width = rng.random, rng.getrandbits, _below, 2 * pole_bound + 1
     while True:
         rows = []
         for _ in range(n):
@@ -645,10 +651,10 @@ def random_family(n: int, pole_bound: int, seed: int) -> ParamMatrix:
             for _ in range(n):
                 halves: dict = {}  # exponent: twice the coefficient
                 if draw() < 0.65:
-                    for _ in range(randint(1, 2)):
-                        e = randint(-pole_bound, pole_bound)
-                        h = halves.get(e, 0) + choice((1, -1)) * randint(1, 3) * (
-                            2 // randint(1, 2))
+                    for _ in range(1 + below(bits, 2)):
+                        e = -pole_bound + below(bits, width)
+                        h = halves.get(e, 0) + (1, -1)[below(bits, 2)] * (1 + below(bits, 3)) * (
+                            2 // (1 + below(bits, 2)))
                         if h:
                             halves[e] = h
                         else:

@@ -28,7 +28,7 @@ from levelone import (
     transport_limit,
     unit_vector,
 )
-from levelone.algebra import (MIN_NONZERO_CHANCE, _SHARED, _SHARED_BOUND, _contract,
+from levelone.algebra import (MIN_NONZERO_CHANCE, _SHARED, _SHARED_BOUND, _below, _contract,
                               _scalar_action)
 from levelone.families import pplus_to_lambda2
 from levelone.jsonio import dumps
@@ -308,7 +308,7 @@ def reference_random_invertible_matrix(n, rng, bound=3):
     perm = list(range(n))
     rng.shuffle(perm)
     pmat = [[F(1) if perm[i] == j else F(0) for j in range(n)] for i in range(n)]
-    return mat_mul(mat_mul(lower, upper), pmat)
+    return mat_mul(mat_mul(lower, upper), pmat) if n else []
 
 
 def stored(a) -> tuple:
@@ -335,12 +335,53 @@ class TestDrawsInStoredForm:
         assert stored(a) == reference_stored_form(want)
         assert a.entries() == want
 
-    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32))
+    @given(st.integers(0, 8), st.integers(1, 3), st.integers(0, 2**32))
     @settings(max_examples=300)
     def test_random_invertible_matrix_matches_the_fraction_product(self, n, bound, seed):
-        m = random_invertible_matrix(n, random.Random(seed), bound)
-        assert m == reference_random_invertible_matrix(n, random.Random(seed), bound)
+        # the caller goes on drawing from its rng, so its state must match too
+        mine, theirs = random.Random(seed), random.Random(seed)
+        m = random_invertible_matrix(n, mine, bound)
+        assert m == reference_random_invertible_matrix(n, theirs, bound)
+        assert mine.getstate() == theirs.getstate()
         assert all(type(x) is F for row in m for x in row)
+
+    @pytest.mark.parametrize("bound", [0, -1, True, 2.0, "2", None])
+    def test_a_bound_that_is_not_a_positive_int_is_refused(self, bound):
+        # on every Python version; at width 0 the rejection draw would never end
+        with pytest.raises(ValueError, match=r"^bound must be an int >= 1, got "):
+            random_invertible_matrix(2, random.Random(0), bound)
+
+
+#: Widths 1..2^70, with 1, each 2^k and 2^k +- 1 (where a rejection draw's
+#: bit count steps) drawn often.
+widths = st.integers(1, 2**70) | st.builds(lambda k, d: max(1, 2**k + d),
+                                           st.integers(0, 70), st.integers(-1, 1))
+
+
+class TestBelow:
+    """``_below`` makes the stdlib's draws from getrandbits alone: the same
+    values, and the generator left in the same state."""
+
+    @given(st.integers(0, 2**64), widths)
+    @settings(max_examples=300)
+    def test_it_is_randrange(self, seed, w):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert _below(mine.getrandbits, w) == theirs.randrange(w)
+        assert mine.getstate() == theirs.getstate()
+
+    @given(st.integers(0, 2**64), st.integers(0, 20))
+    @settings(max_examples=200)
+    def test_it_spells_out_choice_and_shuffle(self, seed, n):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert [(1, -1)[_below(mine.getrandbits, 2)] for _ in range(n)] == [
+            theirs.choice((1, -1)) for _ in range(n)]
+        perm, want = list(range(n)), list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = _below(mine.getrandbits, i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        theirs.shuffle(want)
+        assert perm == want
+        assert mine.getstate() == theirs.getstate()
 
 
 class TestDimensionIsAnInt:
