@@ -7,16 +7,16 @@ are bilinear by construction.  Vectors are tuples of Fractions.
 
 ``Algebra`` stores the tensor once, sparse and over Z, as the nonzero
 columns C[:, i, j] of C = cden * c, cden the lcm of the entry denominators;
-the dense table of Fractions is a view built on first use.  The entries
-(k, C[k][i][j]) are hash-consed: each one with k < 64 and |C| <= 255 is
-taken from one table, ``_SHARED``, so that equal entries of all algebras are
-one tuple.  Every builder of the stored form shares its entries as it forms
-them.  Equality, the predicates and the kernels
-(``Algebra.product``, ``apply_basis_change``, ``rebase``,
+the dense table of Fractions is a view built on each read.  The entries
+(k, C[k][i][j]) and the slice keys (i, j) are hash-consed: each pair with
+first item below 64 and second of size at most 255 is taken from one table,
+``_SHARED``, so that equal entries and keys of all algebras are one tuple
+(a key (i, j) with j >= 1 is the entry (i, j)).  Every builder of the stored
+form shares its entries and keys as it forms them.  Equality, the predicates
+and the kernels (``Algebra.product``, ``apply_basis_change``, ``rebase``,
 ``subspace_product`` and its zero test ``products_vanish``, the
-multiplication matrices) read the stored form,
-scale vectors and matrices to integers, accumulate in Python ints and
-divide once at the end.
+multiplication matrices) read the stored form, scale vectors and matrices to
+integers, accumulate in Python ints and divide once at the end.
 
 One integer contraction, ``_contract``, is behind ``apply_basis_change``,
 ``rebase`` and the t -> 0 read-off of a row-monomial family diag(t^e) * m in
@@ -56,24 +56,26 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import _int_matrix, _inverse_of
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, InexactEntry, SingularMatrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: The stored entries (k, c) that are shared: those with k < 64 and
-#: |c| <= 255.  No entry has c = 0, so the table never holds more than
-#: 64 * 510 = 32 640 tuples, about 3.5 MiB, whatever the input; larger
-#: entries stay private tuples.
+#: The stored pairs that are shared: entries (k, c) with k < 64 and
+#: |c| <= 255, and slice keys (i, j) with i < 64 and j <= 255.  A key
+#: (i, j) with j >= 1 is the entry (i, j), so the table never holds more
+#: than 64 * 511 = 32 704 tuples, about 3.5 MiB, whatever the input; other
+#: pairs stay private tuples.
 _SHARED_BOUND = (64, 255)
 
 
 class _Entries(dict):
-    """The shared entries, (k, c) -> the one tuple (k, c).
+    """The shared pairs, (k, c) -> the one tuple (k, c).
 
-    ``_SHARED[k, c]`` is the stored entry (k, c): the table's tuple when it
-    lies inside _SHARED_BOUND, entered on first use, and a private tuple
-    otherwise.  A hit costs one dict lookup and no Python call."""
+    ``_SHARED[k, c]`` is the stored entry (k, c), and ``_SHARED[i, j]`` the
+    slice key (i, j): the table's tuple when it lies inside _SHARED_BOUND,
+    entered on first use, and a private tuple otherwise.  A hit costs one
+    dict lookup and no Python call."""
 
     def __missing__(self, x: tuple) -> tuple:
         k, c = x
@@ -151,13 +153,11 @@ class Algebra:
             (ij, ((kij[0], v) for kij, v in hits))
             for ij, hits in itertools.groupby(ordered, key=lambda e: e[0][1:])))
 
-    @functools.cached_property
+    @property
     def constants(self) -> tuple:
-        """The dense table constants[k][i][j] of Fractions, built on first use.
-
-        The table is cached on the algebra and stays there for the
-        algebra's lifetime: n^3 Fractions, which the stored form does not
-        hold."""
+        """The dense table constants[k][i][j] of Fractions, built on each
+        read: n^3 Fractions, which the algebra does not hold.  A reader that
+        indexes it in a loop binds it once."""
         n = self.dim
         table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for (k, i, j), v in self.entries().items():
@@ -245,13 +245,21 @@ def _store(a: Algebra, n: int, cols) -> Algebra:
     _dimension(n)
     ratios = []  # ((i, j), [(k, (p, q)), ...]) with value = p / q reduced
     for ij, hits in cols:
-        col = [(k, (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio())
+        col = [(k, (v if type(v) in (int, Fraction) else _exact(v)).as_integer_ratio())
                for k, v in hits if v]
         if col:
             ratios.append((ij, col))
     cden = math.lcm(*(q for _, col in ratios for _, (_, q) in col))
-    return _stored(a, n, cden, {ij: tuple(_SHARED[k, p * (cden // q)] for k, (p, q) in col)
+    return _stored(a, n, cden, {_SHARED[ij]: tuple(_SHARED[k, p * (cden // q)]
+                                                    for k, (p, q) in col)
                                 for ij, col in ratios})
+
+
+def _exact(v) -> Fraction:
+    """v as a Fraction; InexactEntry on a float, which is not exact."""
+    if isinstance(v, float):
+        raise InexactEntry(f"structure constant {v!r} is a float; pass an int or a Fraction")
+    return Fraction(v)
 
 
 def _stored(a: Algebra, n: int, cden: int, slices: dict) -> Algebra:
@@ -591,7 +599,8 @@ def _integer_algebra(n: int, den: int, cols: dict) -> Algebra:
     g = math.gcd(den, *(c for hits in cols.values() for _, c in hits))
     if den < 0:
         g = -g
-    cols = {ij: tuple(_SHARED[k, c // g] for k, c in hits) for ij, hits in cols.items()}
+    cols = {_SHARED[ij]: tuple(_SHARED[k, c // g] for k, c in hits)
+            for ij, hits in cols.items()}
     return _stored(object.__new__(Algebra), n, den // g, cols)
 
 
@@ -600,10 +609,11 @@ def _pair_order(e: tuple) -> tuple:
     """(pairs, width, by_i) for ``_contract``: the pairs (i, j) with
     e_i + e_j >= min(e) by e_i + e_j descending, the length of row k's
     prefix of them, and by_i = ((i, ((j, position of (i, j)), ...)), ...)
-    over the rows i that have such a pair."""
+    over the rows i that have such a pair.  The pairs are ``_SHARED``'s
+    tuples, so they are the keys of ``_contract``'s stored form."""
     n = len(e)
     lo = min(e)
-    pairs = sorted(((i, j) for i in range(n) for j in range(n) if e[i] + e[j] >= lo),
+    pairs = sorted((_SHARED[i, j] for i in range(n) for j in range(n) if e[i] + e[j] >= lo),
                    key=lambda ij: -e[ij[0]] - e[ij[1]])
     sums = [-e[i] - e[j] for i, j in pairs]  # ascending
     width = [bisect.bisect_right(sums, -ek) for ek in e]
@@ -725,9 +735,9 @@ def random_algebra(
     DimensionMismatch, a ValueError.
 
     Each value p/q is reduced by one gcd and written straight into the
-    stored form over the lcm of the q.  The entries are shared
+    stored form over the lcm of the q.  The entries and keys are shared
     (``_SHARED_BOUND``): every stored value has |c| <= 9 * 12, so each
-    entry is the table's tuple unless k >= 64.
+    entry, and each key (i, j), is the table's tuple unless k or i >= 64.
     """
     _dimension(n)
     if not 0 <= density <= 1:
@@ -737,8 +747,8 @@ def random_algebra(
                          f"{chance:.3g} < {MIN_NONZERO_CHANCE}")
     rng = random.Random(seed)
     draw, bits, below = rng.random, rng.getrandbits, _below
-    cells = list(itertools.product(range(n), repeat=2))
     shared = _SHARED
+    cells = [shared[ij] for ij in itertools.product(range(n), repeat=2)]
     while True:
         cols = [[] for _ in cells]  # cols[i*n + j] = [(k, p, q), ...], k increasing
         for k in range(n):

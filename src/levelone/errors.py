@@ -41,6 +41,11 @@ class DimensionMismatch(ValueError):
     """Operands live in spaces of different dimensions."""
 
 
+class InexactEntry(TypeError):
+    """A structure constant was given as a float, whose binary value is not
+    the decimal it shows; pass an int or a Fraction."""
+
+
 class BadDimension(ValueError):
     """A canonical form was requested in a dimension where it does not exist."""
 

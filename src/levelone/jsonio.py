@@ -172,7 +172,7 @@ def algebra_from_dict(d: dict) -> Algebra:
     for (i, j, k), (p, q) in nonzero:
         slices.setdefault((i - 1, j - 1), []).append(_SHARED[k - 1, p * (cden // q)])
     return _stored(object.__new__(Algebra), n, cden,
-                   {ij: tuple(hits) for ij, hits in slices.items()})
+                   {_SHARED[ij]: tuple(hits) for ij, hits in slices.items()})
 
 
 # -- families and witnesses -------------------------------------------------

@@ -45,7 +45,7 @@ def mat_identity(n: int) -> list:
 
 
 def mat_mul(a: list, b: list) -> list:
-    n, m, p = len(a), len(b), len(b[0])
+    n, m, p = len(a), len(b), len(b[0]) if b else 0
     out = [[ZERO] * p for _ in range(n)]
     for i in range(n):
         row = a[i]

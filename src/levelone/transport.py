@@ -118,7 +118,7 @@ class ParamMatrix:
     """n x n matrix of Laurent polynomials over Q; column j holds the image
     of basis vector j.
 
-    Every family is stored one way, as ({s: L}, P) with g = P / (L*t^s): P
+    Every family is stored one way, as (s, L, P) with g = P / (L*t^s): P
     a grid of integer polynomials {exponent >= 0: nonzero int}, t^s the
     largest entry denominator and L the lcm of the reduced coefficient
     denominators.  That form is canonical, so ``==`` compares it
@@ -132,12 +132,11 @@ class ParamMatrix:
         ValueError on one that is not."""
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise DimensionMismatch("entry grid does not match dim")
-        s, L, P = _clear([[e.to_laurent() for e in row] for row in entries])
-        self._set({s: L}, P)
+        self._set(_clear([[e.to_laurent() for e in row] for row in entries]))
 
-    def _set(self, D, P) -> None:
-        object.__setattr__(self, "dim", len(P))
-        object.__setattr__(self, "_form", (D, P))
+    def _set(self, form: tuple) -> None:
+        object.__setattr__(self, "dim", len(form[2]))
+        object.__setattr__(self, "_form", form)
 
     def __setattr__(self, *_):
         raise AttributeError("ParamMatrix is immutable")
@@ -147,7 +146,7 @@ class ParamMatrix:
         """The family P / (L*t^s) of a form that is already canonical, P a
         tuple of row tuples, taken as it is."""
         obj = object.__new__(cls)
-        obj._set({s: L}, P)
+        obj._set((s, L, P))
         return obj
 
     @classmethod
@@ -239,9 +238,7 @@ def _clear_pairs(rows) -> tuple[int, int, tuple]:
 
 def _cleared(g: ParamMatrix) -> tuple[int, int, tuple]:
     """(s, L, P) with g = P / (L*t^s)."""
-    D, P = g._form
-    ((s, L),) = D.items()
-    return s, L, P
+    return g._form
 
 
 def _row_monomial(g: ParamMatrix):

@@ -11,6 +11,7 @@ from levelone import (
     Algebra,
     CanonicalForm,
     DimensionMismatch,
+    InexactEntry,
     ParamMatrix,
     Subspace,
     Tag,
@@ -162,7 +163,7 @@ class TestBasisChange:
     def test_lambda2_rescaled_entry_matches_direct_transport(self):
         a = canon(Tag.LAMBDA2, 2)
         g = [[F(2), F(0)], [F(0), F(1)]]
-        got = apply_basis_change(a, g)
+        c = apply_basis_change(a, g).constants
         # oracle: evaluate g(a(g^-1 e1, g^-1 e1)) directly
         ginv = mat_inverse(g)
         for i in range(2):
@@ -174,15 +175,15 @@ class TestBasisChange:
                         mat_vec(ginv, unit_vector(2, j)),
                     ),
                 )
-                assert tuple(got.constants[k][i][j] for k in range(2)) == direct
-        assert got.constants[1][0][0] == F(1, 4)
+                assert tuple(c[k][i][j] for k in range(2)) == direct
+        assert c[1][0][0] == F(1, 4)
 
     def test_swap_in_n3minus(self):
         a = canon(Tag.N3_MINUS, 3)
         swap = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
-        got = apply_basis_change(a, swap)
-        assert got.constants[2][0][1] == F(-1)
-        assert got.constants[2][1][0] == F(1)
+        c = apply_basis_change(a, swap).constants
+        assert c[2][0][1] == F(-1)
+        assert c[2][1][0] == F(1)
 
     @given(algebras(min_dim=2, max_dim=3), invertible_matrices(3))
     @settings(max_examples=30)
@@ -308,7 +309,7 @@ def reference_random_invertible_matrix(n, rng, bound=3):
     perm = list(range(n))
     rng.shuffle(perm)
     pmat = [[F(1) if perm[i] == j else F(0) for j in range(n)] for i in range(n)]
-    return mat_mul(mat_mul(lower, upper), pmat) if n else []
+    return mat_mul(mat_mul(lower, upper), pmat)
 
 
 def stored(a) -> tuple:
@@ -525,6 +526,23 @@ class TestStoredForm:
         assert z.is_abelian() and z.is_commutative() and z.is_anticommutative()
         assert z.entries() == {}
 
+    @given(tensors())
+    @settings(max_examples=50)
+    def test_the_dense_table_is_built_on_each_read_and_not_kept(self, a):
+        n = a.dim
+        table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+        for (k, i, j), v in a.entries().items():
+            table[k][i][j] = v
+        assert a.constants == tuple(tuple(map(tuple, plane)) for plane in table)
+        assert "constants" not in vars(a)
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_float_entries_are_refused(self, value):
+        with pytest.raises(InexactEntry, match="is a float"):
+            Algebra(1, [[[value]]])
+        with pytest.raises(InexactEntry, match="is a float"):
+            Algebra.from_entries(2, {(0, 1, 1): F(1), (1, 0, 1): value})
+
     def test_attributes_cannot_be_assigned(self):
         a = canon(Tag.NU, 3, F(2, 3))
         for name in ("dim", "constants", "_cden", "_slices", "extra"):
@@ -591,8 +609,9 @@ def in_bound(x) -> bool:
 
 
 def assert_shared(a):
-    """Each in-bound entry of ``a`` is the table's tuple; no other is in the table."""
-    for x in entry_tuples(a):
+    """Each in-bound entry and slice key of ``a`` is the table's tuple; no
+    other is in the table."""
+    for x in [*a._slices, *entry_tuples(a)]:
         if in_bound(x):
             assert _SHARED.get(x) is x
         else:
@@ -638,8 +657,9 @@ def built_by_each_builder():
 
 
 class TestSharedEntries:
-    """Equal stored entries (k, c) inside the bound are one tuple across all
-    algebras, whichever builder made them; the others stay private."""
+    """Equal stored entries (k, c) and slice keys (i, j) inside the bound are
+    one tuple across all algebras, whichever builder made them; the others
+    stay private."""
 
     @pytest.mark.parametrize("a", [pytest.param(a, id=label)
                                    for label, a in built_by_each_builder()])
@@ -664,18 +684,20 @@ class TestSharedEntries:
         a = Algebra.from_entries(n, entries)
         assert stored(a) == reference_stored_form(entries)
         assert_shared(a)
-        assert len(_SHARED) <= 32640
+        assert len(_SHARED) <= 32704
         assert all(in_bound(x) for x in _SHARED)
 
     def test_the_table_stops_at_its_largest_size(self):
         kb, cb = _SHARED_BOUND
         n = 64
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        # every in-bound value once, each (k, c) in its own column c + cb
+        cells = [(i, j) for j in range(n) for i in range(n)]
+        # every in-bound value once, each (k, c) in its own column c + cb;
+        # the first 64 columns are the keys (i, 0), which are no entry
         full = Algebra.from_entries(n, {(k, *cells[c + cb]): c for k in range(kb)
                                         for c in range(-cb, cb + 1) if c})
+        assert {(i, 0) for i in range(kb)} <= set(full._slices)
         assert_shared(full)
-        assert len(_SHARED) == kb * 2 * cb == 32640  # every k, every c but 0
+        assert len(_SHARED) == kb * (2 * cb + 1) == 32704  # every k, every c
         before = dict(_SHARED)
         past = Algebra.from_entries(70, {(k, i, 0): v for k in (0, 63, 64, 69)
                                          for i, v in enumerate((256, -256, 10**9))})
@@ -693,3 +715,6 @@ class TestSharedEntries:
         values = set(objects.values())
         assert len(objects) == len(values)
         assert all(in_bound(x) and _SHARED.get(x) is x for x in values)
+        keys = {id(ij): ij for a in draws for ij in a._slices}
+        assert len(keys) <= 64  # the cells (i, j) of n = 8
+        assert all(_SHARED.get(ij) is ij for ij in keys.values())

@@ -86,7 +86,7 @@ def sparse_algebra(rng, n):
 def sympy_contraction(a, g, h):
     """c'[k][i][j] = sum g[k][r] c[r][s][t] h[s][i] h[t][j], entry by entry."""
     n = a.dim
-    c = [to_sympy(a.constants[r]) for r in range(n)]
+    c = [to_sympy(plane) for plane in a.constants]
     planes = [h.T * c[r] * h for r in range(n)]  # (h^T c_r h)[i][j]
     out = []
     for k in range(n):

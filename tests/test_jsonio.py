@@ -211,6 +211,9 @@ class TestReader:
                 assert _SHARED.get(x) is x
             else:
                 assert x not in _SHARED
+        # the slice keys (i, j), all with i < 64, are the table's tuples too
+        assert sorted(a._slices) == [(0, 0), (0, 1), (1, 0), (2, 2), (63, 0), (63, 63)]
+        assert all(_SHARED.get(ij) is ij for ij in a._slices)
         assert a == Algebra.from_entries(64, a.entries())
 
     def test_the_digit_bound_holds_in_numerator_and_denominator(self):
@@ -422,8 +425,8 @@ def laurent_route(d: dict) -> ParamMatrix:
 
 def stored(g: ParamMatrix):
     """The stored form with each entry's key order."""
-    D, P = g._form
-    return D, P, [[list(p) for p in row] for row in P]
+    s, L, P = g._form
+    return s, L, P, [[list(p) for p in row] for row in P]
 
 
 @st.composite

@@ -46,6 +46,12 @@ def test_inverse_round_trip(m):
     assert mat_mul(m, mat_inverse(m)) == mat_identity(4)
 
 
+def test_mat_mul_of_empty_matrices():
+    assert mat_mul([], []) == []
+    assert mat_mul([], mat_identity(2)) == []
+    assert mat_mul([[], []], []) == [[], []]  # 2 x 0 times 0 x 0
+
+
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrix):
         mat_inverse([[F(1), F(2)], [F(2), F(4)]])

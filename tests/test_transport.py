@@ -478,8 +478,8 @@ class TestRandomFamily:
         g = random_family(n, pole_bound, seed)
         want, rows = reference_random_family(n, pole_bound, seed)
         assert g._form == want._form
-        assert [[list(p.items()) for p in row] for row in g._form[1]] == [
-            [list(p.items()) for p in row] for row in want._form[1]]
+        assert [[list(p.items()) for p in row] for row in g._form[2]] == [
+            [list(p.items()) for p in row] for row in want._form[2]]
         assert transport_module._clear(rows) == stored_form(rows)
 
     @pytest.mark.parametrize("n", [True, 2.0])
@@ -516,7 +516,7 @@ def reference_random_family(n, pole_bound, seed):
                 row.append(lp)
             rows.append(row)
         pm = ParamMatrix.from_cleared(*stored_form(rows))
-        if bareiss([list(row) for row in pm._form[1]])[0]:
+        if bareiss([list(row) for row in pm._form[2]])[0]:
             return pm, rows
 
 

@@ -136,9 +136,9 @@ def ours_limit(a, g):
         lim = transport_limit(a, g)
     except NoLimit as exc:
         return None, exc.entries
-    n = a.dim
-    return {(k, i, j): lim.constants[k][i][j] for k in range(n) for i in range(n)
-            for j in range(n) if lim.constants[k][i][j]}, None
+    n, c = a.dim, lim.constants
+    return {(k, i, j): c[k][i][j] for k in range(n) for i in range(n)
+            for j in range(n) if c[k][i][j]}, None
 
 
 def cases():
