@@ -56,7 +56,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import _int_matrix, _inverse_of
-from .errors import DimensionMismatch, InexactEntry, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
+from .poly import _exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -189,13 +190,6 @@ class Algebra:
         den = self._cden * dx * dy
         return tuple(_fraction(v, den) for v in out)
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        """e_i * e_j: the column c[:, i, j] of the tensor."""
-        col = [ZERO] * self.dim
-        for k, c in self._slices.get((i, j), ()):
-            col[k] = Fraction(c, self._cden)
-        return tuple(col)
-
     def left_mult_matrix(self, x: Vector) -> list:
         """Matrix of v -> x * v: entry (k, j) is sum_i x_i c[k][i][j]."""
         return _mult_matrix(self, x, left=True)
@@ -253,13 +247,6 @@ def _store(a: Algebra, n: int, cols) -> Algebra:
     return _stored(a, n, cden, {_SHARED[ij]: tuple(_SHARED[k, p * (cden // q)]
                                                     for k, (p, q) in col)
                                 for ij, col in ratios})
-
-
-def _exact(v) -> Fraction:
-    """v as a Fraction; InexactEntry on a float, which is not exact."""
-    if isinstance(v, float):
-        raise InexactEntry(f"structure constant {v!r} is a float; pass an int or a Fraction")
-    return Fraction(v)
 
 
 def _stored(a: Algebra, n: int, cden: int, slices: dict) -> Algebra:

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import BadDimension
+from .poly import _exact
 
 
 class Tag(str, Enum):
@@ -64,7 +65,7 @@ class CanonicalForm:
             if self.dim >= 2:
                 if self.alpha is None:
                     raise BadDimension("nu needs a scalar alpha in dimension >= 2")
-                object.__setattr__(self, "alpha", Fraction(self.alpha))
+                object.__setattr__(self, "alpha", _exact(self.alpha, "alpha"))
             elif self.alpha is not None:
                 raise BadDimension("nu carries no scalar in dimension 1")
         elif self.alpha is not None:

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class PoleAtZero(ArithmeticError):
-    """Evaluation at t = 0 of a field element with negative valuation."""
-
-
 class PoleAtPoint(ArithmeticError):
     """Evaluation at a point where the denominator vanishes."""
 
@@ -42,8 +38,9 @@ class DimensionMismatch(ValueError):
 
 
 class InexactEntry(TypeError):
-    """A structure constant was given as a float, whose binary value is not
-    the decimal it shows; pass an int or a Fraction."""
+    """A structure constant, coefficient, alpha or point t0 was given as a
+    float, whose binary value is not the decimal it shows; pass an int or a
+    Fraction."""
 
 
 class BadDimension(ValueError):

@@ -60,10 +60,6 @@ def mat_mul(a: list, b: list) -> list:
     return out
 
 
-def mat_vec(a: list, v) -> tuple:
-    return tuple(sum((c * x for c, x in zip(row, v) if c and x), ZERO) for row in a)
-
-
 def mat_trace(a: list) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 

@@ -8,13 +8,13 @@ zero polynomial is the empty dict.  Ordinary polynomials keep exponents
 the unreduced quotient num/den of two ordinary polynomials, with monic
 den and no power of t in common.  ``transport()`` and
 ``ParamMatrix.entries`` build it; it is evaluated, compared, negated and
-printed, and the t -> 0 read-offs take its valuation.  It has no field
-arithmetic: every limit and witness is computed over Z and Z[t].  No
-polynomial gcd is taken, so a Laurent polynomial keeps the one form num/t^s,
-equality cross-multiplies, and evaluation at t0 first divides out the
-factors (t - t0) that num and den share.
+printed.  It has no field arithmetic: every limit and witness is computed
+over Z and Z[t].  No polynomial gcd is taken, so a Laurent polynomial keeps
+the one form num/t^s, equality cross-multiplies, and evaluation at t0 first
+divides out the factors (t - t0) that num and den share.
 
-No floating point enters anywhere.
+No floating point enters anywhere: a float coefficient or point raises
+InexactEntry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegreeOverflow, PoleAtPoint, PoleAtZero
+from .errors import DegreeOverflow, InexactEntry, PoleAtPoint
 
 Poly = dict  # {int exponent: nonzero Fraction}
 
@@ -46,9 +46,16 @@ ONE = Fraction(1)
 POLY_ONE: Poly = {0: ONE}
 
 
+def _exact(v, what: str = "structure constant") -> Fraction:
+    """v as a Fraction; InexactEntry on a float, which is not exact."""
+    if isinstance(v, float):
+        raise InexactEntry(f"{what} {v!r} is a float; pass an int or a Fraction")
+    return Fraction(v)
+
+
 def poly_const(c) -> Poly:
     """Constant polynomial, {} for zero."""
-    c = Fraction(c)
+    c = _exact(c, "coefficient")
     return {0: c} if c else {}
 
 
@@ -187,10 +194,6 @@ class FieldElement:
         return obj
 
     @classmethod
-    def constant(cls, c) -> "FieldElement":
-        return cls._raw(poly_const(c), dict(POLY_ONE))
-
-    @classmethod
     def from_laurent(cls, lp: Poly) -> "FieldElement":
         """lp * t^s / t^s, s the order of the pole of lp at t = 0."""
         s = max(0, -min(lp, default=0))
@@ -221,27 +224,11 @@ class FieldElement:
             return f"FieldElement({print_laurent(self.to_laurent())!r})"
         return f"FieldElement({print_laurent(self.num)!r} / {print_laurent(self.den)!r})"
 
-    # -- valuation and evaluation ---------------------------------------
-    def valuation_at_zero(self):
-        """Order of vanishing at t = 0; +inf for the zero element."""
-        if not self.num:
-            return math.inf
-        return min(self.num) - min(self.den)
-
-    def eval_at_zero(self) -> Fraction:
-        """Exact limit of f(t) as t -> 0; requires valuation >= 0."""
-        v = self.valuation_at_zero()
-        if v > 0:
-            return ZERO
-        if v < 0:
-            raise PoleAtZero(f"valuation {v} < 0")
-        # no shared power of t and valuation 0 force ord(num) = ord(den) = 0
-        return self.num[0] / self.den[0]
-
+    # -- evaluation -----------------------------------------------------
     def eval_at(self, t0: Fraction) -> Fraction:
         """f(t0); PoleAtPoint when den still vanishes at t0 after every
         factor (t - t0) shared with num is divided out."""
-        t0 = Fraction(t0)
+        t0 = _exact(t0, "point")
         num, den = self.num, self.den
         while not (d := poly_eval(den, t0)):
             if poly_eval(num, t0):

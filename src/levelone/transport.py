@@ -87,7 +87,6 @@ from .errors import (
     DegreeOverflow,
     DimensionMismatch,
     NoLimit,
-    PoleAtZero,
     SingularFamily,
     SingularMatrix,
 )
@@ -96,6 +95,7 @@ from .poly import (
     FE_ZERO,
     MAX_DEGREE,
     FieldElement,
+    _exact,
     poly_mul,
     poly_ord,
     poly_scale,
@@ -221,8 +221,8 @@ class ParamMatrix:
 def _clear(rows) -> tuple[int, int, tuple]:
     """The canonical (s, L, P) of a grid of Laurent dicts {exponent: int or
     Fraction}."""
-    return _clear_pairs([[{e: c.as_integer_ratio() for e, c in p.items() if c} for p in row]
-                         for row in rows])
+    return _clear_pairs([[{e: _exact(c, "coefficient").as_integer_ratio()
+                           for e, c in p.items() if c} for p in row] for row in rows])
 
 
 def _clear_pairs(rows) -> tuple[int, int, tuple]:
@@ -346,11 +346,6 @@ class ParamAlgebra:
         return Algebra(self.dim, _nested(lambda e: e.eval_at(t0), self.constants, 3))
 
 
-def embed_algebra(a: Algebra) -> ParamAlgebra:
-    """View a rational tensor as a constant parametric tensor."""
-    return ParamAlgebra(a.dim, _nested(FieldElement.constant, a.constants, 3))
-
-
 def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
     """The transported tensor over Q(t), each entry L*t^s*N/(cden*d^2) with
     only the power of t cancelled."""
@@ -363,28 +358,9 @@ def transport(a: Algebra, g: ParamMatrix) -> ParamAlgebra:
         {e + ff.s: Fraction(ff.L * c) for e, c in m.items()}, dict(den)), num, 3))
 
 
-def _limit(n: int, value) -> Algebra:
-    """The algebra of value(k, i, j); NoLimit lists (1-based) the entries
-    where value raises PoleAtZero."""
-    bad = []
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k, i, j in itertools.product(range(n), repeat=3):
-        try:
-            table[k][i][j] = value(k, i, j)
-        except PoleAtZero:
-            bad.append((k + 1, i + 1, j + 1))
-    if bad:
-        raise NoLimit(bad)
-    return Algebra(n, table)
-
-
-def limit_at_zero(pa: ParamAlgebra) -> Algebra:
-    """Entrywise limit at t = 0; raises NoLimit listing poles (1-based)."""
-    return _limit(pa.dim, lambda k, i, j: pa.constants[k][i][j].eval_at_zero())
-
-
 def transport_limit(a: Algebra, g: ParamMatrix) -> Algebra:
-    """limit_at_zero(transport(a, g)), exactly, without the Q(t) tensor.
+    """The entrywise limit of transport(a, g) at t = 0, without the Q(t)
+    tensor; NoLimit lists the entries with a pole (1-based).
 
     For a row-monomial g = diag(t^e) * m, g^-1 = m^-1 diag(t^-e), so entry
     (k, i, j) is b[k][i][j] * t^(e_k - e_i - e_j) with b the rational basis
@@ -539,7 +515,7 @@ def transport_at(a: Algebra, g: ParamMatrix, t0: Fraction) -> Algebra:
     """
     if a.dim != g.dim:
         raise DimensionMismatch("algebra and family dimensions differ")
-    t0 = Fraction(t0)
+    t0 = _exact(t0, "point")
     s, L, P = _cleared(g)
     exps = {e for row in P for p in row for e in p}
     top = max(max(exps, default=0), s)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import random
 from collections import Counter, defaultdict
@@ -12,7 +14,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from levelone import Algebra, FieldElement, random_invertible_matrix
+from levelone import (Algebra, FieldElement, NoLimit, ParamAlgebra, random_invertible_matrix,
+                      transport)
 from levelone.parser import parse_laurent
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +71,31 @@ def fe(text: str) -> FieldElement:
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+def constant_tensor(a: Algebra) -> ParamAlgebra:
+    """``a`` as a ParamAlgebra of constant FieldElement entries."""
+    return ParamAlgebra(a.dim, tuple(tuple(tuple(FieldElement(c) for c in row) for row in plane)
+                                     for plane in a.constants))
+
+
+def qt_limit(a: Algebra, g) -> Algebra:
+    """The t -> 0 limit of transport(a, g), the reference for transport_limit,
+    read off each Q(t) entry num/den: of valuation v = min(num) - min(den),
+    a pole when v < 0, num[0] / den[0] when v = 0 (num and den share no power
+    of t) and 0 when v > 0.  NoLimit lists the poles, 1-based and sorted."""
+    constants = transport(a, g).constants
+    table, poles = {}, []
+    for k, i, j in itertools.product(range(a.dim), repeat=3):
+        num, den = constants[k][i][j].num, constants[k][i][j].den
+        v = min(num, default=math.inf) - min(den)
+        if v < 0:
+            poles.append((k + 1, i + 1, j + 1))
+        elif v == 0:
+            table[k, i, j] = num[0] / den[0]
+    if poles:
+        raise NoLimit(poles)
+    return Algebra.from_entries(a.dim, table)
 
 
 def subprocess_env() -> dict:

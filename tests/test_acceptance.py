@@ -23,7 +23,6 @@ from levelone import (
     classify,
     construct,
     derived_subspace,
-    embed_algebra,
     invariant_vector,
     random_algebra,
     random_family,
@@ -34,6 +33,8 @@ from levelone import (
     verify_degeneration,
 )
 from levelone.jsonio import algebra_from_dict, family_from_dict, load_path
+
+from conftest import constant_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -83,16 +84,16 @@ def test_criterion_2_fixed_point_families():
         fix_tail = fixture_family(f"fix_pminus_n{n}")
         for name in (f"pminus_n{n}",):
             a = fixture_algebra(name)
-            assert transport(a, fix_tail) == embed_algebra(a), name
+            assert transport(a, fix_tail) == constant_tensor(a), name
             checked += 1
         for alpha, label in NU_ALPHAS.items():
             a = fixture_algebra(f"nu_n{n}_alpha_{label}")
-            assert transport(a, fix_tail) == embed_algebra(a), (n, alpha)
+            assert transport(a, fix_tail) == constant_tensor(a), (n, alpha)
             checked += 1
         a = fixture_algebra(f"n3minus_n{n}")
-        assert transport(a, fixture_family(f"fix_n3minus_n{n}")) == embed_algebra(a)
+        assert transport(a, fixture_family(f"fix_n3minus_n{n}")) == constant_tensor(a)
         a = fixture_algebra(f"lambda2_n{n}")
-        assert transport(a, fixture_family(f"fix_lambda2_n{n}")) == embed_algebra(a)
+        assert transport(a, fixture_family(f"fix_lambda2_n{n}")) == constant_tensor(a)
         checked += 2
     print(f"\nPASS criterion 2: {checked} fixed-point transports identical "
           f"({time.time() - t0:.2f}s)")

@@ -404,8 +404,9 @@ def frame_construction(a, tag):
     n = a.dim
     if tag is Tag.P_MINUS:
         i, j = min((i, j) for _, i, j in a.entries())
-        p = a.basis_product(i, j)
-        first, second, q = (i, j, p) if p[j] else (j, i, a.basis_product(j, i))
+        e_i, e_j = unit_vector(n, i), unit_vector(n, j)
+        p = a.product(e_i, e_j)
+        first, second, q = (i, j, p) if p[j] else (j, i, a.product(e_j, e_i))
         b1 = vec_scale(unit_vector(n, first), 1 / q[second])
         b2 = vec_add(unit_vector(n, second), vec_scale(b1, q[first]))
         basis, _ = _frame(n, [b1, b2])

@@ -5,7 +5,8 @@ No linter runs on this repository, so this stands in for the unused-import
 rule (F401): a deletion that leaves an import behind fails here.  An import
 kept on purpose, for a caller that reads the binding from outside, carries
 ``# noqa: F401`` on its line.  ``__init__.py`` re-exports what it imports
-and is exempt.  The benchmark under ``perfbench/`` is not scanned.
+and is exempt; it must list in ``__all__`` exactly the names it imports.
+The benchmark under ``perfbench/`` is not scanned.
 """
 
 import ast
@@ -48,3 +49,27 @@ def test_an_unread_import_is_caught_and_a_marked_one_is_not():
               "from .linalg import (\n    bareiss,\n    rank,  # noqa: F401\n)\n"
               "print(os.path, bareiss)\n")
     assert unused_imports(source) == [(2, "math")]
+
+
+def exported_and_imported(source: str) -> tuple[set, set]:
+    """(the names ``__all__`` lists, the names the imports bind) of a
+    package ``__init__``."""
+    tree = ast.parse(source)
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["__all__"] for elt in node.value.elts}
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    return exported, imported
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    exported, imported = exported_and_imported(
+        (ROOT / "src" / "levelone" / "__init__.py").read_text())
+    assert exported and exported == imported
+
+
+def test_an_export_missing_from_either_list_is_seen():
+    source = ("from .a import f, g\nfrom .b import h\n"
+              "__all__ = [\"f\", \"h\", \"k\"]\n")
+    assert exported_and_imported(source) == ({"f", "h", "k"}, {"f", "g", "h"})

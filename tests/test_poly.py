@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +5,9 @@ import hypothesis.strategies as st
 import sympy
 from hypothesis import given, settings
 
-from levelone import DegreeOverflow, FieldElement, PoleAtPoint, PoleAtZero
+from levelone import DegreeOverflow, FieldElement, InexactEntry, PoleAtPoint
 from levelone.poly import (
+    FE_ZERO,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -17,8 +17,6 @@ from levelone.poly import (
 )
 
 from conftest import fe, field_elements, laurent_polys, nonzero_rationals, small_rationals
-
-ZERO = FieldElement.constant(0)
 
 
 def quo(num: dict, den: dict) -> FieldElement:
@@ -46,7 +44,7 @@ class TestQuotientForm:
     def test_negation(self):
         x = quo({0: 1, 2: -3}, {1: 1, 0: 2})
         assert (-x).num == {0: F(-1), 2: F(3)} and (-x).den == x.den
-        assert -(-x) == x and -ZERO == ZERO
+        assert -(-x) == x and -FE_ZERO == FE_ZERO
 
     def test_repr_of_a_quotient(self):
         x = quo({0: 1}, {1: 1, 0: 1})
@@ -59,6 +57,13 @@ class TestQuotientForm:
         with pytest.raises(DegreeOverflow):
             poly_mul({6000: F(1)}, {6000: F(1)})
 
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_a_float_coefficient_is_refused(self, value):
+        with pytest.raises(InexactEntry, match="coefficient .* is a float"):
+            FieldElement(value)
+        with pytest.raises(InexactEntry, match="coefficient .* is a float"):
+            FieldElement(1, value)
+
     @given(field_elements())
     def test_invariants_hold(self, a):
         assert a.den, "denominator never empty"
@@ -66,50 +71,36 @@ class TestQuotientForm:
         assert min(a.den) == 0 or min(a.num) == 0, "num and den share no power of t"
 
 
-class TestValuation:
-    def test_examples(self):
-        assert quo({2: 1, 3: 1}, {1: 2}).valuation_at_zero() == 1
-        assert ZERO.valuation_at_zero() == math.inf
-        assert fe("t^-1").valuation_at_zero() == -1
-
-    @given(field_elements(), field_elements())
-    def test_additive_over_products_of_quotients(self, f, g):
-        fg = FieldElement(poly_mul(f.num, g.num), poly_mul(f.den, g.den))
-        assert fg.valuation_at_zero() == (
-            f.valuation_at_zero() + g.valuation_at_zero()
-        )
-
-
 class TestEvaluation:
-    def test_eval_at_zero_examples(self):
-        assert quo({2: 3, 5: 1}, {2: 1}).eval_at_zero() == 3
-        assert quo({1: 1}, {1: 1, 0: 1}).eval_at_zero() == 0
-        with pytest.raises(PoleAtZero):
-            fe("t^-1").eval_at_zero()
-
     def test_eval_at_examples(self):
         assert fe("t^2 + 1").eval_at(F(2)) == 5
         with pytest.raises(PoleAtPoint):
             quo({0: 1}, {1: 1, 0: -1}).eval_at(F(1))
         assert fe("t^-1").eval_at(F(1, 2)) == 2
 
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_a_float_point_is_refused(self, value):
+        with pytest.raises(InexactEntry, match="point .* is a float"):
+            fe("t^2 + 1").eval_at(value)
+
     @given(field_elements())
     @settings(max_examples=60)
     def test_limit_agrees_with_evaluation_along_one_over_k(self, f):
-        """|f(1/k) - f(0)| <= C/k with C computed from the coefficients.
+        """|f(1/k) - f(0)| <= C/k with C computed from the coefficients,
+        f(0) = num[0] / den[0] once a pole is shifted away.
 
         Writing num(t)*den(0) - num(0)*den(t) = t*r(t), the difference at
         t = 1/k is bounded by (sum |r|) / (k * |den(1/k)| * |den(0)|), and
         |den(1/k)| >= |den(0)|/2 once k >= 2 * (sum |den tail|) / |den(0)|.
         """
-        v = f.valuation_at_zero()
-        if v == math.inf:
+        if not f.num:
             return
+        v = min(f.num) - min(f.den)
         if v < 0:
             f = FieldElement(poly_shift(f.num, -v), f.den)  # shift poles away
-        f0 = f.eval_at_zero()
         d0 = f.den[0]
         n0 = f.num.get(0, F(0))
+        f0 = n0 / d0
         big_r = sum((abs(d0 * f.num.get(e, 0) - n0 * f.den.get(e, 0))
                      for e in f.num.keys() | f.den.keys()), F(0))
         tail = sum((abs(c) for e, c in f.den.items() if e >= 1), F(0))
@@ -166,17 +157,6 @@ class TestUnreducedQuotients:
                     f.eval_at(t0)
             else:
                 assert f.eval_at(t0) == want
-        if ours:
-            num, den = ours.numer, ours.denom
-            v = min(e[0] for e, _ in num.terms()) - min(e[0] for e, _ in den.terms())
-        else:
-            v = math.inf
-        assert f.valuation_at_zero() == v
-        if v < 0:
-            with pytest.raises(PoleAtZero):
-                f.eval_at_zero()
-        else:
-            assert f.eval_at_zero() == (oracle_at(ours, F(0)) if v == 0 else 0)
         if same:  # the same element, another common factor and scale
             g = quotient(poly_scale(p, c), poly_scale(q, c), r, m + k, m2 + k)
         else:

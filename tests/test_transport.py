@@ -16,8 +16,8 @@ from levelone import (
     Algebra,
     CanonicalForm,
     ClassifierConfig,
+    InexactEntry,
     NoLimit,
-    ParamAlgebra,
     ParamMatrix,
     SingularFamily,
     Tag,
@@ -26,9 +26,7 @@ from levelone import (
     classify,
     construct,
     derived_subspace,
-    embed_algebra,
     invert,
-    limit_at_zero,
     random_algebra,
     random_family,
     random_invertible_matrix,
@@ -47,9 +45,9 @@ from levelone.poly import FE_ZERO, MAX_DEGREE, FieldElement
 from levelone.transport import _cleared, _row_monomial
 
 import test_transport_oracle as oracle  # the sympy QQ(t) oracle
-from conftest import algebras, fe, nonzero_rationals
+from conftest import algebras, constant_tensor, fe, nonzero_rationals, qt_limit
 
-FE_ONE = FieldElement.constant(1)
+FE_ONE = FieldElement(1)
 
 # ``levelone.transport`` is also the name of a function the package exports
 algebra_module = importlib.import_module("levelone.algebra")
@@ -109,12 +107,12 @@ class TestInvert:
 class TestTransport:
     def test_identity_family_embeds(self):
         a = random_algebra(3, 0.6, seed=2)
-        assert transport(a, ParamMatrix.identity(3)) == embed_algebra(a)
+        assert transport(a, ParamMatrix.identity(3)) == constant_tensor(a)
 
     def test_pminus_is_fixed_by_tail_scaling(self):
         a = canon(Tag.P_MINUS, 3)
         moved = transport(a, scaling_family([0, 1, 1]))
-        assert moved == embed_algebra(a)
+        assert moved == constant_tensor(a)
 
     def test_n3plus_under_its_family_keeps_the_square(self):
         a = canon(Tag.N3_PLUS, 3)
@@ -203,6 +201,35 @@ def with_det_root(g: ParamMatrix, r: F) -> ParamMatrix:
     m[0][1] = m[1][0] = FE_ONE
     m[1][1] = FieldElement({1: F(1), 0: 1 - r}) if r != 1 else fe("t")
     return g @ ParamMatrix(n, tuple(tuple(row) for row in m))
+
+
+class TestInexactInput:
+    """A float coefficient or point raises InexactEntry: its binary value is
+    not the decimal it shows."""
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_from_laurent(self, value):
+        with pytest.raises(InexactEntry, match="coefficient .* is a float"):
+            ParamMatrix.from_laurent([[{-1: F(1)}, {}], [{0: value}, {1: 1}]])
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_from_rational(self, value):
+        with pytest.raises(InexactEntry, match="coefficient .* is a float"):
+            ParamMatrix.from_rational([[F(1), F(0)], [value, F(1)]])
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_field_element_rows(self, value):
+        # FieldElement keeps a dict's coefficients as given; ParamMatrix clears them
+        with pytest.raises(InexactEntry, match="coefficient .* is a float"):
+            ParamMatrix(1, ((FieldElement({-1: value}),),))
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_points(self, value):
+        a, g = canon(Tag.P_PLUS, 3), pplus_to_lambda2(3)
+        for at in (lambda: transport_at(a, g, value), lambda: g.eval_at(value),
+                   lambda: transport(a, g).eval_at(value)):
+            with pytest.raises(InexactEntry, match="point .* is a float"):
+                at()
 
 
 class TestTransportAt:
@@ -379,21 +406,6 @@ class TestLimits:
             g = random_family(3, 2, seed)
             assert transport_limit(a, g) == a
 
-    def test_no_limit_reports_entries(self):
-        t_inv = fe("t^-1")
-        one = FieldElement.constant(1)
-        entries = tuple(
-            tuple(
-                tuple(t_inv if (k, i, j) == (0, 0, 0) else FE_ZERO for j in range(2))
-                for i in range(2)
-            )
-            for k in range(2)
-        )
-        pa = ParamAlgebra(2, entries)
-        with pytest.raises(NoLimit) as err:
-            limit_at_zero(pa)
-        assert err.value.entries == [(1, 1, 1)]
-
     @given(algebras(min_dim=2, max_dim=3), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_fused_limit_agrees_with_two_step(self, a, seed):
@@ -402,10 +414,10 @@ class TestLimits:
             fused = transport_limit(a, g)
         except NoLimit as exc:
             with pytest.raises(NoLimit) as err:
-                limit_at_zero(transport(a, g))
+                qt_limit(a, g)
             assert err.value.entries == exc.entries
             return
-        assert fused == limit_at_zero(transport(a, g))
+        assert fused == qt_limit(a, g)
 
 
 class TestVerify:
@@ -651,7 +663,7 @@ class TestRowMonomial:
         assert _row_monomial(g) is not None
         a = random_algebra(g.dim, 0.5, seed)
         assert limit_outcome(lambda: transport_limit(a, g)) == limit_outcome(
-            lambda: limit_at_zero(transport(a, g)))
+            lambda: qt_limit(a, g))
 
     @given(row_monomial_families(), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -660,7 +672,7 @@ class TestRowMonomial:
         # builds the limit from their integers: no Algebra.entries(), no
         # apply_basis_change
         a = random_algebra(g.dim, 0.5, seed)
-        want = limit_outcome(lambda: limit_at_zero(transport(a, g)))
+        want = limit_outcome(lambda: qt_limit(a, g))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the read-off formed the full tensor")

@@ -39,7 +39,7 @@ from levelone.families import scaling_family
 from levelone.poly import FieldElement
 from levelone.transport import _row_monomial
 
-from conftest import fe
+from conftest import fe, qt_limit
 
 # ``levelone.transport`` is also the name of a function the package exports
 transport_module = importlib.import_module("levelone.transport")
@@ -131,9 +131,9 @@ def ours_at(f):
         return PoleAtPoint
 
 
-def ours_limit(a, g):
+def ours_limit(a, g, limit=transport_limit):
     try:
-        lim = transport_limit(a, g)
+        lim = limit(a, g)
     except NoLimit as exc:
         return None, exc.entries
     n, c = a.dim, lim.constants
@@ -201,6 +201,13 @@ def test_the_inverse_cases_reach_both_kinds():
 @pytest.mark.parametrize("a,g", CASES)
 def test_limit_or_poles_agree_with_sympy(a, g):
     assert ours_limit(a, g) == oracle_limit(a, g)
+
+
+@pytest.mark.parametrize("a,g", CASES)
+def test_qt_limit_agrees_with_sympy(a, g):
+    """qt_limit, the reference the other tests compare transport_limit with,
+    reads the limit or poles as sympy does."""
+    assert ours_limit(a, g, qt_limit) == oracle_limit(a, g)
 
 
 def test_the_cases_reach_both_outcomes():
